@@ -1,11 +1,10 @@
-"""E14: streaming vs materialized recovery, and partitioned redo.
+"""E14: streaming vs materialized recovery.
 
 The segmented log manager lets recovery consume the checkpoint suffix as
 an iterator, holding O(segment) records resident instead of copying the
 whole suffix into a list.  This experiment measures both disciplines at
 10k and 100k records — peak traced allocation (tracemalloc) and wall
-time — and checks that opt-in partitioned redo reproduces the
-sequential scan's final state byte for byte.
+time.
 
 Results are emitted as E14.txt and machine-readably as
 ``BENCH_streaming.json`` under ``benchmarks/results/``.
@@ -17,7 +16,6 @@ import json
 import time
 import tracemalloc
 
-from repro.engine import KVDatabase
 from repro.logmgr import (
     CheckpointRecord,
     LogManager,
@@ -144,40 +142,4 @@ def test_streaming_vs_materialized_recovery():
             "The streaming scan's resident set is bounded by the segment",
             "size; the materialized scan's grows with the whole suffix.",
         ],
-    )
-
-
-def test_partitioned_redo_matches_sequential():
-    """Partitioned replay must be byte-identical to the sequential scan
-    (Theorem 3 at engine granularity), and not slower by much."""
-    rows = []
-    dumps = {}
-    for parallel in (False, True):
-        db = KVDatabase(
-            method="physiological",
-            n_pages=16,
-            cache_capacity=8,
-            log_segment_size=SEGMENT_SIZE,
-            method_options={
-                "parallel_recovery": parallel,
-                "recovery_workers": 4,
-            },
-        )
-        for i in range(10_000):
-            db.execute(("put", f"k{i % 512}", i))
-        db.crash()
-        start = time.perf_counter()
-        db.recover()
-        elapsed = time.perf_counter() - start
-        db.verify_against()
-        dumps[parallel] = db.method.dump()
-        rows.append(
-            ["partitioned" if parallel else "sequential", f"{elapsed * 1e3:.1f}"]
-        )
-    assert dumps[True] == dumps[False]
-    emit(
-        "E14b",
-        "Partitioned redo is byte-identical to the sequential scan",
-        table(rows, ["discipline", "recover ms"])
-        + ["", "Final states compared equal cell-for-cell (10k records)."],
     )

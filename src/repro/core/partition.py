@@ -32,8 +32,9 @@ The soundness argument needs two premises worth naming:
 Threading is opt-in (``max_workers``): partitions are pure functions of
 their slice of the state, workers share nothing mutable, and the merge
 happens single-threaded after all partitions complete.  The engine-level
-counterpart for page-granularity methods is
-:mod:`repro.methods.partition`.
+counterpart for page-granularity methods is the page-wise lazy plan
+(:mod:`repro.methods.lazy`): each page's chain replays independently,
+on the page's first access.
 """
 
 from __future__ import annotations

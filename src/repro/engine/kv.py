@@ -121,17 +121,14 @@ class EngineSpec:
         progress: "RecoveryProgress | None" = None,
     ) -> "KVDatabase":
         """Restart an engine of this spec from its segment directory."""
-        kwargs = self._kwargs()
-        kwargs.pop("method")
         return KVDatabase.cold_start(
             log_dir,
             disk=disk,
-            method=self.method,
             recover=recover,
             lazy=lazy,
             tracer=tracer,
             progress=progress,
-            **kwargs,
+            **self._kwargs(),
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -230,22 +227,11 @@ class KVDatabase:
         disk=None,
         method: str = "physiological",
         *,
-        cache_capacity: int = 16,
-        cache_policy: str = "lru",
-        install_policy: str = "graph",
-        n_pages: int = 8,
-        commit_every: int = 1,
-        checkpoint_every: int | None = None,
-        method_options: dict | None = None,
-        log_segment_size: int | None = None,
-        truncate_on_checkpoint: bool = False,
-        group_commit: int = 1,
-        fsync: bool = True,
-        commit_pipeline: bool = False,
         recover: bool = True,
         lazy: bool = False,
         tracer: Tracer | None = None,
         progress: RecoveryProgress | None = None,
+        **spec_fields,
     ) -> "KVDatabase":
         """Restart from durable state alone: segment files plus a disk.
 
@@ -259,6 +245,9 @@ class KVDatabase:
         ``checkpoint_every=None`` workloads or ``full_scan`` semantics
         in mind), and ``recover()`` replays the stable prefix.  Pass
         ``recover=False`` to inspect the pre-recovery state.
+        ``spec_fields`` are :class:`EngineSpec`'s fields (cache, cadence,
+        ``method_options``, ...), with its defaults and its rejection
+        of unknown names.
 
         ``lazy=True`` is the instant-restart path: only the analysis
         phase runs before this returns — the engine serves immediately,
@@ -269,36 +258,29 @@ class KVDatabase:
         """
         from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogManager
 
+        spec = EngineSpec(method=method, **spec_fields)
         tracer_obj = tracer if tracer is not None else NULL_TRACER
         log = LogManager.open(
             log_dir,
             segment_size=(
-                log_segment_size if log_segment_size is not None else DEFAULT_SEGMENT_SIZE
+                spec.log_segment_size
+                if spec.log_segment_size is not None
+                else DEFAULT_SEGMENT_SIZE
             ),
             tracer=tracer_obj,
-            group_commit=group_commit,
-            fsync=fsync,
+            group_commit=spec.group_commit,
+            fsync=spec.fsync,
         )
         machine = Machine(
-            cache_capacity=cache_capacity,
-            cache_policy=cache_policy,
-            install_policy=install_policy,
+            cache_capacity=spec.cache_capacity,
+            cache_policy=spec.cache_policy,
+            install_policy=spec.install_policy,
             tracer=tracer_obj,
             disk=disk,
             log=log,
             progress=progress,
         )
-        db = cls(
-            method=method,
-            n_pages=n_pages,
-            commit_every=commit_every,
-            checkpoint_every=checkpoint_every,
-            method_options=method_options,
-            truncate_on_checkpoint=truncate_on_checkpoint,
-            tracer=tracer_obj,
-            commit_pipeline=commit_pipeline,
-            machine=machine,
-        )
+        db = cls(tracer=tracer_obj, machine=machine, **spec._kwargs())
         if recover:
             if not (lazy and db._begin_lazy_restart()):
                 db.recover()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cache import BufferPool
-from repro.logmgr import LogManager
+from repro.logmgr import LogManager, LogRecord
 from repro.obs.progress import NULL_PROGRESS, RecoveryProgress
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage import Disk
@@ -98,15 +98,18 @@ class Machine:
                 log_kwargs["store"] = FileLogStore(log_dir, fsync=fsync)
             self.log = LogManager(**log_kwargs)
         self.enforce_wal = enforce_wal
-        self.pool = BufferPool(
+        self.pool = self._new_pool(cache_capacity, cache_policy, install_policy)
+        self.crashed = False
+
+    def _new_pool(self, capacity: int, policy: str, install_policy: str) -> BufferPool:
+        return BufferPool(
             self.disk,
-            self.log if enforce_wal else None,
-            capacity=cache_capacity,
-            policy=cache_policy,  # type: ignore[arg-type]
+            self.log if self.enforce_wal else None,
+            capacity=capacity,
+            policy=policy,  # type: ignore[arg-type]
             install_policy=install_policy,  # type: ignore[arg-type]
             tracer=self.tracer,
         )
-        self.crashed = False
 
     def crash(self) -> None:
         """Lose everything volatile: cached pages and the log tail."""
@@ -116,14 +119,8 @@ class Machine:
 
     def reboot_pool(self) -> None:
         """A fresh (empty) buffer pool for the recovered incarnation."""
-        self.pool = BufferPool(
-            self.disk,
-            self.log if self.enforce_wal else None,
-            capacity=self.pool.capacity,
-            policy=self.pool.policy,  # type: ignore[arg-type]
-            install_policy=self.pool.install_policy,  # type: ignore[arg-type]
-            tracer=self.tracer,
-        )
+        old = self.pool
+        self.pool = self._new_pool(old.capacity, old.policy, old.install_policy)
         self.crashed = False
 
 
@@ -275,6 +272,19 @@ class RecoveryMethodKV(ABC):
         redo start point would skip work the backup has not seen.  Sound
         for every method: blind physical replays are always harmless, and
         LSN tests bypass whatever the backup does contain.
+        """
+
+    @abstractmethod
+    def redo_record(self, record: LogRecord) -> dict:
+        """The method's whole redo test and apply, for one log record.
+
+        §4's ``redo`` parameter: decide whether ``record`` is replayed
+        or bypassed, apply it if so, and return the decision — the
+        field set of its ``recovery.record`` trace event: ``decision``
+        ("replayed" or "skipped"), a ``reason`` when skipped, and the
+        ``page``/``pages`` it concerned.  Eager and lazy recovery both
+        reach this through :func:`repro.methods.redo.replay`, never
+        directly.
         """
 
     def begin_lazy_recovery(self):

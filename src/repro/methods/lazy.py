@@ -12,9 +12,9 @@ records of one page form a chain; replaying a page's chain in LSN order
 is exactly the eager scan restricted to that page.  Two restrictions
 keep the reordered schedule conflict-order consistent:
 
-- **LSN-test methods** replay each fetched record under the same page-LSN
-  test the eager scan uses, so a record whose effect is already installed
-  is bypassed identically.
+- **LSN-test methods** replay each fetched record through the same
+  ``redo_record`` the eager scan uses (:mod:`repro.methods.redo`), so a
+  record whose effect is already installed is bypassed identically.
 - **Multi-page records** (§6.4) read pages other records write — a
   cross-chain conflict edge.  Chains connected by such edges are replayed
   together, as one merged LSN-ordered unit (the union-find components the
@@ -41,9 +41,10 @@ Two plan shapes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.logmgr import LogRecord, PageRedoIndex
+from repro.logmgr import PageRedoIndex
+from repro.methods.redo import replay
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.methods.base import RecoveryMethodKV
@@ -80,10 +81,10 @@ class PagewiseLazyPlan:
     ``table`` maps each unrecovered page to its replay-start LSN; the
     plan retires pages by fetching their chains through
     :meth:`~repro.logmgr.manager.LogManager.fetch_chain` and feeding the
-    records to ``apply_record`` (the method's own replay body, LSN test
-    included).  ``components`` groups pages whose chains are linked by
-    multi-page conflict edges — a fault on any member replays the whole
-    group, merged in global LSN order.
+    records to :func:`~repro.methods.redo.replay` (the method's own
+    ``redo_record``, LSN test included).  The index's components group
+    pages whose chains are linked by multi-page conflict edges — a fault
+    on any member replays the whole group, merged in global LSN order.
 
     Every mutation runs under :attr:`lock` — the buffer pool's own
     mutex, because faults arrive from inside ``get_page`` already
@@ -97,19 +98,16 @@ class PagewiseLazyPlan:
         method: "RecoveryMethodKV",
         index: PageRedoIndex,
         table: dict[str, int],
-        apply_record: Callable[[LogRecord], None],
-        components: dict[str, frozenset] | None = None,
     ):
         self.method = method
         self.index = index
         self.lock = method.machine.pool.mutex
-        self._apply = apply_record
         self._pending: dict[str, int] = dict(table)
         # recLSN order for the background drain: oldest chains first, so
         # the truncation horizon advances as fast as the drain does.
         self._order = sorted(table, key=lambda p: (table[p], p))
         self._cursor = 0
-        self._components = components if components is not None else {}
+        self._components = index.components()
         self.pages_total = len(table)
         self.pages_replayed = 0
         self.records_fetched = 0
@@ -194,8 +192,7 @@ class PagewiseLazyPlan:
                     entries.append((base, offset, lsn))
         entries.sort(key=lambda entry: entry[2])
         records = self.method.machine.log.fetch_chain(entries)
-        for record in records:
-            self._apply(record)
+        replay(self.method, records)
         self.records_fetched += len(records)
         self.pages_replayed += len(group)
 
@@ -228,11 +225,9 @@ class SuffixLazyPlan:
         self,
         method: "RecoveryMethodKV",
         entries: list[tuple[int, int, int]],
-        apply_record: Callable[[LogRecord], None],
     ):
         self.method = method
         self.lock = method.machine.pool.mutex
-        self._apply = apply_record
         self._entries = entries
         self._cursor = 0
         self._active = False
@@ -274,8 +269,7 @@ class SuffixLazyPlan:
         self._cursor += len(batch)
         self._active = True
         try:
-            for record in self.method.machine.log.fetch_chain(batch):
-                self._apply(record)
+            replay(self.method, self.method.machine.log.fetch_chain(batch))
         finally:
             self._active = False
         self.records_fetched += len(batch)

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.logmgr import CheckpointRecord, LogicalRedo
+from repro.logmgr import LOGICAL_PAGE, CheckpointRecord, LogicalRedo, LogRecord
 from repro.methods.base import Machine, RecoveryMethodKV
-from repro.obs.trace import traced_segments
+from repro.methods.lazy import SuffixLazyPlan
+from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
 from repro.storage import Page, ShadowStore
 
 
@@ -203,6 +204,25 @@ class LogicalKV(RecoveryMethodKV):
         self._cache.clear()
         self._lazy_plan = None
 
+    def _reopen_shadow(self) -> int:
+        """Drop every volatile structure and reattach the shadow store
+        to the surviving disk; returns the root pointer's checkpoint LSN
+        — reading it is this method's whole analysis phase."""
+        self._cache.clear()
+        self._lazy_plan = None
+        self.shadow = ShadowStore(self.machine.disk)
+        self.shadow.abandon_staging()  # half-built staging is garbage
+        return self.shadow.checkpoint_lsn()
+
+    def redo_record(self, record: LogRecord) -> dict:
+        """Every logical record past the root pointer replays, through
+        the normal update path; the redo test is the analysis cutoff."""
+        payload = record.payload
+        if not isinstance(payload, LogicalRedo):
+            return NOT_REDO
+        self._apply_logical(payload.description)
+        return {"decision": "replayed"}
+
     def begin_lazy_recovery(self):
         """Analysis-only restart: the O(1) root-pointer read, with the
         whole replay suffix deferred.
@@ -215,35 +235,15 @@ class LogicalKV(RecoveryMethodKV):
         batches, and the first foreground data access pays whatever
         remains (the :meth:`_lazy_gate` in the page accessors).
         """
-        from repro.logmgr import LOGICAL_PAGE
-        from repro.methods.lazy import SuffixLazyPlan
 
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery.lazy", method=self.name)
-        self.machine.reboot_pool()
-        self._cache.clear()
-        self.shadow = ShadowStore(self.machine.disk)
-        self.shadow.abandon_staging()  # half-built staging is garbage
-        if progress.enabled:
-            progress.set_phase("analysis")
-        checkpoint_lsn = self.shadow.checkpoint_lsn()
-        index = self.machine.log.page_index(start_lsn=max(0, checkpoint_lsn + 1))
-        entries = index.chain(LOGICAL_PAGE, checkpoint_lsn + 1)
+        def plan_for():
+            start = self._reopen_shadow() + 1
+            index = self.machine.log.page_index(start_lsn=max(0, start))
+            plan = SuffixLazyPlan(self, index.chain(LOGICAL_PAGE, start))
+            self._lazy_plan = plan
+            return plan, {"redo_start": start}
 
-        def apply_record(record) -> None:
-            self.stats.records_scanned += 1
-            if not isinstance(record.payload, LogicalRedo):
-                self.stats.records_skipped += 1
-                return
-            self._apply_logical(record.payload.description)
-            self.stats.records_replayed += 1
-
-        plan = SuffixLazyPlan(self, entries, apply_record)
-        self._lazy_plan = plan
-        self.stats.recoveries += 1
-        span.end(backlog=plan.backlog(), redo_start=checkpoint_lsn + 1)
-        return plan
+        return begin_lazy(self, plan_for)
 
     def recover(self, full_scan: bool = False) -> None:
         """Start from the stable state named by the root pointer and
@@ -255,53 +255,12 @@ class LogicalKV(RecoveryMethodKV):
         the root pointer lives on the disk and the suffix streams off
         the segment files, so a process that lost every Python object
         still recovers to the identical shadow state."""
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery", method=self.name, full_scan=full_scan)
-        before = self.stats.as_dict()
-        self.machine.reboot_pool()
-        self._cache.clear()
-        self._lazy_plan = None
-        self.shadow = ShadowStore(self.machine.disk)
-        self.shadow.abandon_staging()  # half-built staging is garbage
-        if progress.enabled:
-            progress.set_phase("analysis")
-        analysis = tracer.span("recovery.analysis")
-        checkpoint_lsn = self.shadow.checkpoint_lsn()
-        analysis.end(checkpoint_lsn=checkpoint_lsn, redo_start=checkpoint_lsn + 1)
-        records = self.machine.log.stable_records_from(checkpoint_lsn + 1)
-        if progress.enabled:
-            progress.set_phase("redo")
-            records = progress.watch(records, log=self.machine.log, stats=self.stats)
-        if tracer.enabled:
-            records = traced_segments(tracer, self.machine.log, records)
-        for record in records:
-            self.stats.records_scanned += 1
-            if not isinstance(record.payload, LogicalRedo):
-                self.stats.records_skipped += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "recovery.record",
-                        lsn=record.lsn,
-                        decision="skipped",
-                        reason="not_redo_payload",
-                    )
-                continue
-            self._apply_logical(record.payload.description)
-            self.stats.records_replayed += 1
-            if tracer.enabled:
-                tracer.event(
-                    "recovery.record", lsn=record.lsn, decision="replayed"
-                )
-        self.stats.recoveries += 1
-        span.end(
-            redo_start=checkpoint_lsn + 1,
-            scanned=self.stats.records_scanned - before["records_scanned"],
-            replayed=self.stats.records_replayed - before["records_replayed"],
-            skipped=self.stats.records_skipped - before["records_skipped"],
-        )
-        if progress.enabled:
-            progress.finish()
+
+        def analyze() -> dict:
+            checkpoint_lsn = self._reopen_shadow()
+            return {"checkpoint_lsn": checkpoint_lsn, "redo_start": checkpoint_lsn + 1}
+
+        recover_eager(self, full_scan, analyze)
 
     # ------------------------------------------------------------------
     # Inspection

@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.logmgr import CheckpointRecord, LogRecord, PhysicalRedo
-from repro.methods.base import Machine, RecoveryMethodKV
-from repro.methods.partition import install_pages, partitioned_redo
-from repro.obs.trace import traced_segments
+from repro.methods.base import RecoveryMethodKV
+from repro.methods.lazy import PagewiseLazyPlan
+from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
 from repro.storage.page import Page
 
 
@@ -37,20 +37,6 @@ class PhysicalKV(RecoveryMethodKV):
     """Key-value store recovered by physical (location/value) logging."""
 
     name = "physical"
-
-    def __init__(
-        self,
-        machine: Machine | None = None,
-        n_pages: int = 8,
-        parallel_recovery: bool = False,
-        recovery_workers: int = 4,
-    ):
-        super().__init__(machine, n_pages)
-        # Opt-in partitioned redo (see repro.methods.partition): physical
-        # records are blind single-page writes, the easiest case —
-        # no cross-page conflict edges at all.
-        self.parallel_recovery = parallel_recovery
-        self.recovery_workers = recovery_workers
 
     # ------------------------------------------------------------------
     # Normal operation
@@ -134,16 +120,37 @@ class PhysicalKV(RecoveryMethodKV):
     # Recovery
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _apply_physical(page: Page, record: LogRecord) -> bool:
-        """Blind install of one physical record into one page — §6.2:
+    def redo_record(self, record: LogRecord) -> dict:
+        """Blind install of one physical record into its page — §6.2:
         blind replays are always harmless, so the redo test is "yes"."""
         payload = record.payload
-        if payload.whole_page:
-            page.cells.clear()
-        page.cells.update(payload.cells)
-        page.stamp(max(page.lsn, record.lsn))
-        return True
+        if not isinstance(payload, PhysicalRedo):
+            return NOT_REDO
+
+        def install(page: Page) -> None:
+            if payload.whole_page:
+                page.cells.clear()
+            page.cells.update(payload.cells)
+            page.stamp(max(page.lsn, record.lsn))
+
+        self.machine.pool.update(payload.page_id, install, create=True)
+        return {"decision": "replayed", "page": payload.page_id}
+
+    def recover(self, full_scan: bool = False) -> None:
+        """Replay every stable physical record after the last stable
+        checkpoint (or the whole log for media recovery), blindly,
+        streaming the checkpoint suffix straight off the segmented log —
+        no record list is materialized.  On a file-backed log the stream
+        decodes evicted segments from their files one segment at a time,
+        so a cold start (:meth:`~repro.logmgr.manager.LogManager.open`)
+        recovers in O(segment) memory and lands on the same state as the
+        in-memory path."""
+
+        def analyze() -> dict:
+            checkpoint_lsn = self.machine.log.last_stable_checkpoint_lsn
+            return {"redo_start": 0 if full_scan else checkpoint_lsn + 1}
+
+        recover_eager(self, full_scan, analyze)
 
     def begin_lazy_recovery(self):
         """Analysis-only restart for physical recovery.
@@ -155,138 +162,16 @@ class PhysicalKV(RecoveryMethodKV):
         so per-page chain order alone is conflict-order consistent and
         the drained state equals the eager one.
         """
-        from repro.methods.lazy import PagewiseLazyPlan
 
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery.lazy", method=self.name)
-        self.machine.reboot_pool()
-        if progress.enabled:
-            progress.set_phase("analysis")
-        log = self.machine.log
-        start = max(0, log.last_stable_checkpoint_lsn + 1)
-        index = log.page_index(start_lsn=start)
-        table: dict[str, int] = {}
-        for page_id in index.data_pages():
-            first = index.first_lsn(page_id, after_lsn=start - 1)
-            if first is not None:
-                table[page_id] = first
-        pool = self.machine.pool
+        def plan_for():
+            log = self.machine.log
+            start = max(0, log.last_stable_checkpoint_lsn + 1)
+            index = log.page_index(start_lsn=start)
+            table: dict[str, int] = {}
+            for page_id in index.data_pages():
+                first = index.first_lsn(page_id, after_lsn=start - 1)
+                if first is not None:
+                    table[page_id] = first
+            return PagewiseLazyPlan(self, index, table), {"redo_start": start}
 
-        def apply_record(record: LogRecord) -> None:
-            self.stats.records_scanned += 1
-            if not isinstance(record.payload, PhysicalRedo):
-                self.stats.records_skipped += 1
-                return
-            pool.update(
-                record.payload.page_id,
-                lambda p, r=record: self._apply_physical(p, r),
-                create=True,
-            )
-            self.stats.records_replayed += 1
-
-        plan = PagewiseLazyPlan(self, index, table, apply_record)
-        self.stats.recoveries += 1
-        span.end(backlog=plan.backlog(), redo_start=start)
-        return plan
-
-    def recover(self, full_scan: bool = False) -> None:
-        """Replay every stable physical record after the last stable
-        checkpoint (or the whole log for media recovery), blindly,
-        streaming the checkpoint suffix straight off the segmented log —
-        no record list is materialized.  On a file-backed log the stream
-        decodes evicted segments from their files one segment at a time,
-        so a cold start (:meth:`~repro.logmgr.manager.LogManager.open`)
-        recovers in O(segment) memory and lands on the same state as the
-        in-memory path.
-
-        With ``parallel_recovery`` the suffix is partitioned by page and
-        replayed concurrently; blind single-page writes have no
-        cross-page conflict edges, so any schedule preserving per-page
-        log order is conflict-order consistent and Theorem 3 applies
-        (see :mod:`repro.methods.partition`)."""
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery", method=self.name, full_scan=full_scan)
-        before = self.stats.as_dict()
-        self.machine.reboot_pool()
-        log = self.machine.log
-        if progress.enabled:
-            progress.set_phase("analysis")
-        analysis = tracer.span("recovery.analysis", full_scan=full_scan)
-        start = 0 if full_scan else log.last_stable_checkpoint_lsn + 1
-        analysis.end(redo_start=start)
-
-        if self.parallel_recovery:
-            result = partitioned_redo(
-                self.machine.disk,
-                log.stable_records_from(start),
-                self._apply_physical,
-                max_workers=self.recovery_workers,
-            )
-            install_pages(self.machine.pool, result)
-            self.stats.records_scanned += result.scanned
-            self.stats.records_replayed += result.replayed
-            self.stats.records_skipped += result.skipped
-            self.stats.recoveries += 1
-            if tracer.enabled:
-                # Worker threads replay concurrently; one summary event
-                # stands in for the per-record stream.
-                tracer.event(
-                    "recovery.partitioned",
-                    scanned=result.scanned,
-                    replayed=result.replayed,
-                    skipped=result.skipped,
-                    workers=self.recovery_workers,
-                )
-            span.end(
-                redo_start=start,
-                scanned=result.scanned,
-                replayed=result.replayed,
-                skipped=result.skipped,
-            )
-            if progress.enabled:
-                progress.finish()
-            return
-
-        pool = self.machine.pool
-        records = log.stable_records_from(start)
-        if progress.enabled:
-            progress.set_phase("redo")
-            records = progress.watch(records, log=log, stats=self.stats)
-        if tracer.enabled:
-            records = traced_segments(tracer, log, records)
-        for record in records:
-            self.stats.records_scanned += 1
-            if not isinstance(record.payload, PhysicalRedo):
-                self.stats.records_skipped += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "recovery.record",
-                        lsn=record.lsn,
-                        decision="skipped",
-                        reason="not_redo_payload",
-                    )
-                continue
-            pool.update(
-                record.payload.page_id,
-                lambda p, r=record: self._apply_physical(p, r),
-                create=True,
-            )
-            self.stats.records_replayed += 1
-            if tracer.enabled:
-                tracer.event(
-                    "recovery.record",
-                    lsn=record.lsn,
-                    decision="replayed",
-                    page=record.payload.page_id,
-                )
-        self.stats.recoveries += 1
-        span.end(
-            redo_start=start,
-            scanned=self.stats.records_scanned - before["records_scanned"],
-            replayed=self.stats.records_replayed - before["records_replayed"],
-            skipped=self.stats.records_skipped - before["records_skipped"],
-        )
-        if progress.enabled:
-            progress.finish()
+        return begin_lazy(self, plan_for)

@@ -36,9 +36,8 @@ from repro.logmgr import (
     PhysiologicalRedo,
 )
 from repro.methods.base import Machine, RecoveryMethodKV
-from repro.methods.partition import install_pages, partitioned_redo
-from repro.obs.trace import traced_segments
-from repro.storage.page import Page
+from repro.methods.lazy import PagewiseLazyPlan, lsn_table_analysis
+from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
 
 
 def analysis_pass(records: Iterable[LogRecord]) -> tuple[dict[str, int], int]:
@@ -85,18 +84,12 @@ class PhysiologicalKV(RecoveryMethodKV):
         machine: Machine | None = None,
         n_pages: int = 8,
         sharp_checkpoints: bool = False,
-        parallel_recovery: bool = False,
-        recovery_workers: int = 4,
     ):
         super().__init__(machine, n_pages)
         # Sharp checkpoints flush every dirty page first, buying minimal
         # recovery work at the cost of checkpoint IO; the default fuzzy
         # checkpoint just records the redo start point.
         self.sharp_checkpoints = sharp_checkpoints
-        # Opt-in partitioned redo (see repro.methods.partition): sound
-        # because every physiological record touches exactly one page.
-        self.parallel_recovery = parallel_recovery
-        self.recovery_workers = recovery_workers
 
     def dirty_table(self) -> dict[str, int]:
         """The ARIES dirty page table (page -> recLSN), read off the
@@ -146,7 +139,7 @@ class PhysiologicalKV(RecoveryMethodKV):
             self.machine.log.flush()
             self.machine.pool.flush_all()
         snapshot = tuple(sorted(self.dirty_table().items()))
-        self.machine.log.append(CheckpointRecord(("physiological", snapshot)))
+        self.machine.log.append(CheckpointRecord((self.name, snapshot)))
         self.machine.log.flush()
         self.stats.checkpoints += 1
 
@@ -166,6 +159,36 @@ class PhysiologicalKV(RecoveryMethodKV):
     # Recovery
     # ------------------------------------------------------------------
 
+    def _redo_page(self, page_id: str, lsn: int, actions, reader=None) -> dict:
+        """THE redo test, for one page a record writes: a page tag at or
+        past the record's LSN says the effect is already installed in
+        the stable state; otherwise the actions replay against the page
+        (``reader`` supplies the other pages a §6.4 action reads)."""
+        pool = self.machine.pool
+        page = pool.get_page(page_id, create=True)
+        if page.lsn >= lsn:
+            return {
+                "decision": "skipped",
+                "reason": "lsn_test",
+                "page": page_id,
+                "page_lsn": page.lsn,
+            }
+
+        def apply(p) -> None:
+            for action in actions:
+                action.apply_to(p, lsn=lsn, reader=reader)
+
+        pool.update(page_id, apply)
+        return {"decision": "replayed", "page": page_id}
+
+    def redo_record(self, record: LogRecord) -> dict:
+        """One-page records replay under the page-LSN test; anything
+        else in the log (checkpoints) is not a redo payload."""
+        payload = record.payload
+        if not isinstance(payload, PhysiologicalRedo):
+            return NOT_REDO
+        return self._redo_page(payload.page_id, record.lsn, (payload.action,))
+
     def recover(self, full_scan: bool = False) -> None:
         """Analysis: reconstruct the dirty page table by streaming the
         stable checkpoint suffix (one pass, no record list).  Redo:
@@ -176,42 +199,19 @@ class PhysiologicalKV(RecoveryMethodKV):
         Both passes run on a file-backed log too, re-decoding evicted
         segments from their binary files — the two-scan shape costs two
         streaming decodes of the suffix, never a materialized log.
-
-        With ``parallel_recovery`` the redo suffix is partitioned by
-        page and replayed concurrently; per-partition log order plus
-        page-disjointness make that schedule conflict-order consistent,
-        so Theorem 3 guarantees the same final state as the sequential
-        scan (see :mod:`repro.methods.partition`).
         """
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery", method=self.name, full_scan=full_scan)
-        before = self.stats.as_dict()
-        self.machine.reboot_pool()
 
-        log = self.machine.log
-        scan_from = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn)
-        if progress.enabled:
-            progress.set_phase("analysis")
-        analysis = tracer.span("recovery.analysis", scan_from=scan_from)
-        table, redo_start = analysis_pass(log.stable_records_from(scan_from))
-        if full_scan:
-            redo_start = 0
-        analysis.end(redo_start=redo_start, dirty_pages=len(table))
+        def analyze() -> dict:
+            log = self.machine.log
+            scan_from = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn)
+            table, redo_start = analysis_pass(log.stable_records_from(scan_from))
+            return {
+                "scan_from": scan_from,
+                "redo_start": 0 if full_scan else redo_start,
+                "dirty_pages": len(table),
+            }
 
-        if self.parallel_recovery:
-            self._redo_partitioned(redo_start)
-        else:
-            self._redo_sequential(redo_start)
-        self.stats.recoveries += 1
-        span.end(
-            redo_start=redo_start,
-            scanned=self.stats.records_scanned - before["records_scanned"],
-            replayed=self.stats.records_replayed - before["records_replayed"],
-            skipped=self.stats.records_skipped - before["records_skipped"],
-        )
-        if progress.enabled:
-            progress.finish()
+        recover_eager(self, full_scan, analyze)
 
     def begin_lazy_recovery(self):
         """Analysis off the per-page index, redo deferred to first touch.
@@ -220,118 +220,23 @@ class PhysiologicalKV(RecoveryMethodKV):
         :func:`analysis_pass` streams out — checkpoint snapshot plus
         first post-checkpoint dirtying per page — but read from chain
         metadata instead of a record scan.  Each faulted page replays
-        its own chain under the identical page-LSN test, so the drained
-        state matches the eager scan record for record; records below a
-        page's recLSN are exactly the ones whose LSN test would have
-        skipped them, so never fetching them changes nothing.
+        its own chain through the same :meth:`redo_record`, so the
+        drained state matches the eager scan record for record; records
+        below a page's recLSN are exactly the ones whose LSN test would
+        have skipped them, so never fetching them changes nothing.
+
+        Multi-page (§6.4) records link the chains of the pages they
+        read and write with a conflict edge, so per-page replay order
+        alone is not conflict-order consistent.  The index carries those
+        edges; pages they connect replay together as one union-find
+        component, merged in global LSN order, so a replayed read always
+        sees the source page with exactly its earlier replayed writes —
+        Theorem 3's premise holds and the drained state equals the eager
+        scan's.
         """
-        from repro.methods.lazy import PagewiseLazyPlan, lsn_table_analysis
 
-        tracer = self.tracer
-        progress = self.machine.progress
-        span = tracer.span("recovery.lazy", method=self.name)
-        self.machine.reboot_pool()
-        if progress.enabled:
-            progress.set_phase("analysis")
-        index, table = lsn_table_analysis(self.machine.log)
-        pool = self.machine.pool
+        def plan_for():
+            index, table = lsn_table_analysis(self.machine.log)
+            return PagewiseLazyPlan(self, index, table), {"dirty_pages": len(table)}
 
-        def apply_record(record: LogRecord) -> None:
-            self.stats.records_scanned += 1
-            payload = record.payload
-            if not isinstance(payload, PhysiologicalRedo):
-                self.stats.records_skipped += 1
-                return
-            page = pool.get_page(payload.page_id, create=True)
-            if page.lsn >= record.lsn:
-                self.stats.records_skipped += 1
-                return
-            pool.update(
-                payload.page_id,
-                lambda p, a=payload.action, l=record.lsn: a.apply_to(p, lsn=l),
-            )
-            self.stats.records_replayed += 1
-
-        plan = PagewiseLazyPlan(self, index, table, apply_record)
-        self.stats.recoveries += 1
-        span.end(backlog=plan.backlog(), dirty_pages=len(table))
-        return plan
-
-    def _redo_sequential(self, redo_start: int) -> None:
-        pool = self.machine.pool
-        tracer = self.tracer
-        progress = self.machine.progress
-        records = self.machine.log.stable_records_from(redo_start)
-        if progress.enabled:
-            progress.set_phase("redo")
-            records = progress.watch(records, log=self.machine.log, stats=self.stats)
-        if tracer.enabled:
-            records = traced_segments(tracer, self.machine.log, records)
-        for record in records:
-            self.stats.records_scanned += 1
-            if not isinstance(record.payload, PhysiologicalRedo):
-                self.stats.records_skipped += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "recovery.record",
-                        lsn=record.lsn,
-                        decision="skipped",
-                        reason="not_redo_payload",
-                    )
-                continue
-            payload = record.payload
-            page = pool.get_page(payload.page_id, create=True)
-            if page.lsn >= record.lsn:
-                # THE redo test: the page tag says this operation's effect
-                # is already installed in the stable state.
-                self.stats.records_skipped += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "recovery.record",
-                        lsn=record.lsn,
-                        decision="skipped",
-                        reason="lsn_test",
-                        page=payload.page_id,
-                        page_lsn=page.lsn,
-                    )
-                continue
-            pool.update(
-                payload.page_id,
-                lambda p, a=payload.action, l=record.lsn: a.apply_to(p, lsn=l),
-            )
-            self.stats.records_replayed += 1
-            if tracer.enabled:
-                tracer.event(
-                    "recovery.record",
-                    lsn=record.lsn,
-                    decision="replayed",
-                    page=payload.page_id,
-                )
-
-    def _redo_partitioned(self, redo_start: int) -> None:
-        def apply_record(page: Page, record: LogRecord) -> bool:
-            if page.lsn >= record.lsn:
-                return False  # the same LSN redo test, per partition
-            record.payload.action.apply_to(page, lsn=record.lsn)
-            return True
-
-        result = partitioned_redo(
-            self.machine.disk,
-            self.machine.log.stable_records_from(redo_start),
-            apply_record,
-            max_workers=self.recovery_workers,
-        )
-        install_pages(self.machine.pool, result)
-        self.stats.records_scanned += result.scanned
-        self.stats.records_replayed += result.replayed
-        self.stats.records_skipped += result.skipped
-        if self.tracer.enabled:
-            # Worker threads replay concurrently; the coordinating thread
-            # emits one summary event instead of per-record events.
-            self.tracer.event(
-                "recovery.partitioned",
-                scanned=result.scanned,
-                replayed=result.replayed,
-                skipped=result.skipped,
-                workers=self.recovery_workers,
-            )
+        return begin_lazy(self, plan_for)

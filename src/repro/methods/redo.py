@@ -1,0 +1,106 @@
+"""The redo kernel: §4's recovery loop, written once.
+
+The paper defines recovery as one procedure with two parameters:
+``analyze`` picks where redo starts, and ``redo`` decides, record by
+record, whether an operation is replayed or bypassed.  Each §6 method
+supplies exactly those — an analysis and one
+:meth:`~repro.methods.base.RecoveryMethodKV.redo_record` holding its
+whole redo test and apply — and this module owns the rest: the
+:func:`replay` loop that counts and traces every decision, and the two
+schedules that feed it.
+
+The schedules differ only in where records come from.
+:func:`recover_eager` streams ``log.stable_records_from(redo_start)``
+before returning; :func:`begin_lazy` stops after analysis and hands back
+a plan (:mod:`repro.methods.lazy`) that fetches per-page chains through
+``log.fetch_chain`` on first access.  Both reach the same
+``redo_record``, so they cannot disagree on a decision — Theorem 3 then
+says the reordered schedule lands on the same state.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Iterable
+
+from repro.logmgr import LogRecord
+from repro.obs.trace import traced_segments
+
+# A redo decision is the field set of its ``recovery.record`` trace
+# event: ``decision`` is "replayed" or "skipped" (with a ``reason``),
+# plus whatever locates it (``page``/``pages``, ``page_lsn``).  The
+# methods build them as dict literals — this runs once per record.
+NOT_REDO = {"decision": "skipped", "reason": "not_redo_payload"}
+
+
+def replay(method, records: Iterable[LogRecord]) -> None:
+    """THE loop: every record either schedule recovers goes through the
+    method's ``redo_record`` here, is counted in ``method.stats``, and —
+    when tracing — leaves one ``recovery.record`` event carrying the
+    decision."""
+    stats, tracer, redo_record = method.stats, method.tracer, method.redo_record
+    for record in records:
+        stats.records_scanned += 1
+        decision = redo_record(record)
+        if decision["decision"] == "replayed":
+            stats.records_replayed += 1
+        else:
+            stats.records_skipped += 1
+        if tracer.enabled:
+            tracer.event("recovery.record", lsn=record.lsn, **decision)
+
+
+def recover_eager(method, full_scan: bool, analyze: Callable[[], dict]) -> None:
+    """Eager schedule: analysis, then the whole redo suffix, streamed.
+
+    ``analyze()`` runs against the rebooted pool and returns the
+    ``recovery.analysis`` span's end fields, ``redo_start`` among them.
+    The suffix streams straight off the segmented log (one segment
+    resident at a time, re-decoded from its file when evicted), wrapped
+    by the progress gauges and per-segment spans when those are on.
+    """
+    tracer, stats, log = method.tracer, method.stats, method.machine.log
+    progress = method.machine.progress
+    span = tracer.span("recovery", method=method.name, full_scan=full_scan)
+    before = (stats.records_scanned, stats.records_replayed, stats.records_skipped)
+    method.machine.reboot_pool()
+    if progress.enabled:
+        progress.set_phase("analysis")
+    analysis = tracer.span("recovery.analysis")
+    found = analyze()
+    analysis.end(**found)
+    redo_start = found["redo_start"]
+
+    records = log.stable_records_from(redo_start)
+    if progress.enabled:
+        progress.set_phase("redo")
+        records = progress.watch(records, log=log, stats=stats)
+    if tracer.enabled:
+        records = traced_segments(tracer, log, records)
+    replay(method, records)
+    stats.recoveries += 1
+    span.end(
+        redo_start=redo_start,
+        scanned=stats.records_scanned - before[0],
+        replayed=stats.records_replayed - before[1],
+        skipped=stats.records_skipped - before[2],
+    )
+    if progress.enabled:
+        progress.finish()
+
+
+def begin_lazy(method, plan_for: Callable[[], tuple[Any, dict]]):
+    """Lazy schedule: analysis only; redo is the returned plan's job.
+
+    ``plan_for()`` runs against the rebooted pool and returns the plan
+    plus the analysis facts for the ``recovery.lazy`` span.  The plan
+    feeds fetched chains to :func:`replay` as pages are touched.
+    """
+    progress = method.machine.progress
+    span = method.tracer.span("recovery.lazy", method=method.name)
+    method.machine.reboot_pool()
+    if progress.enabled:
+        progress.set_phase("analysis")
+    plan, found = plan_for()
+    method.stats.recoveries += 1
+    span.end(backlog=plan.backlog(), **found)
+    return plan

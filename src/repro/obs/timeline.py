@@ -260,19 +260,10 @@ class RecoveryTimeline:
         decisions = TallyCounter(
             e["fields"].get("decision") for e in self.events("recovery.record")
         )
-        # Partitioned redo traces a summary event instead of per-record
-        # events (worker threads do the replaying); fold those in.
-        part_scanned = part_replayed = part_skipped = 0
-        for event in self.events("recovery.partitioned"):
-            part_scanned += event["fields"].get("scanned", 0)
-            part_replayed += event["fields"].get("replayed", 0)
-            part_skipped += event["fields"].get("skipped", 0)
-        replayed = decisions.get("replayed", 0) + part_replayed
-        skipped = decisions.get("skipped", 0) + part_skipped
         return {
-            "method.records_scanned": sum(decisions.values()) + part_scanned,
-            "method.records_replayed": replayed,
-            "method.records_skipped": skipped,
+            "method.records_scanned": sum(decisions.values()),
+            "method.records_replayed": decisions.get("replayed", 0),
+            "method.records_skipped": decisions.get("skipped", 0),
             "cache.flushes": len(self.events("cache.flush")),
             "scheduler.elisions": len(self.events("scheduler.remove_write")),
         }
@@ -338,12 +329,6 @@ class RecoveryTimeline:
                 lines.append(f"  analysis: {detail}")
             for segment in recovery.find("recovery.segment"):
                 lines.append("  " + self._segment_line(segment))
-            for event in recovery.events:
-                if event.get("name") == "recovery.partitioned":
-                    detail = ", ".join(
-                        f"{k}={v}" for k, v in sorted(event["fields"].items())
-                    )
-                    lines.append(f"  partitioned redo: {detail}")
         if not self.recoveries():
             lines.append("no recovery spans in this trace")
 

@@ -1,8 +1,8 @@
 """The sharded deployment: a keyspace router over N independent engines.
 
 Theorem 3 says page-disjoint partitions of the log recover
-independently.  ``methods/partition.py`` uses that as a *redo
-optimization* — one log, partitioned replay.  This module promotes it to
+independently.  ``methods/lazy.py`` uses that as a *restart
+optimization* — one log, replayed page by page.  This module promotes it to
 the *deployment architecture*: the :class:`~repro.shard.keymap.Keymap`
 partitions the keyspace up front, each shard is a full
 :class:`~repro.engine.kv.KVDatabase` with its own ``FileLogStore``
@@ -16,8 +16,8 @@ or an fsync.  Two consequences fall out:
   is the sum of per-shard capacity;
 - **restart**: each shard's recovery reads only its own segment files
   and writes only its own pages, so cold start fans out across
-  *processes* (:meth:`ShardedDatabase.cold_start`) — real parallelism,
-  unlike the GIL-bound thread-pool redo inside one engine.
+  *processes* (:meth:`ShardedDatabase.cold_start`) — real parallelism
+  for a CPU-bound replay loop.
 
 A deployment root is self-describing: ``DEPLOY.json`` (the manifest)
 records the shard count, keymap seed, engine spec, and per-shard

@@ -220,6 +220,53 @@ class TestLazyMatchesEager:
         baseline.close()
 
 
+class TestSameDecisions:
+    """Eager and lazy recovery share one ``redo_record`` per method, so
+    they must agree decision for decision, not only byte for byte."""
+
+    @staticmethod
+    def _replayed_lsns(sink):
+        from repro.obs.timeline import RecoveryTimeline
+
+        return {
+            event["fields"]["lsn"]
+            for event in RecoveryTimeline.from_sink(sink).events("recovery.record")
+            if event["fields"]["decision"] == "replayed"
+        }
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("ckpt", [None, 25])
+    def test_eager_and_lazy_replay_the_same_lsns(self, method, ckpt, tmp_path):
+        from repro.obs.trace import RingBufferSink, Tracer
+
+        db = build_crashed(tmp_path, method, ckpt=ckpt)
+        disks = survivor(db), survivor(db)
+        db.close()
+        replayed, counts = [], []
+        for disk, lazy in zip(disks, (False, True)):
+            sink = RingBufferSink()
+            restarted = cold(
+                tmp_path, method, ckpt=ckpt, disk=disk,
+                recover=False, tracer=Tracer(sink),
+            )
+            if lazy:
+                restarted.method.begin_lazy_recovery().drain()
+            else:
+                restarted.method.recover()
+            replayed.append(self._replayed_lsns(sink))
+            counts.append(restarted.method.stats.records_replayed)
+            restarted.close()
+        assert replayed[0] == replayed[1], (method, ckpt)
+        assert replayed[0], "the survivor state must leave something to redo"
+        assert counts[0] == counts[1] == len(replayed[0])
+
+    @pytest.mark.parametrize("method", ["physical", "physiological"])
+    def test_partitioned_redo_option_is_gone(self, method):
+        """The opt-in partitioned driver was removed, not left ignored."""
+        with pytest.raises(TypeError):
+            KVDatabase(method=method, method_options={"parallel_recovery": True})
+
+
 class TestFaultPathReplay:
     @pytest.mark.parametrize("method", PAGE_METHODS)
     def test_first_access_replays_exactly_that_page(self, method, tmp_path):

@@ -197,55 +197,6 @@ class TestPartitionTheory:
 
 
 # ----------------------------------------------------------------------
-# Engine-level partitioned redo
-# ----------------------------------------------------------------------
-
-
-def _mixed_workload(db: KVDatabase, n: int = 60) -> None:
-    for i in range(n):
-        db.execute(("put", f"k{i}", i))
-        if i % 3 == 0:
-            db.execute(("add", f"k{i}", 100))
-        if i == n // 2:
-            db.checkpoint()
-
-
-class TestPartitionedRedoEngine:
-    @pytest.mark.parametrize("method", ["physical", "physiological"])
-    def test_parallel_equals_sequential(self, method):
-        results = {}
-        for parallel in (False, True):
-            db = KVDatabase(
-                method=method,
-                n_pages=6,
-                cache_capacity=4,
-                log_segment_size=16,
-                method_options={
-                    "parallel_recovery": parallel,
-                    "recovery_workers": 4,
-                },
-            )
-            _mixed_workload(db)
-            db.crash_and_recover()
-            db.verify_against()
-            results[parallel] = db.method.dump()
-        assert results[True] == results[False]
-
-    @pytest.mark.parametrize("method", ["physical", "physiological"])
-    def test_parallel_recovery_survives_repeat_crashes(self, method):
-        db = KVDatabase(
-            method=method,
-            n_pages=6,
-            cache_capacity=4,
-            method_options={"parallel_recovery": True, "recovery_workers": 3},
-        )
-        _mixed_workload(db, n=30)
-        for _ in range(3):
-            db.crash_and_recover()
-            db.verify_against()
-
-
-# ----------------------------------------------------------------------
 # Engine truncation knobs
 # ----------------------------------------------------------------------
 

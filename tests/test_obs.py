@@ -228,15 +228,6 @@ class TestTimeline:
         assert not recovery.closed
         assert "INTERRUPTED" in timeline.render()
 
-    def test_partitioned_summary_counts(self):
-        sink = RingBufferSink()
-        tr = Tracer(sink)
-        with tr.span("recovery", method="physical"):
-            tr.event("recovery.partitioned", scanned=10, replayed=7, skipped=3)
-        totals = RecoveryTimeline.from_sink(sink).totals()
-        assert totals["method.records_scanned"] == 10
-        assert totals["method.records_replayed"] == 7
-
     def test_malformed_trace_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json at all\n")
@@ -309,8 +300,35 @@ class TestEngineIntegration:
         )
         assert seg_records == recovery.field("scanned")
 
-    def test_totals_equal_registry_snapshot(self):
-        db, timeline = self._run()
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize(
+        "method", ["logical", "physical", "physiological", "generalized"]
+    )
+    def test_totals_equal_registry_snapshot(self, method, lazy, tmp_path):
+        """Every redo decision leaves one ``recovery.record`` event, on
+        the eager scan and on the lazy fault/drain path alike."""
+        if lazy:
+            from repro.engine import KVDatabase
+
+            built, _ = self._run(method, log_dir=tmp_path, fsync=False)
+            for i in range(5):  # a tail past the last checkpoint
+                built.execute(("put", f"tail{i}", i))
+            built.commit()
+            built.crash()
+            sink = RingBufferSink()
+            db = KVDatabase.cold_start(
+                tmp_path,
+                disk=built.method.machine.disk,
+                method=method,
+                lazy=True,
+                fsync=False,
+                tracer=Tracer(sink),
+            )
+            db.drain_lazy()
+            timeline = RecoveryTimeline.from_sink(sink)
+            assert timeline.totals()["method.records_replayed"] > 0
+        else:
+            db, timeline = self._run(method)
         snapshot = db.metrics.snapshot()
         totals = timeline.totals()
         for key in (
@@ -319,6 +337,7 @@ class TestEngineIntegration:
             "method.records_skipped",
         ):
             assert totals[key] == snapshot[key], key
+        db.close()
 
     def test_flush_events_carry_graph_reason(self):
         _, timeline = self._run()

@@ -1,15 +1,21 @@
-"""E12: substrate ablation — cache policy and capacity vs recovery work.
+"""E12: substrate ablation — cache capacity vs recovery work.
 
 Not a paper figure, but a design-choice ablation DESIGN.md calls out:
 the §6.3 story ("the system is free to install in any order") means
-cache policy is pure performance — correctness must be indifferent to
-LRU vs clock, tiny vs roomy pools.  Measured here:
+cache sizing is pure performance — correctness must be indifferent to
+tiny vs roomy pools.  Measured here:
 
-- hit rates of LRU and clock on hotspot workloads (LRU should win on
-  skew, the gap narrowing as capacity grows);
+- hit rate of the pool (graph-driven victim choice, LRU tie-break) on a
+  hotspot workload as capacity grows;
 - recovery replay work as a function of capacity (more evictions =
   more installs = less replay) — the no-force mirror of E5c;
-- correctness: every (policy, capacity) cell recovers exactly.
+- correctness: every capacity recovers exactly.
+
+Earlier versions carried a second row labelled ``clock``.  Since the
+install scheduler took over victim selection that row had been plain
+insertion order (the clock sweep was reachable only under the retired
+legacy install policy), so it compared LRU with FIFO under a wrong name;
+it went with the knob.
 """
 
 from repro.engine import KVDatabase
@@ -24,13 +30,8 @@ HOT = KVWorkloadSpec(
 STREAM = generate_kv_workload(77, HOT)
 
 
-def run_cell(policy: str, capacity: int):
-    db = KVDatabase(
-        method="physiological",
-        cache_policy=policy,
-        cache_capacity=capacity,
-        n_pages=32,
-    )
+def run_cell(capacity: int):
+    db = KVDatabase(method="physiological", cache_capacity=capacity, n_pages=32)
     db.run(STREAM)
     report = db.report()
     hits, misses = report["cache_hits"], report["cache_misses"]
@@ -39,42 +40,26 @@ def run_cell(policy: str, capacity: int):
     return hits / (hits + misses), db.method.stats.records_replayed
 
 
-def test_cache_policy_and_capacity(benchmark):
+def test_cache_capacity(benchmark):
     capacities = [2, 4, 8, 16, 32]
-
-    def run():
-        grid = {}
-        for policy in ("lru", "clock"):
-            for capacity in capacities:
-                grid[(policy, capacity)] = run_cell(policy, capacity)
-        return grid
-
-    grid = benchmark(run)
-    rows = []
-    for policy in ("lru", "clock"):
-        rows.append(
-            [policy]
-            + [
-                f"{grid[(policy, c)][0]:.2f}/{grid[(policy, c)][1]}"
-                for c in capacities
-            ]
-        )
+    grid = benchmark(lambda: {c: run_cell(c) for c in capacities})
     # Shapes: hit rate rises with capacity; replay work rises with
     # capacity (fewer evictions = fewer installs); correctness everywhere
     # (verified inside run_cell).
-    for policy in ("lru", "clock"):
-        hit_series = [grid[(policy, c)][0] for c in capacities]
-        assert hit_series == sorted(hit_series)
-        replay_series = [grid[(policy, c)][1] for c in capacities]
-        assert replay_series[0] <= replay_series[-1]
+    hit_series = [grid[c][0] for c in capacities]
+    assert hit_series == sorted(hit_series)
+    assert grid[capacities[0]][1] <= grid[capacities[-1]][1]
     emit(
         "E12",
         "Cache ablation (cells: hit-rate/records-replayed-after-crash)",
-        table(rows, ["policy"] + [f"cap {c}" for c in capacities])
+        table(
+            [["lru"] + [f"{grid[c][0]:.2f}/{grid[c][1]}" for c in capacities]],
+            ["policy"] + [f"cap {c}" for c in capacities],
+        )
         + [
             "",
-            "Every cell recovers exactly (verified).  Policy and capacity",
-            "move performance numbers only: smaller pools steal more pages,",
+            "Every cell recovers exactly (verified).  Capacity moves",
+            "performance numbers only: smaller pools steal more pages,",
             "installing more operations and shrinking replay — correctness",
             "is untouched, as §6.3's any-order installation predicts.",
         ],

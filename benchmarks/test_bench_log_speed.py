@@ -111,7 +111,7 @@ def measure_write_path_old() -> tuple[float, int]:
         for lsn, frame in frames:
             if lsn and lsn % SEGMENT_SIZE == 0:
                 store.begin_segment(lsn)
-            store.stage(lsn, frame)
+            store.stage_many(lsn, lsn - lsn % SEGMENT_SIZE, frame, 1)
             store.write_up_to(lsn)
         store.sync()
         elapsed = time.perf_counter() - start
@@ -174,7 +174,8 @@ def measure_tier_append_old() -> tuple[float, int]:
         for record in records:
             if record.lsn and record.lsn % SEGMENT_SIZE == 0:
                 store.begin_segment(record.lsn)
-            store.stage(record.lsn, encode_record(record))
+            lsn = record.lsn
+            store.stage_many(lsn, lsn - lsn % SEGMENT_SIZE, encode_record(record), 1)
             store.write_up_to(record.lsn)
         store.sync()
         elapsed = time.perf_counter() - start

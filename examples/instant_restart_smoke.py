@@ -24,9 +24,6 @@ Run:  PYTHONPATH=src python examples/instant_restart_smoke.py
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -36,6 +33,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _serve import serving  # noqa: E402
 from repro.server import KVClient  # noqa: E402
 from repro.server.harness import client_key  # noqa: E402
 
@@ -43,35 +41,6 @@ N_SHARDS = 3
 N_CLIENTS = 16
 OPS_PER_CLIENT = 8
 METHOD = "physiological"
-
-
-def start_server(root: str, *extra: str) -> tuple[subprocess.Popen, str, int]:
-    """Launch the server; returns (process, host, port) once listening."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            METHOD,
-            "--log-dir",
-            root,
-            "--port",
-            "0",
-            *extra,
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    for line in proc.stdout:
-        line = line.strip()
-        print(f"  [server] {line}")
-        if line.startswith("listening on"):
-            host, port = line.split()[2].rsplit(":", 1)
-            return proc, host, int(port)
-    raise RuntimeError("server exited before binding")
 
 
 def drive_clients(host: str, port: int) -> dict[str, int]:
@@ -111,22 +80,19 @@ def drive_clients(host: str, port: int) -> dict[str, int]:
 
 def main() -> int:
     root = tempfile.mkdtemp(prefix="instant-restart-")
-    proc, host, port = start_server(root, "--shards", str(N_SHARDS))
-    try:
+    with serving(
+        METHOD, "--log-dir", root, "--shards", str(N_SHARDS)
+    ) as (_proc, host, port):
         acked = drive_clients(host, port)
         print(
             f"drove {N_CLIENTS * OPS_PER_CLIENT} ops; "
             f"{len(acked)} acknowledged writes"
         )
-    finally:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
     print("server killed (SIGKILL); restarting with --lazy-restart")
     time.sleep(0.1)
 
     spawned = time.perf_counter()
-    proc, host, port = start_server(root, "--lazy-restart")
-    try:
+    with serving(METHOD, "--log-dir", root, "--lazy-restart") as (_proc, host, port):
         with KVClient(host, port) as kv:
             first_key = next(iter(acked))
             value = kv.get(first_key)
@@ -171,9 +137,6 @@ def main() -> int:
                 for s in health.get("shards", [])
             ]
             print(f"background replay drained; per-shard {shard_states}")
-    finally:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
     print("instant-restart smoke: OK")
     return 0
 

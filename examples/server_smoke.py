@@ -22,9 +22,6 @@ Run:  PYTHONPATH=src python examples/server_smoke.py
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -34,6 +31,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _serve import serving  # noqa: E402
 from repro.engine import KVDatabase  # noqa: E402
 from repro.server import KVClient  # noqa: E402
 from repro.server.harness import client_key  # noqa: E402
@@ -42,30 +40,6 @@ from repro.sim.crash import canonical_state  # noqa: E402
 N_CLIENTS = 50
 OPS_PER_CLIENT = 4  # 50 x 4 = 200 concurrent client operations
 METHOD = "physiological"
-
-
-def start_server(log_dir: str) -> tuple[subprocess.Popen, str, int]:
-    """Launch ``python -m repro serve`` and wait for its address line."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            METHOD,
-            "--log-dir",
-            log_dir,
-            "--port",
-            "0",
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    line = proc.stdout.readline().strip()  # "listening on host:port"
-    host, port = line.rsplit(" ", 1)[-1].rsplit(":", 1)
-    return proc, host, int(port)
 
 
 def drive_clients(host: str, port: int) -> dict[str, int]:
@@ -105,17 +79,13 @@ def drive_clients(host: str, port: int) -> dict[str, int]:
 
 def main() -> int:
     log_dir = tempfile.mkdtemp(prefix="server-smoke-")
-    proc, host, port = start_server(log_dir)
-    print(f"server pid {proc.pid} listening on {host}:{port}")
-    try:
+    # Leaving the block is the crash: no shutdown handshake, no drain.
+    with serving(METHOD, "--log-dir", log_dir) as (proc, host, port):
+        print(f"server pid {proc.pid} listening on {host}:{port}")
         acked = drive_clients(host, port)
         ops = N_CLIENTS * OPS_PER_CLIENT
         print(f"drove {ops} ops from {N_CLIENTS} clients; "
               f"{len(acked)} acknowledged writes")
-    finally:
-        # The crash: no shutdown handshake, no pipeline drain.
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
     print("server killed (SIGKILL); cold-starting from the segment files")
     time.sleep(0.1)  # let the kernel settle the killed process's files
 

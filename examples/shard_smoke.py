@@ -25,9 +25,6 @@ Run:  PYTHONPATH=src python examples/shard_smoke.py
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -37,6 +34,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _serve import serving  # noqa: E402
 from repro.server import KVClient  # noqa: E402
 from repro.server.harness import client_key  # noqa: E402
 from repro.shard import ShardedDatabase  # noqa: E402
@@ -46,34 +44,6 @@ N_SHARDS = 3
 N_CLIENTS = 24
 OPS_PER_CLIENT = 6
 METHOD = "physiological"
-
-
-def start_server(root: str) -> tuple[subprocess.Popen, str, int]:
-    """Launch ``serve --shards N`` and wait for its address line."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            METHOD,
-            "--shards",
-            str(N_SHARDS),
-            "--log-dir",
-            root,
-            "--port",
-            "0",
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    banner = proc.stdout.readline().strip()  # "sharded: N shards, ..."
-    line = proc.stdout.readline().strip()  # "listening on host:port"
-    print(banner)
-    host, port = line.rsplit(" ", 1)[-1].rsplit(":", 1)
-    return proc, host, int(port)
 
 
 def drive_clients(host: str, port: int) -> dict[str, int]:
@@ -113,17 +83,16 @@ def drive_clients(host: str, port: int) -> dict[str, int]:
 
 def main() -> int:
     root = tempfile.mkdtemp(prefix="shard-smoke-")
-    proc, host, port = start_server(root)
-    print(f"server pid {proc.pid} listening on {host}:{port}")
-    try:
+    # Leaving the block is the crash: every shard's pipeline dies
+    # mid-window.
+    with serving(
+        METHOD, "--shards", str(N_SHARDS), "--log-dir", root
+    ) as (proc, host, port):
+        print(f"server pid {proc.pid} listening on {host}:{port}")
         acked = drive_clients(host, port)
         ops = N_CLIENTS * OPS_PER_CLIENT
         print(f"drove {ops} ops from {N_CLIENTS} clients; "
               f"{len(acked)} acknowledged writes")
-    finally:
-        # The crash: every shard's pipeline dies mid-window.
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
     print("server killed (SIGKILL); cold-starting the deployment")
     time.sleep(0.1)  # let the kernel settle the killed process's files
 

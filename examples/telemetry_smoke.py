@@ -23,8 +23,6 @@ Run:  PYTHONPATH=src python examples/telemetry_smoke.py
 
 from __future__ import annotations
 
-import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -34,33 +32,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from _serve import ENV, serving  # noqa: E402
 from repro.server import KVClient  # noqa: E402
 from repro.shard import ShardedDatabase  # noqa: E402
 from repro.shard.sharded import read_manifest  # noqa: E402
 
 N_SHARDS = 2
 N_OPS = 80
-ENV = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-
-
-def start_server(root: str) -> tuple[subprocess.Popen, str, int]:
-    """Launch ``serve --shards N`` and wait for its address line."""
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--shards", str(N_SHARDS), "--log-dir", root, "--port", "0",
-        ],
-        stdout=subprocess.PIPE,
-        text=True,
-        env=ENV,
-    )
-    line = ""
-    while "listening on" not in line:
-        line = proc.stdout.readline()
-        assert line, "server died before binding"
-        print(line.rstrip())
-    host, port = line.split("listening on ", 1)[1].split(" ", 1)[0].rsplit(":", 1)
-    return proc, host, int(port)
 
 
 def cli(*argv: str) -> subprocess.CompletedProcess:
@@ -74,9 +52,9 @@ def cli(*argv: str) -> subprocess.CompletedProcess:
 
 def main() -> int:
     root = tempfile.mkdtemp(prefix="telemetry-smoke-")
-    proc, host, port = start_server(root)
-    print(f"server pid {proc.pid} listening on {host}:{port}")
-    try:
+    # Leaving the block SIGKILLs the server: the crash to read back.
+    with serving("--shards", str(N_SHARDS), "--log-dir", root) as (proc, host, port):
+        print(f"server pid {proc.pid} listening on {host}:{port}")
         with KVClient(host, port) as kv:
             for i in range(N_OPS):
                 kv.put(f"key{i}", i)
@@ -104,9 +82,6 @@ def main() -> int:
         print("top --once rendered a frame")
 
         time.sleep(2.2)  # let heartbeats observe the post-traffic state
-    finally:
-        proc.send_signal(signal.SIGKILL)
-        proc.wait()
     print("server killed (SIGKILL); reading the crash off the disk")
     time.sleep(0.1)
 

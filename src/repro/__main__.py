@@ -39,8 +39,7 @@ Commands
 ``serve [--port N] [--log-dir DIR] [--shards N] [method]``
     Run the threaded KV server: a session per connection,
     line-delimited JSON protocol, commits coalesced by the
-    cross-session group-commit pipeline (``--per-session-force``
-    disables the pipeline, for comparison).  ``--shards N`` serves a
+    cross-session group-commit pipeline.  ``--shards N`` serves a
     sharded deployment (per-shard WALs under the ``--log-dir`` root;
     an existing ``DEPLOY.json`` root cold-starts, ``--shards`` then
     optional, with a live per-shard recovery progress line).
@@ -265,52 +264,28 @@ def _payload_pages(payload) -> str:
     return "-"
 
 
-def _segment_paths(directory) -> list:
-    """Segment files of one log directory, archives (the truncated,
-    older prefix) first."""
-    from repro.logmgr.filelog import ARCHIVE_SUFFIX, SEGMENT_SUFFIX
-
-    return sorted(directory.glob(f"segment-*{ARCHIVE_SUFFIX}")) + sorted(
-        directory.glob(f"segment-*{SEGMENT_SUFFIX}")
-    )
-
-
 def _dump_segment_files(paths, prefix: str = "") -> tuple[int, int] | None:
     """Dump segment files (every line ``prefix``-ed); returns
     (records, torn_tails), or None after printing a structural error."""
-    from repro.logmgr.codec import (
-        CodecError,
-        LazyRecord,
-        TornTail,
-        decode_file_header,
-        iter_record_views,
-        verify_seal,
-    )
-    from repro.logmgr.filelog import ARCHIVE_SUFFIX, _map_buffer, read_seal
+    from repro.logmgr.codec import CodecError, TornTail
+    from repro.logmgr.filelog import ARCHIVE_SUFFIX, SegmentReader
 
     total = torn = 0
     for path in paths:
-        buf, close = _map_buffer(path)
         try:
-            try:
-                base_lsn = decode_file_header(buf)
-            except CodecError as exc:
-                print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
-                return None
+            reader = SegmentReader(path)
+        except CodecError as exc:
+            print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
+            return None
+        with reader:
             kind = "archive" if path.suffix == ARCHIVE_SUFFIX else "segment"
-            sealed = verify_seal(buf, read_seal(path))
-            seal = ", sealed" if sealed is not None else ""
+            seal = ", sealed" if reader.sealed else ""
             print(
                 f"{prefix}== {path.name} "
-                f"({kind}, base_lsn={base_lsn}, {len(buf)}B{seal}) =="
+                f"({kind}, base_lsn={reader.base_lsn}, {len(reader.buf)}B{seal}) =="
             )
-            if sealed is not None:
-                views = iter_record_views(buf, end=sealed[0], verify_crc=False)
-            else:
-                views = iter_record_views(buf)
             try:
-                for lsn, lo, hi in views:
-                    record = LazyRecord(lsn, bytes(buf[lo:hi]))
+                for record in reader.records():
                     print(
                         f"{prefix}  lsn={record.lsn:<6d} "
                         f"type={type(record.payload).__name__:<18s} "
@@ -321,12 +296,10 @@ def _dump_segment_files(paths, prefix: str = "") -> tuple[int, int] | None:
             except TornTail as tear:
                 print(
                     f"{prefix}  torn tail at byte {tear.offset}: {tear.reason} "
-                    f"({len(buf) - tear.offset}B after the tear are not "
+                    f"({len(reader.buf) - tear.offset}B after the tear are not "
                     f"part of the log)"
                 )
                 torn += 1
-        finally:
-            close()
     return total, torn
 
 
@@ -348,30 +321,22 @@ def _index_segment_files(paths, prefix: str = ""):
     those by design (segment grew, sidecar lost the race) — so it is
     reported but not fatal.
     """
-    from repro.logmgr.codec import CodecError, decode_file_header, verify_seal
-    from repro.logmgr.filelog import _map_buffer, read_pages_blob, read_seal
-    from repro.logmgr.pageindex import (
-        PageRedoIndex,
-        index_buffer,
-        parse_page_index,
-    )
+    from repro.logmgr.codec import CodecError
+    from repro.logmgr.filelog import SegmentReader, pages_path, read_sidecar
+    from repro.logmgr.pageindex import PageRedoIndex, parse_page_index
 
     index = PageRedoIndex()
     verified = stale = mismatched = 0
     for path in paths:
-        buf, close = _map_buffer(path)
         try:
-            try:
-                base_lsn = decode_file_header(buf)
-            except CodecError as exc:
-                print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
-                return None
-            sealed = verify_seal(buf, read_seal(path))
-            if sealed is not None:
-                scanned = index_buffer(buf, base_lsn, end=sealed[0], verify_crc=False)
-            else:
-                scanned = index_buffer(buf, base_lsn)
-            blob = read_pages_blob(path)
+            reader = SegmentReader(path)
+        except CodecError as exc:
+            print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
+            return None
+        with reader:
+            base_lsn = reader.base_lsn
+            scanned = reader.page_index()
+            blob = read_sidecar(pages_path(path))
             sidecar = parse_page_index(blob)
             if sidecar is None and blob is not None:
                 stale += 1
@@ -411,8 +376,6 @@ def _index_segment_files(paths, prefix: str = ""):
                         file=sys.stderr,
                     )
             index.add_segment(scanned)
-        finally:
-            close()
     return index, verified, stale, mismatched
 
 
@@ -482,6 +445,8 @@ def cmd_logdump(args) -> int:
     """
     from pathlib import Path
 
+    from repro.logmgr.filelog import log_files
+
     target = Path(args.path)
     if target.is_dir():
         from repro.shard import is_deployment_root, read_manifest
@@ -496,7 +461,7 @@ def cmd_logdump(args) -> int:
             if args.pages:
                 corrupt = 0
                 for dirname in manifest["shard_dirs"]:
-                    paths = _segment_paths(target / dirname)
+                    paths = log_files(target / dirname)
                     if not paths:
                         print(f"[{dirname}] no segment files")
                         continue
@@ -507,7 +472,7 @@ def cmd_logdump(args) -> int:
                 return 2 if corrupt else 0
             total = torn = files = 0
             for dirname in manifest["shard_dirs"]:
-                paths = _segment_paths(target / dirname)
+                paths = log_files(target / dirname)
                 if not paths:
                     print(f"[{dirname}] no segment files")
                     continue
@@ -523,7 +488,7 @@ def cmd_logdump(args) -> int:
                 f"{len(manifest['shard_dirs'])} shard(s){tail}"
             )
             return 1 if torn else 0
-        paths = _segment_paths(target)
+        paths = log_files(target)
         if not paths:
             print(f"no segment files in {target}", file=sys.stderr)
             return 2
@@ -606,7 +571,7 @@ def cmd_serve(args) -> int:
 
         spec = EngineSpec(
             method=args.method,
-            commit_pipeline=not args.per_session_force,
+            commit_pipeline=True,
             fsync=not args.no_fsync,
         )
         if args.log_dir and is_deployment_root(args.log_dir):
@@ -688,7 +653,7 @@ def cmd_serve(args) -> int:
         db = KVDatabase.cold_start(
             args.log_dir,
             method=args.method,
-            commit_pipeline=not args.per_session_force,
+            commit_pipeline=True,
             fsync=not args.no_fsync,
             tracer=engine_tracer,
             lazy=args.lazy_restart,
@@ -702,7 +667,7 @@ def cmd_serve(args) -> int:
     else:
         db = KVDatabase(
             method=args.method,
-            commit_pipeline=not args.per_session_force,
+            commit_pipeline=True,
             tracer=engine_tracer,
         )
     server = KVServer(
@@ -915,13 +880,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="per-session auto-commit cadence (default: 1)",
-    )
-    serve.add_argument(
-        "--per-session-force",
-        dest="per_session_force",
-        action="store_true",
-        help="disable the cross-session commit pipeline (each commit "
-        "forces the log itself) — the E19 comparison baseline",
     )
     serve.add_argument(
         "--no-fsync",

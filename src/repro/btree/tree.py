@@ -29,9 +29,12 @@ Every split is logged under one of the two §6.4 disciplines:
   page to disk before the old page is overwritten), which the tree
   registers with the buffer pool.
 
-Recovery is LSN-based for both disciplines; multi-page records are
-replayed per written page (sound because written pages' actions read
-only the record's declared read pages, protected by the constraint).
+Recovery is LSN-based for both disciplines and runs through the one
+redo kernel (:mod:`repro.methods.redo`): :meth:`BTree.redo_record` states
+the tree's redo test, ``replay`` drives, counts and traces it.
+Multi-page records are replayed per written page (sound because written
+pages' actions read only the record's declared read pages, protected by
+the constraint).
 
 Deletions remove keys from leaves but never merge nodes (redo recovery
 is orthogonal to rebalancing; underflow merging is standard engineering
@@ -40,18 +43,20 @@ the theory has nothing new to say about).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from repro.cache import BufferPool
 from repro.logmgr import (
     CheckpointRecord,
-    LogEntry,
+    LogRecord,
     MultiPageRedo,
     PageAction,
     PhysicalRedo,
     PhysiologicalRedo,
 )
-from repro.methods.base import Machine
+from repro.methods.base import Machine, MethodStats
+from repro.methods.redo import NOT_REDO, actions_on, redo_multipage, redo_page, replay
 from repro.storage.page import Page
 
 META_PAGE = "btree-meta"
@@ -101,8 +106,9 @@ class BTree:
         self.unsafe_split_flush = unsafe_split_flush
         self.splits = 0
         self.root_splits = 0
-        self.records_replayed = 0
-        self.records_scanned = 0
+        # What the redo kernel's ``replay`` counts into and traces through.
+        self.stats = MethodStats()
+        self.tracer = self.machine.tracer
         self._ensure_initialized()
 
     # ------------------------------------------------------------------
@@ -373,13 +379,9 @@ class BTree:
         split_record = log.append(
             MultiPageRedo(read_page_ids=(old_id,), writes=writes)
         )
-        reader = lambda pid: self.pool.get_page(pid, create=True)
         for page_id, actions in split_record.payload.writes.items():
-            def apply_actions(p, actions=actions, lsn=split_record.lsn):
-                for action in actions:
-                    action.apply_to(p, lsn=lsn, reader=reader)
-
-            self.pool.update(page_id, apply_actions, create=True)
+            mutate = actions_on(actions, split_record.lsn, self._node)
+            self.pool.update(page_id, mutate, create=True)
             if page_id == new_id:
                 # THE careful write ordering of Figure 8, expressed as the
                 # write graph's add-edge: the new page must install before
@@ -427,7 +429,9 @@ class BTree:
         self.machine.crash()
 
     def recover(self) -> None:
-        """LSN-test redo over the stable log (both disciplines)."""
+        """LSN-test redo over the stable log (both disciplines): the
+        last checkpoint names the redo start, the kernel's ``replay``
+        does the rest."""
         self.machine.reboot_pool()
         self._ensure_initialized()
         log = self.machine.log
@@ -435,61 +439,35 @@ class BTree:
         redo_start = (
             log.entry(checkpoint_lsn).payload.data[1] if checkpoint_lsn >= 0 else 0
         )
-        for entry in log.stable_records_from(redo_start):
-            self.records_scanned += 1
-            self._replay(entry)
+        replay(self, log.stable_records_from(redo_start))
+        self.stats.recoveries += 1
 
-    def _replay(self, entry: LogEntry) -> None:
-        pool = self.pool
-        payload = entry.payload
+    def redo_record(self, record: LogRecord) -> dict:
+        """The tree's redo test: every record type it logs replays under
+        the page-LSN test.  Unlike §6.2's blind replay, a split's
+        whole-page image is LSN-tested too (reinstalling it over a page
+        that already holds later updates would wipe them, and their own
+        LSN test would then bypass them), and a replayed multi-page
+        split re-arms Figure 8's ordering for node pages only — normal
+        operation never orders the meta page either."""
+        payload, lsn = record.payload, record.lsn
         if isinstance(payload, PhysiologicalRedo):
-            page = pool.get_page(payload.page_id, create=True)
-            if page.lsn >= entry.lsn:
-                return
-            pool.update(
-                payload.page_id,
-                lambda p: payload.action.apply_to(p, lsn=entry.lsn),
+            mutate = partial(payload.action.apply_to, lsn=lsn)
+            return redo_page(self.pool, payload.page_id, lsn, mutate)
+        if isinstance(payload, PhysicalRedo):
+
+            def reinstall(page: Page) -> None:
+                if payload.whole_page:
+                    page.cells.clear()
+                page.cells.update(payload.cells)
+                page.stamp(lsn)
+
+            return redo_page(self.pool, payload.page_id, lsn, reinstall)
+        if isinstance(payload, MultiPageRedo):
+            return redo_multipage(
+                self.pool, record, lambda page_id: page_id.startswith("page-")
             )
-            self.records_replayed += 1
-        elif isinstance(payload, PhysicalRedo):
-            page = pool.get_page(payload.page_id, create=True)
-            if page.lsn >= entry.lsn:
-                return
-
-            def reinstall(p, cells=payload.cells, whole=payload.whole_page):
-                if whole:
-                    p.cells.clear()
-                p.cells.update(cells)
-                p.stamp(entry.lsn)
-
-            pool.update(payload.page_id, reinstall)
-            self.records_replayed += 1
-        elif isinstance(payload, MultiPageRedo):
-            reader = lambda pid: pool.get_page(pid, create=True)
-            replayed_pages = []
-            for page_id, actions in payload.writes.items():
-                page = pool.get_page(page_id, create=True)
-                if page.lsn >= entry.lsn:
-                    continue
-
-                def apply_actions(p, actions=actions):
-                    for action in actions:
-                        action.apply_to(p, lsn=entry.lsn, reader=reader)
-
-                pool.update(page_id, apply_actions)
-                replayed_pages.append(page_id)
-                # Re-arm the careful write ordering for the recovered
-                # incarnation as add-edge, immediately, while this page's
-                # write-graph node is still live: a later page's replay can
-                # evict (and thereby install) this one, and an edge bound
-                # afterwards to an empty obligation node would block the
-                # read page forever.
-                if page_id.startswith("page-"):
-                    for read_id in payload.read_page_ids:
-                        if read_id != page_id:
-                            pool.add_flush_constraint(page_id, read_id)
-            if replayed_pages:
-                self.records_replayed += 1
+        return NOT_REDO
 
     # ------------------------------------------------------------------
     # Invariants and verification

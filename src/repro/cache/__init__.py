@@ -14,11 +14,11 @@ decisions are all delegated to one live §5 write graph, the
   one" (§6.4, Figure 8), bound to node generations so a constraint is
   never satisfied by a flush that preceded its registration;
 - redundant flushes are *elided* via the remove-write operation when a
-  dirty page's content already equals its disk image;
+  dirty page's content already equals its disk image and no other page
+  is ordered after it;
 - eviction prefers victims the graph says are free (clean frames, then
-  minimal uninstalled nodes), with LRU and clock recency orders, steal
-  (flush-dirty-victim) and no-steal modes, and a ``legacy`` install
-  policy preserving the historical recency-only behaviour for ablation.
+  minimal uninstalled nodes), recency (LRU) breaking ties, in steal
+  (flush-dirty-victim) and no-steal modes.
 """
 
 from repro.cache.pool import BufferPool, CachePolicyError, FlushConstraint

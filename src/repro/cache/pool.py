@@ -18,12 +18,13 @@ one uninstalled node per dirty page:
 - **Flush elision** is *remove-write*: a dirty page whose content equals
   its disk image needs no IO — replaying its pending records against
   that identical stable image regenerates the identical state — so the
-  node retires without a page write.
-- **Victim selection** is graph-driven under the default
-  ``install_policy="graph"``: clean frames first (no install needed at
-  all), then minimal uninstalled nodes (installable without prerequisite
-  IO).  ``install_policy="legacy"`` keeps the historical recency-only
-  choice, as the ablation baseline the E16 experiment measures against.
+  node retires without a page write.  Elision does not stamp the page
+  LSN on disk, so it is taken only when every pending record of the
+  node reads only that page (no outgoing ordering edge); a flush made
+  to honour an ordering is always a real write.
+- **Victim selection** is graph-driven: clean frames first (no install
+  needed at all), then minimal uninstalled nodes (installable without
+  prerequisite IO); recency (LRU) breaks ties within each tier.
 
 **Concurrency contract.**  Every public method runs under the pool's
 re-entrant :attr:`mutex`, held across whole check-then-act sequences
@@ -36,7 +37,7 @@ back into the pool, so the order is acyclic.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator
 
 from repro.cache.scheduler import InstallScheduler, SchedulerCycleError
 from repro.logmgr.manager import LogManager
@@ -83,12 +84,11 @@ class FlushConstraint:
 
 
 class _Frame:
-    __slots__ = ("page", "dirty", "referenced", "pinned")
+    __slots__ = ("page", "dirty", "pinned")
 
     def __init__(self, page: Page):
         self.page = page
         self.dirty = False
-        self.referenced = True  # clock bit
         self.pinned = 0
 
 
@@ -100,21 +100,15 @@ class BufferPool:
         disk: Disk,
         log_manager: LogManager | None = None,
         capacity: int = 64,
-        policy: Literal["lru", "clock"] = "lru",
         steal: bool = True,
-        install_policy: Literal["graph", "legacy"] = "graph",
         tracer: Tracer | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if install_policy not in ("graph", "legacy"):
-            raise ValueError(f"unknown install policy {install_policy!r}")
         self.disk = disk
         self.log_manager = log_manager
         self.capacity = capacity
-        self.policy = policy
         self.steal = steal
-        self.install_policy = install_policy
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scheduler = InstallScheduler(tracer=self.tracer)
         # Guards the frame map and every flush/eviction decision;
@@ -122,7 +116,6 @@ class BufferPool:
         # flush_page all re-enter.
         self.mutex = threading.RLock()
         self._frames: dict[str, _Frame] = {}  # insertion order = LRU order
-        self._clock_hand = 0
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -160,7 +153,9 @@ class BufferPool:
             frame = self._frames.get(page_id)
             if frame is not None:
                 self.hits += 1
-                self._touch(page_id, frame)
+                # Reinsert to move to the MRU end of the ordered dict.
+                del self._frames[page_id]
+                self._frames[page_id] = frame
                 return frame.page
             self.misses += 1
             if self.disk.has_page(page_id):
@@ -246,23 +241,17 @@ class BufferPool:
         the edge would close a cycle the pool resolves it the way real
         systems do: flush ``first_page`` right now (with its own
         prerequisites), so the obligation is already met and no edge is
-        needed — the acyclicity side condition, operationalized.
+        needed — the acyclicity side condition, operationalized.  That
+        flush is a real write, never an elision: the ordering it honours
+        has no edge for the elision check to see.
         """
         with self.mutex:
             try:
                 edge = self.scheduler.add_edge(first_page, then_page)
             except SchedulerCycleError:
-                self._flush_with_prerequisites(first_page)
+                self._flush_with_prerequisites(first_page, elide=False)
                 return FlushConstraint(first_page, then_page)
             return FlushConstraint(first_page, then_page, self.scheduler, edge)
-
-    def blocked_by(self, page_id: str) -> list[FlushConstraint]:
-        """Pending constraints forbidding a flush of ``page_id``."""
-        return [
-            FlushConstraint(first, then, self.scheduler, edge)
-            for first, then, edge in self.scheduler.pending_edges()
-            if then == page_id
-        ]
 
     def pending_constraints(self) -> list[FlushConstraint]:
         """Every live ordering edge, as constraint views."""
@@ -284,14 +273,18 @@ class BufferPool:
         LSN)."""
         self.log_manager.ensure_stable(page_lsn)
 
-    def flush_page(self, page_id: str, force: bool = False) -> None:
+    def flush_page(self, page_id: str, force: bool = False, elide: bool = True) -> None:
         """Install the cached page: WAL gate, ordering check, disk write.
 
-        If the dirty page's content already equals its disk image the
-        write is *elided* (the scheduler's remove-write): replaying the
-        page's pending records against that identical stable image
-        regenerates the identical state, so skipping the IO preserves
-        recoverability exactly.  ``force=True`` bypasses the ordering
+        If the dirty page's content already equals its disk image and
+        no other page is ordered after it, the write is *elided* (the
+        scheduler's remove-write): replaying the page's pending records
+        against that identical stable image regenerates the identical
+        state, so skipping the IO preserves recoverability exactly.  A
+        page with dependents takes the real write: its pending records
+        read those pages, and only a stamped page LSN takes them out of
+        the redo set.  ``elide=False`` is for a flush made to honour an
+        ordering no edge records.  ``force=True`` bypasses the ordering
         check — it exists solely for the ablation experiments that
         demonstrate recovery breaking when careful write ordering is
         violated.
@@ -312,8 +305,9 @@ class BufferPool:
                         f"(careful write ordering)"
                     )
             if (
-                self.install_policy == "graph"
+                elide
                 and not force
+                and not self.scheduler.dependents(page_id)
                 and self.disk.has_page(page_id)
                 and frame.page.same_contents(self.disk.read_page(page_id))
             ):
@@ -327,24 +321,22 @@ class BufferPool:
                         node=node.node_id if node is not None else None,
                         reason="content_equals_disk",
                     )
-                if self.on_flush is not None:
-                    self.on_flush(page_id)
-                return
-            if self.log_manager is not None and frame.page.lsn >= 0:
-                self.wal_check(frame.page.lsn)
-            self.disk.write_page(frame.page)
-            frame.dirty = False
-            self.flushes += 1
-            node = self.scheduler.install(page_id, force=True)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "cache.flush",
-                    page=page_id,
-                    lsn=frame.page.lsn,
-                    node=node.node_id if node is not None else None,
-                    writes=node.writes if node is not None else 0,
-                    forced=force,
-                )
+            else:
+                if self.log_manager is not None and frame.page.lsn >= 0:
+                    self.wal_check(frame.page.lsn)
+                self.disk.write_page(frame.page)
+                frame.dirty = False
+                self.flushes += 1
+                node = self.scheduler.install(page_id, force=True)
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "cache.flush",
+                        page=page_id,
+                        lsn=frame.page.lsn,
+                        node=node.node_id if node is not None else None,
+                        writes=node.writes if node is not None else 0,
+                        forced=force,
+                    )
             if self.on_flush is not None:
                 self.on_flush(page_id)
 
@@ -364,13 +356,6 @@ class BufferPool:
             self._evict_one()
         self._frames[page.page_id] = _Frame(page=page)
 
-    def _touch(self, page_id: str, frame: _Frame) -> None:
-        frame.referenced = True
-        if self.policy == "lru":
-            # Reinsert to move to the MRU end of the ordered dict.
-            del self._frames[page_id]
-            self._frames[page_id] = frame
-
     def _evict_one(self) -> None:
         victim_id, tier = self._choose_victim()
         frame = self._frames[victim_id]
@@ -387,9 +372,11 @@ class BufferPool:
         del self._frames[victim_id]
         self.evictions += 1
 
-    def _flush_with_prerequisites(self, page_id: str, _seen: set | None = None) -> None:
-        """Flush ``page_id``, first flushing any pages the write graph
-        orders before it.
+    def _flush_with_prerequisites(
+        self, page_id: str, _seen: set | None = None, elide: bool = True
+    ) -> None:
+        """Flush ``page_id`` (a real write when ``elide`` is False),
+        first flushing any pages the write graph orders before it.
 
         ``_seen`` marks pages already handled in this pass — duplicate
         prerequisites are common and must not recurse forever.  Genuine
@@ -407,7 +394,7 @@ class BufferPool:
         seen.add(page_id)
         for first in self.scheduler.blockers(page_id):
             self._flush_with_prerequisites(first, seen)
-        self.flush_page(page_id)
+        self.flush_page(page_id, elide=elide)
 
     def _choose_victim(self) -> tuple[str, str]:
         """Pick an eviction victim; returns ``(page_id, tier)`` where the
@@ -417,40 +404,17 @@ class BufferPool:
         ]
         if not candidates:
             raise CachePolicyError("every cached page is pinned; cannot evict")
-        if self.install_policy == "graph":
-            # Graph-driven selection: a clean frame needs no install at
-            # all — evicting it costs zero IO; failing that, a minimal
-            # uninstalled node (no live predecessors) installs without
-            # dragging prerequisite flushes along.  Recency (LRU/clock
-            # insertion order) breaks ties within each tier.
-            for page_id in candidates:
-                if not self._frames[page_id].dirty:
-                    return page_id, "clean_frame"
-            for page_id in candidates:
-                if not self.scheduler.blockers(page_id):
-                    return page_id, "minimal_node"
-            return candidates[0], "fallback"
-        if self.policy == "lru":
-            # Legacy: first unpinned frame in insertion (LRU) order whose
-            # flush is not blocked; fall back to any unpinned frame.
-            for page_id in candidates:
-                if not self._frames[page_id].dirty or not self.scheduler.blockers(
-                    page_id
-                ):
-                    return page_id, "lru"
-            return candidates[0], "fallback"
-        # Legacy clock: sweep, clearing reference bits.
-        ids = list(self._frames)
-        for _ in range(2 * len(ids)):
-            page_id = ids[self._clock_hand % len(ids)]
-            self._clock_hand += 1
-            frame = self._frames[page_id]
-            if frame.pinned:
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                continue
-            return page_id, "clock"
+        # Graph-driven selection: a clean frame needs no install at all
+        # — evicting it costs zero IO; failing that, a minimal
+        # uninstalled node (no live predecessors) installs without
+        # dragging prerequisite flushes along.  Recency (the frame map's
+        # LRU order) breaks ties within each tier.
+        for page_id in candidates:
+            if not self._frames[page_id].dirty:
+                return page_id, "clean_frame"
+        for page_id in candidates:
+            if not self.scheduler.blockers(page_id):
+                return page_id, "minimal_node"
         return candidates[0], "fallback"
 
     # ------------------------------------------------------------------
@@ -475,6 +439,5 @@ class BufferPool:
     def __repr__(self) -> str:
         return (
             f"BufferPool(cached={len(self._frames)}/{self.capacity}, "
-            f"dirty={len(self.dirty_page_ids())}, policy={self.policy}, "
-            f"install={self.install_policy})"
+            f"dirty={len(self.dirty_page_ids())})"
         )

@@ -18,7 +18,10 @@ and exactly four ways the graph may evolve —
 - **remove a write**: flush *elision* — a node whose page content the
   disk already holds can be dropped without IO, because replaying its
   records against that identical image regenerates the same state (the
-  unexposed-write optimization at page granularity).
+  unexposed-write optimization at page granularity).  The page LSN on
+  disk does not move, so those records stay in the redo set: this is
+  sound exactly when every one of them reads only that page, i.e. the
+  node has no outgoing ordering edge.
 
 :class:`InstallScheduler` is the **single authority** the buffer pool,
 the recovery methods, and the auditors consult: what may be flushed
@@ -100,13 +103,7 @@ class SchedulerStats:
 
     def as_dict(self) -> dict[str, int]:
         """Return the counters as a plain dict for reports and benches."""
-        return {
-            "installs": self.installs,
-            "collapses": self.collapses,
-            "elisions": self.elisions,
-            "edges_added": self.edges_added,
-            "cycles_refused": self.cycles_refused,
-        }
+        return dict(vars(self))
 
 
 class InstallScheduler:
@@ -248,25 +245,32 @@ class InstallScheduler:
     def remove_write(self, page_id: str) -> PageNode | None:
         """*Remove a write*: elide the flush of ``page_id`` entirely.
 
-        The caller (the pool) has established the side condition at page
-        granularity: the cached content equals the disk image, so the
-        node's writes are redundant — replaying its log records against
-        that identical stable image regenerates the identical state, and
-        no reader can observe the difference.  Removing every write
-        leaves an empty node, whose install is the trivial no-IO one.
-        Requires the same no-live-predecessor condition as install (an
-        ordered-before obligation is not dischargeable by skipping).
+        The caller (the pool) has established the content half of the
+        side condition: the cached image equals the disk image, so
+        replaying the node's records against it regenerates the same
+        state.  The graph half is checked here.  No live predecessor, as
+        for install (an ordered-before obligation is not dischargeable
+        by skipping) — and no live *successor*: elision does not advance
+        the stable page LSN, so the node's records stay in the redo set,
+        and an outgoing edge says one of them reads the successor page;
+        discharging it would let that page install a later overwrite
+        for the record to mis-read at replay.  Elision is sound exactly
+        when every pending record of the node reads only its own page;
+        otherwise the pool takes the real write, which stamps the LSN.
         """
         with self.mutex:
             node = self._live.get(page_id)
             if node is None:
                 return None
-            blocking = self._preds[node.node_id]
-            if blocking:
-                pages = sorted(self._nodes[b].page_id for b in blocking)
-                raise SchedulerError(
-                    f"cannot elide {page_id!r}: predecessors {pages} are live"
-                )
+            for side, linked in (
+                ("predecessors", self._preds[node.node_id]),
+                ("successors", self._succs[node.node_id]),
+            ):
+                if linked:
+                    pages = sorted(self._nodes[n].page_id for n in linked)
+                    raise SchedulerError(
+                        f"cannot elide {page_id!r}: {side} {pages} are live"
+                    )
             self._retire(node)
             node.installed = True
             self.stats.elisions += 1
@@ -298,6 +302,18 @@ class InstallScheduler:
                 return []
             return sorted(
                 self._nodes[b].page_id for b in self._preds[node.node_id]
+            )
+
+    def dependents(self, page_id: str) -> list[str]:
+        """Pages whose live nodes are ordered after ``page_id``'s —
+        sorted, empty when nothing waits on it (the graph half of
+        :meth:`remove_write`'s side condition)."""
+        with self.mutex:
+            node = self._live.get(page_id)
+            if node is None:
+                return []
+            return sorted(
+                self._nodes[s].page_id for s in self._succs[node.node_id]
             )
 
     def has_edge_ids(self, first_node_id: int, then_node_id: int) -> bool:

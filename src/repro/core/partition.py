@@ -110,10 +110,6 @@ class VariablePartition:
         self._operations.append(operation)
         self._components_cache = None
 
-    def connected(self, a: str, b: str) -> bool:
-        """Do variables ``a`` and ``b`` share a component?"""
-        return self.find(a) == self.find(b)
-
     def component_count(self) -> int:
         """Number of variable-connected components with operations."""
         return len({self.find(next(iter(op.variables()))) for op in self._operations})

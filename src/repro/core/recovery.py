@@ -97,16 +97,6 @@ class Log:
     def from_operations(operations: Sequence[Operation]) -> "Log":
         return Log(operations)
 
-    @staticmethod
-    def from_directory(directory, fsync: bool = True) -> "Log":
-        """A cold-start view: wrap a manager rebuilt from binary segment
-        files alone (:meth:`~repro.logmgr.manager.LogManager.open`,
-        torn-tail rule applied).  The records come back as the typed §6
-        payloads the engines logged — everything on disk is stable, so
-        the view's records *are* the stable prefix recovery reads."""
-        manager = LogManager.open(directory, fsync=fsync)
-        return Log(manager=manager)
-
     def append(self, operation: Operation, **labels: Any) -> LogRecord:
         """Append ``operation``; the manager assigns the next LSN."""
         return self._manager.append(operation, **labels)
@@ -248,10 +238,6 @@ class RecoveryOutcome:
             if decision.redone
         }
         return set(self.logged) - future_redos
-
-    def replayed_in_order(self) -> list[Operation]:
-        """The operations the redo test chose, in replay order."""
-        return [decision.operation for decision in self.decisions if decision.redone]
 
 
 def analysis_once(analysis_fn: Callable[[State, Log, set], Any]) -> AnalyzeFn:

@@ -158,15 +158,6 @@ class WriteGraph:
         """All node identifiers."""
         return self.dag.nodes()
 
-    def node_of(self, operation: Operation) -> WriteNode:
-        """The node whose operation set contains ``operation`` (O(1))."""
-        try:
-            return self._nodes[self._op_node[operation.name]]
-        except KeyError:
-            raise KeyError(
-                f"operation {operation.name!r} labels no write-graph node"
-            ) from None
-
     def installed_nodes(self) -> list[WriteNode]:
         """Nodes whose installed bit is set (they form a prefix)."""
         return [node for node in self.nodes() if node.installed]

@@ -12,10 +12,6 @@
   graph, installation graph, exposure memo) synchronized with the stable
   log during normal operation, so :meth:`KVDatabase.theory_audit` checks
   the Recovery Invariant at any instant without rebuilding graphs;
-- ``install_policy``: how the buffer pool picks flush victims —
-  ``"graph"`` (default) asks the live §5 install scheduler and elides
-  redundant writes, ``"legacy"`` keeps the historical recency-only
-  behaviour (the E16 ablation baseline);
 - ``log_dir`` / ``group_commit`` / ``fsync``: put the log on real binary
   segment files.  ``commit_every`` batches N operations per *force*;
   ``group_commit`` additionally lets N forces share one *fsync* — the
@@ -64,8 +60,8 @@ class EngineSpec:
     """A declarative engine configuration — the factory path.
 
     Everything that shapes a :class:`KVDatabase` except *where* its log
-    lives: the recovery method, cache and install policy, commit and
-    checkpoint cadence, group-commit depth.  A spec is the unit of
+    lives: the recovery method, cache size, commit and checkpoint
+    cadence, group-commit depth.  A spec is the unit of
     configuration a deployment stores in its manifest: N shards built
     from one spec are N identically-configured engines over N log
     directories, and a process that only has the manifest can rebuild
@@ -80,8 +76,6 @@ class EngineSpec:
 
     method: str = "physiological"
     cache_capacity: int = 16
-    cache_policy: str = "lru"
-    install_policy: str = "graph"
     n_pages: int = 8
     commit_every: int = 1
     checkpoint_every: int | None = None
@@ -91,9 +85,6 @@ class EngineSpec:
     group_commit: int = 1
     fsync: bool = True
     commit_pipeline: bool = False
-
-    def _kwargs(self) -> dict[str, Any]:
-        return asdict(self)
 
     def build(
         self,
@@ -107,7 +98,7 @@ class EngineSpec:
             log_dir=log_dir,
             tracer=tracer,
             track_theory=track_theory,
-            **self._kwargs(),
+            **self.as_dict(),
         )
 
     def cold_start(
@@ -128,7 +119,7 @@ class EngineSpec:
             lazy=lazy,
             tracer=tracer,
             progress=progress,
-            **self._kwargs(),
+            **self.as_dict(),
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -139,7 +130,17 @@ class EngineSpec:
     def from_dict(cls, data: dict[str, Any]) -> "EngineSpec":
         """Rebuild a spec from :meth:`as_dict` output; unknown keys are
         an error — a manifest written by a newer layout must not be
-        silently half-read."""
+        silently half-read.  Manifests written while the pool still had
+        a policy choice carry its two fields: the surviving value of
+        each is dropped, any other is refused by name."""
+        data = dict(data)
+        for retired, kept in (("install_policy", "graph"), ("cache_policy", "lru")):
+            value = data.pop(retired, kept)
+            if value != kept:
+                raise ValueError(
+                    f"EngineSpec field {retired}={value!r} is no longer "
+                    f"supported (only {kept!r} remains)"
+                )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -153,24 +154,18 @@ class KVDatabase:
     def __init__(
         self,
         method: str = "physiological",
-        cache_capacity: int = 16,
-        cache_policy: str = "lru",
-        install_policy: str = "graph",
-        n_pages: int = 8,
-        commit_every: int = 1,
-        checkpoint_every: int | None = None,
-        method_options: dict | None = None,
-        log_segment_size: int | None = None,
-        truncate_on_checkpoint: bool = False,
+        *,
         track_theory: bool = False,
         tracer: Tracer | None = None,
         log_dir=None,
-        group_commit: int = 1,
-        fsync: bool = True,
-        commit_pipeline: bool = False,
         machine: Machine | None = None,
         progress: RecoveryProgress | None = None,
+        **spec_fields,
     ):
+        """``spec_fields`` are :class:`EngineSpec`'s fields (cache size,
+        cadence, ``method_options``, ...), with its defaults and its
+        rejection of unknown names."""
+        spec = EngineSpec(method=method, **spec_fields)
         if method not in METHODS:
             raise ValueError(
                 f"unknown method {method!r}; choose from {sorted(METHODS)}"
@@ -178,27 +173,25 @@ class KVDatabase:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if machine is None:
             machine = Machine(
-                cache_capacity=cache_capacity,
-                cache_policy=cache_policy,
-                log_segment_size=log_segment_size,
-                install_policy=install_policy,
+                cache_capacity=spec.cache_capacity,
+                log_segment_size=spec.log_segment_size,
                 tracer=self.tracer,
                 log_dir=log_dir,
-                group_commit=group_commit,
-                fsync=fsync,
+                group_commit=spec.group_commit,
+                fsync=spec.fsync,
                 progress=progress,
             )
         self.method: RecoveryMethodKV = METHODS[method](
-            machine, n_pages=n_pages, **(method_options or {})
+            machine, n_pages=spec.n_pages, **(spec.method_options or {})
         )
         self.method_name = method
         self.metrics = self._build_metrics()
-        self.commit_every = max(1, commit_every)
-        self.checkpoint_every = checkpoint_every
+        self.commit_every = max(1, spec.commit_every)
+        self.checkpoint_every = spec.checkpoint_every
         # Retire log segments the method promises never to re-read.  Off
         # by default: media recovery from the log's head needs the whole
         # log unless an archive sink is installed on the manager.
-        self.truncate_on_checkpoint = truncate_on_checkpoint
+        self.truncate_on_checkpoint = spec.truncate_on_checkpoint
         self.track_theory = track_theory
         self._theory_tracker: Any = None
         self._since_commit = 0
@@ -207,11 +200,11 @@ class KVDatabase:
         # Serializes command application and all cadence bookkeeping;
         # re-entrant because checkpoint/commit re-enter from execute().
         self.mutex = threading.RLock()
-        self._commit_pipeline_enabled = commit_pipeline
+        self._commit_pipeline_enabled = spec.commit_pipeline
         self._next_session_id = 0
         self.pipeline: GroupCommitPipeline | None = (
             GroupCommitPipeline(self.method.machine.log)
-            if commit_pipeline
+            if spec.commit_pipeline
             else None
         )
         # Lazy-restart state (set by _begin_lazy_restart): the method's
@@ -273,17 +266,16 @@ class KVDatabase:
         )
         machine = Machine(
             cache_capacity=spec.cache_capacity,
-            cache_policy=spec.cache_policy,
-            install_policy=spec.install_policy,
             tracer=tracer_obj,
             disk=disk,
             log=log,
             progress=progress,
         )
-        db = cls(tracer=tracer_obj, machine=machine, **spec._kwargs())
-        if recover:
-            if not (lazy and db._begin_lazy_restart()):
-                db.recover()
+        db = cls(tracer=tracer_obj, machine=machine, **spec.as_dict())
+        if recover and lazy:
+            db._begin_lazy_restart()
+        elif recover:
+            db.recover()
         return db
 
     def _build_metrics(self) -> MetricsRegistry:
@@ -529,21 +521,16 @@ class KVDatabase:
     # Lazy restart (serve during recovery)
     # ------------------------------------------------------------------
 
-    def _begin_lazy_restart(self) -> bool:
+    def _begin_lazy_restart(self) -> None:
         """Run analysis only and start serving; redo happens per page.
 
         The method's :meth:`~repro.methods.base.RecoveryMethodKV.begin_lazy_recovery`
         builds the replay plan (installing itself as the buffer pool's
         fault hook), and a daemon thread drains the backlog in recLSN
-        order behind the foreground traffic.  Returns False when the
-        method has no lazy path — the caller falls back to eager
-        recovery.
+        order behind the foreground traffic.
         """
         with self.mutex:
-            plan = self.method.begin_lazy_recovery()
-            if plan is None:
-                return False
-            self._lazy_plan = plan
+            self._lazy_plan = self.method.begin_lazy_recovery()
             if self._commit_pipeline_enabled and self.pipeline is None:
                 self.pipeline = GroupCommitPipeline(self.method.machine.log)
             progress = self.method.machine.progress
@@ -554,7 +541,6 @@ class KVDatabase:
                 target=self._drain_lazy_backlog, name="lazy-redo", daemon=True
             )
             self._lazy_thread.start()
-        return True
 
     def _drain_lazy_backlog(self) -> None:
         plan, stop = self._lazy_plan, self._lazy_stop
@@ -669,12 +655,8 @@ class KVDatabase:
             key = name.replace(".", "_")
             assert key not in stats, f"report key collision on {key!r}"
             stats[key] = value
-        for label, value in (
-            ("method", self.method_name),
-            ("install_policy", self.method.machine.pool.install_policy),
-        ):
-            assert label not in stats, f"report key collision on {label!r}"
-            stats[label] = value
+        assert "method" not in stats, "report key collision on 'method'"
+        stats["method"] = self.method_name
         return stats
 
     def health(self) -> dict[str, Any]:

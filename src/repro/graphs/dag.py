@@ -168,10 +168,6 @@ class Dag:
         """Number of direct predecessors."""
         return len(self._pred[node])
 
-    def out_degree(self, node: Hashable) -> int:
-        """Number of direct successors."""
-        return len(self._succ[node])
-
     # ------------------------------------------------------------------
     # Reachability and order
     # ------------------------------------------------------------------

@@ -24,11 +24,8 @@ from repro.logmgr.codec import (
     CodecError,
     LazyRecord,
     TornTail,
-    decode_frame,
     encode_record,
     encode_window,
-    iter_frames,
-    iter_record_views,
 )
 from repro.logmgr.filelog import FileLogStore
 from repro.logmgr.manager import (
@@ -68,9 +65,6 @@ __all__ = [
     "PhysiologicalRedo",
     "TornTail",
     "WalViolation",
-    "decode_frame",
     "encode_record",
     "encode_window",
-    "iter_frames",
-    "iter_record_views",
 ]

@@ -41,7 +41,11 @@ the file, or whose body fails the CRC check, ends the stable log — the
 decoder reports the tear and refuses to look further, because bytes
 after a torn record are firmware noise, not history.  This is how a
 write interrupted mid-``fsync`` is detected and discarded at the next
-cold start.
+cold start.  The frame checks that implement it exist once, in
+:func:`walk_frames`; :func:`read_frame_at` is one step of that walk, and
+every reader of a segment file reaches both through
+:class:`~repro.logmgr.filelog.SegmentReader`, which alone decides when a
+verified seal lets the walk skip per-frame CRCs.
 
 Values inside payloads (cell contents, action arguments, label values)
 are encoded with a small tagged value codec covering ``None``, bools,
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Iterator, NamedTuple
+from typing import Any
 
 from repro.logmgr.records import (
     CheckpointRecord,
@@ -473,39 +477,6 @@ def is_encodable(payload: Any) -> bool:
     )
 
 
-def decode_frame(buf: bytes, offset: int) -> tuple[LogRecord, int]:
-    """Decode one frame at ``offset``; returns (record, next offset).
-
-    Raises :class:`TornTail` when the frame is incomplete or its CRC
-    fails — by the torn-tail rule the caller must treat ``offset`` as
-    the end of the stable log.  Raises :class:`CodecError` for bytes
-    that pass the CRC but decode to garbage (a format bug, not a tear).
-    """
-    end = len(buf)
-    if offset == end:
-        raise TornTail(offset, "end of data")
-    if end - offset < FRAME_PREFIX_SIZE:
-        raise TornTail(offset, "truncated frame prefix")
-    length, crc = _FRAME_PREFIX.unpack_from(buf, offset)
-    body_start = offset + FRAME_PREFIX_SIZE
-    if end - body_start < length:
-        raise TornTail(offset, f"frame body truncated ({end - body_start}/{length} bytes)")
-    body = bytes(buf[body_start : body_start + length])
-    if zlib.crc32(body) != crc:
-        raise TornTail(offset, "crc mismatch")
-    version, lsn = _BODY_PREFIX.unpack_from(body, 0)
-    if version != FORMAT_VERSION:
-        raise CodecError(f"unsupported format version {version} at byte {offset}")
-    pos = _BODY_PREFIX.size
-    payload, pos = decode_payload(body, pos)
-    labels, pos = decode_value(body, pos)
-    if pos != length:
-        raise CodecError(
-            f"frame at byte {offset} has {length - pos} trailing bytes after decode"
-        )
-    return LogRecord(lsn=lsn, payload=payload, labels=labels), body_start + length
-
-
 def encode_file_header(base_lsn: int) -> bytes:
     """The segment-file header: magic, format version, base LSN."""
     return _FILE_HEADER.pack(FILE_MAGIC, FORMAT_VERSION, base_lsn)
@@ -521,31 +492,6 @@ def decode_file_header(buf: bytes) -> int:
     if version != FORMAT_VERSION:
         raise CodecError(f"unsupported segment format version {version}")
     return base_lsn
-
-
-class ScanResult(NamedTuple):
-    """Outcome of :func:`scan_frames` over one buffer."""
-
-    records: int
-    clean: bool
-    tear_offset: int | None
-    tear_reason: str | None
-
-
-def iter_frames(buf: bytes, offset: int = 0) -> Iterator[LogRecord]:
-    """Yield decoded records from ``buf`` until the data ends or tears.
-
-    The torn-tail rule applied as an iterator: a clean end-of-buffer and
-    a torn record both simply stop the stream.  Callers that need to
-    distinguish (the cold-start open path, ``logdump``) use
-    :func:`decode_frame` directly and catch :class:`TornTail`.
-    """
-    while True:
-        try:
-            record, offset = decode_frame(buf, offset)
-        except TornTail:
-            return
-        yield record
 
 
 # ----------------------------------------------------------------------
@@ -766,11 +712,18 @@ def _raise_tear(buf, offset: int, end: int, verify_crc: bool):
 
 
 def walk_frames(buf, offset: int = FILE_HEADER_SIZE, end: int | None = None,
-                verify_crc: bool = True):
+                verify_crc: bool = True, offsets=None):
     """Walk wire frames structurally: yields ``(lsn, body_lo, body_hi)``
     per frame, where ``buf[body_lo:body_hi]`` is the record's
     ``payload | labels`` region (after the frame and body prefixes).
     No record bytes are copied or decoded — the caller slices lazily.
+
+    By default the walk is sequential from ``offset`` to ``end``.  With
+    ``offsets`` it instead visits exactly those frame starts — the
+    random-access form the per-page redo index relies on: a page's log
+    chain is fetched frame by frame without walking, or decoding,
+    anything in between.  An offset that is not a frame boundary fails
+    the same checks (a stale index entry, treated like damage).
 
     Raises :class:`TornTail` at a damaged or truncated frame and
     :class:`CodecError` for well-checksummed garbage.  With
@@ -784,7 +737,14 @@ def walk_frames(buf, offset: int = FILE_HEADER_SIZE, end: int | None = None,
     crc32 = zlib.crc32
     unpack_frame = _FRAME_AND_BODY_PREFIX.unpack_from
     body_prefix_size = _BODY_PREFIX.size
-    while offset < end:
+    hops = iter(offsets) if offsets is not None else None
+    while True:
+        if hops is not None:
+            offset = next(hops, None)
+            if offset is None:
+                return
+        elif offset >= end:
+            return
         # One 17-byte unpack covers both prefixes (frame + record header).
         # It may read garbage past ``end`` or a short frame — the checks
         # below validate before any of the values are trusted.
@@ -812,59 +772,29 @@ def walk_frames(buf, offset: int = FILE_HEADER_SIZE, end: int | None = None,
 
 
 def read_frame_at(buf, offset: int, verify_crc: bool = True):
-    """Read exactly one frame at a known byte ``offset``: returns
-    ``(lsn, body_lo, body_hi)`` like one step of :func:`walk_frames`.
-
-    This is the random-access primitive the per-page redo index relies
-    on: given a ``(segment, offset)`` pair from a sidecar, one page's
-    log chain is fetched frame by frame without walking — or decoding —
-    anything in between.  The offset must land on a frame boundary;
-    anything else fails the length/CRC checks and raises
-    :class:`TornTail` (a stale index entry, treated like damage).
-    """
-    end = len(buf)
-    if end - offset < RECORD_OVERHEAD:
-        raise TornTail(offset, "truncated frame prefix")
-    try:
-        length, crc, version, lsn = _FRAME_AND_BODY_PREFIX.unpack_from(buf, offset)
-    except struct.error:
-        raise TornTail(offset, "truncated frame prefix") from None
-    body_start = offset + FRAME_PREFIX_SIZE
-    if end - body_start < length:
-        raise TornTail(
-            offset, f"frame body truncated ({end - body_start}/{length} bytes)"
-        )
-    if verify_crc and zlib.crc32(memoryview(buf)[body_start : body_start + length]) != crc:
-        raise TornTail(offset, "crc mismatch")
-    if length < _BODY_PREFIX.size:
-        raise TornTail(offset, "frame body truncated (no record header)")
-    if version != FORMAT_VERSION:
-        raise CodecError(f"unsupported format version {version} at byte {offset}")
-    return lsn, body_start + _BODY_PREFIX.size, body_start + length
+    """Exactly one frame at a known byte ``offset``, as
+    ``(lsn, body_lo, body_hi)`` — one step of :func:`walk_frames`, so
+    the frame checks exist once."""
+    return next(walk_frames(buf, verify_crc=verify_crc, offsets=(offset,)))
 
 
-def iter_record_views(buf, offset: int = FILE_HEADER_SIZE, end: int | None = None,
-                      verify_crc: bool = True, start_lsn: int = 0):
-    """The LSN-filtered view of :func:`walk_frames`: yields
-    ``(lsn, lo, hi)`` per record at or above ``start_lsn``, where
-    ``buf[lo:hi]`` is its ``payload | labels`` encoding."""
-    if start_lsn <= 0:
-        yield from walk_frames(buf, offset, end, verify_crc)
-        return
-    for lsn, lo, hi in walk_frames(buf, offset, end, verify_crc):
-        if lsn >= start_lsn:
-            yield lsn, lo, hi
-
-
-def decode_record_body(lsn: int, body: bytes) -> LogRecord:
-    """Materialize a full :class:`LogRecord` from one record's
-    ``payload | labels`` bytes (as yielded by :func:`iter_record_views`)."""
+def _decode_body(lsn: int, body: bytes) -> tuple[Any, dict]:
+    """``(payload, labels)`` of one record's ``payload | labels`` bytes —
+    the one body decode, eager (:func:`decode_record_body`) and lazy
+    (:class:`LazyRecord`) alike."""
     payload, pos = decode_payload(body, 0)
     labels, pos = decode_value(body, pos)
     if pos != len(body):
         raise CodecError(
             f"record LSN {lsn} has {len(body) - pos} trailing bytes after decode"
         )
+    return payload, labels
+
+
+def decode_record_body(lsn: int, body: bytes) -> LogRecord:
+    """Materialize a full :class:`LogRecord` from one record's
+    ``payload | labels`` bytes (as yielded by :func:`walk_frames`)."""
+    payload, labels = _decode_body(lsn, body)
     record = LogRecord(lsn=lsn, payload=payload, labels=labels)
     object.__setattr__(record, "_encoded_size", len(body) + RECORD_OVERHEAD)
     return record
@@ -897,16 +827,7 @@ class LazyRecord:
         self._labels = _UNSET
 
     def _decode(self) -> None:
-        body = self._body
-        payload, pos = decode_payload(body, 0)
-        labels, pos = decode_value(body, pos)
-        if pos != len(body):
-            raise CodecError(
-                f"record LSN {self.lsn} has {len(body) - pos} trailing "
-                f"bytes after decode"
-            )
-        self._payload = payload
-        self._labels = labels
+        self._payload, self._labels = _decode_body(self.lsn, self._body)
 
     @property
     def payload(self) -> Any:

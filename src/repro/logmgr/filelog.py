@@ -11,8 +11,8 @@ store turns ``flush()`` into ``write``/``fsync`` against these files.
 The write path is staged and **batch-granular**:
 
 - :meth:`stage_many` buffers one encoded blob covering a whole window of
-  records (an append is cheap and *volatile*); :meth:`stage` is the
-  single-frame special case;
+  records (an append is cheap and *volatile*) — the one staging call, a
+  single frame being a window of one;
 - :meth:`write_up_to` hands staged blobs to the OS in one ``write``
   per segment file (written but unsynced bytes live in the page cache —
   still volatile under the failure model);
@@ -45,8 +45,15 @@ Sealed segment files double as the **archive**: :meth:`archive_segment`
 renames a truncated segment to ``.arch`` instead of deleting it, so log
 truncation and media-recovery archiving are the same binary format.
 
+Every read of a segment or archive file — the cold-start loaders, the
+streaming scan, the page-index rebuild, ``logdump``, ``postmortem`` —
+goes through one :class:`SegmentReader`: it maps the file, validates the
+header, and alone decides from the sidecar seal how far the frame walk
+runs and whether it may skip per-frame CRCs.  Callers keep only what
+genuinely differs between them: what to do at a tear.
+
 **Concurrency contract.**  The store is safe under the manager's
-locking discipline: any number of threads may :meth:`stage` (they hold
+locking discipline: any number of threads may stage (they hold
 the manager mutex), while the flush path (:meth:`write_up_to` +
 :meth:`sync` + :meth:`seal_segment`) is serialized by the manager's
 force lock.  The store's own lock guards the staged buffer and the
@@ -69,17 +76,16 @@ from typing import NamedTuple
 
 from repro.logmgr.codec import (
     FILE_HEADER_SIZE,
+    PAYLOAD_CHECKPOINT,
     RECORD_OVERHEAD,
-    _UNSET,
     CodecError,
     LazyRecord,
     TornTail,
     decode_file_header,
     encode_file_header,
     encode_seal,
-    iter_record_views,
-    read_frame_at,
     verify_seal,
+    walk_frames,
 )
 from repro.logmgr.pageindex import (
     PAGES_SUFFIX,
@@ -108,12 +114,14 @@ def pages_path(path: Path) -> Path:
     return path.with_name(path.name + PAGES_SUFFIX)
 
 
-def read_pages_blob(path: Path) -> bytes | None:
-    """Raw page-index sidecar bytes for a segment/archive path, or None.
-    No validation here — :func:`~repro.logmgr.pageindex.parse_page_index`
-    treats any damaged or stale sidecar exactly like a missing one."""
+def read_sidecar(sidecar: Path) -> bytes | None:
+    """The raw bytes of a sidecar file (:func:`seal_path` /
+    :func:`pages_path`), or None.  No validation here — the parsers
+    (:func:`~repro.logmgr.codec.verify_seal`,
+    :func:`~repro.logmgr.pageindex.parse_page_index`) treat a damaged or
+    stale sidecar exactly like a missing one."""
     try:
-        return pages_path(path).read_bytes()
+        return sidecar.read_bytes()
     except OSError:
         return None
 
@@ -123,42 +131,6 @@ def _drop_sidecars(path: Path) -> None:
     (the seal and the page index share one staleness lifecycle)."""
     seal_path(path).unlink(missing_ok=True)
     pages_path(path).unlink(missing_ok=True)
-
-
-def read_seal(path: Path) -> bytes | None:
-    """The raw sidecar seal bytes for a segment/archive path, or None.
-    No validation here — :func:`~repro.logmgr.codec.verify_seal` treats
-    any damaged or stale seal exactly like a missing one."""
-    try:
-        return seal_path(path).read_bytes()
-    except OSError:
-        return None
-
-
-def _map_buffer(path: Path, allow_mmap: bool = True):
-    """Open ``path`` for scanning: ``(buffer, close)``.
-
-    Prefers a read-only ``mmap`` (zero-copy: the walker slices views of
-    the page cache directly); falls back to ``read()`` for empty files
-    or filesystems without mmap support.  The returned ``close`` must be
-    called when the scan is done (a ``finally`` in every caller).
-    """
-    fh = path.open("rb")
-    if allow_mmap:
-        try:
-            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            pass
-        else:
-
-            def close(buf=buf, fh=fh):
-                buf.close()
-                fh.close()
-
-            return buf, close
-    data = fh.read()
-    fh.close()
-    return data, lambda: None
 
 
 class SegmentStats(NamedTuple):
@@ -172,97 +144,170 @@ class SegmentStats(NamedTuple):
     tear_reason: str | None
 
 
-def _stats_walk(buf, expected_base: int | None, seal: bytes | None = None) -> SegmentStats:
-    """Walk a segment buffer collecting accounting statistics.
+def log_files(directory) -> list[Path]:
+    """Every log file of one directory in LSN order: archives (the
+    truncated, older prefix) first, then the live segments."""
+    directory = Path(directory)
+    return [
+        path
+        for suffix in (ARCHIVE_SUFFIX, SEGMENT_SUFFIX)
+        for path in sorted(directory.glob(f"segment-*{suffix}"))
+    ]
 
-    Touches one byte per record (the payload tag) — no value decoding.
-    A verified sidecar ``seal`` replaces every per-frame CRC with one
-    whole-region pass.  With ``expected_base`` the walk also enforces
-    LSN density, raising :class:`CodecError` on a hole (same contract
-    the record-loading path has always had).  A tear ends the walk and
-    is reported.
+
+class SegmentReader:
+    """One segment or archive file opened for reading.
+
+    The single owner of *open → map → validate the header → verify the
+    sidecar seal → choose how far the walk runs and whether it may trust
+    length fields*.  A verified seal (one C-speed ``crc32`` pass over the
+    frame region) ends the walk at the sealed region and skips every
+    per-frame CRC; anything else — no seal, a stale or damaged one —
+    walks to the end of the file checking each frame.  The seal is read
+    on the first walk, so a random-access open (:meth:`views_at`) never
+    pays for it.  A walk raises :class:`~repro.logmgr.codec.TornTail`
+    at a damaged frame; what a tear *means* (truncate, report, stop
+    quietly) is the caller's business.
+
+    The file is read through a read-only ``mmap`` (zero-copy), falling
+    back to ``read()`` for empty files, filesystems without mmap, and
+    ``allow_mmap=False`` — for the active file, whose tail a crash can
+    still truncate (reading a shrunk mapping faults).
     """
-    from repro.logmgr.codec import PAYLOAD_CHECKPOINT
 
-    count = 0
-    nbytes = 0
-    tag_counts: dict = {}
-    checkpoints: list = []
-    tear_offset: int | None = None
-    tear_reason: str | None = None
-    sealed = verify_seal(buf, seal)
-    if sealed is not None:
-        views = iter_record_views(buf, end=sealed[0], verify_crc=False)
-    else:
-        views = iter_record_views(buf)
-    checkpoint_tag = PAYLOAD_CHECKPOINT
-    get_count = tag_counts.get
-    try:
-        for lsn, lo, hi in views:
-            if expected_base is not None and lsn != expected_base + count:
+    def __init__(self, path, allow_mmap: bool = True):
+        self.path = path if isinstance(path, Path) else Path(path)
+        self.buf = None
+        with open(self.path, "rb") as fh:
+            if allow_mmap:
+                try:
+                    self.buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except (ValueError, OSError):
+                    pass
+            if self.buf is None:
+                self.buf = fh.read()
+        try:
+            self.base_lsn = decode_file_header(self.buf)
+        except CodecError:
+            self.close()
+            raise
+        self._walk: tuple[int, bool] | None = None
+        self.built = 0  # LazyRecords handed out (the store's decode counter)
+
+    def close(self) -> None:
+        """Release the mapping (records already handed out stay valid)."""
+        if isinstance(self.buf, mmap.mmap):
+            self.buf.close()
+
+    def __enter__(self) -> "SegmentReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _walk_bounds(self) -> tuple[int, bool]:
+        """``(end, verify_crc)`` for a walk of this file — THE seal
+        decision, made once per open."""
+        if self._walk is None:
+            seal = verify_seal(self.buf, read_sidecar(seal_path(self.path)))
+            self._walk = (len(self.buf), True) if seal is None else (seal[0], False)
+        return self._walk
+
+    @property
+    def sealed(self) -> bool:
+        """Did the sidecar seal verify against this file's bytes?"""
+        return not self._walk_bounds()[1]
+
+    def views(self, start_lsn: int = 0):
+        """``(lsn, lo, hi)`` per record at or above ``start_lsn``, where
+        ``buf[lo:hi]`` is its ``payload | labels`` encoding."""
+        end, verify_crc = self._walk_bounds()
+        frames = walk_frames(self.buf, FILE_HEADER_SIZE, end, verify_crc)
+        if start_lsn <= 0:
+            return frames
+        return (view for view in frames if view[0] >= start_lsn)
+
+    def views_at(self, entries, verify_crc: bool = True):
+        """Views of the frames at known offsets: ``entries`` is a list
+        of ``(offset, lsn)`` pairs from a page index.  A frame that does
+        not carry the expected LSN raises :class:`CodecError` (a stale
+        index is a structural bug — the lifecycle is supposed to
+        invalidate it)."""
+        frames = walk_frames(
+            self.buf, verify_crc=verify_crc, offsets=[entry[0] for entry in entries]
+        )
+        for (offset, want_lsn), view in zip(entries, frames):
+            if view[0] != want_lsn:
                 raise CodecError(
-                    f"segment {expected_base} holds LSN {lsn} "
-                    f"at position {count}"
+                    f"page index points at LSN {view[0]} where {want_lsn} was "
+                    f"expected ({self.path.name}, offset {offset})"
                 )
-            tag = buf[lo]
-            tag_counts[tag] = get_count(tag, 0) + 1
-            if tag == checkpoint_tag:
-                checkpoints.append(lsn)
-            if sealed is None:
+            yield view
+
+    def records(self, views=None):
+        """The views (default: the whole file's) as lazily-decoded
+        :class:`~repro.logmgr.codec.LazyRecord` — the one place they are
+        built.  Slicing ``buf`` copies the body out of the mmap, so a
+        record outlives the reader."""
+        buf = self.buf
+        count = 0
+        try:
+            for lsn, lo, hi in self.views() if views is None else views:
+                count += 1
+                yield LazyRecord(lsn, buf[lo:hi])
+        finally:
+            self.built += count
+
+    def page_index(self) -> SegmentPageIndex:
+        """This file's page index by one structural scan (a torn tail
+        ends the index exactly where it ends the log)."""
+        end, verify_crc = self._walk_bounds()
+        return index_buffer(self.buf, self.base_lsn, end=end, verify_crc=verify_crc)
+
+    def stats(self, dense: bool = False) -> SegmentStats:
+        """Accounting statistics without materializing a record: the
+        walk touches one byte per record (the payload tag).  With
+        ``dense`` it also enforces LSN density from the file's base LSN,
+        raising :class:`CodecError` on a hole.  A tear ends the walk and
+        is reported."""
+        buf = self.buf
+        count = nbytes = 0
+        tag_counts: dict = {}
+        checkpoints: list = []
+        tear_offset = tear_reason = None
+        get_count = tag_counts.get
+        try:
+            for lsn, lo, hi in self.views():
+                if dense and lsn != self.base_lsn + count:
+                    raise CodecError(
+                        f"segment {self.base_lsn} holds LSN {lsn} "
+                        f"at position {count}"
+                    )
+                tag = buf[lo]
+                tag_counts[tag] = get_count(tag, 0) + 1
+                if tag == PAYLOAD_CHECKPOINT:
+                    checkpoints.append(lsn)
                 nbytes += (hi - lo) + RECORD_OVERHEAD
-            count += 1
-    except TornTail as tear:
-        tear_offset, tear_reason = tear.offset, tear.reason
-    if sealed is not None:
-        # A verified seal covers exactly the frame region, so the byte
-        # total is the region length — no per-record accumulation.
-        nbytes = sealed[0] - FILE_HEADER_SIZE
-    return SegmentStats(count, nbytes, tag_counts, checkpoints, tear_offset, tear_reason)
-
-
-def file_stats(path) -> SegmentStats:
-    """Accounting statistics for one segment or archive file.
-
-    The cold-start path folds ``.arch`` files back into the log's
-    byte/type accounting; this does it without decoding a single value.
-    A torn tail simply ends the walk (archives are sealed history — a
-    tear here means post-hoc damage the scan tolerates, as
-    :func:`iter_file_records` always has).
-    """
-    path = Path(path)
-    buf, close = _map_buffer(path)
-    try:
-        decode_file_header(buf)
-        return _stats_walk(buf, expected_base=None, seal=read_seal(path))
-    finally:
-        close()
+                count += 1
+        except TornTail as tear:
+            tear_offset, tear_reason = tear.offset, tear.reason
+        return SegmentStats(count, nbytes, tag_counts, checkpoints, tear_offset, tear_reason)
 
 
 def iter_file_records(path):
     """Decode every record of one segment or archive file, in order.
 
-    Stands alone from any store — ``logdump`` and the cold-start path
-    use it on bare paths.  Records come back as
+    Stands alone from any store, on a bare path.  Records come back as
     :class:`~repro.logmgr.codec.LazyRecord` (payloads decode on first
     touch), streamed straight off an ``mmap`` of the file.  A torn tail
-    simply ends the stream (scan the views yourself to see the tear).
+    simply ends the stream (walk a :class:`SegmentReader` yourself to
+    see the tear).
     """
-    path = Path(path)
-    buf, close = _map_buffer(path)
-    try:
-        decode_file_header(buf)
-        sealed = verify_seal(buf, read_seal(path))
-        if sealed is not None:
-            for lsn, lo, hi in iter_record_views(buf, end=sealed[0], verify_crc=False):
-                yield LazyRecord(lsn, buf[lo:hi])
-            return
+    with SegmentReader(path) as reader:
         try:
-            for lsn, lo, hi in iter_record_views(buf):
-                yield LazyRecord(lsn, buf[lo:hi])
+            yield from reader.records()
         except TornTail:
             return
-    finally:
-        close()
 
 
 class _SegmentHandle:
@@ -384,23 +429,14 @@ class FileLogStore:
             self.segments_created += 1
             self._dir_dirty = True
 
-    def stage(self, lsn: int, frame: bytes) -> None:
-        """Buffer one encoded frame for the current (newest) segment."""
-        with self._lock:
-            if not self._handles:
-                raise CodecError("stage() before begin_segment()")
-            self._staged.append((lsn, self._handles[-1].base_lsn, frame, 1))
-            self.appends += 1
-            self.staged_bytes += len(frame)
-
     def stage_many(self, last_lsn: int, base_lsn: int, blob, count: int) -> None:
         """Buffer one encoded batch window (``count`` records ending at
-        ``last_lsn``) bound for the segment at ``base_lsn``.  The blob is
-        a single wire frame; the whole window hits the file in one
-        ``write`` with one CRC."""
+        ``last_lsn``) bound for the segment at ``base_lsn``.  The blob
+        is the window's concatenated wire frames; the whole window hits
+        the file in one ``write``."""
         with self._lock:
             if not self._handles:
-                raise CodecError("stage() before begin_segment()")
+                raise CodecError("stage_many() before begin_segment()")
             self._staged.append((last_lsn, base_lsn, blob, count))
             self.appends += count
             self.staged_bytes += len(blob)
@@ -410,7 +446,7 @@ class FileLogStore:
         order, one ``write`` per touched segment file.  Written bytes
         are still volatile until :meth:`sync`.  Callers serialize on the
         manager's force lock; the store lock covers the staged-buffer
-        cut so concurrent :meth:`stage` calls never lose frames."""
+        cut so concurrent :meth:`stage_many` calls never lose frames."""
         with self._lock:
             if not self._staged or self._staged[0][0] > lsn:
                 return
@@ -456,11 +492,12 @@ class FileLogStore:
         it.  For a segment this incarnation wrote, the region CRC and
         count are running state — sealing costs zero reads of the
         segment.  For an attached pre-existing file they are rebuilt
-        with one read.  The sidecar is written without an fsync: losing
-        it in a crash costs a slow scan, never a record.  Returns True
-        when a seal was written; False when the segment is already
-        sealed, unknown (archived), or still has staged frames
-        outstanding (its final bytes aren't in the file yet).
+        with one read (and nothing is sealed if that read hits a tear).
+        The sidecar is written without an fsync: losing it in a crash
+        costs a slow scan, never a record.  Returns True when a seal was
+        written; False when the segment is already sealed, unknown
+        (archived), or still has staged frames outstanding (its final
+        bytes aren't in the file yet).
         """
         with self._lock:
             try:
@@ -475,16 +512,14 @@ class FileLogStore:
             count = handle.record_count
             region_len = handle.size - FILE_HEADER_SIZE
         if crc is None or count is None:
-            buf, close = _map_buffer(handle.path)
-            try:
-                decode_file_header(buf)
-                crc = zlib.crc32(memoryview(buf)[FILE_HEADER_SIZE:])
-                # Frames were CRC-verified when this file was attached
-                # (cold start walks every segment), so a length-only
-                # walk is enough to count records.
-                count = sum(1 for _ in iter_record_views(buf, verify_crc=False))
-            finally:
-                close()
+            with self._reader(base_lsn) as reader:
+                crc = zlib.crc32(memoryview(reader.buf)[FILE_HEADER_SIZE:])
+                try:
+                    count = sum(1 for _ in reader.views())
+                except TornTail:
+                    # Damaged since it was attached: leave it unsealed,
+                    # so the next scan's per-frame walk finds the tear.
+                    return False
         blob = encode_seal(crc, region_len, count)
         with self._lock:
             seal_path(handle.path).write_bytes(blob)
@@ -509,7 +544,7 @@ class FileLogStore:
         with self._lock:
             handle = self._handle_for(base_lsn)
             size = handle.size
-        index = parse_page_index(read_pages_blob(handle.path))
+        index = parse_page_index(read_sidecar(pages_path(handle.path)))
         if index is None or index.base_lsn != base_lsn:
             return None
         if index.region_len != size - FILE_HEADER_SIZE:
@@ -520,18 +555,9 @@ class FileLogStore:
         """Rebuild a segment's page index with one structural scan — the
         fallback for unsealed tails and pre-sidecar directories.  A
         verified seal lets the walk skip per-frame CRCs."""
-        with self._lock:
-            handle = self._handle_for(base_lsn)
-        buf, close = self._map_segment(base_lsn)
-        try:
-            decode_file_header(buf)
-            sealed = verify_seal(buf, read_seal(handle.path))
+        with self._reader(base_lsn) as reader:
             self.page_index_rebuilds += 1
-            if sealed is not None:
-                return index_buffer(buf, base_lsn, end=sealed[0], verify_crc=False)
-            return index_buffer(buf, base_lsn)
-        finally:
-            close()
+            return reader.page_index()
 
     def read_records_at(self, base_lsn: int, entries) -> list[LazyRecord]:
         """Fetch records at known frame offsets of one segment — the
@@ -540,33 +566,17 @@ class FileLogStore:
         mapped once and only the requested frames are touched.  An entry
         whose frame does not carry the expected LSN raises
         :class:`CodecError` (a stale index is a structural bug — the
-        lifecycle is supposed to invalidate it)."""
+        lifecycle is supposed to invalidate it).  A segment this
+        incarnation sealed holds only bytes it wrote, so its frames are
+        read without their CRCs."""
         with self._lock:
-            handle = self._handle_for(base_lsn)
-            sealed = handle.sealed
-        buf, close = self._map_segment(base_lsn)
-        records: list[LazyRecord] = []
-        new = LazyRecord.__new__
-        unset = _UNSET
-        try:
-            for offset, want_lsn in entries:
-                lsn, lo, hi = read_frame_at(buf, offset, verify_crc=not sealed)
-                if lsn != want_lsn:
-                    raise CodecError(
-                        f"page index points at LSN {lsn} where {want_lsn} "
-                        f"was expected (segment {base_lsn}, offset {offset})"
-                    )
-                record = new(LazyRecord)
-                record.lsn = lsn
-                record._body = buf[lo:hi]
-                record._payload = unset
-                record._labels = unset
-                records.append(record)
-        finally:
-            self.chain_frames_read += len(records)
-            self.records_decoded += len(records)
-            close()
-        return records
+            sealed = self._handle_for(base_lsn).sealed
+        with self._reader(base_lsn) as reader:
+            try:
+                return list(reader.records(reader.views_at(entries, not sealed)))
+            finally:
+                self.chain_frames_read += reader.built
+                self.records_decoded += reader.built
 
     def sync(self) -> None:
         """The durability point: ``fsync`` every file with unsynced
@@ -713,12 +723,8 @@ class FileLogStore:
                 return handle
         raise KeyError(f"no segment file with base LSN {base_lsn}")
 
-    def read_segment_bytes(self, base_lsn: int) -> bytes:
-        """The segment file's current on-disk bytes (header included)."""
-        return self._handle_for(base_lsn).path.read_bytes()
-
-    def _map_segment(self, base_lsn: int):
-        """Open one segment for scanning.  Only non-active files are
+    def _reader(self, base_lsn: int) -> SegmentReader:
+        """Open one segment for reading.  Only non-active files are
         mmapped: the active file's tail can still be truncated (crash),
         and reading a shrunk mapping faults, while a sealed file is
         immutable (rename and unlink both leave a live mapping valid).
@@ -726,55 +732,23 @@ class FileLogStore:
         with self._lock:
             handle = self._handle_for(base_lsn)
             active = self._handles and handle is self._handles[-1]
-        return _map_buffer(handle.path, allow_mmap=not active)
+        return SegmentReader(handle.path, allow_mmap=not active)
 
     def scan_segment(self, base_lsn: int, start_lsn: int = 0):
         """Stream one segment's records as lazily-decoded
         :class:`~repro.logmgr.codec.LazyRecord`, skipping records below
-        ``start_lsn``.  A sealed segment is verified with one
-        seal CRC pass and walked trusting lengths; otherwise every
-        frame pays its own CRC check.  Stops cleanly at a torn tail
-        (the manager only scans fully synced segments, so a tear here
-        would mean the file was corrupted after the fact)."""
-        with self._lock:
-            handle = self._handle_for(base_lsn)
+        ``start_lsn``.  Stops cleanly at a torn tail (the manager only
+        scans fully synced segments, so a tear here would mean the file
+        was corrupted after the fact)."""
         if start_lsn <= base_lsn:
             start_lsn = 0  # the whole segment qualifies — skip the filter
-        buf, close = self._map_segment(base_lsn)
-        count = 0
-        # Hot loop: records are built by direct slot assignment (no
-        # __init__ frame) and slicing ``buf`` already copies the body out
-        # of the mmap, so nothing here pins the unmapped buffer.
-        new = LazyRecord.__new__
-        unset = _UNSET
-        try:
-            sealed = verify_seal(buf, read_seal(handle.path))
-            if sealed is not None:
-                for lsn, lo, hi in iter_record_views(
-                    buf, end=sealed[0], verify_crc=False, start_lsn=start_lsn
-                ):
-                    record = new(LazyRecord)
-                    record.lsn = lsn
-                    record._body = buf[lo:hi]
-                    record._payload = unset
-                    record._labels = unset
-                    count += 1
-                    yield record
-                return
+        with self._reader(base_lsn) as reader:
             try:
-                for lsn, lo, hi in iter_record_views(buf, start_lsn=start_lsn):
-                    record = new(LazyRecord)
-                    record.lsn = lsn
-                    record._body = buf[lo:hi]
-                    record._payload = unset
-                    record._labels = unset
-                    count += 1
-                    yield record
+                yield from reader.records(reader.views(start_lsn))
             except TornTail:
                 return
-        finally:
-            self.records_decoded += count
-            close()
+            finally:
+                self.records_decoded += reader.built
 
     def load_segment(
         self, base_lsn: int
@@ -786,46 +760,24 @@ class FileLogStore:
         CRC-checked (or seal-covered) here, but payload bytes decode
         only when a consumer touches them.
         """
-        with self._lock:
-            handle = self._handle_for(base_lsn)
-        buf, close = self._map_segment(base_lsn)
         records: list[LazyRecord] = []
         append = records.append
-        new = LazyRecord.__new__
-        unset = _UNSET
-        try:
-            sealed = verify_seal(buf, read_seal(handle.path))
-            views = (
-                iter_record_views(buf, end=sealed[0], verify_crc=False)
-                if sealed is not None
-                else iter_record_views(buf)
-            )
+        with self._reader(base_lsn) as reader:
             try:
-                for lsn, lo, hi in views:
-                    record = new(LazyRecord)
-                    record.lsn = lsn
-                    record._body = buf[lo:hi]
-                    record._payload = unset
-                    record._labels = unset
+                for record in reader.records():
                     append(record)
             except TornTail as tear:
                 return records, tear.offset, tear.reason
-            return records, None, None
-        finally:
-            self.records_decoded += len(records)
-            close()
+            finally:
+                self.records_decoded += len(records)
+        return records, None, None
 
     def segment_stats(self, base_lsn: int) -> SegmentStats:
         """Summarize one segment without materializing records — the
         cold-start fast path for sealed segments (they are rebuilt as
         evicted in-memory segments straight from these numbers)."""
-        with self._lock:
-            handle = self._handle_for(base_lsn)
-        buf, close = self._map_segment(base_lsn)
-        try:
-            return _stats_walk(buf, expected_base=base_lsn, seal=read_seal(handle.path))
-        finally:
-            close()
+        with self._reader(base_lsn) as reader:
+            return reader.stats(dense=True)
 
     # ------------------------------------------------------------------
     # Archive

@@ -219,7 +219,7 @@ class LogManager:
         in-memory segments; only the tail segment's records are
         materialized.
         """
-        from repro.logmgr.filelog import FileLogStore, file_stats
+        from repro.logmgr.filelog import FileLogStore, SegmentReader
 
         store = FileLogStore.attach(directory, fsync=fsync)
         manager = cls(
@@ -233,7 +233,10 @@ class LogManager:
         # must fold the .arch files back in for the two paths to agree.
         archived_checkpoints: list[int] = []
         for path in store.archived_paths():
-            stats = file_stats(path)
+            # A torn tail simply ends the walk: archives are sealed
+            # history, so a tear means post-hoc damage the scan tolerates.
+            with SegmentReader(path) as reader:
+                stats = reader.stats()
             manager._archived_records += stats.count
             manager._archived_bytes += stats.bytes
             for tag, n in stats.tag_counts.items():
@@ -524,10 +527,6 @@ class LogManager:
         """The lowest LSN still held in memory (older ones were truncated)."""
         return self._segments[0].base_lsn
 
-    def is_stable(self, lsn: int) -> bool:
-        """Has the record at ``lsn`` been forced to disk?"""
-        return lsn <= self._stable_lsn
-
     # ------------------------------------------------------------------
     # Segments and the write-ahead rule
     # ------------------------------------------------------------------
@@ -672,11 +671,6 @@ class LogManager:
             )
         return retired
 
-    @property
-    def archived_records(self) -> int:
-        """Records retired by truncation (still counted, no longer held)."""
-        return self._archived_records
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -737,10 +731,6 @@ class LogManager:
     def stable_entries(self) -> list[LogRecord]:
         """The retained stable prefix, as a list (see :meth:`entries`)."""
         return self.entries(volatile=False)
-
-    def entries_from(self, lsn: int, volatile: bool = True) -> Iterator[LogRecord]:
-        """Alias of :meth:`records_from` (historical name)."""
-        return self.records_from(lsn, volatile)
 
     def entry(self, lsn: int) -> LogRecord:
         """The record with exactly this LSN (must be retained)."""

@@ -42,14 +42,7 @@ class MethodStats:
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for benchmark reports)."""
-        return {
-            "operations": self.operations,
-            "checkpoints": self.checkpoints,
-            "records_scanned": self.records_scanned,
-            "records_replayed": self.records_replayed,
-            "records_skipped": self.records_skipped,
-            "recoveries": self.recoveries,
-        }
+        return dict(vars(self))
 
 
 class Machine:
@@ -67,10 +60,8 @@ class Machine:
     def __init__(
         self,
         cache_capacity: int = 16,
-        cache_policy: str = "lru",
         enforce_wal: bool = True,
         log_segment_size: int | None = None,
-        install_policy: str = "graph",
         tracer: Tracer | None = None,
         log_dir=None,
         group_commit: int = 1,
@@ -98,16 +89,14 @@ class Machine:
                 log_kwargs["store"] = FileLogStore(log_dir, fsync=fsync)
             self.log = LogManager(**log_kwargs)
         self.enforce_wal = enforce_wal
-        self.pool = self._new_pool(cache_capacity, cache_policy, install_policy)
+        self.pool = self._new_pool(cache_capacity)
         self.crashed = False
 
-    def _new_pool(self, capacity: int, policy: str, install_policy: str) -> BufferPool:
+    def _new_pool(self, capacity: int) -> BufferPool:
         return BufferPool(
             self.disk,
             self.log if self.enforce_wal else None,
             capacity=capacity,
-            policy=policy,  # type: ignore[arg-type]
-            install_policy=install_policy,  # type: ignore[arg-type]
             tracer=self.tracer,
         )
 
@@ -119,8 +108,7 @@ class Machine:
 
     def reboot_pool(self) -> None:
         """A fresh (empty) buffer pool for the recovered incarnation."""
-        old = self.pool
-        self.pool = self._new_pool(old.capacity, old.policy, old.install_policy)
+        self.pool = self._new_pool(self.pool.capacity)
         self.crashed = False
 
 
@@ -287,17 +275,15 @@ class RecoveryMethodKV(ABC):
         directly.
         """
 
+    @abstractmethod
     def begin_lazy_recovery(self):
         """Analysis-only restart: run the analysis phase, defer redo.
 
         Returns a lazy plan (:mod:`repro.methods.lazy`) whose pages
         replay on first access while a background drainer retires the
-        backlog — or None when this method has no lazy path, in which
-        case the caller falls back to eager :meth:`recover`.  After the
-        plan drains, the state is identical to what eager recovery
-        would have produced.
+        backlog.  After the plan drains, the state is identical to what
+        eager :meth:`recover` would have produced.
         """
-        return None
 
     # -- media failure ---------------------------------------------------
 
@@ -315,8 +301,6 @@ class RecoveryMethodKV(ABC):
     def media_failure(self) -> None:
         """The disk is destroyed; cache and volatile log tail go with it.
         The stable log survives on its own device."""
-        from repro.storage import Disk
-
         self.machine.crash()
         self.machine.disk = Disk()
         self.machine.reboot_pool()

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from repro.logmgr import LogRecord, MultiPageRedo, PageAction, PhysiologicalRedo
 from repro.methods.physiological import PhysiologicalKV
+from repro.methods.redo import redo_multipage
 from repro.storage.page import Page
 
 
@@ -83,13 +84,10 @@ class GeneralizedKV(PhysiologicalKV):
     # ------------------------------------------------------------------
 
     def redo_record(self, record: LogRecord) -> dict:
-        """A multi-page record is tested per written page — each page it
-        wrote carries its LSN, so a crash between the two page writes
-        replays only the one still missing — and replayed if any page
-        needed it.  Every replayed page re-arms the careful write
-        ordering against the pages it read, for the recovered
-        incarnation's cache.  Single-page records take the inherited
-        path.
+        """A multi-page record takes the per-written-page test of
+        :func:`~repro.methods.redo.redo_multipage`, every replayed page
+        re-arming its ordering against the pages it read; single-page
+        records take the inherited path.
 
         Lazy replay stays sound because the plan replays the pages a
         multi-page record links as one LSN-ordered component (see
@@ -97,19 +95,6 @@ class GeneralizedKV(PhysiologicalKV):
         a page-partitioned schedule that cut those conflict edges would
         not be conflict-order consistent, so Theorem 3 would not apply.
         """
-        payload = record.payload
-        if not isinstance(payload, MultiPageRedo):
+        if not isinstance(record.payload, MultiPageRedo):
             return PhysiologicalKV.redo_record(self, record)
-        pool = self.machine.pool
-        any_replayed = False
-        for page_id, actions in payload.writes.items():
-            decision = self._redo_page(page_id, record.lsn, actions, self._read_page)
-            if decision["decision"] == "replayed":
-                any_replayed = True
-                for read_id in payload.read_page_ids:
-                    if read_id != page_id:
-                        pool.add_flush_constraint(page_id, read_id)
-        pages = sorted(payload.writes)
-        if any_replayed:
-            return {"decision": "replayed", "pages": pages}
-        return {"decision": "skipped", "reason": "lsn_test", "pages": pages}
+        return redo_multipage(self.machine.pool, record, lambda page_id: True)

@@ -26,6 +26,7 @@ analysis result is a data structure, not just a log position.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterable
 
 from repro.logmgr import (
@@ -37,7 +38,7 @@ from repro.logmgr import (
 )
 from repro.methods.base import Machine, RecoveryMethodKV
 from repro.methods.lazy import PagewiseLazyPlan, lsn_table_analysis
-from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
+from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager, redo_page
 
 
 def analysis_pass(records: Iterable[LogRecord]) -> tuple[dict[str, int], int]:
@@ -159,35 +160,15 @@ class PhysiologicalKV(RecoveryMethodKV):
     # Recovery
     # ------------------------------------------------------------------
 
-    def _redo_page(self, page_id: str, lsn: int, actions, reader=None) -> dict:
-        """THE redo test, for one page a record writes: a page tag at or
-        past the record's LSN says the effect is already installed in
-        the stable state; otherwise the actions replay against the page
-        (``reader`` supplies the other pages a §6.4 action reads)."""
-        pool = self.machine.pool
-        page = pool.get_page(page_id, create=True)
-        if page.lsn >= lsn:
-            return {
-                "decision": "skipped",
-                "reason": "lsn_test",
-                "page": page_id,
-                "page_lsn": page.lsn,
-            }
-
-        def apply(p) -> None:
-            for action in actions:
-                action.apply_to(p, lsn=lsn, reader=reader)
-
-        pool.update(page_id, apply)
-        return {"decision": "replayed", "page": page_id}
-
     def redo_record(self, record: LogRecord) -> dict:
-        """One-page records replay under the page-LSN test; anything
-        else in the log (checkpoints) is not a redo payload."""
+        """One-page records replay under the page-LSN test
+        (:func:`~repro.methods.redo.redo_page`); anything else in the
+        log (checkpoints) is not a redo payload."""
         payload = record.payload
         if not isinstance(payload, PhysiologicalRedo):
             return NOT_REDO
-        return self._redo_page(payload.page_id, record.lsn, (payload.action,))
+        mutate = partial(payload.action.apply_to, lsn=record.lsn)
+        return redo_page(self.machine.pool, payload.page_id, record.lsn, mutate)
 
     def recover(self, full_scan: bool = False) -> None:
         """Analysis: reconstruct the dirty page table by streaming the

@@ -3,11 +3,12 @@
 The paper defines recovery as one procedure with two parameters:
 ``analyze`` picks where redo starts, and ``redo`` decides, record by
 record, whether an operation is replayed or bypassed.  Each §6 method
-supplies exactly those — an analysis and one
-:meth:`~repro.methods.base.RecoveryMethodKV.redo_record` holding its
-whole redo test and apply — and this module owns the rest: the
-:func:`replay` loop that counts and traces every decision, and the two
-schedules that feed it.
+— and the B-tree, §6.4's headline application — supplies exactly those:
+an analysis and one ``redo_record`` holding its whole redo test and
+apply.  This module owns the rest: the :func:`replay` loop that counts
+and traces every decision, the page-LSN test the LSN-based clients share
+(:func:`redo_page`, and :func:`redo_multipage` over it), and the two
+schedules that feed the loop.
 
 The schedules differ only in where records come from.
 :func:`recover_eager` streams ``log.stable_records_from(redo_start)``
@@ -20,10 +21,12 @@ says the reordered schedule lands on the same state.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.logmgr import LogRecord
 from repro.obs.trace import traced_segments
+from repro.storage.page import Page
 
 # A redo decision is the field set of its ``recovery.record`` trace
 # event: ``decision`` is "replayed" or "skipped" (with a ``reason``),
@@ -32,11 +35,67 @@ from repro.obs.trace import traced_segments
 NOT_REDO = {"decision": "skipped", "reason": "not_redo_payload"}
 
 
+def redo_page(pool, page_id: str, lsn: int, mutate: Callable[[Page], None]) -> dict:
+    """THE page-LSN redo test, for one page a record writes: a page tag
+    at or past the record's LSN says the effect is already installed in
+    the stable state; otherwise ``mutate`` replays it against the page
+    (stamping ``lsn``, which is what takes the record out of the redo
+    set once the page is written)."""
+    page = pool.get_page(page_id, create=True)
+    if page.lsn >= lsn:
+        return {
+            "decision": "skipped",
+            "reason": "lsn_test",
+            "page": page_id,
+            "page_lsn": page.lsn,
+        }
+    pool.update(page_id, mutate)
+    return {"decision": "replayed", "page": page_id}
+
+
+def actions_on(actions, lsn: int, reader=None) -> Callable[[Page], None]:
+    """The ``mutate`` that replays a record's page actions in order
+    (``reader`` supplies the other pages a §6.4 action reads)."""
+
+    def mutate(page: Page) -> None:
+        for action in actions:
+            action.apply_to(page, lsn=lsn, reader=reader)
+
+    return mutate
+
+
+def redo_multipage(pool, record: LogRecord, ordered: Callable[[str], bool]) -> dict:
+    """A §6.4 multi-page record is tested per written page — each page
+    it wrote carries its LSN, so a crash between the two page writes
+    replays only the one still missing — and counts as replayed if any
+    page needed it.  A replayed page for which ``ordered(page_id)``
+    holds re-arms the careful write ordering against the pages the
+    record read, for the recovered incarnation's cache — at once, while
+    its write-graph node is still live: a later page's replay can evict
+    (and thereby install) this one, and an edge bound afterwards to an
+    empty obligation node would block the read page forever."""
+    payload = record.payload
+    reader = partial(pool.get_page, create=True)
+    any_replayed = False
+    for page_id, actions in payload.writes.items():
+        mutate = actions_on(actions, record.lsn, reader)
+        if redo_page(pool, page_id, record.lsn, mutate)["decision"] == "replayed":
+            any_replayed = True
+            if ordered(page_id):
+                for read_id in payload.read_page_ids:
+                    if read_id != page_id:
+                        pool.add_flush_constraint(page_id, read_id)
+    pages = sorted(payload.writes)
+    if any_replayed:
+        return {"decision": "replayed", "pages": pages}
+    return {"decision": "skipped", "reason": "lsn_test", "pages": pages}
+
+
 def replay(method, records: Iterable[LogRecord]) -> None:
-    """THE loop: every record either schedule recovers goes through the
-    method's ``redo_record`` here, is counted in ``method.stats``, and —
-    when tracing — leaves one ``recovery.record`` event carrying the
-    decision."""
+    """THE loop: every record any recovery in ``src/`` replays goes
+    through its client's ``redo_record`` here, is counted in the
+    client's ``stats``, and — when tracing — leaves one
+    ``recovery.record`` event carrying the decision."""
     stats, tracer, redo_record = method.stats, method.tracer, method.redo_record
     for record in records:
         stats.records_scanned += 1

@@ -33,43 +33,23 @@ def scan_log_tail(directory) -> dict[str, Any]:
     record count, the last stable LSN, and any torn tail (file, byte
     offset, reason).  A crash-torn log is data here, not an error.
     """
-    from repro.logmgr.codec import (
-        CodecError,
-        TornTail,
-        decode_file_header,
-        iter_record_views,
-        verify_seal,
-    )
-    from repro.logmgr.filelog import (
-        ARCHIVE_SUFFIX,
-        SEGMENT_SUFFIX,
-        _map_buffer,
-        read_seal,
-    )
+    from repro.logmgr.codec import CodecError, TornTail
+    from repro.logmgr.filelog import SegmentReader, log_files
 
-    directory = Path(directory)
-    paths = sorted(directory.glob(f"segment-*{ARCHIVE_SUFFIX}")) + sorted(
-        directory.glob(f"segment-*{SEGMENT_SUFFIX}")
-    )
+    paths = log_files(directory)
     records = 0
     last_lsn: int | None = None
     torn: list[dict[str, Any]] = []
     errors: list[str] = []
     for path in paths:
-        buf, close = _map_buffer(path)
         try:
+            reader = SegmentReader(path)
+        except CodecError as exc:
+            errors.append(f"{path.name}: bad header ({exc})")
+            continue
+        with reader:
             try:
-                decode_file_header(buf)
-            except CodecError as exc:
-                errors.append(f"{path.name}: bad header ({exc})")
-                continue
-            sealed = verify_seal(buf, read_seal(path))
-            if sealed is not None:
-                views = iter_record_views(buf, end=sealed[0], verify_crc=False)
-            else:
-                views = iter_record_views(buf)
-            try:
-                for lsn, _lo, _hi in views:
+                for lsn, _lo, _hi in reader.views():
                     records += 1
                     last_lsn = lsn if last_lsn is None else max(last_lsn, lsn)
             except TornTail as tear:
@@ -80,10 +60,8 @@ def scan_log_tail(directory) -> dict[str, Any]:
                         "reason": tear.reason,
                     }
                 )
-        finally:
-            close()
     return {
-        "dir": str(directory),
+        "dir": str(Path(directory)),
         "files": len(paths),
         "records": records,
         "last_lsn": last_lsn,

@@ -204,7 +204,7 @@ class TestRecovery:
         tree.recover()
         assert tree.items() == dict(pairs)
         # Replay work is bounded by the post-checkpoint suffix.
-        assert tree.records_replayed <= (len(pairs) - 30) * 3
+        assert tree.stats.records_replayed <= (len(pairs) - 30) * 3
 
     def test_recovery_after_recovery(self):
         tree = fresh_tree("generalized", fanout=3, cache=4)

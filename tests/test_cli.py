@@ -73,6 +73,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_serve_per_session_force_is_gone(self, capsys):
+        """Retired, not ignored: the flag is an argparse error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--per-session-force"])
+        assert exit_info.value.code == 2
+        assert "--per-session-force" in capsys.readouterr().err
+
 
 class TestLogdump:
     """The ``logdump`` command over real segment files."""

@@ -17,7 +17,6 @@ from repro.logmgr.codec import (
     CodecError,
     TornTail,
     decode_file_header,
-    decode_frame,
     decode_record_body,
     encode_file_header,
     encode_record,
@@ -25,8 +24,8 @@ from repro.logmgr.codec import (
     encode_window,
     encoded_size,
     decode_value,
-    iter_frames,
-    iter_record_views,
+    read_frame_at,
+    walk_frames,
 )
 from repro.logmgr.records import (
     CheckpointRecord,
@@ -37,6 +36,23 @@ from repro.logmgr.records import (
     PhysicalRedo,
     PhysiologicalRedo,
 )
+
+def frame_at(buf: bytes, offset: int):
+    """One frame at ``offset`` through the walker recovery uses:
+    ``(record, next offset)``; a tear raises :class:`TornTail`."""
+    lsn, lo, hi = read_frame_at(buf, offset)
+    return decode_record_body(lsn, buf[lo:hi]), hi
+
+
+def records_until_tear(buf: bytes):
+    """Every record the walker reaches before the data ends or tears —
+    the torn-tail rule as every production scan applies it."""
+    try:
+        for lsn, lo, hi in walk_frames(buf, 0):
+            yield decode_record_body(lsn, buf[lo:hi])
+    except TornTail:
+        return
+
 
 ACTION_KINDS = (
     "put",
@@ -183,7 +199,7 @@ class TestRecordRoundTrip:
         for lsn in range(30):
             record = random_record(rng, lsn)
             frame = encode_record(record)
-            decoded, end = decode_frame(frame, 0)
+            decoded, end = frame_at(frame, 0)
             assert end == len(frame)
             assert decoded.lsn == record.lsn
             assert decoded.payload == record.payload
@@ -196,7 +212,7 @@ class TestRecordRoundTrip:
             action = random_action(rng)
             kinds_seen.add(action.kind)
             record = LogRecord(lsn=0, payload=PhysiologicalRedo("p", action))
-            decoded, _ = decode_frame(encode_record(record), 0)
+            decoded, _ = frame_at(encode_record(record), 0)
             assert decoded.payload.action == action
         assert kinds_seen == set(ACTION_KINDS)
 
@@ -214,12 +230,12 @@ class TestTornTail:
     def test_clean_buffer_decodes_fully(self):
         frames = self._frames()
         buf = b"".join(frames)
-        assert [r.lsn for r in iter_frames(buf)] == [0, 1, 2, 3, 4]
+        assert [r.lsn for r in records_until_tear(buf)] == [0, 1, 2, 3, 4]
 
     def test_truncated_last_frame_ends_stream(self):
         frames = self._frames()
         buf = b"".join(frames)[:-3]  # tear inside the last frame
-        assert [r.lsn for r in iter_frames(buf)] == [0, 1, 2, 3]
+        assert [r.lsn for r in records_until_tear(buf)] == [0, 1, 2, 3]
 
     def test_corrupted_byte_ends_stream_at_that_record(self):
         frames = self._frames()
@@ -227,14 +243,14 @@ class TestTornTail:
         offset = len(frames[0]) + len(frames[1]) + FRAME_PREFIX_SIZE + 2
         buf = bytearray(b"".join(frames))
         buf[offset] ^= 0xFF
-        assert [r.lsn for r in iter_frames(bytes(buf))] == [0, 1]
+        assert [r.lsn for r in records_until_tear(bytes(buf))] == [0, 1]
 
     def test_decode_frame_reports_tear_offset_and_reason(self):
         frames = self._frames(2)
         buf = b"".join(frames)[:-1]
-        _, offset = decode_frame(buf, 0)
+        _, offset = frame_at(buf, 0)
         with pytest.raises(TornTail) as info:
-            decode_frame(buf, offset)
+            frame_at(buf, offset)
         assert info.value.offset == offset
         assert "truncated" in info.value.reason
 
@@ -242,7 +258,7 @@ class TestTornTail:
         frame = bytearray(self._frames(1)[0])
         frame[-1] ^= 0x01
         with pytest.raises(TornTail, match="crc mismatch"):
-            decode_frame(bytes(frame), 0)
+            frame_at(bytes(frame), 0)
 
     def test_bytes_after_a_tear_are_never_decoded(self):
         """The torn-tail rule: even a perfectly valid frame after a torn
@@ -251,7 +267,7 @@ class TestTornTail:
         damaged = bytearray(frames[1])
         damaged[FRAME_PREFIX_SIZE] ^= 0xFF
         buf = frames[0] + bytes(damaged) + frames[2]
-        assert [r.lsn for r in iter_frames(buf)] == [0]
+        assert [r.lsn for r in records_until_tear(buf)] == [0]
 
 
 class TestFileHeader:
@@ -309,7 +325,7 @@ class TestWindowEncoding:
         buf = encode_file_header(0) + bytes(encode_window(records))
         decoded = [
             decode_record_body(lsn, buf[lo:hi])
-            for lsn, lo, hi in iter_record_views(buf)
+            for lsn, lo, hi in walk_frames(buf)
         ]
         assert decoded == records
         assert [r.labels for r in decoded] == [r.labels for r in records]

@@ -23,12 +23,11 @@ class TestMachineOptions:
         assert machine.log.stable_lsn == -1
         assert machine.disk.read_page("p").get("k") == 1
 
-    def test_reboot_preserves_capacity_and_policy(self):
-        machine = Machine(cache_capacity=7, cache_policy="clock")
+    def test_reboot_preserves_capacity(self):
+        machine = Machine(cache_capacity=7)
         machine.crash()
         machine.reboot_pool()
         assert machine.pool.capacity == 7
-        assert machine.pool.policy == "clock"
         assert not machine.crashed
 
 

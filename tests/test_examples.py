@@ -5,6 +5,7 @@ as the library evolves.  Each example asserts its own claims internally,
 so "runs without raising" is a meaningful check.
 """
 
+import importlib.util
 import pathlib
 import runpy
 
@@ -42,3 +43,29 @@ def test_rendered_figures_match_paper_shapes(tmp_path):
     assert '"P" -> "OQ"' in figure7
     figure8 = (EXAMPLES / "figures" / "figure8.dot").read_text()
     assert "careful write order" in figure8
+
+
+def test_serve_helper_round_trips_the_banner(tmp_path):
+    """The smoke scripts' shared ``_serve.serving``: spawn ``serve``,
+    parse ``listening on HOST:PORT (pid N)``, drive one put/get — and
+    the child is gone afterwards even when the smoke body fails."""
+    from repro.server import KVClient
+
+    spec = importlib.util.spec_from_file_location("_serve", EXAMPLES / "_serve.py")
+    helper = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(helper)
+    assert helper.read_banner(
+        ["sharded: 3 shards\n", "listening on 127.0.0.1:4711 (pid 9)\n"]
+    ) == ("127.0.0.1", 4711)
+    with pytest.raises(RuntimeError, match="before binding"):
+        helper.read_banner(["Traceback (most recent call last):\n"])
+
+    with pytest.raises(ZeroDivisionError):
+        with helper.serving(
+            "physiological", "--log-dir", str(tmp_path), "--no-fsync"
+        ) as (proc, host, port):
+            with KVClient(host, port) as kv:
+                kv.put("k", 7)
+                assert kv.get("k") == 7
+            1 / 0  # a failing smoke
+    assert proc.poll() is not None, "serve child left running"

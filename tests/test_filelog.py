@@ -22,7 +22,7 @@ from repro.logmgr.codec import (
     encode_file_header,
     encode_record,
     encode_seal,
-    iter_record_views,
+    walk_frames,
 )
 from repro.logmgr.filelog import (
     ARCHIVE_SUFFIX,
@@ -52,7 +52,7 @@ class TestFileLogStore:
         store = FileLogStore(tmp_path)
         store.begin_segment(0)
         frame = encode_record(LogRecord(lsn=0, payload=LogicalRedo(("a",))))
-        store.stage(0, frame)
+        store.stage_many(0, 0, frame, 1)
         path = tmp_path / segment_filename(0)
         assert path.stat().st_size == FILE_HEADER_SIZE  # still staged
         store.write_up_to(0)
@@ -71,8 +71,8 @@ class TestFileLogStore:
             encode_record(LogRecord(lsn=lsn, payload=LogicalRedo(("a",))))
             for lsn in range(2)
         ]
-        store.stage(0, frames[0])
-        store.stage(1, frames[1])
+        store.stage_many(0, 0, frames[0], 1)
+        store.stage_many(1, 0, frames[1], 1)
         store.begin_segment(2)  # rotate with LSN 1 still staged for seg 0
         store.write_up_to(0)
         store.sync()  # seg 0 is sealed and fully synced — but still owed
@@ -89,7 +89,7 @@ class TestFileLogStore:
     def test_stage_before_begin_raises(self, tmp_path):
         store = FileLogStore(tmp_path)
         with pytest.raises(CodecError, match="begin_segment"):
-            store.stage(0, b"xx")
+            store.stage_many(0, 0, b"xx", 1)
 
     def test_crash_loses_staged_and_unsynced_bytes(self, tmp_path):
         store = FileLogStore(tmp_path)
@@ -98,12 +98,12 @@ class TestFileLogStore:
             encode_record(LogRecord(lsn=lsn, payload=LogicalRedo((lsn,))))
             for lsn in range(3)
         ]
-        store.stage(0, frames[0])
+        store.stage_many(0, 0, frames[0], 1)
         store.write_up_to(0)
         store.sync()  # lsn 0 durable
-        store.stage(1, frames[1])
+        store.stage_many(1, 0, frames[1], 1)
         store.write_up_to(1)  # lsn 1 written, NOT synced
-        store.stage(2, frames[2])  # lsn 2 only staged
+        store.stage_many(2, 0, frames[2], 1)  # lsn 2 only staged
         store.crash()
         path = tmp_path / segment_filename(0)
         assert path.stat().st_size == FILE_HEADER_SIZE + len(frames[0])
@@ -121,7 +121,7 @@ class TestFileLogStore:
         store = FileLogStore(tmp_path)
         store.begin_segment(0)
         frame = encode_record(LogRecord(lsn=0, payload=LogicalRedo(("a",))))
-        store.stage(0, frame)
+        store.stage_many(0, 0, frame, 1)
         store.write_up_to(0)
         store.sync()
         store.close()
@@ -133,7 +133,7 @@ class TestFileLogStore:
         store = FileLogStore(tmp_path)
         store.begin_segment(0)
         frame = encode_record(LogRecord(lsn=0, payload=LogicalRedo(("a",))))
-        store.stage(0, frame)
+        store.stage_many(0, 0, frame, 1)
         store.write_up_to(0)
         store.sync()
         target = store.archive_segment(0)
@@ -386,7 +386,7 @@ class TestSegmentSeal:
         log = self._filled_log(tmp_path)
         path = tmp_path / segment_filename(0)
         buf = path.read_bytes()
-        frames = list(iter_record_views(buf))
+        frames = list(walk_frames(buf))
         _lsn, lo, _hi = frames[3]
         damaged = bytearray(buf)
         damaged[lo] ^= 0xFF
@@ -434,7 +434,7 @@ class TestScanSeek:
         log = self._filled_log(tmp_path)
         path = tmp_path / segment_filename(0)
         buf = path.read_bytes()
-        frames = list(iter_record_views(buf))
+        frames = list(walk_frames(buf))
         _lsn, lo, _hi = frames[5]
         frame_start = lo - FRAME_PREFIX_SIZE - 9  # frame + body prefixes
         damaged = bytearray(buf)

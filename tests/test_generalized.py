@@ -118,6 +118,37 @@ class TestCrossPageCopyadd:
         assert kv2.get(dst) == 15
 
 
+class TestElisionKeepsReadOrdering:
+    def test_elided_destination_does_not_release_its_source(self):
+        """Shrunk from the stateful suite.  The second ``copyadd k4``
+        leaves k4's page byte-equal to its disk image; eliding that
+        flush used to discharge the page's edge to the source page,
+        which then installed a later overwrite of k1 — and after the
+        crash the still-unstamped record replayed against the new k1."""
+        keys = [f"k{i}" for i in range(5)]
+        db = KVDatabase("generalized", cache_capacity=2, commit_every=1, n_pages=4)
+        commands = [
+            ("copyadd", "k1", ("k1", 2)),
+            ("delete", "k0", None),
+            ("copyadd", "k4", ("k1", 2)),
+            ("copyadd", "k4", ("k1", 2)),
+            ("copyadd", "k1", ("k0", 1)),
+            ("copyadd", "k0", ("k0", 1)),
+        ]
+        instant = 0
+        for command in commands:
+            db.execute(command)
+            for key in [None, *keys]:  # after the command, then after each read
+                if key is not None:
+                    db.get(key)
+                verdict = db.theory_audit(instant)
+                assert verdict.holds, (command, key, verdict.detail)
+                instant += 1
+        db.crash_and_recover()
+        assert db.verify_against() == len(commands)
+        assert db.get("k4") == 4
+
+
 class TestGeneralizedSweeps:
     def test_crash_sweep_with_cross_key_workload(self):
         stream = generate_kv_workload(21, CROSS_KEY)

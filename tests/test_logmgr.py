@@ -198,7 +198,7 @@ class TestLogManager:
         for i in range(4):
             log.append(LogicalRedo((i,)))
         log.flush()
-        assert [e.lsn for e in log.entries_from(2)] == [2, 3]
+        assert [e.lsn for e in log.records_from(2)] == [2, 3]
 
     def test_byte_accounting(self):
         log = LogManager()

@@ -300,13 +300,41 @@ class TestEngineIntegration:
         )
         assert seg_records == recovery.field("scanned")
 
-    @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize(
-        "method", ["logical", "physical", "physiological", "generalized"]
+        "method,lazy",
+        [
+            (method, lazy)
+            for method in ("logical", "physical", "physiological", "generalized")
+            for lazy in (False, True)
+        ]
+        + [("btree-physiological", False), ("btree-generalized", False)],
     )
     def test_totals_equal_registry_snapshot(self, method, lazy, tmp_path):
         """Every redo decision leaves one ``recovery.record`` event, on
-        the eager scan and on the lazy fault/drain path alike."""
+        the eager scan and on the lazy fault/drain path alike — and on
+        the B-tree's recovery, which runs through the same kernel."""
+        if method.startswith("btree-"):
+            from repro.btree import BTree
+            from repro.methods import Machine
+
+            sink = RingBufferSink()
+            tree = BTree(
+                Machine(cache_capacity=4, tracer=Tracer(sink)),
+                fanout=3,
+                split_discipline=method.removeprefix("btree-"),
+            )
+            for key in range(30):
+                tree.insert(key, b"v%d" % key)
+            tree.commit()
+            tree.crash()
+            tree.recover()
+            assert len(tree.items()) == 30
+            totals = RecoveryTimeline.from_sink(sink).totals()
+            stats = tree.stats.as_dict()
+            assert stats["records_replayed"] > 0 and stats["records_skipped"] > 0
+            for key in ("records_scanned", "records_replayed", "records_skipped"):
+                assert totals[f"method.{key}"] == stats[key], key
+            return
         if lazy:
             from repro.engine import KVDatabase
 

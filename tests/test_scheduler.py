@@ -149,12 +149,28 @@ class TestRemoveWrite:
     def test_elision_retires_and_discharges(self):
         sched = InstallScheduler()
         sched.collapse("a", lsn=1)
-        sched.collapse("b", lsn=2)
-        edge = sched.add_edge("a", "b")
         sched.remove_write("a")
         assert sched.live_node("a") is None
-        assert not sched.has_edge_ids(*edge)
+        assert sched.rec_lsns() == {}
         assert sched.stats.elisions == 1
+
+    def test_elision_refused_while_a_successor_is_live(self):
+        """Elision leaves the page LSN on disk where it was, so the
+        node's records stay in the redo set; an outgoing edge says one
+        of them reads the successor page, and may not be discharged by
+        skipping.  Once the edge is gone the same node may elide."""
+        sched = InstallScheduler()
+        sched.collapse("a", lsn=1)
+        sched.collapse("b", lsn=2)
+        edge = sched.add_edge("a", "b")
+        assert sched.dependents("a") == ["b"] and sched.dependents("b") == []
+        with pytest.raises(SchedulerError, match="successors"):
+            sched.remove_write("a")
+        assert sched.has_edge_ids(*edge) and sched.stats.elisions == 0
+        sched.install("a")  # the real write discharges the edge
+        sched.collapse("a", lsn=3)
+        assert sched.dependents("a") == []
+        assert sched.remove_write("a") is not None
 
     def test_elision_respects_ordering(self):
         """An ordered-before obligation is not dischargeable by skipping

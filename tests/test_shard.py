@@ -105,6 +105,21 @@ class TestEngineSpec:
         with pytest.raises(ValueError, match="unknown"):
             EngineSpec.from_dict({"method": "physical", "nope": 1})
 
+    def test_retired_policy_fields(self):
+        """The pool's two policy knobs are gone: a keyword is a
+        TypeError, a manifest field holding the surviving value is
+        dropped, and any other value is refused by name."""
+        with pytest.raises(TypeError, match="cache_policy"):
+            KVDatabase(cache_policy="lru")
+        with pytest.raises(TypeError, match="install_policy"):
+            EngineSpec(install_policy="graph")
+        old = {**EngineSpec().as_dict(), "install_policy": "graph", "cache_policy": "lru"}
+        assert EngineSpec.from_dict(old) == EngineSpec()
+        with pytest.raises(ValueError, match="install_policy='legacy'"):
+            EngineSpec.from_dict({**old, "install_policy": "legacy"})
+        with pytest.raises(ValueError, match="cache_policy='clock'"):
+            EngineSpec.from_dict({**old, "cache_policy": "clock"})
+
     def test_build_applies_config(self):
         db = EngineSpec(method="physical", commit_every=5, n_pages=4).build()
         assert db.method_name == "physical"
@@ -346,6 +361,23 @@ class TestManifest:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(DeploymentError, match="version"):
             ShardedDatabase.cold_start(tmp_path)
+
+    def test_manifest_from_before_the_policy_fields_went_cold_starts(self, tmp_path):
+        sdb = ShardedDatabase.create(root=tmp_path, n_shards=2)
+        sdb.run(put_stream(10))
+        sdb.sync()
+        sdb.close()
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["spec"].update(install_policy="graph", cache_policy="lru")
+        path.write_text(json.dumps(manifest))
+        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        assert cold.dump() == apply_to_oracle(put_stream(10))
+        cold.close()
+        manifest["spec"]["install_policy"] = "legacy"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="install_policy='legacy'"):
+            ShardedDatabase.cold_start(tmp_path, processes=0)
 
     def test_cold_start_honors_keymap_seed(self, tmp_path):
         sdb = ShardedDatabase.create(root=tmp_path, n_shards=2, seed=5)

@@ -9,7 +9,7 @@ Two machines:
 - ``EngineMachine`` drives a :class:`KVDatabase` (rotating through all
   four §6 methods) with random commands, commits, checkpoints, and
   crash/recover cycles, verifying the durable-prefix oracle after every
-  crash.
+  crash and auditing the Recovery Invariant after every step.
 """
 
 from hypothesis import settings
@@ -151,6 +151,16 @@ class EngineMachine(RuleBasedStateMachine):
         oracle = apply_to_oracle(self.db.applied)
         for key in KEYS:
             assert self.db.get(key) == oracle.get(key)
+
+    @invariant()
+    def recovery_invariant_holds(self):
+        """§4's contract, audited every step: the operations recovery
+        would not redo form an installation-graph prefix that explains
+        the stable state.  (The auditor rejects physical's whole-page
+        delete images by design.)"""
+        if self.method != "physical":
+            verdict = self.db.theory_audit()
+            assert verdict.holds, verdict.detail
 
 
 EngineMachine.TestCase.settings = settings(

@@ -4,13 +4,14 @@ Three measurements over the file-backed log tier
 (:mod:`repro.logmgr.codec` + :mod:`repro.logmgr.filelog`):
 
 1. **append MB/s** — encode + stage + buffered write of a long record
-   stream, with a single barrier fsync at the end (the sequential-write
-   ceiling of the wire format);
-2. **commit throughput** — per-record fsync (``group_commit=1``, every
-   force pays a real ``fsync``) versus batched group commit
-   (``group_commit=16``, sixteen forces share one ``fsync``).  The whole
-   point of group commit is that commit latency is fsync-bound, so the
-   batched configuration must clear **>= 5x** the per-record rate;
+   stream, with a single force at the end (the sequential-write ceiling
+   of the wire format);
+2. **commit throughput** — a force after every append (every record
+   pays a real ``fsync``) versus a force after every 16th (the commit
+   cadence an engine's ``commit_every=16`` gives: sixteen records share
+   one ``fsync``).  The whole point of group commit is that commit
+   latency is fsync-bound, so the batched configuration must clear
+   **>= 5x** the per-record rate;
 3. **recovery scan records/s** — a cold start
    (:meth:`~repro.logmgr.manager.LogManager.open`) followed by a full
    streaming decode of the stable log, the rate every §6 method's
@@ -29,7 +30,7 @@ import shutil
 import tempfile
 import time
 
-from repro.logmgr import FileLogStore, LogManager, PageAction, PhysiologicalRedo
+from repro.logmgr import LogManager, PageAction, PhysiologicalRedo
 
 from benchmarks.conftest import RESULTS_DIR, emit, table
 
@@ -46,35 +47,33 @@ def payload(i: int) -> PhysiologicalRedo:
     return PhysiologicalRedo(f"page{i % 64:03d}", PageAction("put", (f"k{i % 512}", i)))
 
 
-def fresh_log(directory, group_commit: int = 1) -> LogManager:
-    return LogManager(
-        segment_size=SEGMENT_SIZE,
-        store=FileLogStore(directory),
-        group_commit=group_commit,
-    )
+def fresh_log(directory) -> LogManager:
+    return LogManager.open(directory, segment_size=SEGMENT_SIZE)
 
 
 def measure_append(directory) -> tuple[float, int]:
-    """Seconds and bytes for N_OPS appends plus one barrier force."""
+    """Seconds and bytes for N_OPS appends plus one force."""
     log = fresh_log(directory)
     start = time.perf_counter()
     for i in range(N_OPS):
         log.append(payload(i))
-    log.flush(barrier=True)
+    log.flush()
     elapsed = time.perf_counter() - start
     bytes_written = log.store.bytes_written
     log.store.close()
     return elapsed, bytes_written
 
 
-def measure_commits(directory, group_commit: int) -> tuple[float, int]:
-    """Seconds and fsync count for N_COMMITS append+force cycles."""
-    log = fresh_log(directory, group_commit=group_commit)
+def measure_commits(directory, commit_every: int) -> tuple[float, int]:
+    """Seconds and fsync count for N_COMMITS appends, forced after every
+    ``commit_every``-th."""
+    log = fresh_log(directory)
     start = time.perf_counter()
     for i in range(N_COMMITS):
         log.append(payload(i))
-        log.flush()
-    log.flush(barrier=True)  # drain the last partial batch
+        if (i + 1) % commit_every == 0:
+            log.flush()
+    log.flush()  # drain the last partial batch
     elapsed = time.perf_counter() - start
     fsyncs = log.store.fsyncs
     log.store.close()
@@ -116,13 +115,13 @@ def test_e18_durable_log_throughput():
     for directory in append_dirs:
         shutil.rmtree(directory, ignore_errors=True)
 
-    # 2. Commit throughput: per-record fsync vs group commit.
-    def commit_best(group_commit):
+    # 2. Commit throughput: a force per record vs one per GROUP_SIZE.
+    def commit_best(commit_every):
         best = None
         for _ in range(REPEATS):
             directory = tempfile.mkdtemp(prefix="e18-commit-")
             try:
-                result = measure_commits(directory, group_commit)
+                result = measure_commits(directory, commit_every)
             finally:
                 shutil.rmtree(directory, ignore_errors=True)
             if best is None or result[0] < best[0]:

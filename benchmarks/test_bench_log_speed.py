@@ -11,7 +11,7 @@ workload shape E18 used (single-page physiological puts, 20k records,
    segment run and issues one ``write`` per window.  Both arms run on
    page-cache writes (``fsync=False``) because batching changes the
    ``write`` count, never the fsync count — durability cost is one
-   fsync per barrier in both designs and is E18's commit measurement.
+   fsync per force in both designs and is E18's commit measurement.
 2. **cold-start scan records/s** (asserted) — E18's exact scan loop
    (:meth:`~repro.logmgr.manager.LogManager.open` + a full stable
    stream) against E18's recorded rate.  The rebuilt path verifies one
@@ -49,7 +49,7 @@ from repro.logmgr.codec import (
     encode_window,
     walk_frames,
 )
-from repro.logmgr.filelog import iter_file_records
+from repro.logmgr.filelog import SegmentReader
 from repro.logmgr.records import LogRecord
 
 from benchmarks.conftest import RESULTS_DIR, emit, table
@@ -211,11 +211,11 @@ def measure_tier_append_new() -> tuple[float, int]:
 
 
 def measure_manager_append(directory) -> tuple[float, int]:
-    log = LogManager(segment_size=SEGMENT_SIZE, store=FileLogStore(directory))
+    log = LogManager.open(directory, segment_size=SEGMENT_SIZE)
     start = time.perf_counter()
     for i in range(N_OPS):
         log.append(payload(i))
-    log.flush(barrier=True)
+    log.flush()
     elapsed = time.perf_counter() - start
     return elapsed, log.store.bytes_written
 
@@ -249,8 +249,9 @@ def measure_file_scan_lazy(paths) -> tuple[float, int]:
     start = time.perf_counter()
     scanned = 0
     for path in paths:
-        for _record in iter_file_records(path):
-            scanned += 1
+        with SegmentReader(path) as reader:
+            for _record in reader.records():
+                scanned += 1
     return time.perf_counter() - start, scanned
 
 

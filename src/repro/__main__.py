@@ -151,6 +151,7 @@ def _make_tracer(trace_path: str | None):
 
 def cmd_demo(args) -> int:
     from repro.engine import KVDatabase
+    from repro.logmgr import LogDirectoryError
     from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
 
     method = args.method
@@ -164,14 +165,20 @@ def cmd_demo(args) -> int:
         return 2
     tracer = _make_tracer(getattr(args, "trace", None))
     log_dir = getattr(args, "log_dir", None)
-    db = KVDatabase(
-        method=method,
-        cache_capacity=4,
-        commit_every=3,
-        checkpoint_every=20,
-        tracer=tracer,
-        log_dir=log_dir,
-    )
+    try:
+        db = KVDatabase(
+            method=method,
+            cache_capacity=4,
+            commit_every=3,
+            checkpoint_every=20,
+            tracer=tracer,
+            log_dir=log_dir,
+        )
+    except LogDirectoryError as exc:
+        if tracer is not None:
+            tracer.close()
+        print(f"demo needs a fresh --log-dir: {exc}", file=sys.stderr)
+        return 2
     try:
         db.run(stream[:crash_at])
         print(
@@ -780,8 +787,8 @@ def main(argv: list[str] | None = None) -> int:
         dest="log_dir",
         default=None,
         metavar="DIR",
-        help="put the log on binary segment files in DIR "
-        "(inspect them with `repro logdump DIR`)",
+        help="put the log on binary segment files in DIR, which must not "
+        "hold a log yet (inspect them with `repro logdump DIR`)",
     )
     audit = sub.add_parser("audit", help="audit an engine against the theory")
     audit.add_argument(

@@ -108,8 +108,7 @@ class Log:
         return list(self)
 
     def __len__(self) -> int:
-        start = max(self._start, self._manager.head_lsn)
-        return max(0, self._manager.next_lsn - start)
+        return max(0, self._manager.next_lsn - self._start)
 
     def __iter__(self) -> Iterator[LogRecord]:
         return self._manager.records_from(self._start)

@@ -3,8 +3,8 @@
 ``KVDatabase`` composes a recovery method with cadence policy:
 
 - ``commit_every``: force the log every N operations (N=1 is synchronous
-  commit; larger N models group commit and widens the window of
-  operations a crash may lose);
+  commit; larger N batches N operations per force and widens the window
+  of operations a crash may lose);
 - ``checkpoint_every``: take a method checkpoint every N operations
   (None = never), trading normal-operation work against recovery work —
   the knob behind the checkpoint-frequency benchmark;
@@ -12,12 +12,11 @@
   graph, installation graph, exposure memo) synchronized with the stable
   log during normal operation, so :meth:`KVDatabase.theory_audit` checks
   the Recovery Invariant at any instant without rebuilding graphs;
-- ``log_dir`` / ``group_commit`` / ``fsync``: put the log on real binary
-  segment files.  ``commit_every`` batches N operations per *force*;
-  ``group_commit`` additionally lets N forces share one *fsync* — the
-  two group-commit levers multiply.  :meth:`KVDatabase.cold_start`
-  reopens a database from the segment directory alone (plus whatever
-  disk survived), which is how the cross-process crash tests recover.
+- ``log_dir`` / ``fsync``: put the log on real binary segment files,
+  where every force is one ``fsync``.  A fresh database needs a fresh
+  (or empty) directory; :meth:`KVDatabase.cold_start` reopens a used one
+  from its segment files alone (plus whatever disk survived), which is
+  how the cross-process crash tests and ``serve --log-dir`` recover.
 
 The durability contract is checked by :meth:`verify_against`: after a
 crash and recovery, the visible state must equal the oracle applied to
@@ -40,15 +39,16 @@ carries its own commit cadence and last-LSN watermark.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
+from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogDirectoryError, LogManager
 from repro.logmgr.pipeline import GroupCommitPipeline
 from repro.methods import METHODS, Machine, RecoveryMethodKV
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import RecoveryProgress
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.workloads.kv import KVOp, apply_to_oracle
+from repro.workloads.kv import MUTATIONS, KVOp, apply_to_oracle
 
 
 class VerificationError(AssertionError):
@@ -61,7 +61,7 @@ class EngineSpec:
 
     Everything that shapes a :class:`KVDatabase` except *where* its log
     lives: the recovery method, cache size, commit and checkpoint
-    cadence, group-commit depth.  A spec is the unit of
+    cadence, segment size.  A spec is the unit of
     configuration a deployment stores in its manifest: N shards built
     from one spec are N identically-configured engines over N log
     directories, and a process that only has the manifest can rebuild
@@ -81,8 +81,6 @@ class EngineSpec:
     checkpoint_every: int | None = None
     method_options: dict | None = None
     log_segment_size: int | None = None
-    truncate_on_checkpoint: bool = False
-    group_commit: int = 1
     fsync: bool = True
     commit_pipeline: bool = False
 
@@ -130,11 +128,16 @@ class EngineSpec:
     def from_dict(cls, data: dict[str, Any]) -> "EngineSpec":
         """Rebuild a spec from :meth:`as_dict` output; unknown keys are
         an error — a manifest written by a newer layout must not be
-        silently half-read.  Manifests written while the pool still had
-        a policy choice carry its two fields: the surviving value of
-        each is dropped, any other is refused by name."""
+        silently half-read.  Manifests written before a field was retired
+        still carry it: its one surviving value is dropped, any other is
+        refused by name."""
         data = dict(data)
-        for retired, kept in (("install_policy", "graph"), ("cache_policy", "lru")):
+        for retired, kept in (
+            ("install_policy", "graph"),
+            ("cache_policy", "lru"),
+            ("truncate_on_checkpoint", False),
+            ("group_commit", 1),
+        ):
             value = data.pop(retired, kept)
             if value != kept:
                 raise ValueError(
@@ -146,6 +149,21 @@ class EngineSpec:
         if unknown:
             raise ValueError(f"unknown EngineSpec fields: {sorted(unknown)}")
         return cls(**data)
+
+
+def _machine(spec: EngineSpec, log_dir, tracer: Tracer, progress, disk=None) -> Machine:
+    """The one step that builds an engine's machine and its log: in
+    memory, or opened from ``log_dir`` by
+    :meth:`~repro.logmgr.manager.LogManager.open` (an empty or missing
+    directory gives a fresh log)."""
+    size = spec.log_segment_size
+    if size is None:
+        size = DEFAULT_SEGMENT_SIZE
+    if log_dir is None:
+        log = LogManager(size, tracer=tracer)
+    else:
+        log = LogManager.open(log_dir, size, tracer=tracer, fsync=spec.fsync)
+    return Machine(spec.cache_capacity, tracer=tracer, disk=disk, log=log, progress=progress)
 
 
 class KVDatabase:
@@ -164,7 +182,9 @@ class KVDatabase:
     ):
         """``spec_fields`` are :class:`EngineSpec`'s fields (cache size,
         cadence, ``method_options``, ...), with its defaults and its
-        rejection of unknown names."""
+        rejection of unknown names.  A ``log_dir`` that already holds
+        records raises :class:`~repro.logmgr.manager.LogDirectoryError`:
+        a used log belongs to :meth:`cold_start`."""
         spec = EngineSpec(method=method, **spec_fields)
         if method not in METHODS:
             raise ValueError(
@@ -172,15 +192,13 @@ class KVDatabase:
             )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if machine is None:
-            machine = Machine(
-                cache_capacity=spec.cache_capacity,
-                log_segment_size=spec.log_segment_size,
-                tracer=self.tracer,
-                log_dir=log_dir,
-                group_commit=spec.group_commit,
-                fsync=spec.fsync,
-                progress=progress,
-            )
+            machine = _machine(spec, log_dir, self.tracer, progress)
+            if len(machine.log):
+                machine.log.store.close()
+                raise LogDirectoryError(
+                    f"{log_dir} already holds {len(machine.log)} log records; "
+                    f"reopen it with KVDatabase.cold_start"
+                )
         self.method: RecoveryMethodKV = METHODS[method](
             machine, n_pages=spec.n_pages, **(spec.method_options or {})
         )
@@ -188,10 +206,6 @@ class KVDatabase:
         self.metrics = self._build_metrics()
         self.commit_every = max(1, spec.commit_every)
         self.checkpoint_every = spec.checkpoint_every
-        # Retire log segments the method promises never to re-read.  Off
-        # by default: media recovery from the log's head needs the whole
-        # log unless an archive sink is installed on the manager.
-        self.truncate_on_checkpoint = spec.truncate_on_checkpoint
         self.track_theory = track_theory
         self._theory_tracker: Any = None
         self._since_commit = 0
@@ -234,9 +248,8 @@ class KVDatabase:
         applies the torn-tail rule to whatever the crash left), the
         ``disk`` is whatever page store survived (a fresh empty
         :class:`~repro.storage.Disk` when pages lived nowhere durable —
-        then recovery must replay the whole log, so run it with
-        ``checkpoint_every=None`` workloads or ``full_scan`` semantics
-        in mind), and ``recover()`` replays the stable prefix.  Pass
+        recovery then replays the whole log, checkpoints or not), and
+        ``recover()`` replays the stable prefix.  Pass
         ``recover=False`` to inspect the pre-recovery state.
         ``spec_fields`` are :class:`EngineSpec`'s fields (cache, cadence,
         ``method_options``, ...), with its defaults and its rejection
@@ -249,29 +262,10 @@ class KVDatabase:
         rest in recLSN order.  Once drained (``drain_lazy()`` forces
         it), the state is byte-identical to an eager cold start.
         """
-        from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogManager
-
         spec = EngineSpec(method=method, **spec_fields)
-        tracer_obj = tracer if tracer is not None else NULL_TRACER
-        log = LogManager.open(
-            log_dir,
-            segment_size=(
-                spec.log_segment_size
-                if spec.log_segment_size is not None
-                else DEFAULT_SEGMENT_SIZE
-            ),
-            tracer=tracer_obj,
-            group_commit=spec.group_commit,
-            fsync=spec.fsync,
-        )
-        machine = Machine(
-            cache_capacity=spec.cache_capacity,
-            tracer=tracer_obj,
-            disk=disk,
-            log=log,
-            progress=progress,
-        )
-        db = cls(tracer=tracer_obj, machine=machine, **spec.as_dict())
+        tracer = tracer if tracer is not None else NULL_TRACER
+        machine = _machine(spec, log_dir, tracer, progress, disk)
+        db = cls(tracer=tracer, machine=machine, **spec.as_dict())
         if recover and lazy:
             db._begin_lazy_restart()
         elif recover:
@@ -345,32 +339,42 @@ class KVDatabase:
         *wait* happens after the lock is released, so other threads keep
         executing while this one's window is on the disk.
         """
-        wait_lsn: int | None = None
         with self.mutex:
-            kind = command[0]
             if self.tracer.enabled:
-                self.tracer.event("engine.command", kind=kind, key=command[1])
+                self.tracer.event("engine.command", kind=command[0], key=command[1])
             result = self.method.apply(command)
-            if kind in ("put", "add", "copyadd", "delete"):
-                self.applied.append(command)
-                self._since_commit += 1
-                self._since_checkpoint += 1
-                if self._since_commit >= self.commit_every:
-                    if self.pipeline is not None:
-                        wait_lsn = self.method.machine.log.next_lsn - 1
-                        self._since_commit = 0
-                    else:
-                        self.commit()
-                if (
-                    self.checkpoint_every is not None
-                    and self._since_checkpoint >= self.checkpoint_every
-                ):
-                    self.checkpoint()
-                if self.track_theory:
-                    self.theory_tracker().sync()
-        if wait_lsn is not None:
-            self.pipeline.commit(wait_lsn)
+            wait = self._after_apply(command, self)
+        if wait:
+            self.commit()
         return result
+
+    def _after_apply(self, command: KVOp, cadence: "KVDatabase | Session") -> bool:
+        """Every applied mutation's bookkeeping, under the engine mutex,
+        for both ``execute`` paths: ``applied``, the commit cadence of
+        ``cadence`` (this database or the issuing session), checkpoints,
+        the theory tracker.  A due commit forces here, ahead of any
+        checkpoint; on a pipelined database it returns True instead and
+        the caller commits once the mutex is released."""
+        if command[0] not in MUTATIONS:
+            return False
+        self.applied.append(command)
+        if cadence is not self:
+            cadence.last_lsn = self.method.machine.log.next_lsn - 1
+            cadence.ops += 1
+        cadence._since_commit += 1
+        self._since_checkpoint += 1
+        wait = cadence._since_commit >= cadence.commit_every
+        if wait and self.pipeline is None:
+            cadence.commit()
+            wait = False
+        if (
+            self.checkpoint_every is not None
+            and self._since_checkpoint >= self.checkpoint_every
+        ):
+            self.checkpoint()
+        if self.track_theory:
+            self.theory_tracker().sync()
+        return wait
 
     def run(self, stream: Sequence[KVOp]) -> None:
         """Execute every command of ``stream`` in order."""
@@ -396,38 +400,26 @@ class KVDatabase:
         )
 
     def commit(self) -> None:
-        """Force the log; resets the operation-batching counter.
-
-        On a durable log with ``group_commit=N``, a commit *requests* a
-        force but only every Nth request pays the fsync — operations of
-        a not-yet-synced batch are still volatile (``durable_count``
-        says so).  With ``commit_pipeline=True`` the request instead
-        joins the cross-session window and blocks until its records are
-        stable.  Use :meth:`sync` for a hard durability point.
-        """
-        if self.pipeline is not None:
-            with self.mutex:
-                lsn = self.method.machine.log.next_lsn - 1
-                self._since_commit = 0
-            self.pipeline.commit(lsn)
-            return
+        """Make everything issued so far durable; resets the
+        operation-batching counter.  With ``commit_pipeline=True`` the
+        request joins the cross-session window and blocks until its
+        records are stable; otherwise it forces the log itself."""
         with self.mutex:
-            self.method.commit()
             self._since_commit = 0
+            if self.pipeline is None:
+                self.method.commit()
+                return
+            lsn = self.method.machine.log.next_lsn - 1
+        self.pipeline.commit(lsn)
 
     def sync(self) -> None:
-        """Commit with a barrier: everything issued so far is durable on
-        return, regardless of the group-commit batch state or any
-        in-flight pipeline window (barriers serialize on the log's force
-        lock and advance the same stable watermark).  On an in-memory
-        log this is identical to :meth:`commit`."""
-        with self.mutex:
-            self._since_commit = 0
-        self.method.machine.log.flush(barrier=True)
+        """Force the log directly: everything issued so far is durable
+        on return, whatever pipeline window is in flight."""
+        self.method.machine.log.flush()
 
     def quiesce(self) -> None:
         """Make the state wholly stable without appending to the log:
-        barrier-force, then flush every volatile overlay (dirty pool
+        force it, then flush every volatile overlay (dirty pool
         pages; logical's object cache via a root swing).  Afterwards the
         disk snapshot plus the segment files alone reproduce this exact
         state — the handoff point the sharded cold start ships between
@@ -449,14 +441,8 @@ class KVDatabase:
             self.drain_lazy()
             span = self.tracer.span("checkpoint", method=self.method_name)
             self.method.checkpoint()
-            retired = 0
-            if self.truncate_on_checkpoint:
-                retired = self.method.truncate_log()
             self._since_checkpoint = 0
-            span.end(
-                stable_lsn=self.method.machine.log.stable_lsn,
-                records_retired=retired,
-            )
+            span.end(stable_lsn=self.method.machine.log.stable_lsn)
 
     def get(self, key: str) -> Any:
         """Read ``key`` through the method's cache."""
@@ -615,7 +601,7 @@ class KVDatabase:
         oracle applied to the durable prefix.
         """
         mutations = (
-            [c for c in mutation_stream if c[0] in ("put", "add", "copyadd", "delete")]
+            [c for c in mutation_stream if c[0] in MUTATIONS]
             if mutation_stream is not None
             else self.applied
         )
@@ -714,29 +700,13 @@ class Session:
         """Apply one command; auto-commits on this session's cadence."""
         db = self.db
         with db.mutex:
-            kind = command[0]
             if db.tracer.enabled:
                 db.tracer.event(
-                    "engine.command",
-                    kind=kind,
-                    key=command[1],
-                    session=self.session_id,
+                    "engine.command", kind=command[0], key=command[1], session=self.session_id
                 )
             result = db.method.apply(command)
-            if kind in ("put", "add", "copyadd", "delete"):
-                db.applied.append(command)
-                self.last_lsn = db.method.machine.log.next_lsn - 1
-                self.ops += 1
-                self._since_commit += 1
-                db._since_checkpoint += 1
-                if (
-                    db.checkpoint_every is not None
-                    and db._since_checkpoint >= db.checkpoint_every
-                ):
-                    db.checkpoint()
-                if db.track_theory:
-                    db.theory_tracker().sync()
-        if self._since_commit >= self.commit_every:
+            wait = db._after_apply(command, self)
+        if wait:
             self.commit()
         return result
 
@@ -755,19 +725,17 @@ class Session:
             return db.method.machine.log.stable_lsn
         if db.pipeline is not None:
             return db.pipeline.commit(self.last_lsn)
-        # Per-session forcing: this session pays its own force (and,
-        # modulo the manager's group_commit counter, its own fsync).
+        # Per-session forcing: this session pays its own force and fsync.
         with db.mutex:
             db.method.commit()
         return db.method.machine.log.stable_lsn
 
     def sync(self) -> int:
-        """Hard barrier: everything appended so far — all sessions' —
-        is durable on return."""
-        self._since_commit = 0
-        db = self.db
-        db.method.machine.log.flush(barrier=True)
-        return db.method.machine.log.stable_lsn
+        """Force the log directly: everything appended so far — all
+        sessions' — is durable on return."""
+        log = self.db.method.machine.log
+        log.flush()
+        return log.stable_lsn
 
     def get(self, key: str) -> Any:
         """Read ``key`` through the shared method cache."""

@@ -6,8 +6,8 @@ checkpoint records, all carried by the single :class:`LogRecord` type
 that the theory core shares.  The manager (:mod:`repro.logmgr.manager`)
 is the system's only LSN authority: it assigns monotonically increasing
 LSNs, stores records in fixed-size segments with per-segment stable
-boundaries, retires sealed segments behind checkpoints, enforces the
-write-ahead rule on request, and drops the volatile tail at a crash.
+boundaries, enforces the write-ahead rule on request, and drops the
+volatile tail at a crash.  It never trims its head.
 """
 
 from repro.logmgr.records import (
@@ -30,6 +30,7 @@ from repro.logmgr.codec import (
 from repro.logmgr.filelog import FileLogStore
 from repro.logmgr.manager import (
     DEFAULT_SEGMENT_SIZE,
+    LogDirectoryError,
     LogManager,
     LogSegment,
     WalViolation,
@@ -51,6 +52,7 @@ __all__ = [
     "GroupCommitPipeline",
     "LOGICAL_PAGE",
     "LazyRecord",
+    "LogDirectoryError",
     "LogEntry",
     "LogManager",
     "LogRecord",

@@ -19,9 +19,9 @@ The write path is staged and **batch-granular**:
 - :meth:`sync` is the only durability point: one ``fsync`` per dirty
   file, after which everything written survives a crash.
 
-Group commit lives one level up: the manager counts pending force
-requests and calls :meth:`sync` once per batch, so N commits share one
-``fsync`` — the classic group-commit trade measured by benchmark E18.
+Every manager force ends in one :meth:`sync`; how many commits share
+it is decided above the manager (commit cadence, the cross-session
+pipeline) — the trade benchmark E18 measures.
 
 A segment that will never be written again can be **sealed** with
 :meth:`seal_segment`: a 20-byte sidecar file (``<segment>.seal``)
@@ -40,10 +40,6 @@ vanish, and every file is truncated back to its last synced length.
 The cross-process kill test does the same thing for real — ``kill -9``
 discards the staging buffer with the process, and the torn-tail rule
 cleans up whatever partial frame the page cache happened to flush.
-
-Sealed segment files double as the **archive**: :meth:`archive_segment`
-renames a truncated segment to ``.arch`` instead of deleting it, so log
-truncation and media-recovery archiving are the same binary format.
 
 Every read of a segment or archive file — the cold-start loaders, the
 streaming scan, the page-index rebuild, ``logdump``, ``postmortem`` —
@@ -145,8 +141,10 @@ class SegmentStats(NamedTuple):
 
 
 def log_files(directory) -> list[Path]:
-    """Every log file of one directory in LSN order: archives (the
-    truncated, older prefix) first, then the live segments."""
+    """Every log file of one directory in LSN order: archives first,
+    then the live segments.  Nothing writes ``.arch`` files any more;
+    they are listed so ``logdump`` and ``postmortem`` can still inspect
+    a directory whose head an older release trimmed."""
     directory = Path(directory)
     return [
         path
@@ -264,12 +262,12 @@ class SegmentReader:
         end, verify_crc = self._walk_bounds()
         return index_buffer(self.buf, self.base_lsn, end=end, verify_crc=verify_crc)
 
-    def stats(self, dense: bool = False) -> SegmentStats:
+    def stats(self) -> SegmentStats:
         """Accounting statistics without materializing a record: the
-        walk touches one byte per record (the payload tag).  With
-        ``dense`` it also enforces LSN density from the file's base LSN,
-        raising :class:`CodecError` on a hole.  A tear ends the walk and
-        is reported."""
+        walk touches one byte per record (the payload tag) and enforces
+        LSN density from the file's base LSN, raising
+        :class:`CodecError` on a hole.  A tear ends the walk and is
+        reported."""
         buf = self.buf
         count = nbytes = 0
         tag_counts: dict = {}
@@ -278,7 +276,7 @@ class SegmentReader:
         get_count = tag_counts.get
         try:
             for lsn, lo, hi in self.views():
-                if dense and lsn != self.base_lsn + count:
+                if lsn != self.base_lsn + count:
                     raise CodecError(
                         f"segment {self.base_lsn} holds LSN {lsn} "
                         f"at position {count}"
@@ -292,22 +290,6 @@ class SegmentReader:
         except TornTail as tear:
             tear_offset, tear_reason = tear.offset, tear.reason
         return SegmentStats(count, nbytes, tag_counts, checkpoints, tear_offset, tear_reason)
-
-
-def iter_file_records(path):
-    """Decode every record of one segment or archive file, in order.
-
-    Stands alone from any store, on a bare path.  Records come back as
-    :class:`~repro.logmgr.codec.LazyRecord` (payloads decode on first
-    touch), streamed straight off an ``mmap`` of the file.  A torn tail
-    simply ends the stream (walk a :class:`SegmentReader` yourself to
-    see the tear).
-    """
-    with SegmentReader(path) as reader:
-        try:
-            yield from reader.records()
-        except TornTail:
-            return
 
 
 class _SegmentHandle:
@@ -367,7 +349,6 @@ class FileLogStore:
         self.records_decoded = 0
         self.torn_tails = 0
         self.segments_created = 0
-        self.segments_archived = 0
         self.seals_written = 0
         self.page_indexes_written = 0
         self.page_index_rebuilds = 0
@@ -403,7 +384,7 @@ class FileLogStore:
         return store
 
     def segment_base_lsns(self) -> list[int]:
-        """Base LSNs of the (non-archived) segment files, oldest first."""
+        """Base LSNs of the segment files, oldest first."""
         with self._lock:
             return [handle.base_lsn for handle in self._handles]
 
@@ -495,9 +476,9 @@ class FileLogStore:
         with one read (and nothing is sealed if that read hits a tear).
         The sidecar is written without an fsync: losing it in a crash
         costs a slow scan, never a record.  Returns True when a seal was
-        written; False when the segment is already sealed, unknown
-        (archived), or still has staged frames outstanding (its final
-        bytes aren't in the file yet).
+        written; False when the segment is already sealed, unknown, or
+        still has staged frames outstanding (its final bytes aren't in
+        the file yet).
         """
         with self._lock:
             try:
@@ -727,7 +708,7 @@ class FileLogStore:
         """Open one segment for reading.  Only non-active files are
         mmapped: the active file's tail can still be truncated (crash),
         and reading a shrunk mapping faults, while a sealed file is
-        immutable (rename and unlink both leave a live mapping valid).
+        immutable (an unlink leaves a live mapping valid).
         """
         with self._lock:
             handle = self._handle_for(base_lsn)
@@ -777,39 +758,7 @@ class FileLogStore:
         cold-start fast path for sealed segments (they are rebuilt as
         evicted in-memory segments straight from these numbers)."""
         with self._reader(base_lsn) as reader:
-            return reader.stats(dense=True)
-
-    # ------------------------------------------------------------------
-    # Archive
-    # ------------------------------------------------------------------
-
-    def archive_segment(self, base_lsn: int) -> Path:
-        """Retire a segment file by renaming it ``.arch`` — the archive
-        sink and the log share one binary format, so media recovery can
-        scan archived segments with the same decoder.  Only legal for a
-        fully-synced segment (the manager checks), so this never races
-        an in-flight fsync of the same file."""
-        with self._lock:
-            handle = self._handle_for(base_lsn)
-            if handle.fh is not None:
-                handle.fh.close()
-                handle.fh = None
-            target = handle.path.with_suffix(ARCHIVE_SUFFIX)
-            handle.path.rename(target)
-            # The sidecars follow their segment into the archive.
-            old_seal = seal_path(handle.path)
-            if old_seal.exists():
-                old_seal.rename(seal_path(target))
-            old_pages = pages_path(handle.path)
-            if old_pages.exists():
-                old_pages.rename(pages_path(target))
-            self._handles.remove(handle)
-            self.segments_archived += 1
-            return target
-
-    def archived_paths(self) -> list[Path]:
-        """Archived segment files, oldest first."""
-        return sorted(self.directory.glob(f"segment-*{ARCHIVE_SUFFIX}"))
+            return reader.stats()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -827,7 +776,6 @@ class FileLogStore:
             "records_decoded": self.records_decoded,
             "torn_tails": self.torn_tails,
             "segments_created": self.segments_created,
-            "segments_archived": self.segments_archived,
             "seals_written": self.seals_written,
             "page_indexes_written": self.page_indexes_written,
             "page_index_rebuilds": self.page_index_rebuilds,

@@ -9,9 +9,9 @@ with each new operation" (§6.3) holds by construction, everywhere.
 Storage is **segmented**: records live in fixed-size
 :class:`LogSegment` runs rather than one unbounded list.  Each segment
 knows its own stable boundary (how much of it has been forced), which is
-what the cache manager's write-ahead check consults, and sealed segments
-wholly behind a checkpoint can be retired by :meth:`truncate_until` —
-bounded active memory instead of an ever-growing log.
+what the cache manager's write-ahead check consults.  The log is never
+trimmed: it starts at LSN 0 for as long as it lives, because a cold
+start with no surviving pages needs every record of it.
 
 The log has a *stable prefix* (forced to disk) and a *volatile tail*; a
 crash truncates the tail.  :meth:`wal_check` implements the write-ahead
@@ -23,16 +23,17 @@ reach disk.
 merely advances the stable watermark (a simulated disk boundary).  Give
 the manager a :class:`~repro.logmgr.filelog.FileLogStore` and the same
 API becomes real: ``append`` encodes each record to its binary frame
-(:mod:`repro.logmgr.codec`) and stages it, ``flush`` writes and —
-subject to **group commit** — ``fsync``\\ s, and the stable watermark
-only advances at an actual ``fsync``.  With ``group_commit=N``, N force
-requests share one ``fsync``; ``ensure_stable`` passes ``barrier=True``
-because the write-ahead rule cannot wait for a batch to fill.  Sealed,
-fully-synced segments drop their decoded records from memory and are
-re-streamed from their files on demand, so long-log memory stays
-O(segment); :meth:`LogManager.open` rebuilds a manager from the segment
-files alone (cold start), applying the codec's torn-tail rule to
-whatever a crash left behind.
+(:mod:`repro.logmgr.codec`) and stages it, every ``flush`` writes and
+``fsync``\\ s, and the stable watermark only advances at an actual
+``fsync``.  Batching lives above the manager — the engine's commit
+cadence and the cross-session pipeline decide how often to force, never
+whether a force is durable.  Sealed, fully-synced segments drop their
+decoded records from memory and are re-streamed from their files on
+demand, so long-log memory stays O(segment).  :meth:`LogManager.open`
+is the one way to put a log on files: it rebuilds a manager from the
+segment files alone (cold start), applying the codec's torn-tail rule to
+whatever a crash left behind, and gives a fresh manager over an empty
+or missing directory.
 
 **Concurrency contract.**  The manager is re-entrant: any number of
 threads may append, force, and read concurrently.  Two locks carry the
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.logmgr.codec import (
     PAYLOAD_CHECKPOINT,
@@ -73,6 +74,11 @@ DEFAULT_SEGMENT_SIZE = 1024
 
 class WalViolation(RuntimeError):
     """A page flush was attempted before its log records were stable."""
+
+
+class LogDirectoryError(RuntimeError):
+    """A log directory that cannot be opened the way it was asked for:
+    a trimmed log on a cold start, or a used one under a fresh engine."""
 
 
 class LogSegment:
@@ -149,21 +155,17 @@ class LogManager:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         tracer: Tracer | None = None,
         store=None,
-        group_commit: int = 1,
     ):
         if segment_size < 1:
             raise ValueError("segment_size must be at least 1")
-        if group_commit < 1:
-            raise ValueError("group_commit must be at least 1")
         self.segment_size = segment_size
-        self.group_commit = group_commit
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._store = store
         # The manager mutex: LSN assignment, segment mutation, watermark
-        # updates, checkpoint/truncation bookkeeping.  RLock because the
-        # write path re-enters (ensure_stable -> flush, append -> seal).
+        # updates, checkpoint bookkeeping.  RLock because the write path
+        # re-enters (ensure_stable -> flush, append -> seal).
         self._mutex = threading.RLock()
-        # Waiters parked on a target LSN (commit pipeline, sync barriers)
+        # Waiters parked on a target LSN (commit pipeline, sync calls)
         # are woken whenever the stable watermark advances.
         self._stable_cv = threading.Condition(self._mutex)
         # One force in flight at a time; appends proceed during the fsync.
@@ -171,25 +173,17 @@ class LogManager:
         self._segments: list[LogSegment] = [LogSegment(0)]
         self._next_lsn = 0
         self._stable_lsn = -1
-        # Durable-tier watermarks: written-but-unsynced bytes are still
-        # volatile; forces between fsyncs accumulate for group commit.
+        # Durable tier: written-but-unsynced bytes are still volatile.
         self._written_lsn = -1
-        self._pending_forces = 0
         # Appended-but-not-yet-encoded records, as (segment base, record).
-        # Encoding is deferred to the flush path, where a whole group-
-        # commit window packs into one blob with one write — the append
-        # hot path just assigns the LSN and takes the reference.
+        # Encoding is deferred to the flush path, where a whole commit
+        # window packs into one blob with one write — the append hot
+        # path just assigns the LSN and takes the reference.
         self._pending: list[tuple[int, LogRecord]] = []
         # Segment files at or below this base LSN are sealed (sidecar
         # seal written) or will never be; only newer rotations get seals.
         self._seal_watermark = -1
         self._checkpoint_lsns: list[int] = []
-        # Truncation bookkeeping: retired records stay countable even
-        # after their segments leave memory.
-        self._archived_records = 0
-        self._archived_bytes = 0
-        self._archived_type_counts: dict[type, int] = {}
-        self._archive_sink: Callable[[LogSegment], None] | None = None
         self.forced_flushes = 0
         if store is not None and store.is_empty():
             store.begin_segment(0)
@@ -200,10 +194,9 @@ class LogManager:
         directory,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         tracer: Tracer | None = None,
-        group_commit: int = 1,
         fsync: bool = True,
     ) -> "LogManager":
-        """Cold-start: rebuild a manager from a segment directory alone.
+        """Open the log in ``directory``: the one way a log goes on files.
 
         Every record in the files is, by definition, the stable prefix —
         nothing volatile survives a real crash — so ``stable_lsn`` lands
@@ -213,45 +206,38 @@ class LogManager:
         deleted (they lie beyond a hole and are not part of history).
         An empty or missing directory yields a fresh durable manager.
 
+        A directory whose log does not start at LSN 0, or that holds
+        archived (``.arch``) segments, is refused with
+        :class:`LogDirectoryError`: its oldest records are gone from the
+        live log, and a cold start without their pages cannot explain
+        the state they produced.
+
         Non-tail segments are rebuilt straight from a statistics walk —
         one sidecar-seal CRC pass (or the per-frame walk when no valid
         seal exists) plus one byte per record — into already-evicted
         in-memory segments; only the tail segment's records are
         materialized.
         """
-        from repro.logmgr.filelog import FileLogStore, SegmentReader
+        from repro.logmgr.filelog import ARCHIVE_SUFFIX, FileLogStore, log_files
 
+        if any(path.suffix == ARCHIVE_SUFFIX for path in log_files(directory)):
+            raise LogDirectoryError(
+                f"{directory} holds archived (.arch) segments: the log was "
+                f"trimmed, and a trimmed log cannot be recovered"
+            )
         store = FileLogStore.attach(directory, fsync=fsync)
-        manager = cls(
-            segment_size=segment_size,
-            tracer=tracer,
-            store=store,
-            group_commit=group_commit,
-        )
-        # Archived (truncated) segments still count: warm managers keep
-        # their byte/type accounting across truncation, so a cold start
-        # must fold the .arch files back in for the two paths to agree.
-        archived_checkpoints: list[int] = []
-        for path in store.archived_paths():
-            # A torn tail simply ends the walk: archives are sealed
-            # history, so a tear means post-hoc damage the scan tolerates.
-            with SegmentReader(path) as reader:
-                stats = reader.stats()
-            manager._archived_records += stats.count
-            manager._archived_bytes += stats.bytes
-            for tag, n in stats.tag_counts.items():
-                kind = PAYLOAD_CLASSES[tag]
-                manager._archived_type_counts[kind] = (
-                    manager._archived_type_counts.get(kind, 0) + n
-                )
-            archived_checkpoints.extend(stats.checkpoint_lsns)
+        manager = cls(segment_size=segment_size, tracer=tracer, store=store)
         bases = store.segment_base_lsns()
         if not bases:
-            manager._checkpoint_lsns = archived_checkpoints
             return manager
+        if bases[0] != 0:
+            raise LogDirectoryError(
+                f"{directory}: the log starts at LSN {bases[0]}, not 0 — "
+                f"its head was trimmed, and a trimmed log cannot be recovered"
+            )
         segments: list[LogSegment] = []
         checkpoints: list[int] = []
-        expected = bases[0]
+        expected = 0
         for position, base in enumerate(bases):
             if base != expected:
                 raise CodecError(
@@ -319,7 +305,7 @@ class LogManager:
         manager._stable_lsn = segments[-1].end_lsn
         manager._written_lsn = manager._stable_lsn
         manager._next_lsn = manager._stable_lsn + 1
-        manager._checkpoint_lsns = archived_checkpoints + checkpoints
+        manager._checkpoint_lsns = checkpoints
         manager._seal_watermark = segments[-1].base_lsn - 1
         return manager
 
@@ -338,8 +324,8 @@ class LogManager:
         This is the one place in the whole system where an LSN is born.
         On a durable log the record joins the pending tail (volatile
         until a force encodes, writes, and fsyncs it); encoding itself
-        is deferred to the flush path so a whole group-commit window
-        packs into one blob hitting the file in one write.  The
+        is deferred to the flush path so a whole commit window packs
+        into one blob hitting the file in one write.  The
         payload's *type*
         is still checked here — an undurable payload must fail at the
         append, not poison a later flush.  Thread-safe: concurrent
@@ -367,14 +353,13 @@ class LogManager:
             )
         return record
 
-    def flush(self, up_to_lsn: int | None = None, barrier: bool = False) -> None:
+    def flush(self, up_to_lsn: int | None = None) -> None:
         """Force the log to disk through ``up_to_lsn`` (default: all).
 
         In-memory logs just advance the watermark.  Durable logs write
-        staged frames immediately but count the force toward the group
-        commit: only every ``group_commit``-th force (or a
-        ``barrier=True`` force, used by the write-ahead rule) pays the
-        fsync and advances the stable watermark — N commits, one fsync.
+        the covered records and ``fsync``; the stable watermark advances
+        only once the fsync returns, so a flush that returns has made
+        everything through its target durable.
 
         Thread-safe: concurrent forces serialize on the force lock
         (exactly one write+fsync in flight), the watermark advance is
@@ -439,10 +424,6 @@ class LogManager:
                     self._seal_filled_locked()
                 if self._written_lsn <= self._stable_lsn:
                     return
-                self._pending_forces += 1
-                if not (barrier or self._pending_forces >= self.group_commit):
-                    return
-                coalesced = self._pending_forces
                 sync_target = self._written_lsn
                 from_lsn = self._stable_lsn
             # The durability point: no manager mutex held, so appenders
@@ -450,17 +431,11 @@ class LogManager:
             # lock keeps any second flusher out until we finish.
             self._store.sync()
             with self._mutex:
-                self._pending_forces = 0
                 if self.tracer.enabled:
                     self.tracer.event(
                         "log.force", from_lsn=from_lsn, stable_lsn=sync_target
                     )
-                    self.tracer.event(
-                        "log.fsync",
-                        stable_lsn=sync_target,
-                        coalesced=coalesced,
-                        barrier=barrier,
-                    )
+                    self.tracer.event("log.fsync", stable_lsn=sync_target)
                 if sync_target > self._stable_lsn:
                     self._stable_lsn = sync_target
                 self.forced_flushes += 1
@@ -522,31 +497,25 @@ class LogManager:
         """The highest LSN guaranteed on disk (-1 if none)."""
         return self._stable_lsn
 
-    @property
-    def head_lsn(self) -> int:
-        """The lowest LSN still held in memory (older ones were truncated)."""
-        return self._segments[0].base_lsn
-
     # ------------------------------------------------------------------
     # Segments and the write-ahead rule
     # ------------------------------------------------------------------
 
     def segments(self) -> list[LogSegment]:
-        """The retained segments, oldest first (a read-only view)."""
+        """The segments, oldest first (a read-only view)."""
         with self._mutex:
             return list(self._segments)
 
     def segment_containing(self, lsn: int) -> LogSegment:
-        """The retained segment holding ``lsn`` (KeyError if truncated or
-        not yet appended)."""
+        """The segment holding ``lsn`` (KeyError if not yet appended)."""
         index = self._segment_index(lsn)
         if index is None:
-            raise KeyError(f"LSN {lsn} is not in any retained segment")
+            raise KeyError(f"LSN {lsn} is not in any segment")
         return self._segments[index]
 
     def _segment_index(self, lsn: int) -> int | None:
         with self._mutex:
-            if lsn < self.head_lsn or lsn >= self._next_lsn:
+            if not 0 <= lsn < self._next_lsn:
                 return None
             bases = [segment.base_lsn for segment in self._segments]
             return bisect_right(bases, lsn) - 1
@@ -554,14 +523,14 @@ class LogManager:
     def segment_stable_boundary(self, lsn: int) -> int:
         """The highest stable LSN within the segment holding ``lsn``.
 
-        Returns the segment's ``base_lsn - 1`` when none of it is stable.
-        LSNs older than the retained head were truncated, which is only
-        legal once stable, so they report themselves.  This per-segment
-        boundary is what :meth:`repro.cache.BufferPool.flush_page`
-        consults for the write-ahead rule.
+        Returns the segment's ``base_lsn - 1`` when none of it is stable;
+        a negative LSN names no record and reports itself.  This
+        per-segment boundary is what
+        :meth:`repro.cache.BufferPool.flush_page` consults for the
+        write-ahead rule.
         """
         with self._mutex:
-            if lsn < self.head_lsn:
+            if lsn < 0:
                 return lsn
             if lsn >= self._next_lsn:
                 # Beyond the tail: nothing there can ever be stable yet.
@@ -590,16 +559,14 @@ class LogManager:
         raises only if even a forced flush could not cover the LSN (a
         genuinely torn protocol, e.g. a page tagged with a never-appended
         LSN).  The check consults the per-segment stable boundary, so it
-        stays cheap no matter how long the log grows.  On a durable log
-        this force is a **barrier**: it cannot wait for a group-commit
-        batch to fill, because the page is about to hit disk.
+        stays cheap no matter how long the log grows.
         """
         if self.segment_stable_boundary(lsn) < lsn:
-            self.flush(up_to_lsn=lsn, barrier=True)
+            self.flush(up_to_lsn=lsn)
         self.wal_check(lsn)
 
     # ------------------------------------------------------------------
-    # Checkpoints and truncation
+    # Checkpoints
     # ------------------------------------------------------------------
 
     @property
@@ -612,64 +579,6 @@ class LogManager:
         with self._mutex:
             index = bisect_right(self._checkpoint_lsns, self._stable_lsn)
             return self._checkpoint_lsns[index - 1] if index else -1
-
-    def set_archive_sink(self, sink: Callable[[LogSegment], None] | None) -> None:
-        """Install a callable receiving each truncated segment (an
-        archive device for media recovery); None discards them."""
-        self._archive_sink = sink
-
-    def truncate_until(self, lsn: int) -> int:
-        """Retire sealed, fully-stable segments wholly below ``lsn``.
-
-        This is checkpoint-based truncation: once a checkpoint guarantees
-        recovery never reads below ``lsn``, the segments under it can
-        leave memory.  Only whole segments go — the log stays dense from
-        :attr:`head_lsn` — and only stable ones: a volatile record can
-        still be needed verbatim by the next flush.  Retired records stay
-        visible to the byte/count accounting (and flow to the archive
-        sink if one is installed, preserving media recovery).  On a
-        durable log the segment's file is renamed to the archive suffix
-        rather than deleted — truncation and archiving share one binary
-        format.  Returns the number of records retired.
-        """
-        with self._mutex:
-            return self._truncate_until_locked(lsn)
-
-    def _truncate_until_locked(self, lsn: int) -> int:
-        retired = 0
-        cutoff = min(lsn - 1, self._stable_lsn)
-        while len(self._segments) > 1 and self._segments[0].end_lsn <= cutoff:
-            segment = self._segments.pop(0)
-            retired += len(segment)
-            self._archived_records += len(segment)
-            if segment.records is None:
-                self._archived_bytes += segment.stat_bytes
-                for kind, n in segment.type_counts.items():
-                    self._archived_type_counts[kind] = (
-                        self._archived_type_counts.get(kind, 0) + n
-                    )
-                if self._archive_sink is not None:
-                    materialized = LogSegment(segment.base_lsn)
-                    materialized.records = list(
-                        self._store.scan_segment(segment.base_lsn)
-                    )
-                    self._archive_sink(materialized)
-            else:
-                for record in segment.records:
-                    self._archived_bytes += record.size_bytes()
-                    kind = type(record.payload)
-                    self._archived_type_counts[kind] = (
-                        self._archived_type_counts.get(kind, 0) + 1
-                    )
-                if self._archive_sink is not None:
-                    self._archive_sink(segment)
-            if self._store is not None:
-                self._store.archive_segment(segment.base_lsn)
-        if retired and self.tracer.enabled:
-            self.tracer.event(
-                "log.truncate", retired=retired, head_lsn=self.head_lsn
-            )
-        return retired
 
     # ------------------------------------------------------------------
     # Reads
@@ -697,7 +606,7 @@ class LogManager:
         (what recovery will see).
         """
         limit = self._next_lsn - 1 if volatile else self._stable_lsn
-        start = max(lsn, self.head_lsn)
+        start = max(lsn, 0)
         index = self._segment_index(start)
         if index is None:
             return
@@ -723,17 +632,17 @@ class LogManager:
         return self.records_from(lsn, volatile=False)
 
     def entries(self, volatile: bool = True) -> list[LogRecord]:
-        """All retained records; with ``volatile=False`` only the stable
-        prefix.  Materializes a list — iterate :meth:`records_from` on
-        hot paths instead."""
-        return list(self.records_from(self.head_lsn, volatile))
+        """All records; with ``volatile=False`` only the stable prefix.
+        Materializes a list — iterate :meth:`records_from` on hot paths
+        instead."""
+        return list(self.records_from(0, volatile))
 
     def stable_entries(self) -> list[LogRecord]:
-        """The retained stable prefix, as a list (see :meth:`entries`)."""
+        """The stable prefix, as a list (see :meth:`entries`)."""
         return self.entries(volatile=False)
 
     def entry(self, lsn: int) -> LogRecord:
-        """The record with exactly this LSN (must be retained)."""
+        """The record with exactly this LSN (must be appended)."""
         segment = self.segment_containing(lsn)
         records = segment.records
         if records is not None:
@@ -811,7 +720,7 @@ class LogManager:
 
     def stable_count_of(self, *payload_types: type) -> int:
         """Stable records whose payload is an instance of the given
-        types, truncated segments included — the one durable-count
+        types — the one durable-count
         primitive every method shares.  Evicted segments answer from
         their cached per-type counts (they are fully stable by
         construction), so this never touches a file."""
@@ -819,11 +728,7 @@ class LogManager:
             return self._stable_count_of_locked(*payload_types)
 
     def _stable_count_of_locked(self, *payload_types: type) -> int:
-        count = sum(
-            n
-            for kind, n in self._archived_type_counts.items()
-            if issubclass(kind, payload_types)
-        )
+        count = 0
         for segment in self._segments:
             if segment.base_lsn > self._stable_lsn:
                 break
@@ -842,12 +747,12 @@ class LogManager:
         return count
 
     def stable_bytes(self) -> int:
-        """Bytes in the stable prefix (truncated segments included)."""
+        """Bytes in the stable prefix."""
         with self._mutex:
             return self._stable_bytes_locked()
 
     def _stable_bytes_locked(self) -> int:
-        total = self._archived_bytes
+        total = 0
         for segment in self._segments:
             if segment.base_lsn > self._stable_lsn:
                 break
@@ -861,10 +766,9 @@ class LogManager:
         return total
 
     def total_bytes(self) -> int:
-        """Bytes in the whole log, volatile tail and truncated segments
-        included."""
+        """Bytes in the whole log, volatile tail included."""
         with self._mutex:
-            total = self._archived_bytes
+            total = 0
             for segment in self._segments:
                 if segment.records is None:
                     total += segment.stat_bytes
@@ -906,7 +810,6 @@ class LogManager:
             self._pending.clear()
             self._store.crash()
             self._written_lsn = self._stable_lsn
-            self._pending_forces = 0
             # The crash deletes files with no synced records; if the
             # tail segment's file was one of them, start it afresh so
             # the recovered incarnation has somewhere to stage appends.
@@ -915,12 +818,12 @@ class LogManager:
                 self._store.begin_segment(tail.base_lsn)
 
     def __len__(self) -> int:
-        """Records the log accounts for (truncated segments included)."""
+        """Records in the log, volatile tail included."""
         with self._mutex:
-            return self._archived_records + sum(len(s) for s in self._segments)
+            return sum(len(s) for s in self._segments)
 
     def __repr__(self) -> str:
         return (
             f"LogManager(records={len(self)}, segments={len(self._segments)}, "
-            f"stable_lsn={self._stable_lsn}, head_lsn={self.head_lsn})"
+            f"stable_lsn={self._stable_lsn})"
         )

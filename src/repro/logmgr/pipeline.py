@@ -1,11 +1,11 @@
 """Cross-session pipelined group commit: many sessions, one fsync.
 
-``group_commit=N`` on the manager batches one *caller's* forces — it
-counts force requests and pays every N-th fsync, which only helps a
-single session issuing commits back to back.  A server multiplexing
-thousands of sessions needs the dual: forces arriving from *different*
-threads within one disk rotation should share one staged write and one
-``fsync``.  That is what :class:`GroupCommitPipeline` does.
+Every manager force is a write plus an ``fsync``; one session batches
+its own forces with its commit cadence (``commit_every``).  A server
+multiplexing thousands of sessions needs more: forces arriving from
+*different* threads within one disk rotation should share one staged
+write and one ``fsync``.  That is what :class:`GroupCommitPipeline`
+does.
 
 The shape is the classic pipelined group commit:
 
@@ -14,8 +14,8 @@ The shape is the classic pipelined group commit:
   the committer is nudged, and the session parks on the log manager's
   :meth:`~repro.logmgr.manager.LogManager.wait_stable`;
 - one **committer thread** drains the window: it takes the highest
-  requested LSN and issues a single barrier force —
-  ``log.flush(up_to, barrier=True)`` window-encodes the whole batch
+  requested LSN and issues a single force —
+  ``log.flush(up_to)`` window-encodes the whole batch
   into one packed blob of per-record frames per segment run (one
   staged blob, one ``write``) plus one ``fsync`` covering every
   session's records — then loops;
@@ -36,9 +36,9 @@ Two ordering guarantees the tests pin down: ``stable_lsn`` never
 regresses (the manager's force path takes a max), and a
 :meth:`commit` return implies durability of that session's records
 (``wait_stable`` is predicate-checked, not notification-counted).
-Barrier forces issued *around* the pipeline — a ``sync()`` barrier, the
-WAL gate's ``ensure_stable`` — interleave safely: they serialize on the
-manager's force lock and can only advance the same watermark.
+Forces issued *around* the pipeline — a ``sync()``, the WAL gate's
+``ensure_stable`` — interleave safely: they serialize on the manager's
+force lock and can only advance the same watermark.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class GroupCommitPipeline:
             # One write + one fsync for the whole window.  Requests that
             # arrive while this force is on the disk fold into the next
             # window — that is the pipelining.
-            self.log.flush(up_to_lsn=target, barrier=True)
+            self.log.flush(up_to_lsn=target)
             with self._mutex:
                 self.windows += 1
                 self.coalesced_total += coalesced

@@ -2,7 +2,10 @@
 
 A :class:`Machine` bundles one node's disk, log, and cache, with the
 standard failure semantics: :meth:`Machine.crash` drops the cache and the
-volatile log tail and leaves the disk alone.
+volatile log tail and leaves the disk alone.  A machine never builds a
+file-backed log itself: it takes whatever log it is handed (the engine
+opens one with :meth:`~repro.logmgr.manager.LogManager.open`) and
+defaults to an in-memory one.
 
 :class:`RecoveryMethodKV` is the contract every method implements.  All
 methods store key-value pairs hashed across a fixed set of data pages, so
@@ -48,24 +51,17 @@ class MethodStats:
 class Machine:
     """One simulated node: disk (stable), log and cache (volatile tail).
 
-    By default the log is in-memory with a simulated stable boundary.
-    Pass ``log_dir`` to put the log on real files (binary segment files
-    with fsync — see :mod:`repro.logmgr.filelog`); ``group_commit=N``
-    then lets N forces share one fsync, and ``fsync=False`` keeps the
-    file format but skips the syscall.  ``disk``/``log`` accept prebuilt
-    components, which is how cold-start recovery injects a crash
-    survivor's disk image and a :meth:`LogManager.open`-rebuilt log.
+    ``disk`` and ``log`` default to a fresh :class:`~repro.storage.Disk`
+    and an in-memory :class:`~repro.logmgr.LogManager` with a simulated
+    stable boundary; passing them in is how the engine puts the log on
+    files and how a cold start injects a crash survivor's disk image.
     """
 
     def __init__(
         self,
         cache_capacity: int = 16,
         enforce_wal: bool = True,
-        log_segment_size: int | None = None,
         tracer: Tracer | None = None,
-        log_dir=None,
-        group_commit: int = 1,
-        fsync: bool = True,
         disk: Disk | None = None,
         log: LogManager | None = None,
         progress: RecoveryProgress | None = None,
@@ -73,21 +69,7 @@ class Machine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.disk = disk if disk is not None else Disk()
-        if log is not None:
-            # A prebuilt manager (e.g. LogManager.open's cold start).
-            self.log = log
-        else:
-            log_kwargs: dict = {
-                "tracer": self.tracer,
-                "group_commit": group_commit,
-            }
-            if log_segment_size is not None:
-                log_kwargs["segment_size"] = log_segment_size
-            if log_dir is not None:
-                from repro.logmgr.filelog import FileLogStore
-
-                log_kwargs["store"] = FileLogStore(log_dir, fsync=fsync)
-            self.log = LogManager(**log_kwargs)
+        self.log = log if log is not None else LogManager(tracer=self.tracer)
         self.enforce_wal = enforce_wal
         self.pool = self._new_pool(cache_capacity)
         self.crashed = False
@@ -199,8 +181,8 @@ class RecoveryMethodKV(ABC):
         self.machine.log.flush()
 
     def quiesce(self) -> None:
-        """Make the current state wholly stable *without logging*: barrier-
-        force the log, then flush every dirty page, so the disk image plus
+        """Make the current state wholly stable *without logging*: force
+        the log, then flush every dirty page, so the disk image plus
         the segment files alone reconstruct this exact state.
 
         Unlike :meth:`checkpoint` this appends nothing, so quiescing is
@@ -212,37 +194,12 @@ class RecoveryMethodKV(ABC):
         Methods with volatile state outside the buffer pool (logical's
         object cache) override this.
         """
-        self.machine.log.flush(barrier=True)
+        self.machine.log.flush()
         self.machine.pool.flush_all()
 
     @abstractmethod
     def durable_count(self) -> int:
         """How many operations would survive a crash right now."""
-
-    def truncation_point(self) -> int:
-        """The LSN below which recovery will never read (method-specific;
-        -1 when no checkpoint has established one).
-
-        For checkpoint-cutoff methods this is the last stable checkpoint;
-        LSN-test methods must also stay below the oldest recLSN their
-        next analysis pass could reconstruct.
-        """
-        return -1
-
-    def truncate_log(self) -> int:
-        """Checkpoint-based log truncation: retire sealed segments below
-        :meth:`truncation_point`.  Returns the number of records retired.
-
-        Truncated segments flow to the manager's archive sink if one is
-        installed; without a sink, media recovery (``full_scan=True``)
-        only covers what the backup plus the retained suffix explain, so
-        engines that want both bounded memory and media recovery must
-        archive (the standard separate-media assumption).
-        """
-        point = self.truncation_point()
-        if point <= 0:
-            return 0
-        return self.machine.log.truncate_until(point)
 
     # -- crash / recovery --------------------------------------------------
 
@@ -259,7 +216,9 @@ class RecoveryMethodKV(ABC):
         disk is *older* than the last checkpoint and the analysis-derived
         redo start point would skip work the backup has not seen.  Sound
         for every method: blind physical replays are always harmless, and
-        LSN tests bypass whatever the backup does contain.
+        LSN tests bypass whatever the backup does contain.  A disk that
+        holds no page at all gets the same treatment without asking
+        (:mod:`repro.methods.redo`).
         """
 
     @abstractmethod

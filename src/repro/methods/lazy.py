@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.methods.base import RecoveryMethodKV
 
 
-def lsn_table_analysis(log) -> tuple[PageRedoIndex, dict[str, int]]:
+def lsn_table_analysis(log, full_scan: bool) -> tuple[PageRedoIndex, dict[str, int]]:
     """The §4.3 analysis phase off the per-page index, no record scan.
 
     Reconstructs the same dirty page table as
@@ -59,9 +59,10 @@ def lsn_table_analysis(log) -> tuple[PageRedoIndex, dict[str, int]]:
     after the checkpoint (its chain's first post-checkpoint LSN is the
     recLSN the eager scan's ``setdefault`` would record).  The index is
     built from the minimum LSN the table could name, so every returned
-    chain covers its page's full replay range.
+    chain covers its page's full replay range.  ``full_scan`` ignores
+    the checkpoint: every page's chain replays from its first record.
     """
-    checkpoint_lsn = log.last_stable_checkpoint_lsn
+    checkpoint_lsn = -1 if full_scan else log.last_stable_checkpoint_lsn
     snapshot: dict[str, int] = {}
     if checkpoint_lsn >= 0:
         snapshot = dict(log.entry(checkpoint_lsn).payload.data[1])

@@ -147,12 +147,11 @@ class LogicalKV(RecoveryMethodKV):
         # root pointer moves past every stable LSN, so records not yet
         # replayed would silently leave redo_set.
         self._lazy_gate()
-        # Barrier, not a plain force: the staged pages snapshot the live
+        # Force everything applied: the staged pages snapshot the live
         # cache — state through the last *applied* operation — so the
-        # stable log must cover every applied LSN before the swing, or a
-        # group-commit batch still in flight would leave the installed
-        # root ahead of the durable prefix.
-        self.machine.log.flush(barrier=True)
+        # stable log must cover every applied LSN before the swing, or
+        # the installed root would run ahead of the durable prefix.
+        self.machine.log.flush()
         checkpoint_lsn = self.machine.log.stable_lsn
         # One batched staging call: the directory lookup and write loop
         # are amortized across the whole cache, like the log's window
@@ -178,7 +177,7 @@ class LogicalKV(RecoveryMethodKV):
         quiesces into a no-op.
         """
         self._lazy_gate()
-        self.machine.log.flush(barrier=True)
+        self.machine.log.flush()
         if not self._cache:
             return
         checkpoint_lsn = self.machine.log.stable_lsn
@@ -188,12 +187,6 @@ class LogicalKV(RecoveryMethodKV):
 
     def durable_count(self) -> int:
         return self.machine.log.stable_count_of(LogicalRedo)
-
-    def truncation_point(self) -> int:
-        """Recovery replays strictly after the root pointer's checkpoint
-        LSN, so everything at or below it can be retired."""
-        checkpoint_lsn = self.shadow.checkpoint_lsn()
-        return checkpoint_lsn + 1 if checkpoint_lsn >= 0 else -1
 
     # ------------------------------------------------------------------
     # Crash / recovery
@@ -236,7 +229,7 @@ class LogicalKV(RecoveryMethodKV):
         remains (the :meth:`_lazy_gate` in the page accessors).
         """
 
-        def plan_for():
+        def plan_for(_full_scan: bool):
             start = self._reopen_shadow() + 1
             index = self.machine.log.page_index(start_lsn=max(0, start))
             plan = SuffixLazyPlan(self, index.chain(LOGICAL_PAGE, start))
@@ -250,13 +243,14 @@ class LogicalKV(RecoveryMethodKV):
         replay every later stable logical record, streamed straight off
         the segmented log (the checkpoint suffix; no record list is
         materialized).  ``full_scan`` is accepted for interface parity;
-        the restored root pointer already names the right replay start
-        (the backup's own checkpoint LSN).  Cold start composes cleanly:
+        the root pointer on the disk at hand already names the right
+        replay start (the backup's own checkpoint LSN, or none at all on
+        an empty disk).  Cold start composes cleanly:
         the root pointer lives on the disk and the suffix streams off
         the segment files, so a process that lost every Python object
         still recovers to the identical shadow state."""
 
-        def analyze() -> dict:
+        def analyze(_full_scan: bool) -> dict:
             checkpoint_lsn = self._reopen_shadow()
             return {"checkpoint_lsn": checkpoint_lsn, "redo_start": checkpoint_lsn + 1}
 

@@ -111,11 +111,6 @@ class PhysicalKV(RecoveryMethodKV):
         count as operations)."""
         return self.machine.log.stable_count_of(PhysicalRedo)
 
-    def truncation_point(self) -> int:
-        """A physical checkpoint installs everything before it, so the
-        log below the last stable checkpoint record is never read."""
-        return self.machine.log.last_stable_checkpoint_lsn
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
@@ -146,7 +141,7 @@ class PhysicalKV(RecoveryMethodKV):
         recovers in O(segment) memory and lands on the same state as the
         in-memory path."""
 
-        def analyze() -> dict:
+        def analyze(full_scan: bool) -> dict:
             checkpoint_lsn = self.machine.log.last_stable_checkpoint_lsn
             return {"redo_start": 0 if full_scan else checkpoint_lsn + 1}
 
@@ -163,9 +158,9 @@ class PhysicalKV(RecoveryMethodKV):
         the drained state equals the eager one.
         """
 
-        def plan_for():
+        def plan_for(full_scan: bool):
             log = self.machine.log
-            start = max(0, log.last_stable_checkpoint_lsn + 1)
+            start = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn + 1)
             index = log.page_index(start_lsn=start)
             table: dict[str, int] = {}
             for page_id in index.data_pages():

@@ -147,15 +147,6 @@ class PhysiologicalKV(RecoveryMethodKV):
     def durable_count(self) -> int:
         return self.machine.log.stable_count_of(PhysiologicalRedo)
 
-    def truncation_point(self) -> int:
-        """Truncation is safe below the last stable checkpoint *and*
-        every live recLSN: analysis starts at the checkpoint record, and
-        redo never reads below the oldest uninstalled update."""
-        checkpoint_lsn = self.machine.log.last_stable_checkpoint_lsn
-        if checkpoint_lsn < 0:
-            return -1
-        return min([checkpoint_lsn, *self.dirty_table().values()])
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
@@ -182,7 +173,7 @@ class PhysiologicalKV(RecoveryMethodKV):
         streaming decodes of the suffix, never a materialized log.
         """
 
-        def analyze() -> dict:
+        def analyze(full_scan: bool) -> dict:
             log = self.machine.log
             scan_from = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn)
             table, redo_start = analysis_pass(log.stable_records_from(scan_from))
@@ -216,8 +207,8 @@ class PhysiologicalKV(RecoveryMethodKV):
         scan's.
         """
 
-        def plan_for():
-            index, table = lsn_table_analysis(self.machine.log)
+        def plan_for(full_scan: bool):
+            index, table = lsn_table_analysis(self.machine.log, full_scan)
             return PagewiseLazyPlan(self, index, table), {"dirty_pages": len(table)}
 
         return begin_lazy(self, plan_for)

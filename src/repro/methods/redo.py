@@ -17,6 +17,12 @@ a plan (:mod:`repro.methods.lazy`) that fetches per-page chains through
 ``log.fetch_chain`` on first access.  Both reach the same
 ``redo_record``, so they cannot disagree on a decision — Theorem 3 then
 says the reordered schedule lands on the same state.
+
+Both also make the one decision analysis cannot make for itself: a
+recovering machine whose disk holds no page — a cold start whose pages
+lived nowhere durable — runs analysis with ``full_scan=True``.  No
+checkpoint's installs survived there; only the empty prefix explains an
+empty stable state (Corollary 4), so the redo set is the whole log.
 """
 
 from __future__ import annotations
@@ -108,24 +114,31 @@ def replay(method, records: Iterable[LogRecord]) -> None:
             tracer.event("recovery.record", lsn=record.lsn, **decision)
 
 
-def recover_eager(method, full_scan: bool, analyze: Callable[[], dict]) -> None:
+def _diskless(method) -> bool:
+    """Does the recovering machine's disk hold no page at all?"""
+    return not method.machine.disk.page_ids()
+
+
+def recover_eager(method, full_scan: bool, analyze: Callable[[bool], dict]) -> None:
     """Eager schedule: analysis, then the whole redo suffix, streamed.
 
-    ``analyze()`` runs against the rebooted pool and returns the
-    ``recovery.analysis`` span's end fields, ``redo_start`` among them.
-    The suffix streams straight off the segmented log (one segment
-    resident at a time, re-decoded from its file when evicted), wrapped
-    by the progress gauges and per-segment spans when those are on.
+    ``analyze(full_scan)`` runs against the rebooted pool and returns
+    the ``recovery.analysis`` span's end fields, ``redo_start`` among
+    them.  The suffix streams straight off the segmented log (one
+    segment resident at a time, re-decoded from its file when evicted),
+    wrapped by the progress gauges and per-segment spans when those are
+    on.
     """
     tracer, stats, log = method.tracer, method.stats, method.machine.log
     progress = method.machine.progress
+    full_scan = full_scan or _diskless(method)
     span = tracer.span("recovery", method=method.name, full_scan=full_scan)
     before = (stats.records_scanned, stats.records_replayed, stats.records_skipped)
     method.machine.reboot_pool()
     if progress.enabled:
         progress.set_phase("analysis")
     analysis = tracer.span("recovery.analysis")
-    found = analyze()
+    found = analyze(full_scan)
     analysis.end(**found)
     redo_start = found["redo_start"]
 
@@ -147,19 +160,21 @@ def recover_eager(method, full_scan: bool, analyze: Callable[[], dict]) -> None:
         progress.finish()
 
 
-def begin_lazy(method, plan_for: Callable[[], tuple[Any, dict]]):
+def begin_lazy(method, plan_for: Callable[[bool], tuple[Any, dict]]):
     """Lazy schedule: analysis only; redo is the returned plan's job.
 
-    ``plan_for()`` runs against the rebooted pool and returns the plan
-    plus the analysis facts for the ``recovery.lazy`` span.  The plan
-    feeds fetched chains to :func:`replay` as pages are touched.
+    ``plan_for(full_scan)`` runs against the rebooted pool and returns
+    the plan plus the analysis facts for the ``recovery.lazy`` span.
+    The plan feeds fetched chains to :func:`replay` as pages are
+    touched.
     """
     progress = method.machine.progress
+    full_scan = _diskless(method)
     span = method.tracer.span("recovery.lazy", method=method.name)
     method.machine.reboot_pool()
     if progress.enabled:
         progress.set_phase("analysis")
-    plan, found = plan_for()
+    plan, found = plan_for(full_scan)
     method.stats.recoveries += 1
     span.end(backlog=plan.backlog(), **found)
     return plan

@@ -70,9 +70,7 @@ from typing import Any
 from repro.engine.kv import KVDatabase
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER
-
-# Mutations a connection may issue; everything else is a control op.
-MUTATIONS = ("put", "add", "copyadd", "delete")
+from repro.workloads.kv import MUTATIONS
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -21,8 +21,6 @@ import zlib
 
 from repro.workloads.kv import KVOp
 
-MUTATIONS = ("put", "add", "copyadd", "delete")
-
 
 class ShardRoutingError(ValueError):
     """A command the keymap cannot place on a single shard."""

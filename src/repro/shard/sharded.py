@@ -49,10 +49,10 @@ from typing import Any, Sequence
 
 from repro.engine.kv import EngineSpec, KVDatabase
 from repro.obs.metrics import MetricsRegistry
-from repro.shard.keymap import MUTATIONS, Keymap
+from repro.shard.keymap import Keymap
 from repro.shard.procs import pack_disk, recover_shard, unpack_disk
 from repro.storage import Disk
-from repro.workloads.kv import KVOp
+from repro.workloads.kv import MUTATIONS, KVOp
 
 MANIFEST_NAME = "DEPLOY.json"
 MANIFEST_VERSION = 1

@@ -335,31 +335,22 @@ class AuditTracker:
 
     The tracker accepts any §6 method engine; :class:`KVDatabase` wraps
     one per database (``track_theory=True`` keeps it synchronized during
-    normal operation).  If the log head ever moves (truncation, media
-    replacement) the tracker quietly rebuilds from scratch — the
-    watermark discipline assumes an append-only stable log.
+    normal operation).  The watermark discipline rests on the log being
+    append-only from LSN 0, which the log manager guarantees.
     """
 
     def __init__(self, method) -> None:
         self.method = method
-        self._reset()
-
-    def _reset(self) -> None:
         self.conflict = ConflictGraph()
         self.installation = InstallationGraph(self.conflict)
         self.memo = ExposureMemo(self.conflict)
         self._by_lsn: dict[int, Operation] = {}
         self._watermark = -1
-        self._head_lsn: int | None = None
 
     def sync(self) -> list[LogEntry]:
         """Lift records that became stable since the last call; returns
         the full stable entry list for the redo simulation."""
         entries = self.method.machine.log.stable_entries()
-        head = entries[0].lsn if entries else None
-        if self._head_lsn is not None and head != self._head_lsn:
-            self._reset()
-        self._head_lsn = head
         for entry in entries:
             if entry.lsn <= self._watermark:
                 continue

@@ -90,9 +90,8 @@ def crash_once(
         surviving = db.applied[:durable] if durable <= len(db.applied) else db.applied
         db.applied = list(surviving)
         db.run(stream[crash_point:])
-        # A barrier, not a plain commit: with fsync group-commit the last
-        # batch may still be volatile, and the oracle compare below needs
-        # every applied operation durable.
+        # Force what the commit cadence left unforced: the oracle compare
+        # below needs every applied operation durable.
         db.sync()
         try:
             db.verify_against()

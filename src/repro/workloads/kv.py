@@ -13,6 +13,8 @@ from random import Random
 from typing import Iterator, Literal
 
 KVOp = tuple  # (kind, key, value); value is (src, delta) for "copyadd"
+# The command kinds that change state (and log); "get" is the only other.
+MUTATIONS = ("put", "add", "copyadd", "delete")
 
 
 @dataclass(frozen=True)

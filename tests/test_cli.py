@@ -126,16 +126,14 @@ class TestLogdump:
         assert lines[-1] == f"{record_count} records in 1 file(s)"
 
     def test_logdump_single_file_and_archive(self, tmp_path, capsys):
+        """Nothing writes ``.arch`` files any more; a directory an older
+        release trimmed (its first segment renamed) still dumps."""
         db = self._durable_run(
-            tmp_path,
-            method="logical",  # its truncation point tracks the root pointer
-            log_segment_size=8,
-            checkpoint_every=10,
-            truncate_on_checkpoint=True,
+            tmp_path, method="logical", log_segment_size=8, checkpoint_every=10
         )
-        store = db.method.machine.log.store
-        assert store.segments_archived > 0
-        archive = store.archived_paths()[0]
+        db.method.machine.log.store.close()
+        first = tmp_path / "segment-0000000000000000.wal"
+        archive = first.rename(first.with_suffix(".arch"))
         assert main(["logdump", str(archive)]) == 0
         out = capsys.readouterr().out
         assert "(archive, base_lsn=0," in out
@@ -144,6 +142,21 @@ class TestLogdump:
         assert main(["logdump", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.index("(archive,") < out.index("(segment,")
+
+    def test_demo_twice_over_one_log_dir_is_refused(self, tmp_path, capsys):
+        """A second demo over the same directory must not append a
+        second file header to the first run's log (which any later
+        cold start would have read as a torn tail)."""
+        log_dir = tmp_path / "wal"
+        assert main(["demo", "physiological", "--log-dir", str(log_dir)]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in log_dir.iterdir()}
+        assert main(["demo", "physiological", "--log-dir", str(log_dir)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "cold_start" in err
+        assert {p.name: p.read_bytes() for p in log_dir.iterdir()} == before
+        assert main(["logdump", str(log_dir)]) == 0
+        assert "torn tail" not in capsys.readouterr().out
 
     def test_logdump_reports_torn_tail(self, tmp_path, capsys):
         self._durable_run(tmp_path)

@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.engine import KVDatabase
+from repro.logmgr import LogDirectoryError
 from repro.sim import cold_restart_states
 from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
 
@@ -43,8 +44,7 @@ class TestColdRestartEquivalence:
             method=method,
             log_dir=tmp_path,
             log_segment_size=32,
-            commit_every=2,
-            group_commit=4,
+            commit_every=8,
             checkpoint_every=13,
         )
         db.run(generate_kv_workload(11, MIXED))
@@ -64,37 +64,20 @@ class TestColdRestartEquivalence:
         warm, cold = cold_restart_states(db, tmp_path, log_segment_size=32)
         assert warm == cold
 
-    def test_cold_state_identical_after_truncation(self, tmp_path):
-        """Truncated (archived) segments are gone from the live log but
-        still part of its accounting — a cold start must agree."""
-        db = KVDatabase(
-            method="logical",
-            log_dir=tmp_path,
-            log_segment_size=8,
-            checkpoint_every=10,
-            truncate_on_checkpoint=True,
-        )
-        db.run(generate_kv_workload(7, MIXED))
-        assert db.method.machine.log.store.segments_archived > 0
-        warm, cold = cold_restart_states(db, tmp_path, log_segment_size=8)
-        assert warm == cold
-
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_unsynced_crash_recovers_durable_prefix(self, tmp_path, method):
-        """Crash with a group-commit batch still in flight (no sync):
-        the recovered state must equal the oracle over exactly the
-        stable prefix.  Regression: the logical method's checkpoint
-        used a plain force before the root swing, so the installed
+        """Crash with a commit batch still in flight (no sync): the
+        recovered state must equal the oracle over exactly the stable
+        prefix.  Regression: the logical method's checkpoint once forced
+        less than it had applied before the root swing, so the installed
         root could run ahead of the stable log."""
         stream = generate_kv_workload(11, MIXED)
         db = KVDatabase(
             method=method,
             log_dir=tmp_path,
             log_segment_size=16,
-            commit_every=2,
-            group_commit=4,
+            commit_every=8,
             checkpoint_every=23,
-            truncate_on_checkpoint=(method == "logical"),
         )
         db.run(stream)
         db.crash_and_recover()
@@ -124,6 +107,75 @@ class TestColdRestartEquivalence:
         assert "durable_fsyncs" not in in_memory.report()
 
 
+class TestDisklessColdStart:
+    """``kill -9`` with no page store that survives — what ``serve
+    --log-dir`` restarts from: the stable state is empty, so only the
+    empty prefix explains it and the redo set must be the whole log,
+    whatever checkpoints the log carries (Corollary 4)."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("cache", [2, 16])
+    @pytest.mark.parametrize("checkpoint_every", [10, None])
+    @pytest.mark.parametrize(
+        "method,options",
+        [(method, None) for method in ALL_METHODS]
+        + [("physiological", {"sharp_checkpoints": True})],
+        ids=ALL_METHODS + ["physiological-sharp"],
+    )
+    def test_replays_the_whole_log(
+        self, tmp_path, method, options, checkpoint_every, cache, lazy
+    ):
+        stream = generate_kv_workload(11, MIXED)
+        engine = {"cache_capacity": cache, "method_options": options}
+        db = KVDatabase(
+            method=method,
+            log_dir=tmp_path,
+            checkpoint_every=checkpoint_every,
+            fsync=False,
+            **engine,
+        )
+        db.run(stream)
+        db.sync()
+        db.crash()
+        cold = KVDatabase.cold_start(tmp_path, method=method, lazy=lazy, **engine)
+        cold.drain_lazy()
+        assert cold.verify_against(stream) == len(db.applied)
+        cold.close()
+
+
+class TestLogDirectoryGuards:
+    """The two ways a log directory used to lose acknowledged writes
+    outside recovery proper."""
+
+    def test_fresh_engine_over_a_used_directory_raises(self, tmp_path):
+        db = KVDatabase(method="physiological", log_dir=tmp_path)
+        db.run(generate_kv_workload(3, MIXED))
+        db.method.machine.log.store.close()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(LogDirectoryError, match="cold_start"):
+            KVDatabase(method="physiological", log_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        cold = KVDatabase.cold_start(tmp_path, method="physiological")
+        assert cold.durable_count() == len(db.applied)
+
+    def test_trimmed_directory_is_refused_on_cold_start(self, tmp_path):
+        """A sealed segment renamed ``.arch`` — what checkpoint
+        truncation used to do — cannot be recovered without its pages."""
+        db = KVDatabase(
+            method="logical",
+            log_dir=tmp_path,
+            log_segment_size=8,
+            checkpoint_every=10,
+        )
+        db.run(generate_kv_workload(7, MIXED))
+        db.sync()
+        db.method.machine.log.store.close()
+        first = tmp_path / "segment-0000000000000000.wal"
+        first.rename(first.with_suffix(".arch"))
+        with pytest.raises(LogDirectoryError, match="archived"):
+            KVDatabase.cold_start(tmp_path, method="logical", log_segment_size=8)
+
+
 # ----------------------------------------------------------------------
 # The real thing: kill -9 a child process, recover from its files.
 # ----------------------------------------------------------------------
@@ -138,8 +190,7 @@ stream = generate_kv_workload(int(seed), KVWorkloadSpec(**json.loads(spec_json))
 db = KVDatabase(
     method=method,
     log_dir=log_dir,
-    commit_every=1,
-    group_commit=2,
+    commit_every=2,
     checkpoint_every=None,
 )
 for index, command in enumerate(stream):
@@ -177,8 +228,8 @@ class TestProcessKill:
     def test_sigkill_then_cold_recovery(self, tmp_path, method):
         """Kill a real child mid-run; the parent recovers cold from the
         segment files alone (the in-memory Disk died with the child, so
-        ``checkpoint_every=None`` and full replay is the contract) and
-        the state must equal a clean replay of the durable prefix."""
+        full replay is the contract) and the state must equal a clean
+        replay of the durable prefix."""
         script = tmp_path / "child.py"
         script.write_text(CHILD_SOURCE)
         log_dir = tmp_path / "wal"

@@ -1,9 +1,9 @@
 """Tests for the file-backed durable log tier.
 
 Covers the :class:`~repro.logmgr.filelog.FileLogStore` write path
-(stage → write → fsync), group-commit batching arithmetic, the crash
-model (staged and written-but-unsynced bytes vanish), torn-tail cleanup
-on cold start, segment eviction, and the archive rename.
+(stage → write → fsync), one fsync per force, the crash model (staged
+and written-but-unsynced bytes vanish), torn-tail cleanup on cold start,
+segment eviction, and the refusal of trimmed directories.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.logmgr import (
     CheckpointRecord,
     CodecError,
     FileLogStore,
+    LogDirectoryError,
     LogManager,
     LogicalRedo,
     PhysicalRedo,
@@ -25,9 +26,8 @@ from repro.logmgr.codec import (
     walk_frames,
 )
 from repro.logmgr.filelog import (
-    ARCHIVE_SUFFIX,
     SEGMENT_SUFFIX,
-    iter_file_records,
+    SegmentReader,
     seal_path,
     segment_filename,
 )
@@ -35,9 +35,14 @@ from repro.logmgr.records import LogRecord
 
 
 def durable_log(tmp_path, **kwargs):
-    """A LogManager over a FileLogStore in ``tmp_path``."""
-    store = FileLogStore(tmp_path, fsync=kwargs.pop("fsync", True))
-    return LogManager(store=store, **kwargs)
+    """A LogManager on segment files in ``tmp_path``."""
+    return LogManager.open(tmp_path, **kwargs)
+
+
+def file_records(path):
+    """Every record of one segment file, read standalone."""
+    with SegmentReader(path) as reader:
+        return list(reader.records())
 
 
 class TestFileLogStore:
@@ -80,10 +85,7 @@ class TestFileLogStore:
         assert handle.fh is not None  # not closed: staged frames remain
         store.write_up_to(1)  # raised AttributeError before the fix
         store.sync()
-        assert [r.lsn for r in iter_file_records(tmp_path / segment_filename(0))] == [
-            0,
-            1,
-        ]
+        assert [r.lsn for r in file_records(tmp_path / segment_filename(0))] == [0, 1]
         store.close()
 
     def test_stage_before_begin_raises(self, tmp_path):
@@ -107,7 +109,7 @@ class TestFileLogStore:
         store.crash()
         path = tmp_path / segment_filename(0)
         assert path.stat().st_size == FILE_HEADER_SIZE + len(frames[0])
-        survivors = list(iter_file_records(path))
+        survivors = file_records(path)
         assert [r.lsn for r in survivors] == [0]
 
     def test_crash_deletes_file_with_no_synced_records(self, tmp_path):
@@ -129,67 +131,32 @@ class TestFileLogStore:
         assert reopened.segment_base_lsns() == [0]
         assert [r.lsn for r in reopened.scan_segment(0)] == [0]
 
-    def test_archive_renames_and_keeps_format(self, tmp_path):
-        store = FileLogStore(tmp_path)
-        store.begin_segment(0)
-        frame = encode_record(LogRecord(lsn=0, payload=LogicalRedo(("a",))))
-        store.stage_many(0, 0, frame, 1)
-        store.write_up_to(0)
-        store.sync()
-        target = store.archive_segment(0)
-        assert target.suffix == ARCHIVE_SUFFIX
-        assert not (tmp_path / segment_filename(0)).exists()
-        assert store.archived_paths() == [target]
-        # The archive is the same binary format: same decoder reads it.
-        assert [r.lsn for r in iter_file_records(target)] == [0]
-
 
 class TestGroupCommit:
-    def test_batched_forces_share_one_fsync(self, tmp_path):
-        log = durable_log(tmp_path, group_commit=4)
-        base_fsyncs = log.store.fsyncs
+    """No batching inside the manager: every force is a write plus an
+    fsync (commit cadence and the pipeline batch above it)."""
+
+    def test_every_force_pays_one_fsync(self, tmp_path):
+        log = durable_log(tmp_path)
         for i in range(8):
             log.append(LogicalRedo((i,)))
             log.flush()
-        # 8 forces at group_commit=4 → 2 fsync points.  Each sync pays
-        # one file fsync; the first also pays the directory fsync for
-        # the segment file's creation.
-        assert log.store.syncs == 2
-        assert log.store.fsyncs - base_fsyncs == 3
-        assert log.stable_lsn == 7
-
-    def test_stable_lsn_advances_only_at_fsync(self, tmp_path):
-        log = durable_log(tmp_path, group_commit=3)
-        for i in range(2):
-            log.append(LogicalRedo((i,)))
-            log.flush()
-        assert log.stable_lsn == -1  # batch not full: still volatile
-        log.append(LogicalRedo((2,)))
-        log.flush()
-        assert log.stable_lsn == 2  # third force fills the batch
-
-    def test_barrier_flush_cannot_wait_for_batch(self, tmp_path):
-        log = durable_log(tmp_path, group_commit=100)
-        entry = log.append(LogicalRedo(("a",)))
-        log.ensure_stable(entry.lsn)
-        assert log.stable_lsn == entry.lsn
-        assert log.store.syncs == 1
+            assert log.stable_lsn == i
+        # Each sync pays one file fsync; the first also pays the
+        # directory fsync for the segment file's creation.
+        assert log.store.syncs == 8
+        assert log.store.fsyncs == 9
 
     def test_pending_forces_vanish_on_crash(self, tmp_path):
-        log = durable_log(tmp_path, group_commit=4)
-        log.append(LogicalRedo(("a",)))
-        log.flush()  # 1 pending force, no fsync yet
+        log = durable_log(tmp_path)
+        log.append(LogicalRedo(("a",)))  # appended, never forced
         log.crash()
         assert log.stable_lsn == -1
         assert len(log) == 0
         # The recovered incarnation can append and force normally.
         log.append(LogicalRedo(("b",)))
-        log.flush(barrier=True)
+        log.flush()
         assert log.stable_lsn == 0
-
-    def test_group_commit_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="group_commit"):
-            durable_log(tmp_path, group_commit=0)
 
 
 class TestEviction:
@@ -197,7 +164,7 @@ class TestEviction:
         log = durable_log(tmp_path, segment_size=4)
         for i in range(10):
             log.append(LogicalRedo((i,)))
-        log.flush(barrier=True)
+        log.flush()
         segments = log.segments()
         assert [s.evicted for s in segments] == [True, True, False]
 
@@ -205,7 +172,7 @@ class TestEviction:
         log = durable_log(tmp_path, segment_size=4)
         for i in range(10):
             log.append(LogicalRedo((i,)))
-        log.flush(barrier=True)
+        log.flush()
         assert [r.payload.description[0] for r in log.records_from(0)] == list(
             range(10)
         )
@@ -217,7 +184,7 @@ class TestEviction:
         for i in range(10):
             log.append(PhysicalRedo(f"p{i % 3}", {"k": i}))
             reference.append(PhysicalRedo(f"p{i % 3}", {"k": i}))
-        log.flush(barrier=True)
+        log.flush()
         reference.flush()
         assert len(log) == len(reference)
         assert log.stable_count_of(PhysicalRedo) == reference.stable_count_of(
@@ -233,14 +200,14 @@ class TestColdStart:
         assert len(log) == 0
         assert log.stable_lsn == -1
         entry = log.append(LogicalRedo(("first",)))
-        log.flush(barrier=True)
+        log.flush()
         assert log.stable_lsn == entry.lsn
 
     def test_cold_start_recovers_synced_records(self, tmp_path):
         warm = durable_log(tmp_path, segment_size=4)
         for i in range(9):
             warm.append(LogicalRedo((i,)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.append(LogicalRedo(("volatile",)))  # never forced
         warm.store.close()
         cold = LogManager.open(tmp_path, segment_size=4)
@@ -253,19 +220,19 @@ class TestColdStart:
     def test_cold_start_appends_continue_the_lsn_sequence(self, tmp_path):
         warm = durable_log(tmp_path)
         warm.append(LogicalRedo(("a",)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.store.close()
         cold = LogManager.open(tmp_path)
         entry = cold.append(LogicalRedo(("b",)))
         assert entry.lsn == 1
-        cold.flush(barrier=True)
+        cold.flush()
         assert cold.stable_lsn == 1
 
     def test_torn_tail_is_truncated_on_open(self, tmp_path):
         warm = durable_log(tmp_path)
         for i in range(3):
             warm.append(LogicalRedo((i,)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.store.close()
         path = tmp_path / segment_filename(0)
         clean = path.read_bytes()
@@ -277,14 +244,14 @@ class TestColdStart:
         # The log is appendable right where the tear was.
         entry = cold.append(LogicalRedo(("again",)))
         assert entry.lsn == 2
-        cold.flush(barrier=True)
+        cold.flush()
         assert cold.stable_lsn == 2
 
     def test_segments_after_a_tear_are_deleted(self, tmp_path):
         warm = durable_log(tmp_path, segment_size=2)
         for i in range(6):
             warm.append(LogicalRedo((i,)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.store.close()
         middle = tmp_path / segment_filename(2)
         middle.write_bytes(middle.read_bytes()[:-1])
@@ -296,32 +263,39 @@ class TestColdStart:
         warm = durable_log(tmp_path)
         warm.append(LogicalRedo(("a",)))
         warm.append(CheckpointRecord(("logical", 0)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.store.close()
         cold = LogManager.open(tmp_path)
         assert cold.last_stable_checkpoint_lsn == 1
 
-    def test_archived_files_fold_into_accounting(self, tmp_path):
+    def test_archived_directory_is_refused(self, tmp_path):
+        """A segment renamed ``.arch`` is what checkpoint truncation
+        used to leave: the live log no longer starts at LSN 0."""
         warm = durable_log(tmp_path, segment_size=2)
         for i in range(6):
             warm.append(LogicalRedo((i,)))
-        warm.flush(barrier=True)
-        warm.truncate_until(4)  # retires segments [0..1] and [2..3]
-        assert len(list(tmp_path.glob(f"*{ARCHIVE_SUFFIX}"))) == 2
-        warm_len, warm_bytes = len(warm), warm.stable_bytes()
-        warm_count = warm.stable_count_of(LogicalRedo)
+        warm.flush()
         warm.store.close()
-        cold = LogManager.open(tmp_path, segment_size=2)
-        assert len(cold) == warm_len
-        assert cold.stable_bytes() == warm_bytes
-        assert cold.stable_count_of(LogicalRedo) == warm_count
-        assert cold.head_lsn == 4
+        first = tmp_path / segment_filename(0)
+        first.rename(first.with_suffix(".arch"))
+        with pytest.raises(LogDirectoryError, match="archived"):
+            LogManager.open(tmp_path, segment_size=2)
+
+    def test_log_not_starting_at_zero_is_refused(self, tmp_path):
+        warm = durable_log(tmp_path, segment_size=2)
+        for i in range(6):
+            warm.append(LogicalRedo((i,)))
+        warm.flush()
+        warm.store.close()
+        (tmp_path / segment_filename(0)).unlink()
+        with pytest.raises(LogDirectoryError, match="starts at LSN 2"):
+            LogManager.open(tmp_path, segment_size=2)
 
     def test_non_dense_segment_files_rejected(self, tmp_path):
         warm = durable_log(tmp_path, segment_size=2)
         for i in range(6):
             warm.append(LogicalRedo((i,)))
-        warm.flush(barrier=True)
+        warm.flush()
         warm.store.close()
         (tmp_path / segment_filename(2)).unlink()  # punch a hole
         with pytest.raises(CodecError, match="not dense"):
@@ -330,12 +304,12 @@ class TestColdStart:
     def test_fsync_disabled_keeps_the_format(self, tmp_path):
         log = durable_log(tmp_path, fsync=False)
         log.append(LogicalRedo(("a",)))
-        log.flush(barrier=True)
+        log.flush()
         assert log.store.fsyncs == 0
         assert log.stable_lsn == 0
         paths = list(tmp_path.glob(f"*{SEGMENT_SUFFIX}"))
         assert len(paths) == 1
-        assert [r.lsn for r in iter_file_records(paths[0])] == [0]
+        assert [r.lsn for r in file_records(paths[0])] == [0]
 
 
 class TestSegmentSeal:
@@ -346,7 +320,7 @@ class TestSegmentSeal:
         log = durable_log(tmp_path, segment_size=segment_size)
         for i in range(n):
             log.append(LogicalRedo((i,)))
-        log.flush(barrier=True)
+        log.flush()
         return log
 
     def test_filled_segments_gain_seal_sidecars(self, tmp_path):
@@ -393,21 +367,13 @@ class TestSegmentSeal:
         path.write_bytes(bytes(damaged))
         assert [r.lsn for r in log.store.scan_segment(0)] == [0, 1, 2]
 
-    def test_seal_travels_with_archive(self, tmp_path):
-        log = self._filled_log(tmp_path)
-        target = log.store.archive_segment(0)
-        assert target.suffix == ARCHIVE_SUFFIX
-        assert seal_path(target).exists()
-        assert not seal_path(tmp_path / segment_filename(0)).exists()
-        assert [r.lsn for r in iter_file_records(target)] == list(range(8))
-
 
 class TestScanSeek:
     def _filled_log(self, tmp_path, n=20, segment_size=8):
         log = durable_log(tmp_path, segment_size=segment_size)
         for i in range(n):
             log.append(LogicalRedo((i,)))
-        log.flush(barrier=True)
+        log.flush()
         return log
 
     def test_scan_segment_seeks_mid_segment(self, tmp_path):
@@ -455,7 +421,7 @@ class TestPreSealCompat:
         log = durable_log(tmp_path, segment_size=8)
         for i in range(20):
             log.append(LogicalRedo((i,)))
-        log.flush(barrier=True)
+        log.flush()
         for sidecar in tmp_path.glob("*.seal"):
             sidecar.unlink()
         reopened = LogManager.open(tmp_path, segment_size=8)
@@ -476,7 +442,7 @@ class TestPreSealCompat:
             encode_file_header(0)
             + b"".join(encode_record(record) for record in records)
         )
-        streamed = list(iter_file_records(path))
+        streamed = file_records(path)
         assert [r.lsn for r in streamed] == [0, 1, 2, 3, 4]
         assert [r.payload for r in streamed] == [r.payload for r in records]
         assert [r.labels for r in streamed] == [r.labels for r in records]

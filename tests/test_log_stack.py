@@ -1,6 +1,5 @@
-"""Tests for the unified log stack: segments, truncation, partitioned
-redo, and the fault-injection cases that show which assumptions are
-load-bearing."""
+"""Tests for the unified log stack: segments, partitioned redo, and the
+fault-injection cases that show which assumptions are load-bearing."""
 
 from __future__ import annotations
 
@@ -52,40 +51,6 @@ class TestSegments:
         assert manager.segment_stable_boundary(7) == 5
         assert manager.segment_stable_boundary(9) == 5
 
-    def test_truncate_retires_only_sealed_stable_segments(self):
-        manager = LogManager(segment_size=4)
-        for i in range(10):
-            manager.append(LogicalRedo(("op", i)))
-        manager.flush()
-        assert manager.truncate_until(8) == 8
-        assert manager.head_lsn == 8
-        # Retired records stay visible to the accounting...
-        assert len(manager) == 10
-        assert manager.stable_count_of(LogicalRedo) == 10
-        # ...but are no longer resident.
-        assert [r.lsn for r in manager.records_from(0)] == [8, 9]
-
-    def test_truncate_never_passes_the_stable_watermark(self):
-        manager = LogManager(segment_size=2)
-        for i in range(6):
-            manager.append(LogicalRedo(("op", i)))
-        manager.flush(up_to_lsn=2)
-        # Asked for 6, but only LSNs <= 2 are stable: segment [0,1] goes,
-        # segment [2,3] stays (LSN 3 is volatile).
-        assert manager.truncate_until(6) == 2
-        assert manager.head_lsn == 2
-
-    def test_truncate_feeds_archive_sink(self):
-        archived = []
-        manager = LogManager(segment_size=2)
-        manager.set_archive_sink(archived.append)
-        for i in range(6):
-            manager.append(LogicalRedo(("op", i)))
-        manager.flush()
-        manager.truncate_until(4)
-        assert [s.base_lsn for s in archived] == [0, 2]
-        assert sum(len(s) for s in archived) == 4
-
     def test_crash_drops_volatile_tail_across_segments(self):
         manager = LogManager(segment_size=3)
         for i in range(8):
@@ -109,7 +74,7 @@ class TestSegments:
 
 class TestWalCheckSegmented:
     def test_pool_wal_check_forces_the_needed_prefix(self):
-        machine = Machine(log_segment_size=4)
+        machine = Machine(log=LogManager(segment_size=4))
         entry = None
         for i in range(6):
             entry = machine.log.append(
@@ -194,44 +159,6 @@ class TestPartitionTheory:
         partial = VariablePartition([A])  # never saw B
         with pytest.raises(ValueError, match="does not cover"):
             recover_partitioned(State(), Log([A, B]), partition=partial)
-
-
-# ----------------------------------------------------------------------
-# Engine truncation knobs
-# ----------------------------------------------------------------------
-
-
-class TestEngineTruncation:
-    @pytest.mark.parametrize("method", sorted(METHODS))
-    def test_truncate_on_checkpoint_preserves_recoverability(self, method):
-        db = KVDatabase(
-            method=method,
-            n_pages=4,
-            # A small cache forces eviction flushes, draining the dirty
-            # page table so fuzzy-checkpoint truncation points advance.
-            cache_capacity=2,
-            log_segment_size=8,
-            checkpoint_every=10,
-            truncate_on_checkpoint=True,
-        )
-        for i in range(50):
-            db.execute(("put", f"k{i % 16}", i))
-        log = db.method.machine.log
-        assert log.head_lsn > 0, "checkpoints should have retired segments"
-        db.crash_and_recover()
-        db.verify_against()
-
-    def test_truncation_point_below_live_reclsn(self):
-        db = KVDatabase(method="physiological", n_pages=4, log_segment_size=4)
-        for i in range(20):
-            db.execute(("put", f"k{i}", i))
-        db.checkpoint()
-        point = db.method.truncation_point()
-        assert 0 <= point <= db.method.machine.log.last_stable_checkpoint_lsn
-        # Everything below the point is never read by recovery.
-        db.method.truncate_log()
-        db.crash_and_recover()
-        db.verify_against()
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,24 @@ class TestEngineSpec:
         with pytest.raises(ValueError, match="cache_policy='clock'"):
             EngineSpec.from_dict({**old, "cache_policy": "clock"})
 
+    def test_retired_log_fields(self):
+        """``group_commit`` and ``truncate_on_checkpoint`` went the same
+        way, and ``Machine`` no longer builds a file-backed log."""
+        from repro.methods import Machine
+
+        with pytest.raises(TypeError, match="group_commit"):
+            KVDatabase(group_commit=4)
+        with pytest.raises(TypeError, match="truncate_on_checkpoint"):
+            KVDatabase(truncate_on_checkpoint=True)
+        with pytest.raises(TypeError, match="log_dir"):
+            Machine(log_dir="wal")
+        old = {**EngineSpec().as_dict(), "group_commit": 1, "truncate_on_checkpoint": False}
+        assert EngineSpec.from_dict(old) == EngineSpec()
+        with pytest.raises(ValueError, match="group_commit=4"):
+            EngineSpec.from_dict({**old, "group_commit": 4})
+        with pytest.raises(ValueError, match="truncate_on_checkpoint=True"):
+            EngineSpec.from_dict({**old, "truncate_on_checkpoint": True})
+
     def test_build_applies_config(self):
         db = EngineSpec(method="physical", commit_every=5, n_pages=4).build()
         assert db.method_name == "physical"
@@ -377,6 +395,25 @@ class TestManifest:
         manifest["spec"]["install_policy"] = "legacy"
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="install_policy='legacy'"):
+            ShardedDatabase.cold_start(tmp_path, processes=0)
+
+    def test_manifest_with_the_log_fields_cold_starts(self, tmp_path):
+        """A manifest written while the spec still carried
+        ``group_commit`` and ``truncate_on_checkpoint``."""
+        sdb = ShardedDatabase.create(root=tmp_path, n_shards=2)
+        sdb.run(put_stream(10))
+        sdb.sync()
+        sdb.close()
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["spec"].update(group_commit=1, truncate_on_checkpoint=False)
+        path.write_text(json.dumps(manifest))
+        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        assert cold.dump() == apply_to_oracle(put_stream(10))
+        cold.close()
+        manifest["spec"]["group_commit"] = 4
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="group_commit=4"):
             ShardedDatabase.cold_start(tmp_path, processes=0)
 
     def test_cold_start_honors_keymap_seed(self, tmp_path):

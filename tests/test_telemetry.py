@@ -120,12 +120,9 @@ class TestHealthOp:
         )
 
     def test_pipeline_depth_counts_unforced_suffix(self, tmp_path):
-        db = KVDatabase(
-            method="physiological",
-            log_dir=tmp_path / "wal",
-            group_commit=64,  # keep appends unforced until commit
-        )
-        server = KVServer(db, session_commit_every=0)
+        db = KVDatabase(method="physiological", log_dir=tmp_path / "wal")
+        # A session cadence longer than the run keeps appends unforced.
+        server = KVServer(db, session_commit_every=64)
         server.serve_background()
         try:
             with KVClient(*server.address) as client:

@@ -29,7 +29,9 @@ with ``commit_pipeline=True`` a session's commit parks outside the
 engine lock on the cross-session group-commit pipeline
 (:class:`~repro.logmgr.pipeline.GroupCommitPipeline`), so while one
 window's fsync is on the disk, other sessions keep executing and their
-commits fold into the next window.  ``applied`` is appended under the
+commits fold into the next window.  Each operation is announced to the
+pipeline while it applies, so a window opening meanwhile waits for its
+records instead of sleeping on a timer.  ``applied`` is appended under the
 engine mutex in log order, which keeps the durable-prefix oracle of
 :meth:`verify_against` valid under any interleaving.  Per-client streams
 go through :class:`Session` (from :meth:`KVDatabase.session`), which
@@ -339,13 +341,30 @@ class KVDatabase:
         *wait* happens after the lock is released, so other threads keep
         executing while this one's window is on the disk.
         """
-        with self.mutex:
-            if self.tracer.enabled:
-                self.tracer.event("engine.command", kind=command[0], key=command[1])
-            result = self.method.apply(command)
-            wait = self._after_apply(command, self)
+        return self._execute(command, self)
+
+    def _execute(self, command: KVOp, cadence: "KVDatabase | Session") -> Any:
+        """The one execute path, shared with :meth:`Session.execute`.  On
+        a pipelined database the operation is announced to the pipeline
+        from before it queues for the mutex until its records are
+        appended, so an opening commit window can wait for them."""
+        pipeline = self.pipeline
+        if pipeline is not None:
+            pipeline.enter()
+        try:
+            with self.mutex:
+                if self.tracer.enabled:
+                    extra = {} if cadence is self else {"session": cadence.session_id}
+                    self.tracer.event(
+                        "engine.command", kind=command[0], key=command[1], **extra
+                    )
+                result = self.method.apply(command)
+                wait = self._after_apply(command, cadence)
+        finally:
+            if pipeline is not None:
+                pipeline.leave()
         if wait:
-            self.commit()
+            cadence.commit()
         return result
 
     def _after_apply(self, command: KVOp, cadence: "KVDatabase | Session") -> bool:
@@ -698,17 +717,7 @@ class Session:
 
     def execute(self, command: KVOp) -> Any:
         """Apply one command; auto-commits on this session's cadence."""
-        db = self.db
-        with db.mutex:
-            if db.tracer.enabled:
-                db.tracer.event(
-                    "engine.command", kind=command[0], key=command[1], session=self.session_id
-                )
-            result = db.method.apply(command)
-            wait = db._after_apply(command, self)
-        if wait:
-            self.commit()
-        return result
+        return self.db._execute(command, self)
 
     def run(self, stream: Sequence[KVOp]) -> None:
         """Execute every command of ``stream`` in order."""

@@ -42,10 +42,9 @@ and every watermark, so "one LSN authority" survives concurrent
 appenders; the *force lock* serializes the write+fsync path, so exactly
 one force is in flight at a time while appends keep flowing (the
 ``fsync`` itself runs outside the manager mutex).  ``stable_lsn`` is
-monotone under any interleaving — a force only ever advances it — and
-:meth:`wait_stable` blocks a caller until the watermark covers an LSN,
-which is the primitive the cross-session commit pipeline
-(:mod:`repro.logmgr.pipeline`) wakes waiters with.
+monotone under any interleaving — a force only ever advances it — which
+is what the cross-session commit pipeline (:mod:`repro.logmgr.pipeline`)
+checks before it acknowledges a commit.
 """
 
 from __future__ import annotations
@@ -165,9 +164,6 @@ class LogManager:
         # updates, checkpoint bookkeeping.  RLock because the write path
         # re-enters (ensure_stable -> flush, append -> seal).
         self._mutex = threading.RLock()
-        # Waiters parked on a target LSN (commit pipeline, sync calls)
-        # are woken whenever the stable watermark advances.
-        self._stable_cv = threading.Condition(self._mutex)
         # One force in flight at a time; appends proceed during the fsync.
         self._force_lock = threading.RLock()
         self._segments: list[LogSegment] = [LogSegment(0)]
@@ -381,7 +377,6 @@ class LogManager:
                         )
                     self._stable_lsn = target
                     self.forced_flushes += 1
-                    self._stable_cv.notify_all()
                 return
         with self._force_lock:
             # Cut the covered prefix of the pending tail under the
@@ -440,22 +435,6 @@ class LogManager:
                     self._stable_lsn = sync_target
                 self.forced_flushes += 1
                 self._evict_synced()
-                self._stable_cv.notify_all()
-
-    def wait_stable(self, lsn: int, timeout: float | None = None) -> bool:
-        """Block until the stable watermark covers ``lsn``.
-
-        The waiter half of cross-session group commit: a session parks
-        here after handing its force to the committer, and is woken when
-        some force (anyone's) advances ``stable_lsn`` past its records.
-        Returns False on timeout — the caller decides whether that is a
-        protocol error or a retry.  Never wakes early: the predicate is
-        re-checked under the manager mutex after every notification.
-        """
-        with self._stable_cv:
-            return self._stable_cv.wait_for(
-                lambda: self._stable_lsn >= lsn, timeout=timeout
-            )
 
     def _seal_filled_locked(self) -> None:
         """Seal every segment file that has rotated and whose records

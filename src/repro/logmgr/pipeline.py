@@ -10,35 +10,41 @@ does.
 The shape is the classic pipelined group commit:
 
 - a session calls :meth:`commit` with the LSN of its last record; the
-  request is folded into the *window* (just a max over requested LSNs),
-  the committer is nudged, and the session parks on the log manager's
-  :meth:`~repro.logmgr.manager.LogManager.wait_stable`;
-- one **committer thread** drains the window: it takes the highest
-  requested LSN and issues a single force —
-  ``log.flush(up_to)`` window-encodes the whole batch
-  into one packed blob of per-record frames per segment run (one
-  staged blob, one ``write``) plus one ``fsync`` covering every
+  request joins the open *window*, the committer is nudged, and the
+  session parks on that window's event;
+- one **committer thread** drains the window with a single force of
+  everything appended so far — ``log.flush(up_to)`` window-encodes the
+  whole batch into one packed blob of per-record frames per segment run
+  (one staged blob, one ``write``) plus one ``fsync`` covering every
   session's records — then loops;
-- while that fsync is in flight, new commit requests accumulate into
-  the *next* window; the batch size **emerges** from the disk's own
-  latency (the slower the fsync, the wider the window), which is why
-  throughput scales with fan-in.  On a fast disk the fsync alone is too
-  short a gathering interval, so the committer also waits
-  ``window_delay`` after a window opens before forcing — the classic
-  group-commit timer: a bounded, configurable latency add (default
-  1 ms) bought back many times over in fsyncs saved;
-- waking is by stable LSN: the force advances the manager's watermark
-  and notifies its condition variable, releasing exactly the waiters
-  whose records are covered — never early, because the predicate is
-  re-checked under the manager mutex.
+- while that fsync is in flight, a commit whose records it already
+  covers joins it; later requests accumulate into the *next* window, so
+  the batch size **emerges** from the disk's own latency (the slower the
+  fsync, the wider the window), which is why throughput scales with
+  fan-in;
+- the window is **adaptive**: sessions announce an operation in flight
+  (:meth:`enter` before taking the engine mutex, :meth:`leave` after
+  the apply).  With no other session in flight, waiting buys nothing and
+  the committer forces at once.  Otherwise it waits until the in-flight
+  count reaches zero — those operations' records land in the same force
+  — capped by a running estimate of one force's duration, so a session
+  that never leaves delays a commit by at most one fsync's worth;
+- waking is per window: once a window's force returns, its event
+  releases exactly the commits it covered (the next window's waiters
+  sleep on), and each re-reads the manager's stable watermark before
+  acknowledging — never early.
 
 Two ordering guarantees the tests pin down: ``stable_lsn`` never
 regresses (the manager's force path takes a max), and a
 :meth:`commit` return implies durability of that session's records
-(``wait_stable`` is predicate-checked, not notification-counted).
+(the acknowledgement is checked against ``stable_lsn``, not inferred
+from the wake-up).
 Forces issued *around* the pipeline — a ``sync()``, the WAL gate's
 ``ensure_stable`` — interleave safely: they serialize on the manager's
-force lock and can only advance the same watermark.
+force lock and can only advance the same watermark.  Every commit is
+counted exactly once, as ``fast_path`` (already stable when asked) or
+in the window whose force covered it: ``coalesced_total + fast_path ==
+commits`` once no commit is waiting.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ import time
 from typing import Any
 
 DEFAULT_COMMIT_TIMEOUT = 60.0
-DEFAULT_WINDOW_DELAY = 0.001
 
 
 class PipelineClosed(RuntimeError):
@@ -63,21 +68,30 @@ class GroupCommitPipeline:
         log,
         name: str = "group-commit",
         commit_timeout: float = DEFAULT_COMMIT_TIMEOUT,
-        window_delay: float = DEFAULT_WINDOW_DELAY,
     ):
         self.log = log
         self.commit_timeout = commit_timeout
-        self.window_delay = window_delay
         self._mutex = threading.Lock()
         self._work = threading.Condition(self._mutex)
-        self._requested_lsn = -1  # high-water mark of the open window
-        self._window_requests = 0  # commits folded into the open window
+        self._pending = 0  # requests waiting for the next window
+        self._requested_lsn = -1  # their high-water mark
+        self._covering_lsn = -1  # target of the force on the disk, if any
+        self._window_size = 0  # commits in the current window
+        # Set once a window's force returns: the next window's waiters
+        # park on ``_next``, the ones covered by the force on the disk
+        # on ``_forcing``.
+        self._next = threading.Event()
+        self._forcing = threading.Event()
+        self._in_flight = 0  # sessions between enter() and leave()
+        self._gathering = False
+        self._force_estimate = 0.0  # seconds; running mean of one force
         self._closed = False
         self._abort = False
         # Counters (read via stats(); mutated under the mutex).
         self.commits = 0
         self.fast_path = 0
         self.windows = 0
+        self.gathered_windows = 0
         self.coalesced_total = 0
         self.max_coalesced = 0
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
@@ -87,6 +101,19 @@ class GroupCommitPipeline:
     # The session-facing half
     # ------------------------------------------------------------------
 
+    def enter(self) -> None:
+        """Announce an operation about to append: a window opening now
+        waits (briefly) for it to :meth:`leave`."""
+        with self._mutex:
+            self._in_flight += 1
+
+    def leave(self) -> None:
+        """The announced operation has appended its records."""
+        with self._mutex:
+            self._in_flight -= 1
+            if self._gathering and not self._in_flight:
+                self._work.notify()
+
     def commit(self, lsn: int | None = None, timeout: float | None = None) -> int:
         """Make the log stable through ``lsn`` (default: everything
         appended so far); blocks until it is.  Returns the stable LSN
@@ -94,29 +121,44 @@ class GroupCommitPipeline:
         """
         if lsn is None:
             lsn = self.log.next_lsn - 1
-        if self.log.stable_lsn >= lsn:
-            # Someone else's window already covered these records.
-            with self._mutex:
+        with self._work:
+            if self.log.stable_lsn >= lsn:
+                # Someone else's force already covered these records.
                 self.commits += 1
                 self.fast_path += 1
-            return self.log.stable_lsn
-        with self._work:
+                return self.log.stable_lsn
             if self._closed:
                 raise PipelineClosed("commit after pipeline close")
             self.commits += 1
-            self._window_requests += 1
-            if lsn > self._requested_lsn:
-                self._requested_lsn = lsn
-            self._work.notify_all()
-        if not self.log.wait_stable(
-            lsn, timeout=self.commit_timeout if timeout is None else timeout
-        ):
+            if lsn <= self._covering_lsn:
+                # The force on the disk right now covers these records.
+                self._join_window(1)
+                done = self._forcing
+            else:
+                self._pending += 1
+                if lsn > self._requested_lsn:
+                    self._requested_lsn = lsn
+                if self._pending == 1 and not self._gathering:
+                    self._work.notify()
+                done = self._next
+        if timeout is None:
+            timeout = self.commit_timeout
+        # Park on this window alone — a force wakes only the commits it
+        # covers — and acknowledge only what the watermark shows stable.
+        done.wait(timeout)
+        stable = self.log.stable_lsn
+        if stable < lsn:
             raise TimeoutError(
                 f"group commit of LSN {lsn} still not stable after "
-                f"{self.commit_timeout if timeout is None else timeout}s "
-                f"(stable_lsn={self.log.stable_lsn})"
+                f"{timeout}s (stable_lsn={stable})"
             )
-        return self.log.stable_lsn
+        return stable
+
+    def _join_window(self, n: int) -> None:
+        self._window_size += n
+        self.coalesced_total += n
+        if self._window_size > self.max_coalesced:
+            self.max_coalesced = self._window_size
 
     # ------------------------------------------------------------------
     # The committer half
@@ -125,32 +167,49 @@ class GroupCommitPipeline:
     def _run(self) -> None:
         while True:
             with self._work:
-                while not self._closed and (
-                    self._requested_lsn <= self.log.stable_lsn
-                ):
+                while not self._closed and not self._pending:
                     self._work.wait()
-                if self._closed and (
-                    self._abort or self._requested_lsn <= self.log.stable_lsn
-                ):
+                if self._pending and self._requested_lsn <= self.log.stable_lsn:
+                    # A force around the pipeline covered them first.
+                    self.fast_path += self._pending
+                    self._pending = 0
+                    self._next.set()
+                    self._next = threading.Event()
+                if self._closed and (self._abort or not self._pending):
                     return
-            # Let the window gather: requests arriving during this delay
-            # (and during the fsync below) share the force.  Skipped when
-            # closing — the drain should not dawdle.
-            if self.window_delay > 0 and not self._closed:
-                time.sleep(self.window_delay)
-            with self._work:
-                target = self._requested_lsn
-                coalesced = self._window_requests
-                self._window_requests = 0
-            # One write + one fsync for the whole window.  Requests that
-            # arrive while this force is on the disk fold into the next
-            # window — that is the pipelining.
-            self.log.flush(up_to_lsn=target)
-            with self._mutex:
+                if self._in_flight and not self._closed:
+                    # Another session is mid-apply: its records can ride
+                    # this force if it finishes within about one force.
+                    self.gathered_windows += 1
+                    self._gathering = True
+                    self._work.wait_for(
+                        lambda: not self._in_flight or self._closed,
+                        timeout=self._force_estimate,
+                    )
+                    self._gathering = False
+                    if self._abort:
+                        return
+                # The window: every pending request, plus whatever is
+                # appended by now — a session between leave() and its
+                # commit request is covered too, and joins on arrival.
+                target = self.log.next_lsn - 1
+                self._covering_lsn = target
+                self._forcing, self._next = self._next, threading.Event()
+                self._window_size = 0
+                self._join_window(self._pending)
+                self._pending = 0
+                self._requested_lsn = -1
                 self.windows += 1
-                self.coalesced_total += coalesced
-                if coalesced > self.max_coalesced:
-                    self.max_coalesced = coalesced
+            started = time.perf_counter()
+            self.log.flush(up_to_lsn=target)
+            elapsed = time.perf_counter() - started
+            with self._mutex:
+                self._covering_lsn = -1
+                self._forcing.set()
+                if self.windows == 1:
+                    self._force_estimate = elapsed
+                else:
+                    self._force_estimate += (elapsed - self._force_estimate) / 8
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
@@ -170,7 +229,7 @@ class GroupCommitPipeline:
             self._closed = True
             if abort:
                 self._abort = True
-            self._work.notify_all()
+            self._work.notify()
         self._thread.join(timeout)
 
     @property
@@ -186,6 +245,8 @@ class GroupCommitPipeline:
                 "windows": self.windows,
                 "coalesced_total": self.coalesced_total,
                 "max_coalesced": self.max_coalesced,
+                "gathered_windows": self.gathered_windows,
+                "force_estimate_us": round(self._force_estimate * 1e6, 1),
             }
 
     def __repr__(self) -> str:

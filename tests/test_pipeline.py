@@ -2,6 +2,7 @@
 concurrency contract: coalescing, monotone stable watermarks, no early
 wakes, sync() barriers interleaved with in-flight windows."""
 
+import sys
 import threading
 import time
 
@@ -81,6 +82,107 @@ class TestPipelineCoalescing:
         assert stats["fast_path"] >= 1
         assert stats["windows"] == before
         pipeline.close()
+        log.store.close()
+
+
+class TestExactCounters:
+    @pytest.mark.parametrize("n_threads", [2, 64])
+    def test_each_commit_counted_once(self, tmp_path, n_threads):
+        """A commit whose records a running force already covers joins
+        that window; none is carried into the next window's count."""
+        log = LogManager.open(tmp_path)
+        pipeline = GroupCommitPipeline(log)
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(10):
+                    pipeline.enter()
+                    lsn = _append(log)
+                    pipeline.leave()
+                    assert pipeline.commit(lsn) >= lsn
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the counters' updates
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        pipeline.close()
+        stats = pipeline.stats()
+        assert stats["commits"] == n_threads * 10
+        assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
+        assert stats["max_coalesced"] <= n_threads
+        assert pipeline._in_flight == 0
+        log.store.close()
+
+
+class TestAdaptiveWindow:
+    def test_lone_session_does_not_wait(self):
+        """No other session in flight: every window forces at once."""
+        log = LogManager()
+        pipeline = GroupCommitPipeline(log)
+        started = time.perf_counter()
+        for _ in range(200):
+            pipeline.enter()
+            lsn = _append(log)
+            pipeline.leave()
+            pipeline.commit(lsn)
+        elapsed = time.perf_counter() - started
+        pipeline.close()
+        assert elapsed < 0.1
+        assert pipeline.stats()["gathered_windows"] == 0
+
+    def test_stuck_session_delays_by_one_force_at_most(self):
+        log = LogManager()
+        pipeline = GroupCommitPipeline(log)
+        pipeline.commit(_append(log))  # one force measured
+        pipeline.enter()  # a session that never leaves
+        lsn = _append(log)
+        started = time.perf_counter()
+        assert pipeline.commit(lsn) >= lsn
+        assert time.perf_counter() - started < 1.0
+        stats = pipeline.stats()
+        assert stats["gathered_windows"] == 1
+        assert stats["force_estimate_us"] < 1e6
+        pipeline.close()
+
+    def test_abort_during_gather_does_not_force(self, tmp_path):
+        log = LogManager.open(tmp_path)
+        log._store = _SlowSyncStore(log._store, delay=0.5)
+        pipeline = GroupCommitPipeline(log)
+        pipeline.commit(_append(log))  # the force estimate becomes ~0.5 s
+        stable_before = log.stable_lsn
+        pipeline.enter()
+        lsn = _append(log)
+        errors = []
+
+        def waiter():
+            try:
+                pipeline.commit(lsn, timeout=0.5)
+            except TimeoutError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while pipeline.stats()["gathered_windows"] < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        pipeline.close(abort=True)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert not pipeline._thread.is_alive()
+        assert log.stable_lsn == stable_before
+        assert errors  # the waiter was never promised durability
         log.store.close()
 
 

@@ -79,6 +79,9 @@ class TestProtocol:
             stats = client.stats()
         assert stats["sessions_served"] >= 1
         assert stats["pipeline_commits"] >= 1
+        # The adaptive window's gather cap and how often it waited.
+        assert stats["pipeline_force_estimate_us"] > 0
+        assert stats["pipeline_gathered_windows"] >= 0
         assert stats["method"] == "physiological"
 
 

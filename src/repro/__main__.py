@@ -52,8 +52,7 @@ Commands
     the log root fed by the server's serve span and 1 Hz health
     heartbeats — the engines stay untraced unless ``--trace-ops`` opts
     into the per-operation firehose (a measured double-digit throughput
-    tax, see E22).  ``--no-telemetry`` turns all of it off (the E22
-    baseline).  Prints ``listening on HOST:PORT`` once bound.
+    tax).  ``--no-telemetry`` turns all of it off.  Prints ``listening on HOST:PORT`` once bound.
 ``top --port N [--host H] [--interval S] [--once]``
     A polling terminal dashboard over a live server: per-shard stable
     LSN / pipeline depth / dirty pages, throughput rates, and per-op
@@ -559,8 +558,8 @@ def cmd_serve(args) -> int:
     telemetry = not args.no_telemetry
     tracer = _serve_tracer(args.log_dir, telemetry)
     # The engine firehose (a trace record per log append/force/replay) is
-    # measurably expensive at serve throughput — E22 puts it at a
-    # double-digit commits/s tax — so by default only the *server* gets
+    # measurably expensive at serve throughput — a double-digit
+    # commits/s tax — so by default only the *server* gets
     # the tracer (serve span + heartbeat into the flight ring) and the
     # engines run untraced.  --trace-ops opts into the full firehose.
     engine_tracer = tracer if args.trace_ops else None
@@ -898,8 +897,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-telemetry",
         dest="no_telemetry",
         action="store_true",
-        help="disable latency histograms, tracing, and the flight "
-        "recorder (the E22 overhead baseline)",
+        help="disable latency histograms, tracing, and the flight recorder",
     )
     serve.add_argument(
         "--trace-ops",

@@ -41,6 +41,7 @@ carries its own commit cadence and last-LSN watermark.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
@@ -552,6 +553,9 @@ class KVDatabase:
         while stop is not None and not stop.is_set():
             if not plan.step():
                 break
+            # Yield between groups: a foreground fault blocked on the
+            # pool mutex takes it here instead of waiting out the drain.
+            time.sleep(0)
         if plan.done and stop is not None and not stop.is_set():
             progress = self.method.machine.progress
             if progress.enabled:
@@ -700,10 +704,9 @@ class Session:
     mutex; :meth:`commit` waits for durability of *this session's*
     records — through the cross-session pipeline when the database has
     one (many sessions, one fsync per window), otherwise by forcing the
-    log itself (the per-session-forcing baseline the E19 benchmark
-    measures against).  Mutation order in ``db.applied`` is the engine
-    mutex's acquisition order, which is also log order, so the
-    durable-prefix oracle remains exact under any interleaving.
+    log itself (one fsync per commit).  Mutation order in ``db.applied``
+    is the engine mutex's acquisition order, which is also log order, so
+    the durable-prefix oracle remains exact under any interleaving.
     """
 
     def __init__(self, db: KVDatabase, session_id: int, commit_every: int = 1):

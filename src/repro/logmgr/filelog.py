@@ -21,7 +21,7 @@ The write path is staged and **batch-granular**:
 
 Every manager force ends in one :meth:`sync`; how many commits share
 it is decided above the manager (commit cadence, the cross-session
-pipeline) — the trade benchmark E18 measures.
+pipeline).
 
 A segment that will never be written again can be **sealed** with
 :meth:`seal_segment`: a 20-byte sidecar file (``<segment>.seal``)

@@ -23,8 +23,7 @@ recovery; this package makes every contract-relevant decision
 Tracing is **off by default and cheap**: the shared :data:`NULL_TRACER`
 is a no-op object, and every instrumentation site guards with
 ``if tracer.enabled:`` so a disabled tracer costs one attribute load
-and a branch — no event dict is ever built (verified by the E17
-overhead benchmark).
+and a branch — no event dict is ever built.
 """
 
 from repro.obs.flightrec import (

@@ -17,8 +17,7 @@ The cost contract: instrumentation sites throughout the engine, log
 manager, cache, and recovery methods guard with ``if tracer.enabled:``
 before building any event fields.  The shared :data:`NULL_TRACER`
 (``enabled = False``) therefore reduces a disabled site to one
-attribute load plus a branch — no allocation, no call.  The E17
-benchmark measures exactly this.
+attribute load plus a branch — no allocation, no call.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ holds the server to.
 :mod:`repro.server.client` is the matching blocking client;
 :mod:`repro.server.harness` drives thousands of *simulated* clients
 (sessions multiplexed over a bounded worker pool, in-process or over
-sockets) and measures commit throughput — the E19 experiment.
+sockets) and measures commit throughput under fan-in.
 """
 
 from repro.server.client import KVClient

@@ -27,7 +27,7 @@ class KVClient:
     The retried request is re-sent on a *fresh connection*, i.e. a
     fresh server session: at-least-once delivery, so it is only safe
     for idempotent traffic or harnesses that reconcile against the
-    durable prefix afterwards (the E21 shard-restart window does).
+    durable prefix afterwards (``examples/shard_smoke.py`` does).
     Protocol-level errors (:class:`ServerError`) are never retried —
     the server answered; retrying would just repeat the refusal.
     """

@@ -1,11 +1,10 @@
-"""Drive thousands of simulated clients against one engine (E19).
+"""Drive thousands of simulated clients against one engine.
 
 A *simulated client* is an engine :class:`~repro.engine.kv.Session`
 with its own disjoint keyspace (``c{i}:k{j}``) and its own commit
 cadence — thousands of them are multiplexed over a bounded worker-thread
 pool, the way a real server multiplexes connections over an event loop.
-This measures the thing the E19 experiment is about: how commit
-throughput scales with client fan-in when every commit is a durability
+This measures how commit throughput scales with client fan-in when every commit is a durability
 barrier.  Per-session forcing pays one log force per commit; the
 cross-session pipeline coalesces all concurrent commits into one fsync
 per window, so throughput rises with fan-in instead of flatlining at

@@ -41,12 +41,12 @@ replies carry the quantile summaries (p50/p95/p99) next to the engine's
 merged counter snapshot; ``health`` answers the cheap liveness
 questions (per-shard stable LSN, volatile pipeline depth, dirty-page
 count, uptime) without touching the full registry.  ``telemetry=False``
-reduces the per-request cost to one attribute check — the E22 benchmark
-bounds the difference at ≤5% of commits/s.
+reduces the per-request cost to one attribute check; the default costs
+within 5% of that in commits/s.
 
 The budget dictates the architecture: per-*operation* tracing costs
 microseconds of JSON per record, which at tens of thousands of ops/s is
-a double-digit throughput tax (measured in E22) — so the default serve
+a double-digit throughput tax — so the default serve
 telemetry never puts the engine's event firehose on the hot path.
 Instead the server's own tracer (``tracer=``, teed into the on-disk
 flight ring by ``repro serve``) carries the cheap-but-sufficient crash

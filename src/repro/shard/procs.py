@@ -23,7 +23,6 @@ the child's file-level truncation already happened, so the parent's
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from typing import Any
 
@@ -66,7 +65,8 @@ def recover_shard(task: dict[str, Any]) -> dict[str, Any]:
     because it crosses the spawn-child boundary unbuffered and leaves
     stdout to the protocol).  ``elapsed_s`` times the replay+quiesce
     alone — the per-shard recovery cost, free of pool startup and result
-    pickling, which is what the E21 critical-path metric aggregates.
+    pickling, which is what the deployment's ``critical_path_s`` takes
+    the maximum of.
     """
     spec = EngineSpec.from_dict(task["spec"])
     survivor = unpack_disk(task.get("pages") or {})
@@ -95,42 +95,3 @@ def recover_shard(task: dict[str, Any]) -> dict[str, Any]:
     }
     db.close()
     return result
-
-
-def drive_shard(task: dict[str, Any]) -> dict[str, Any]:
-    """Drive one fresh shard with concurrent client sessions; return the
-    sustained rate.  The E21 throughput worker: because shards share no
-    WAL, mutex, or pipeline, per-shard sustained rates measured in
-    isolation sum to the deployment's aggregate capacity.
-
-    ``task``: ``shard``, ``dir`` (or None for in-memory), ``spec``,
-    ``clients`` (list of per-client command lists), ``commit_every``.
-    """
-    spec = EngineSpec.from_dict(task["spec"])
-    db = spec.build(log_dir=task.get("dir"))
-    commit_every = task.get("commit_every", 1)
-    sessions = [db.session(commit_every=commit_every) for _ in task["clients"]]
-
-    def run_client(session, ops):
-        session.run(ops)
-        session.commit()
-
-    threads = [
-        threading.Thread(target=run_client, args=(session, ops))
-        for session, ops in zip(sessions, task["clients"])
-    ]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-    report = db.report()
-    db.close()
-    return {
-        "shard": task["shard"],
-        "ops": sum(session.ops for session in sessions),
-        "commits": sum(session.commits for session in sessions),
-        "elapsed_s": elapsed,
-        "fsyncs": report.get("durable_fsyncs", 0),
-    }

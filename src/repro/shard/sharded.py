@@ -32,8 +32,8 @@ quiesce, ship the disk image*: after ``quiesce()`` the disk plus the
 segment files alone capture the shard, with **no log appends**, so the
 parent re-opens each shard with ``recover=False`` and repeated cold
 starts stay byte-identical.  Warm :meth:`recover` quiesces too, which
-is what makes warm and cold recovery land on the same bytes — the
-equivalence the E21 crash legs check per shard, per method.
+is what makes warm and cold recovery land on the same bytes, per
+shard and per method.
 """
 
 from __future__ import annotations

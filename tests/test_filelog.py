@@ -137,15 +137,20 @@ class TestGroupCommit:
     fsync (commit cadence and the pipeline batch above it)."""
 
     def test_every_force_pays_one_fsync(self, tmp_path):
-        log = durable_log(tmp_path)
-        for i in range(8):
-            log.append(LogicalRedo((i,)))
-            log.flush()
-            assert log.stable_lsn == i
-        # Each sync pays one file fsync; the first also pays the
-        # directory fsync for the segment file's creation.
-        assert log.store.syncs == 8
-        assert log.store.fsyncs == 9
+        # A force per record, then an engine's commit_every=16 cadence:
+        # 400 appends forced every 16th pay 25 syncs, not 400.
+        for appends, force_every in [(8, 1), (400, 16)]:
+            log = durable_log(tmp_path / f"{appends}-{force_every}")
+            for i in range(appends):
+                log.append(LogicalRedo((i,)))
+                if (i + 1) % force_every == 0:
+                    log.flush()
+                    assert log.stable_lsn == i
+            # Each sync pays one file fsync; the first also pays the
+            # directory fsync for the segment file's creation.
+            assert log.store.syncs == appends // force_every
+            assert log.store.fsyncs == appends // force_every + 1
+            log.store.close()
 
     def test_pending_forces_vanish_on_crash(self, tmp_path):
         log = durable_log(tmp_path)

@@ -533,3 +533,27 @@ class TestBackgroundDrain:
         lazy.drain_lazy()
         assert "background-replay" in phases
         lazy.close()
+
+    def test_first_request_does_not_wait_out_the_drain(self, tmp_path):
+        """The drainer yields the pool mutex between groups, so the first
+        foreground ``get`` after a lazy cold start is answered while most
+        of the backlog is still pending — not after the whole drain."""
+        engine = dict(
+            method="physiological",
+            n_pages=64,
+            cache_capacity=16,
+            commit_every=256,
+            checkpoint_every=None,
+            log_segment_size=512,
+            fsync=False,
+        )
+        db = KVDatabase(log_dir=tmp_path, **engine)
+        db.run([("put", f"k{i}", i) for i in range(16_000)])
+        db.commit()
+        db.crash()
+        disk = survivor(db)
+        db.close()
+        lazy = KVDatabase.cold_start(tmp_path, disk=disk, lazy=True, **engine)
+        assert lazy.get("k0") == 0
+        assert lazy.replay_backlog() > 0
+        lazy.close()

@@ -3,7 +3,9 @@ is the buffer pool's single flush authority.
 
 Each test exercises one of the four transformations (collapse, add-edge,
 install, remove-write) or one of the query surfaces the pool and the
-recovery methods consult (blockers, rec_lsns, minimal_pages...).
+recovery methods consult (blockers, rec_lsns, minimal_pages...), except
+:class:`TestFlushSavings`, which counts what the scheduler saves a whole
+engine in page flushes.
 """
 
 import pytest
@@ -13,6 +15,9 @@ from repro.cache.scheduler import (
     SchedulerCycleError,
     SchedulerError,
 )
+from repro.engine import KVDatabase
+from repro.sim.audit import AuditTracker
+from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
 
 
 class TestCollapse:
@@ -272,3 +277,56 @@ class TestIntegrityAndCrash:
         assert set(stats) == {
             "installs", "collapses", "elisions", "edges_added", "cycles_refused",
         }
+
+
+# Page flushes over the stream below (seed 16, 1 500 commands): the
+# scheduler-driven pool's exact count (the run is deterministic), then the
+# retired recency-only pool's last run and the durable prefix it reached.
+FLUSH_COUNTS = {
+    "logical": (0, 0, 675),
+    "physical": (270, 350, 669),
+    "physiological": (210, 307, 669),
+    "generalized": (254, 367, 675),
+}
+SAVINGS_FLOOR = {"physical": 0.10, "physiological": 0.20, "generalized": 0.20}
+
+
+class TestFlushSavings:
+    """Flush elision and graph-driven victim choice, end to end: on a
+    mixed hotspot workload under cache pressure the pool flushes fewer
+    pages than the recorded recency-only baseline, at equal
+    recoverability — the same durable prefix, and Corollary 5 (with the
+    scheduler cross-check) holding at every audit."""
+
+    @pytest.mark.parametrize("method", sorted(FLUSH_COUNTS))
+    def test_fewer_flushes_than_the_recorded_legacy_pool(self, method):
+        # Audits lift every record to an abstract operation: physical and
+        # physiological cannot express cross-page copyadd, so they get a
+        # put/add mix.
+        mix = (
+            dict(put_ratio=0.3, add_ratio=0.15)
+            if method in ("physical", "physiological")
+            else dict(put_ratio=0.25, add_ratio=0.1, copyadd_ratio=0.1)
+        )
+        spec = KVWorkloadSpec(
+            n_operations=1_500, n_keys=200, delete_ratio=0.0,
+            hot_fraction=0.7, hot_keys=6, value_range=8, **mix,
+        )
+        db = KVDatabase(
+            method=method, cache_capacity=8, n_pages=32,
+            commit_every=3, checkpoint_every=40,
+        )
+        tracker = AuditTracker(db.method)
+        for index, command in enumerate(generate_kv_workload(16, spec), start=1):
+            db.execute(command)
+            if index % 25 == 0:
+                assert tracker.audit(instant=index), f"audit failed at {index}"
+        flushes = db.method.machine.pool.flushes  # recovery resets the pool
+        db.crash_and_recover()
+
+        expected, legacy_flushes, legacy_durable = FLUSH_COUNTS[method]
+        assert db.verify_against() == legacy_durable
+        assert flushes == expected
+        if method in SAVINGS_FLOOR:
+            saved = 1 - flushes / legacy_flushes
+            assert saved >= SAVINGS_FLOOR[method], f"saved only {saved:.1%}"

@@ -1,5 +1,5 @@
 """Tests for the threaded server front-end, its client, and the
-simulated-client harness (the E19 load path)."""
+simulated-client harness (commit fan-in through the pipeline)."""
 
 import json
 import socket
@@ -145,8 +145,8 @@ class TestHarness:
         db.close()
 
     def test_harness_works_without_pipeline(self, tmp_path):
-        """The per-session-forcing baseline path the E19 bench compares
-        against."""
+        """The per-session-forcing path: each session forces the log
+        itself."""
         db = KVDatabase(
             method="physiological", log_dir=tmp_path, commit_pipeline=False
         )
@@ -162,9 +162,11 @@ class TestHarness:
         db = KVDatabase(
             method="physiological", log_dir=tmp_path, commit_pipeline=True
         )
-        run_simulated_clients(db, n_clients=40, ops_per_client=2, workers=16)
+        run_simulated_clients(db, n_clients=200, ops_per_client=2, workers=16)
         stats = db.pipeline.stats()
-        assert stats["windows"] + stats["fast_path"] < stats["commits"]
+        # Fan-in: at least three commits share each force on average.
+        forces = stats["windows"] + stats["fast_path"]
+        assert stats["commits"] / forces >= 3, stats
         db.close()
 
 

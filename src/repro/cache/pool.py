@@ -144,45 +144,51 @@ class BufferPool:
         use :meth:`update` which does both.
         """
         with self.mutex:
-            if self.page_fault is not None:
-                # Lazy-restart hook: replay this page's log chain first,
-                # so the lookup below sees the recovered image.  The
-                # handler's own page accesses re-enter here and fall
-                # through (their pages are popped before replay).
-                self.page_fault(page_id)
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                self.hits += 1
-                # Reinsert to move to the MRU end of the ordered dict.
-                del self._frames[page_id]
-                self._frames[page_id] = frame
-                return frame.page
-            self.misses += 1
-            if self.disk.has_page(page_id):
-                page = self.disk.read_page(page_id)
-            elif create:
-                page = Page(page_id)
-            else:
-                raise KeyError(f"page {page_id!r} neither cached nor on disk")
-            self._admit(page)
-            return self._frames[page_id].page
+            return self._frame(page_id, create).page
 
     def update(self, page_id: str, mutate: Callable[[Page], None], create: bool = False) -> Page:
-        """Fetch, mutate, and mark dirty in one step.
+        """Fetch, mutate, and mark dirty in one step, under one
+        acquisition of the mutex.
 
         The page is pinned for the duration of ``mutate``: a mutator that
         reads other pages (a split-move does) can trigger evictions, and
         the page under mutation must not be the victim.
         """
         with self.mutex:
-            page = self.get_page(page_id, create=create)
-            self.pin(page_id)
+            frame = self._frame(page_id, create)
+            frame.pinned += 1
             try:
-                mutate(page)
-                self.mark_dirty(page_id)
+                mutate(frame.page)
+                frame.dirty = True
+                self.scheduler.collapse(page_id, frame.page.lsn)
             finally:
-                self.unpin(page_id)
-            return page
+                frame.pinned -= 1
+            return frame.page
+
+    def _frame(self, page_id: str, create: bool) -> _Frame:
+        """The frame of ``page_id``, touched to the MRU end, or admitted
+        on a miss.  The caller holds the mutex."""
+        if self.page_fault is not None:
+            # Lazy-restart hook: replay this page's log chain first, so
+            # the lookup below sees the recovered image.  The handler's
+            # own page accesses re-enter here and fall through (their
+            # pages are popped before replay).
+            self.page_fault(page_id)
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            self.hits += 1
+            # Reinsert to move to the MRU end of the ordered dict.
+            del self._frames[page_id]
+            self._frames[page_id] = frame
+            return frame
+        self.misses += 1
+        if self.disk.has_page(page_id):
+            page = self.disk.read_page(page_id)
+        elif create:
+            page = Page(page_id)
+        else:
+            raise KeyError(f"page {page_id!r} neither cached nor on disk")
+        return self._admit(page)
 
     def mark_dirty(self, page_id: str) -> None:
         """Record that the cached copy of ``page_id`` differs from disk.
@@ -293,26 +299,25 @@ class BufferPool:
             frame = self._frames.get(page_id)
             if frame is None or not frame.dirty:
                 return
-            if not force:
-                blockers = self.scheduler.blockers(page_id)
-                if blockers:
-                    if self.tracer.enabled:
-                        self.tracer.event(
-                            "cache.flush_blocked", page=page_id, blockers=blockers
-                        )
-                    raise CachePolicyError(
-                        f"flush of {page_id!r} blocked until {blockers} flushed "
-                        f"(careful write ordering)"
+            scheduler = self.scheduler
+            if not force and not scheduler.is_minimal(page_id):
+                blockers = scheduler.blockers(page_id)
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "cache.flush_blocked", page=page_id, blockers=blockers
                     )
+                raise CachePolicyError(
+                    f"flush of {page_id!r} blocked until {blockers} flushed "
+                    f"(careful write ordering)"
+                )
             if (
                 elide
                 and not force
-                and not self.scheduler.dependents(page_id)
-                and self.disk.has_page(page_id)
-                and frame.page.same_contents(self.disk.read_page(page_id))
+                and not scheduler.has_dependents(page_id)
+                and self.disk.holds(frame.page)
             ):
                 # Remove-write: content already stable; no IO needed.
-                node = self.scheduler.remove_write(page_id)
+                node = scheduler.remove_write(page_id)
                 frame.dirty = False
                 if self.tracer.enabled:
                     self.tracer.event(
@@ -351,10 +356,11 @@ class BufferPool:
     # Eviction
     # ------------------------------------------------------------------
 
-    def _admit(self, page: Page) -> None:
+    def _admit(self, page: Page) -> _Frame:
         while len(self._frames) >= self.capacity:
             self._evict_one()
-        self._frames[page.page_id] = _Frame(page=page)
+        frame = self._frames[page.page_id] = _Frame(page=page)
+        return frame
 
     def _evict_one(self) -> None:
         victim_id, tier = self._choose_victim()
@@ -399,23 +405,24 @@ class BufferPool:
     def _choose_victim(self) -> tuple[str, str]:
         """Pick an eviction victim; returns ``(page_id, tier)`` where the
         tier names the rule that selected it (traced as ``cache.victim``)."""
-        candidates = [
-            page_id for page_id, frame in self._frames.items() if frame.pinned == 0
-        ]
-        if not candidates:
-            raise CachePolicyError("every cached page is pinned; cannot evict")
         # Graph-driven selection: a clean frame needs no install at all
         # — evicting it costs zero IO; failing that, a minimal
         # uninstalled node (no live predecessors) installs without
         # dragging prerequisite flushes along.  Recency (the frame map's
         # LRU order) breaks ties within each tier.
-        for page_id in candidates:
-            if not self._frames[page_id].dirty:
-                return page_id, "clean_frame"
-        for page_id in candidates:
-            if not self.scheduler.blockers(page_id):
+        fallback = None
+        for page_id, frame in self._frames.items():
+            if not frame.pinned:
+                if not frame.dirty:
+                    return page_id, "clean_frame"
+                if fallback is None:
+                    fallback = page_id
+        if fallback is None:
+            raise CachePolicyError("every cached page is pinned; cannot evict")
+        for page_id, frame in self._frames.items():
+            if not frame.pinned and self.scheduler.is_minimal(page_id):
                 return page_id, "minimal_node"
-        return candidates[0], "fallback"
+        return fallback, "fallback"
 
     # ------------------------------------------------------------------
     # Failure model
@@ -433,8 +440,10 @@ class BufferPool:
             return sorted(self._frames)
 
     def __iter__(self) -> Iterator[Page]:
-        for page_id in self.cached_page_ids():
-            yield self._frames[page_id].page
+        # The resident pages as of the call, listed under the mutex: an
+        # eviction racing the iteration cannot pull a page out from under it.
+        with self.mutex:
+            return iter([self._frames[page_id].page for page_id in sorted(self._frames)])
 
     def __repr__(self) -> str:
         return (

@@ -304,6 +304,18 @@ class InstallScheduler:
                 self._nodes[b].page_id for b in self._preds[node.node_id]
             )
 
+    def is_minimal(self, page_id: str) -> bool:
+        """No live predecessor: :meth:`blockers` as a boolean."""
+        with self.mutex:
+            node = self._live.get(page_id)
+            return node is None or not self._preds[node.node_id]
+
+    def has_dependents(self, page_id: str) -> bool:
+        """Some live successor: :meth:`dependents` as a boolean."""
+        with self.mutex:
+            node = self._live.get(page_id)
+            return node is not None and bool(self._succs[node.node_id])
+
     def dependents(self, page_id: str) -> list[str]:
         """Pages whose live nodes are ordered after ``page_id``'s —
         sorted, empty when nothing waits on it (the graph half of

@@ -338,6 +338,8 @@ class FileLogStore:
         # A blob is one frame or a whole packed window of frames.
         self._staged: list[tuple[int, int, bytes, int]] = []
         self._dir_dirty = False  # a file was created since the last sync
+        # Non-active segments mapped by read_records_at, by base LSN.
+        self._mapped: dict[int, SegmentReader] = {}
         # Counters surfaced through the engine metrics registry.
         self.appends = 0
         self.staged_bytes = 0
@@ -543,21 +545,29 @@ class FileLogStore:
     def read_records_at(self, base_lsn: int, entries) -> list[LazyRecord]:
         """Fetch records at known frame offsets of one segment — the
         per-page chain read.  ``entries`` is an offset-ascending list of
-        ``(offset, lsn)`` pairs from the page index; the segment is
-        mapped once and only the requested frames are touched.  An entry
-        whose frame does not carry the expected LSN raises
-        :class:`CodecError` (a stale index is a structural bug — the
-        lifecycle is supposed to invalidate it).  A segment this
-        incarnation sealed holds only bytes it wrote, so its frames are
-        read without their CRCs."""
+        ``(offset, lsn)`` pairs from the page index; only the requested
+        frames are touched.  A non-active segment is immutable, so it is
+        mapped once per store (until :meth:`close` or :meth:`crash`).
+        An entry whose frame does not carry the expected LSN raises
+        :class:`CodecError` (a stale index is a structural bug).  A
+        segment this incarnation sealed holds only bytes it wrote, so
+        its frames are read without their CRCs."""
         with self._lock:
-            sealed = self._handle_for(base_lsn).sealed
-        with self._reader(base_lsn) as reader:
-            try:
-                return list(reader.records(reader.views_at(entries, not sealed)))
-            finally:
-                self.chain_frames_read += reader.built
-                self.records_decoded += reader.built
+            handle = self._handle_for(base_lsn)
+            active = handle is self._handles[-1]
+            reader = self._mapped.get(base_lsn)
+            if reader is None:
+                reader = SegmentReader(handle.path, allow_mmap=not active)
+                if isinstance(reader.buf, mmap.mmap):
+                    self._mapped[base_lsn] = reader
+        built = reader.built
+        try:
+            return list(reader.records(reader.views_at(entries, not handle.sealed)))
+        finally:
+            self.chain_frames_read += reader.built - built
+            self.records_decoded += reader.built - built
+            if active:
+                reader.close()
 
     def sync(self) -> None:
         """The durability point: ``fsync`` every file with unsynced
@@ -625,6 +635,7 @@ class FileLogStore:
             self._crash_locked()
 
     def _crash_locked(self) -> None:
+        self._unmap()
         self._staged.clear()
         self.staged_bytes = 0
         survivors: list[_SegmentHandle] = []
@@ -785,10 +796,16 @@ class FileLogStore:
     def close(self) -> None:
         """Close every open file handle (idempotent)."""
         with self._lock:
+            self._unmap()
             for handle in self._handles:
                 if handle.fh is not None:
                     handle.fh.close()
                     handle.fh = None
+
+    def _unmap(self) -> None:
+        for reader in self._mapped.values():
+            reader.close()
+        self._mapped.clear()
 
     def __repr__(self) -> str:
         return (

@@ -538,8 +538,12 @@ class LogManager:
         raises only if even a forced flush could not cover the LSN (a
         genuinely torn protocol, e.g. a page tagged with a never-appended
         LSN).  The check consults the per-segment stable boundary, so it
-        stays cheap no matter how long the log grows.
+        stays cheap no matter how long the log grows — and an appended
+        LSN at or below ``stable_lsn`` needs no check at all: its
+        segment's stable boundary already covers it.
         """
+        if 0 <= lsn <= self._stable_lsn:
+            return
         if self.segment_stable_boundary(lsn) < lsn:
             self.flush(up_to_lsn=lsn)
         self.wal_check(lsn)
@@ -665,37 +669,24 @@ class LogManager:
         return index
 
     def fetch_chain(self, entries) -> list[LogRecord]:
-        """Materialize the records behind page-index chain entries
-        (``(segment_base, offset, lsn)`` triples, LSN ascending).
+        """Materialize the records behind page-index chain entries of one
+        segment (``(segment_base, offset, lsn)`` triples, LSN ascending,
+        one base) — so a caller holds at most one segment's decoded
+        records at a time.
 
-        Resident segments answer from memory in O(1) per record (LSN
-        density makes ``records[lsn - base]`` exact); evicted segments
-        are mapped once per contiguous run and only the listed frames
-        are read — the zero-copy per-page read path that makes a
-        single-page replay independent of log volume.
+        A resident segment answers from memory in O(1) per record (LSN
+        density makes ``records[lsn - base]`` exact); an evicted one
+        reads only the listed frames from its mapped file — the
+        zero-copy per-page read path that makes a single-page replay
+        independent of log volume.
         """
-        result: list[LogRecord] = []
-        position = 0
-        count = len(entries)
-        while position < count:
-            base = entries[position][0]
-            group_end = position
-            while group_end < count and entries[group_end][0] == base:
-                group_end += 1
-            segment = self.segment_containing(base)
-            records = segment.records
-            if records is not None:
-                for _base, _offset, lsn in entries[position:group_end]:
-                    result.append(records[lsn - base])
-            else:
-                result.extend(
-                    self._store.read_records_at(
-                        base,
-                        [(offset, lsn) for _base, offset, lsn in entries[position:group_end]],
-                    )
-                )
-            position = group_end
-        return result
+        base = entries[0][0]
+        records = self.segment_containing(base).records
+        if records is not None:
+            return [records[lsn - base] for _base, _offset, lsn in entries]
+        return self._store.read_records_at(
+            base, [(offset, lsn) for _base, offset, lsn in entries]
+        )
 
     def stable_count_of(self, *payload_types: type) -> int:
         """Stable records whose payload is an instance of the given

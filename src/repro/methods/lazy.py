@@ -1,20 +1,21 @@
-"""Lazy (on-demand) redo: serve first, replay as touched.
+"""Page-wise redo plans: serve first and replay as touched, or drain.
 
-Eager recovery replays the whole redo suffix before the first request is
-answered; time-to-service is O(log suffix).  The per-page redo index
-(:mod:`repro.logmgr.pageindex`) decouples the two: analysis still runs
-up front (it is O(index), not O(log)), but replay happens *per page*,
-on the page's first access, with a background drainer retiring the
-backlog in recLSN order.  Time-to-service becomes O(analysis).
+The per-page redo index (:mod:`repro.logmgr.pageindex`) decouples
+analysis from replay: analysis runs up front (it is O(index), not
+O(log)), and replay happens *per page* — on the page's first access,
+with a background drainer retiring the backlog in recLSN order (a lazy
+restart: time-to-service becomes O(analysis)), or all before returning
+(an eager restart, which then writes each recovered page about once
+instead of once per LRU eviction of an LSN-ordered scan).
 
 Soundness is Theorem 3's schedule freedom made operational.  The redo
 records of one page form a chain; replaying a page's chain in LSN order
-is exactly the eager scan restricted to that page.  Two restrictions
+is exactly the LSN-ordered scan restricted to that page.  Two restrictions
 keep the reordered schedule conflict-order consistent:
 
-- **LSN-test methods** replay each fetched record through the same
-  ``redo_record`` the eager scan uses (:mod:`repro.methods.redo`), so a
-  record whose effect is already installed is bypassed identically.
+- **LSN-test methods** replay each fetched record through the one
+  ``redo_record`` (:mod:`repro.methods.redo`), so a record whose effect
+  is already installed is bypassed as a sequential scan would.
 - **Multi-page records** (§6.4) read pages other records write — a
   cross-chain conflict edge.  Chains connected by such edges are replayed
   together, as one merged LSN-ordered unit (the union-find components the
@@ -26,7 +27,7 @@ keep the reordered schedule conflict-order consistent:
 A page untouched by the backlog is *clean* by the analysis result —
 every record below its table entry is installed in the stable state —
 so serving it straight off the disk before the drain finishes returns
-exactly what eager recovery would have produced.
+exactly what the drained plan would have produced.
 
 Two plan shapes:
 
@@ -41,7 +42,9 @@ Two plan shapes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable
 
 from repro.logmgr import PageRedoIndex
 from repro.methods.redo import replay
@@ -50,34 +53,45 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.methods.base import RecoveryMethodKV
 
 
-def lsn_table_analysis(log, full_scan: bool) -> tuple[PageRedoIndex, dict[str, int]]:
-    """The §4.3 analysis phase off the per-page index, no record scan.
+def pagewise_plan(method: "RecoveryMethodKV", full_scan: bool):
+    """The §4.3 analysis phase off the per-page index, no record scan,
+    and the plan it yields, with the analysis facts.
 
-    Reconstructs the same dirty page table as
-    :func:`~repro.methods.physiological.analysis_pass`: the last stable
-    checkpoint's logged snapshot, extended with every page first dirtied
-    after the checkpoint (its chain's first post-checkpoint LSN is the
-    recLSN the eager scan's ``setdefault`` would record).  The index is
-    built from the minimum LSN the table could name, so every returned
-    chain covers its page's full replay range.  ``full_scan`` ignores
-    the checkpoint: every page's chain replays from its first record.
+    Reconstructs :func:`~repro.methods.physiological.analysis_pass`'s
+    dirty page table and redo start: the last stable checkpoint's logged
+    snapshot (none for physical's sharp checkpoint), extended with every
+    page's first post-checkpoint LSN.  ``full_scan`` ignores the
+    checkpoint.  Corollary 4, page by page: a page the disk does not
+    hold witnesses no install, so its chain replays from its head
+    whatever a checkpoint says — a disk that a crashed diskless start
+    left half-written trusts no checkpoint it never saw.
     """
+    log, disk = method.machine.log, method.machine.disk
     checkpoint_lsn = -1 if full_scan else log.last_stable_checkpoint_lsn
-    snapshot: dict[str, int] = {}
+    table: dict[str, int] = {}
     if checkpoint_lsn >= 0:
-        snapshot = dict(log.entry(checkpoint_lsn).payload.data[1])
-    earliest = min(snapshot.values(), default=checkpoint_lsn + 1)
-    index = log.page_index(start_lsn=max(0, min(earliest, checkpoint_lsn + 1)))
-    table = dict(snapshot)
+        table = dict(*log.entry(checkpoint_lsn).payload.data[1:])
+    index = log.page_index()
     for page_id in index.data_pages():
-        first = index.first_lsn(page_id, after_lsn=checkpoint_lsn)
-        if first is not None:
-            table.setdefault(page_id, first)
-    return index, table
+        if not disk.has_page(page_id):
+            table[page_id] = index.first_lsn(page_id)
+        elif page_id not in table:
+            first = index.first_lsn(page_id, after_lsn=checkpoint_lsn)
+            if first is not None:
+                table[page_id] = first
+    redo_start = min(table.values(), default=checkpoint_lsn + 1)
+    plan = PagewiseLazyPlan(method, index, table)
+    return plan, {"redo_start": redo_start, "dirty_pages": len(table)}
+
+
+def _segment_runs(entries):
+    """Chain entries (LSN ascending) cut into per-segment runs, the unit
+    :meth:`~repro.logmgr.manager.LogManager.fetch_chain` reads."""
+    return (list(run) for _base, run in groupby(entries, key=itemgetter(0)))
 
 
 class PagewiseLazyPlan:
-    """The pending-replay state of one lazy restart, page-granular.
+    """The pending-replay state of one page-granular restart.
 
     ``table`` maps each unrecovered page to its replay-start LSN; the
     plan retires pages by fetching their chains through
@@ -109,7 +123,6 @@ class PagewiseLazyPlan:
         self._order = sorted(table, key=lambda p: (table[p], p))
         self._cursor = 0
         self._components = index.components()
-        self.pages_total = len(table)
         self.pages_replayed = 0
         self.records_fetched = 0
         self.closed = False
@@ -157,11 +170,13 @@ class PagewiseLazyPlan:
             self._finish_if_drained()
             return False
 
-    def drain(self) -> None:
-        """Replay everything still pending, synchronously."""
+    def drain(self, watch: Callable | None = None) -> None:
+        """Replay everything still pending, synchronously.  ``watch``
+        wraps each fetched segment run (eager recovery passes its
+        progress gauges and segment spans)."""
         with self.lock:
             while not self.closed and self._pending:
-                self._replay_group(next(iter(self._pending)))
+                self._replay_group(next(iter(self._pending)), watch)
             self._finish_if_drained()
 
     def close(self) -> None:
@@ -174,27 +189,23 @@ class PagewiseLazyPlan:
 
     # -- internals ------------------------------------------------------
 
-    def _replay_group(self, page_id: str) -> None:
+    def _replay_group(self, page_id: str, watch: Callable | None = None) -> None:
         members = self._components.get(page_id)
-        group = (
-            [m for m in members if m in self._pending]
-            if members is not None
-            else [page_id]
-        )
-        starts = {member: self._pending.pop(member) for member in group}
-        entries = []
-        seen: set[int] = set()
+        group = [m for m in members if m in self._pending] if members else [page_id]
+        merged: dict[int, tuple] = {}
         for member in group:
-            for base, offset, lsn in self.index.chain(member, starts[member]):
-                # A multi-page record sits in every written member's
-                # chain; replay it once, at its global LSN position.
-                if lsn not in seen:
-                    seen.add(lsn)
-                    entries.append((base, offset, lsn))
-        entries.sort(key=lambda entry: entry[2])
-        records = self.method.machine.log.fetch_chain(entries)
-        replay(self.method, records)
-        self.records_fetched += len(records)
+            # Popped before any replay, so the replay's own page reads
+            # fall through the fault hook.  A multi-page record sits in
+            # every written member's chain; keyed by LSN, it replays once.
+            for entry in self.index.chain(member, self._pending.pop(member)):
+                merged[entry[2]] = entry
+        # A group as large as the whole log (generalized's single
+        # component can be) still keeps one segment's records resident.
+        fetch = self.method.machine.log.fetch_chain
+        for run in _segment_runs(merged[lsn] for lsn in sorted(merged)):
+            records = fetch(run)
+            replay(self.method, records if watch is None else watch(records))
+            self.records_fetched += len(records)
         self.pages_replayed += len(group)
 
     def _finish_if_drained(self) -> None:
@@ -232,7 +243,6 @@ class SuffixLazyPlan:
         self._entries = entries
         self._cursor = 0
         self._active = False
-        self.records_total = len(entries)
         self.records_fetched = 0
         self.closed = False
 
@@ -270,7 +280,8 @@ class SuffixLazyPlan:
         self._cursor += len(batch)
         self._active = True
         try:
-            replay(self.method, self.method.machine.log.fetch_chain(batch))
+            for run in _segment_runs(batch):
+                replay(self.method, self.method.machine.log.fetch_chain(run))
         finally:
             self._active = False
         self.records_fetched += len(batch)

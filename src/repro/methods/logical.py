@@ -250,11 +250,12 @@ class LogicalKV(RecoveryMethodKV):
         the segment files, so a process that lost every Python object
         still recovers to the identical shadow state."""
 
-        def analyze(_full_scan: bool) -> dict:
+        def plan_for(_full_scan: bool):
             checkpoint_lsn = self._reopen_shadow()
-            return {"checkpoint_lsn": checkpoint_lsn, "redo_start": checkpoint_lsn + 1}
+            found = {"checkpoint_lsn": checkpoint_lsn, "redo_start": checkpoint_lsn + 1}
+            return None, found
 
-        recover_eager(self, full_scan, analyze)
+        recover_eager(self, full_scan, plan_for)
 
     # ------------------------------------------------------------------
     # Inspection

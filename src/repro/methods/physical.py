@@ -24,11 +24,12 @@ Consequences implemented here:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.logmgr import CheckpointRecord, LogRecord, PhysicalRedo
 from repro.methods.base import RecoveryMethodKV
-from repro.methods.lazy import PagewiseLazyPlan
+from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
 from repro.storage.page import Page
 
@@ -132,41 +133,18 @@ class PhysicalKV(RecoveryMethodKV):
         return {"decision": "replayed", "page": payload.page_id}
 
     def recover(self, full_scan: bool = False) -> None:
-        """Replay every stable physical record after the last stable
-        checkpoint (or the whole log for media recovery), blindly,
-        streaming the checkpoint suffix straight off the segmented log —
-        no record list is materialized.  On a file-backed log the stream
-        decodes evicted segments from their files one segment at a time,
-        so a cold start (:meth:`~repro.logmgr.manager.LogManager.open`)
-        recovers in O(segment) memory and lands on the same state as the
-        in-memory path."""
-
-        def analyze(full_scan: bool) -> dict:
-            checkpoint_lsn = self.machine.log.last_stable_checkpoint_lsn
-            return {"redo_start": 0 if full_scan else checkpoint_lsn + 1}
-
-        recover_eager(self, full_scan, analyze)
+        """Eager restart: :meth:`begin_lazy_recovery`'s plan, drained
+        before returning — every stable physical record after the last
+        stable checkpoint (or the whole log for media recovery and a
+        diskless start), blindly, one page's chain at a time."""
+        recover_eager(self, full_scan, partial(pagewise_plan, self))
 
     def begin_lazy_recovery(self):
-        """Analysis-only restart for physical recovery.
-
-        The eager pass replays the whole checkpoint suffix blindly; the
-        lazy pass replays each page's own chain (everything after the
-        checkpoint), also blindly, on first access.  Physical records
-        are single-page blind writes — no cross-chain conflict edges —
-        so per-page chain order alone is conflict-order consistent and
-        the drained state equals the eager one.
+        """Analysis-only restart for physical recovery: each page's own
+        chain (everything after the checkpoint) replays blindly on first
+        access.  Physical records are single-page blind writes — no
+        cross-chain conflict edges — so per-page chain order alone is
+        conflict-order consistent and the drained state equals the
+        sequential scan's.
         """
-
-        def plan_for(full_scan: bool):
-            log = self.machine.log
-            start = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn + 1)
-            index = log.page_index(start_lsn=start)
-            table: dict[str, int] = {}
-            for page_id in index.data_pages():
-                first = index.first_lsn(page_id, after_lsn=start - 1)
-                if first is not None:
-                    table[page_id] = first
-            return PagewiseLazyPlan(self, index, table), {"redo_start": start}
-
-        return begin_lazy(self, plan_for)
+        return begin_lazy(self, partial(pagewise_plan, self))

@@ -18,10 +18,10 @@ invariant is maintained — the §6.3 argument, executable.
 Checkpoints are ARIES-flavored and *fuzzy*: a checkpoint record carries
 a snapshot of the dirty page table (page -> recLSN) and flushes nothing.
 Recovery begins with an **analysis phase** (§4.3): starting from the
-last checkpoint's table, it scans forward adding pages dirtied since,
-and the redo scan then starts at the reconstructed table's minimum
-recLSN.  This is the paper's ``analyze`` function made concrete — the
-analysis result is a data structure, not just a log position.
+last checkpoint's table, it adds every page dirtied since, and each
+page's chain then replays from its recLSN.  This is the paper's
+``analyze`` function made concrete — the analysis result is a data
+structure, not just a log position.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.logmgr import (
     PhysiologicalRedo,
 )
 from repro.methods.base import Machine, RecoveryMethodKV
-from repro.methods.lazy import PagewiseLazyPlan, lsn_table_analysis
+from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager, redo_page
 
 
@@ -55,9 +55,9 @@ def analysis_pass(records: Iterable[LogRecord]) -> tuple[dict[str, int], int]:
     before the checkpoint that still matter are in the snapshot by the
     checkpointer's contract), so feeding the whole log and feeding only
     the suffix from the last stable checkpoint reconstruct the same
-    table.  Callers on the hot path pass
-    ``log.stable_records_from(log.last_stable_checkpoint_lsn)`` and
-    never materialize a record list.
+    table.  Recovery reads the same table off the page index
+    (:func:`~repro.methods.lazy.pagewise_plan`); this scan is the
+    reference the tests pin it against.
     """
     checkpoint_lsn = -1
     table: dict[str, int] = {}
@@ -162,53 +162,27 @@ class PhysiologicalKV(RecoveryMethodKV):
         return redo_page(self.machine.pool, payload.page_id, record.lsn, mutate)
 
     def recover(self, full_scan: bool = False) -> None:
-        """Analysis: reconstruct the dirty page table by streaming the
-        stable checkpoint suffix (one pass, no record list).  Redo:
-        stream again from the table's minimum recLSN applying the LSN
-        test per record — peak resident records stay O(segment), not
-        O(log).  Media recovery (``full_scan``) scans from the head: the
-        LSN test bypasses whatever the restored backup already holds.
-        Both passes run on a file-backed log too, re-decoding evicted
-        segments from their binary files — the two-scan shape costs two
-        streaming decodes of the suffix, never a materialized log.
-        """
-
-        def analyze(full_scan: bool) -> dict:
-            log = self.machine.log
-            scan_from = 0 if full_scan else max(0, log.last_stable_checkpoint_lsn)
-            table, redo_start = analysis_pass(log.stable_records_from(scan_from))
-            return {
-                "scan_from": scan_from,
-                "redo_start": 0 if full_scan else redo_start,
-                "dirty_pages": len(table),
-            }
-
-        recover_eager(self, full_scan, analyze)
+        """Eager restart: :meth:`begin_lazy_recovery`'s plan, drained
+        before returning — each page's chain replays at once, so the
+        pool writes a recovered page about once instead of once per
+        eviction of an LSN-ordered scan.  Media recovery (``full_scan``)
+        replays every chain from its head: the LSN test bypasses
+        whatever the restored backup already holds."""
+        recover_eager(self, full_scan, partial(pagewise_plan, self))
 
     def begin_lazy_recovery(self):
         """Analysis off the per-page index, redo deferred to first touch.
 
-        The reconstructed dirty page table is the same one
-        :func:`analysis_pass` streams out — checkpoint snapshot plus
-        first post-checkpoint dirtying per page — but read from chain
-        metadata instead of a record scan.  Each faulted page replays
-        its own chain through the same :meth:`redo_record`, so the
-        drained state matches the eager scan record for record; records
-        below a page's recLSN are exactly the ones whose LSN test would
-        have skipped them, so never fetching them changes nothing.
-
-        Multi-page (§6.4) records link the chains of the pages they
-        read and write with a conflict edge, so per-page replay order
-        alone is not conflict-order consistent.  The index carries those
-        edges; pages they connect replay together as one union-find
-        component, merged in global LSN order, so a replayed read always
-        sees the source page with exactly its earlier replayed writes —
-        Theorem 3's premise holds and the drained state equals the eager
+        The dirty page table is :func:`analysis_pass`'s — checkpoint
+        snapshot plus first post-checkpoint dirtying per page — read
+        from chain metadata.  Each faulted page replays its own chain
+        through :meth:`redo_record`; records below a page's recLSN are
+        installed in the stable state, so never fetching them changes
+        nothing.  Multi-page (§6.4) records link the chains of the
+        pages they read and write, so those pages replay together as
+        one component merged in LSN order: a replayed read sees the
+        source page with exactly its earlier replayed writes, Theorem
+        3's premise holds, and the drained state equals the sequential
         scan's.
         """
-
-        def plan_for(full_scan: bool):
-            index, table = lsn_table_analysis(self.machine.log, full_scan)
-            return PagewiseLazyPlan(self, index, table), {"dirty_pages": len(table)}
-
-        return begin_lazy(self, plan_for)
+        return begin_lazy(self, partial(pagewise_plan, self))

@@ -10,13 +10,14 @@ and traces every decision, the page-LSN test the LSN-based clients share
 (:func:`redo_page`, and :func:`redo_multipage` over it), and the two
 schedules that feed the loop.
 
-The schedules differ only in where records come from.
-:func:`recover_eager` streams ``log.stable_records_from(redo_start)``
-before returning; :func:`begin_lazy` stops after analysis and hands back
-a plan (:mod:`repro.methods.lazy`) that fetches per-page chains through
-``log.fetch_chain`` on first access.  Both reach the same
-``redo_record``, so they cannot disagree on a decision — Theorem 3 then
-says the reordered schedule lands on the same state.
+The schedules differ only in when records are replayed.
+:func:`begin_lazy` stops after analysis and hands back a plan
+(:mod:`repro.methods.lazy`) that fetches per-page chains on first
+access; :func:`recover_eager` drains the same plan before returning
+(logical recovery, whose one global chain has no page granularity,
+streams ``log.stable_records_from(redo_start)`` instead).  All reach
+the same ``redo_record``, so they cannot disagree on a decision —
+Theorem 3 then says the reordered schedule lands on the same state.
 
 Both also make the one decision analysis cannot make for itself: a
 recovering machine whose disk holds no page — a cold start whose pages
@@ -119,39 +120,49 @@ def _diskless(method) -> bool:
     return not method.machine.disk.page_ids()
 
 
-def recover_eager(method, full_scan: bool, analyze: Callable[[bool], dict]) -> None:
-    """Eager schedule: analysis, then the whole redo suffix, streamed.
+def _watched(method, records: Iterable[LogRecord]) -> Iterable[LogRecord]:
+    """``records`` (a segment run or an LSN-ordered suffix) wrapped by
+    the progress gauges and per-segment spans, when those are on."""
+    machine = method.machine
+    if machine.progress.enabled:
+        records = machine.progress.watch(records, log=machine.log, stats=method.stats)
+    if method.tracer.enabled:
+        records = traced_segments(method.tracer, machine.log, records)
+    return records
 
-    ``analyze(full_scan)`` runs against the rebooted pool and returns
-    the ``recovery.analysis`` span's end fields, ``redo_start`` among
-    them.  The suffix streams straight off the segmented log (one
-    segment resident at a time, re-decoded from its file when evicted),
-    wrapped by the progress gauges and per-segment spans when those are
-    on.
-    """
-    tracer, stats, log = method.tracer, method.stats, method.machine.log
-    progress = method.machine.progress
+
+def _analyze(method, full_scan: bool, plan_for: Callable[[bool], tuple[Any, dict]]):
+    """Reboot the pool and run ``plan_for(full_scan)``: the plan (None
+    for a streamed suffix) and the analysis facts, ``redo_start`` among
+    them."""
+    method.machine.reboot_pool()
+    if method.machine.progress.enabled:
+        method.machine.progress.set_phase("analysis")
+    return plan_for(full_scan)
+
+
+def recover_eager(method, full_scan: bool, plan_for) -> None:
+    """Eager schedule: analysis, then the whole redo before returning.
+    A page-wise plan is drained one page's chain (or one multi-page
+    component) at a time; a ``None`` plan — logical recovery's — streams
+    the suffix from ``redo_start`` straight off the segmented log."""
+    tracer, stats, progress = method.tracer, method.stats, method.machine.progress
     full_scan = full_scan or _diskless(method)
     span = tracer.span("recovery", method=method.name, full_scan=full_scan)
     before = (stats.records_scanned, stats.records_replayed, stats.records_skipped)
-    method.machine.reboot_pool()
-    if progress.enabled:
-        progress.set_phase("analysis")
     analysis = tracer.span("recovery.analysis")
-    found = analyze(full_scan)
+    plan, found = _analyze(method, full_scan, plan_for)
     analysis.end(**found)
-    redo_start = found["redo_start"]
-
-    records = log.stable_records_from(redo_start)
     if progress.enabled:
         progress.set_phase("redo")
-        records = progress.watch(records, log=log, stats=stats)
-    if tracer.enabled:
-        records = traced_segments(tracer, log, records)
-    replay(method, records)
+    if plan is None:
+        log = method.machine.log
+        replay(method, _watched(method, log.stable_records_from(found["redo_start"])))
+    else:
+        plan.drain(partial(_watched, method))
     stats.recoveries += 1
     span.end(
-        redo_start=redo_start,
+        redo_start=found["redo_start"],
         scanned=stats.records_scanned - before[0],
         replayed=stats.records_replayed - before[1],
         skipped=stats.records_skipped - before[2],
@@ -160,21 +171,11 @@ def recover_eager(method, full_scan: bool, analyze: Callable[[bool], dict]) -> N
         progress.finish()
 
 
-def begin_lazy(method, plan_for: Callable[[bool], tuple[Any, dict]]):
-    """Lazy schedule: analysis only; redo is the returned plan's job.
-
-    ``plan_for(full_scan)`` runs against the rebooted pool and returns
-    the plan plus the analysis facts for the ``recovery.lazy`` span.
-    The plan feeds fetched chains to :func:`replay` as pages are
-    touched.
-    """
-    progress = method.machine.progress
-    full_scan = _diskless(method)
+def begin_lazy(method, plan_for):
+    """Lazy schedule: analysis only; the returned plan feeds fetched
+    chains to :func:`replay` as pages are touched."""
     span = method.tracer.span("recovery.lazy", method=method.name)
-    method.machine.reboot_pool()
-    if progress.enabled:
-        progress.set_phase("analysis")
-    plan, found = plan_for(full_scan)
+    plan, found = _analyze(method, _diskless(method), plan_for)
     method.stats.recoveries += 1
     span.end(backlog=plan.backlog(), **found)
     return plan

@@ -97,9 +97,11 @@ class RecoveryProgress:
         ``log`` is given (same boundary test as
         :func:`~repro.obs.trace.traced_segments`); replayed records when
         ``stats`` (a :class:`~repro.methods.base.MethodStats`) is given,
-        read as a delta so pre-existing counts don't leak in.
+        read as a delta from the first watched stream so pre-existing
+        counts don't leak in (a page-wise redo watches one stream per
+        fetched segment run).
         """
-        if stats is not None:
+        if stats is not None and self._stats is None:
             self._stats = stats
             self._replayed_base = stats.records_replayed
         end_lsn = -1
@@ -126,20 +128,9 @@ class NullRecoveryProgress(RecoveryProgress):
 
     enabled = False
 
-    def __init__(self):
-        super().__init__()
-
     def snapshot(self) -> dict:
         """A static empty snapshot (never fires a callback)."""
-        return {
-            "label": "",
-            "phase": "idle",
-            "segments": 0,
-            "records": 0,
-            "replayed": 0,
-            "bytes": 0,
-            "elapsed_s": 0.0,
-        }
+        return dict(super().snapshot(), elapsed_s=0.0)
 
     def set_phase(self, phase: str) -> None:
         """No-op."""

@@ -334,7 +334,7 @@ def traced_segments(tracer: Tracer, log: Any, records: Iterable) -> Iterator:
     """Wrap a log-record stream in per-segment ``recovery.segment`` spans.
 
     ``records`` is any iterator of :class:`~repro.logmgr.records.LogRecord`
-    in LSN order (the methods pass ``log.stable_records_from(start)``).
+    in LSN order (a streamed suffix, or one fetched segment run).
     Each time the stream crosses into a new log segment, the previous
     segment span is closed and a new one opened carrying the segment's
     LSN range — so per-record ``recovery.record`` events emitted by the

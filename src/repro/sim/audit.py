@@ -236,10 +236,14 @@ def _redo_lsns(method, entries: Sequence[LogEntry]) -> set[int]:
         for entry in entries:
             if isinstance(entry.payload, CheckpointRecord):
                 start = entry.lsn + 1
+        # A page the disk lacks witnesses no checkpoint: its whole chain
+        # is redone (the analysis of repro.methods.lazy.pagewise_plan).
+        disk = method.machine.disk
         return {
             e.lsn
             for e in entries
-            if e.lsn >= start and not isinstance(e.payload, CheckpointRecord)
+            if not isinstance(e.payload, CheckpointRecord)
+            and (e.lsn >= start or not disk.has_page(e.payload.page_id))
         }
     if isinstance(method, (PhysiologicalKV, GeneralizedKV)):
         disk = method.machine.disk

@@ -86,6 +86,12 @@ class Disk:
         """Is there a stored image for ``page_id``?"""
         return page_id in self._pages
 
+    def holds(self, page: Page) -> bool:
+        """Is ``page``'s content (its LSN tag aside) what the disk stores
+        for it?  Compared in place, without :meth:`read_page`'s copy."""
+        stored = self._pages.get(page.page_id)
+        return stored is not None and stored.same_contents(page)
+
     def page_ids(self) -> list[str]:
         """Sorted ids of every stored page."""
         return sorted(self._pages)

@@ -321,6 +321,20 @@ class TestEviction:
         with pytest.raises(CachePolicyError):
             pool.unpin("p1")
 
+    def test_iteration_survives_an_eviction(self):
+        """Iterating the pool yields the pages resident when iteration
+        began, even if one is evicted midway — an audit iterates the
+        pool while a lazy restart's drainer evicts."""
+        pool = pool_with(capacity=2)
+        pool.get_page("a", create=True)
+        pool.get_page("b", create=True)
+        pool.get_page("a")  # b becomes the LRU victim
+        pages = iter(pool)
+        assert next(pages).page_id == "a"
+        pool.get_page("c", create=True)  # evicts b
+        assert not pool.is_cached("b")
+        assert [page.page_id for page in pages] == ["b"]
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BufferPool(Disk(), capacity=0)

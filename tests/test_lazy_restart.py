@@ -24,6 +24,8 @@ from repro.logmgr.pageindex import (
 )
 from repro.logmgr.records import LogRecord, PhysicalRedo
 from repro.methods.base import page_of
+from repro.methods.physiological import analysis_pass
+from repro.methods.redo import replay
 from repro.sim.crash import canonical_state
 from repro.storage import Disk
 
@@ -50,7 +52,15 @@ def mixed_stream(method, n=120):
     return ops
 
 
-def build_crashed(root, method, ckpt=25, n=120):
+def audited_stream(method):
+    """:func:`mixed_stream` as the Recovery Invariant audit can lift it:
+    the audit models physical records per key, so a whole-page delete
+    image is out of its reach and physical runs without deletes."""
+    ops = mixed_stream(method)
+    return [op for op in ops if method != "physical" or op[0] != "delete"]
+
+
+def build_crashed(root, method, ckpt=25, n=120, ops=None, **engine):
     """A database crashed mid-workload over a real segment directory,
     small segments so several sealed sidecars exist."""
     db = KVDatabase(
@@ -60,8 +70,9 @@ def build_crashed(root, method, ckpt=25, n=120):
         fsync=False,
         checkpoint_every=ckpt,
         log_segment_size=32,
+        **engine,
     )
-    db.run(mixed_stream(method, n))
+    db.run(mixed_stream(method, n) if ops is None else ops)
     db.crash()
     return db
 
@@ -265,6 +276,170 @@ class TestSameDecisions:
         """The opt-in partitioned driver was removed, not left ignored."""
         with pytest.raises(TypeError):
             KVDatabase(method=method, method_options={"parallel_recovery": True})
+
+
+class TestTheorem3:
+    """Eager recovery of the page-wise methods drains the per-page plan:
+    it replays each page's chain (or each multi-page component) whole,
+    not the log in LSN order.  Theorem 3 says any conflict-order
+    consistent schedule lands on the same state; the reference here is
+    the sequential scan itself — the §4.3 analysis pass over the
+    checkpoint suffix, then every stable record from its redo start."""
+
+    @staticmethod
+    def _lsn_order_replay(method, full_scan):
+        log = method.machine.log
+        method.machine.reboot_pool()
+        checkpoint_lsn = log.last_stable_checkpoint_lsn
+        if full_scan:
+            redo_start = 0
+        elif method.name == "physical":
+            redo_start = checkpoint_lsn + 1  # §6.2: replay the suffix blindly
+        else:
+            _table, redo_start = analysis_pass(
+                log.stable_records_from(max(0, checkpoint_lsn))
+            )
+        replay(method, log.stable_records_from(redo_start))
+
+    @pytest.mark.parametrize("method", PAGE_METHODS)
+    @pytest.mark.parametrize("ckpt", [10, None])
+    @pytest.mark.parametrize("diskless", [False, True])
+    @pytest.mark.parametrize("capacity", [2, 64])
+    def test_pagewise_eager_equals_lsn_order_replay(
+        self, method, ckpt, diskless, capacity, tmp_path
+    ):
+        db = build_crashed(
+            tmp_path, method, ckpt=ckpt, ops=audited_stream(method),
+            cache_capacity=capacity,
+        )
+        disks = (Disk(), Disk()) if diskless else (survivor(db), survivor(db))
+        db.close()
+        states = []
+        for disk, reference in zip(disks, (False, True)):
+            restarted = cold(
+                tmp_path, method, ckpt=ckpt, disk=disk,
+                recover=False, cache_capacity=capacity,
+            )
+            if reference:
+                self._lsn_order_replay(restarted.method, full_scan=diskless)
+            else:
+                restarted.method.recover()
+                assert restarted.method.theory_audit().holds
+            restarted.quiesce()
+            states.append(canonical_state(restarted))
+            restarted.close()
+        assert states[0] == states[1], (method, ckpt, diskless, capacity)
+
+    @pytest.mark.parametrize("method", ["physiological", "generalized"])
+    def test_crash_after_eager_recovery_and_fuzzy_checkpoint(self, method, tmp_path):
+        """The fuzzy checkpoint logs the dirty table the drained plan
+        left in the pool.  Its recLSNs must be the first LSN replayed
+        into each page since the page was last written, or the next
+        analysis starts a page's chain past records only the lost cache
+        held."""
+        stream = mixed_stream(method)
+        db = KVDatabase(
+            method=method, n_pages=8, log_dir=tmp_path, fsync=False,
+            checkpoint_every=None, log_segment_size=32,
+        )
+        db.run(stream[:40])
+        db.quiesce()  # every page on the disk, then 80 records past it
+        db.run(stream[40:])
+        db.crash()
+        disk = survivor(db)
+        assert len(disk.page_ids()) == 8
+        db.close()
+        first = cold(tmp_path, method, ckpt=None, disk=disk)
+        expected = first.method.dump()
+        assert len(first.method.dirty_table()) == 8, "recovered pages stay dirty"
+        first.checkpoint()
+        first.crash()
+        second = cold(tmp_path, method, ckpt=None, disk=first.method.machine.disk)
+        assert second.method.dump() == expected
+        assert second.method.theory_audit().holds
+        first.close()
+        second.close()
+
+    @pytest.mark.parametrize("method", PAGE_METHODS)
+    def test_crash_right_after_a_diskless_start(self, method, tmp_path):
+        """A diskless start over a checkpointed log replays everything,
+        writes the pages it evicts and keeps the rest in the pool.  A
+        crash then leaves a disk that holds some pages but witnessed no
+        checkpoint: the next start must replay the chains of the pages
+        it lacks from their heads, or their pre-checkpoint writes are
+        lost."""
+        db = build_crashed(tmp_path, method, ckpt=10, ops=audited_stream(method))
+        db.close()
+        first = cold(tmp_path, method, ckpt=10, disk=Disk(), cache_capacity=2)
+        expected = first.method.dump()
+        assert first.method.theory_audit().holds
+        disk = first.method.machine.disk
+        assert 0 < len(disk.page_ids()) < 8, "some pages written, some not"
+        first.crash()
+        second = cold(tmp_path, method, ckpt=10, disk=disk, cache_capacity=2)
+        assert second.method.dump() == expected
+        first.close()
+        second.close()
+
+
+class TestPageAtATimeRestart:
+    """Exact counts of a diskless eager cold start over 6 000 mutations
+    on 256 pages through 64 frames, with no checkpoint."""
+
+    @pytest.mark.parametrize("method", ["physiological", "generalized"])
+    def test_each_page_written_once_and_each_segment_mapped_once(
+        self, method, tmp_path, monkeypatch
+    ):
+        from repro.logmgr import filelog, manager
+
+        engine = dict(
+            method=method, n_pages=256, cache_capacity=64,
+            checkpoint_every=None, fsync=False,
+        )
+        db = KVDatabase(log_dir=tmp_path, commit_every=32, **engine)
+        for i in range(6000):
+            if method == "generalized" and i % 10 == 7:
+                # Cross-page copyadds tie every page into one component.
+                db.execute(("copyadd", f"k{i * 7 % 2000}", (f"k{i % 2000}", 1)))
+            else:
+                db.execute(("put", f"k{i * 7919 % 2000}", i))
+        db.sync()
+        db.crash()
+        db.close()
+        segment_files = len(list(tmp_path.glob("*.wal")))
+        opens, fetched = [], []
+        open_reader = filelog.SegmentReader.__init__
+        fetch_chain = manager.LogManager.fetch_chain
+
+        def counting_open(reader, *args, **kwargs):
+            opens.append(args[0])
+            open_reader(reader, *args, **kwargs)
+
+        def recording_fetch(log, entries):
+            records = fetch_chain(log, entries)
+            fetched.append(
+                {log.segment_containing(r.lsn).base_lsn for r in records}
+            )
+            return records
+
+        monkeypatch.setattr(filelog.SegmentReader, "__init__", counting_open)
+        monkeypatch.setattr(manager.LogManager, "fetch_chain", recording_fetch)
+        for lazy in (False, True):
+            restarted = KVDatabase.cold_start(tmp_path, recover=False, **engine)
+            opens.clear()
+            if lazy:
+                restarted.method.begin_lazy_recovery().drain()
+            else:
+                restarted.method.recover()
+            assert restarted.method.stats.records_replayed == 6000
+            if method == "physiological" and not lazy:
+                assert restarted.method.machine.disk.page_writes <= 256
+            assert len(opens) <= segment_files, (lazy, len(opens))
+            restarted.crash()
+            restarted.close()
+        assert fetched and all(len(bases) == 1 for bases in fetched), (
+            max(map(len, fetched), default=0)
+        )
 
 
 class TestFaultPathReplay:

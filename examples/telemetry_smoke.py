@@ -95,7 +95,7 @@ def main() -> int:
 
     # The postmortem's per-shard last stable LSN must match what a real
     # cold start recovers to — the ring tells the same story as the WAL.
-    reborn = ShardedDatabase.cold_start(root, processes=0)
+    reborn = ShardedDatabase.cold_start(root)
     try:
         manifest = read_manifest(root)
         for index, dirname in enumerate(manifest["shard_dirs"]):

@@ -548,7 +548,7 @@ def cmd_serve(args) -> int:
     ``--log-dir`` then names the deployment *root* — cold-started when
     it already holds a ``DEPLOY.json`` manifest (``--shards`` may be
     omitted; the manifest knows), created fresh otherwise.  A sharded
-    cold start prints one progress line per shard as its replay lands.
+    cold start prints one progress line per shard as it becomes ready.
     """
     import os
 
@@ -583,14 +583,14 @@ def cmd_serve(args) -> int:
         if args.log_dir and is_deployment_root(args.log_dir):
 
             def shard_ready(result: dict) -> None:
-                if "replayed" in result:
-                    detail = (
-                        f"replayed={result['replayed']} "
-                        f"stable_lsn={result['stable_lsn']} "
-                        f"torn_tails={result['torn_tails']}"
-                    )
-                else:  # lazy restart: analysis only, redo still pending
-                    detail = f"replay_backlog={result['replay_backlog']}"
+                # Lazy: analysis only, so the backlog is what redo owes.
+                detail = (
+                    f"replay_backlog={result['replay_backlog']}"
+                    if args.lazy_restart
+                    else f"replayed={result['replayed']} "
+                    f"stable_lsn={result['stable_lsn']} "
+                    f"torn_tails={result['torn_tails']}"
+                )
                 print(
                     f"[shard-{result['shard']:02d}] ready in "
                     f"{result['time_to_ready_s']:.2f}s ({detail})",
@@ -601,21 +601,17 @@ def cmd_serve(args) -> int:
                 args.log_dir,
                 tracer=engine_tracer,
                 on_progress=shard_ready if telemetry else None,
-                progress=telemetry,
                 lazy=args.lazy_restart,
             )
-            if tracer is not None and db.cold_report is not None:
+            if tracer is not None:
                 tracer.event(
                     "serve.cold_start",
                     wall_s=round(db.cold_report["wall_s"], 3),
-                    critical_path_s=round(
-                        db.cold_report["critical_path_s"], 3
-                    ),
-                    lazy=bool(db.cold_report.get("lazy")),
+                    lazy=db.cold_report["lazy"],
                     shards=[
                         {
                             "shard": r["shard"],
-                            "stable_lsn": r.get("stable_lsn", -1),
+                            "stable_lsn": r["stable_lsn"],
                             "time_to_ready_s": round(
                                 r["time_to_ready_s"], 3
                             ),
@@ -624,13 +620,12 @@ def cmd_serve(args) -> int:
                     ],
                 )
             n_shards = db.keymap.n_shards
-            if telemetry and db.cold_report is not None:
+            if telemetry:
                 print(
-                    f"cold start: wall {db.cold_report['wall_s']:.2f}s, "
-                    f"critical path {db.cold_report['critical_path_s']:.2f}s",
+                    f"cold start: wall {db.cold_report['wall_s']:.2f}s",
                     flush=True,
                 )
-                if db.cold_report.get("lazy"):
+                if db.cold_report["lazy"]:
                     print(
                         f"lazy restart: serving with "
                         f"{db.replay_backlog()} page(s) awaiting "

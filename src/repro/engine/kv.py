@@ -72,9 +72,8 @@ class EngineSpec:
     for one recovered from its segment files).
 
     Specs are frozen and JSON-round-trippable (:meth:`as_dict` /
-    :meth:`from_dict`), so two processes that agree on the manifest
-    agree on the engine, which is what makes the sharded cold start's
-    child processes interchangeable with the parent.
+    :meth:`from_dict`), so any process that reads the manifest
+    rebuilds the same engine.
     """
 
     method: str = "physiological"
@@ -442,8 +441,8 @@ class KVDatabase:
         force it, then flush every volatile overlay (dirty pool
         pages; logical's object cache via a root swing).  Afterwards the
         disk snapshot plus the segment files alone reproduce this exact
-        state — the handoff point the sharded cold start ships between
-        processes.  Idempotent, unlike :meth:`checkpoint`."""
+        state, so tests can compare disk images directly.  Idempotent,
+        unlike :meth:`checkpoint`."""
         with self.mutex:
             self.drain_lazy()
             self._since_commit = 0

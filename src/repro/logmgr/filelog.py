@@ -547,7 +547,8 @@ class FileLogStore:
         per-page chain read.  ``entries`` is an offset-ascending list of
         ``(offset, lsn)`` pairs from the page index; only the requested
         frames are touched.  A non-active segment is immutable, so it is
-        mapped once per store (until :meth:`close` or :meth:`crash`).
+        mapped once and kept until :meth:`release_maps` (a finished
+        restart plan calls it), :meth:`close` or :meth:`crash`.
         An entry whose frame does not carry the expected LSN raises
         :class:`CodecError` (a stale index is a structural bug).  A
         segment this incarnation sealed holds only bytes it wrote, so
@@ -801,6 +802,12 @@ class FileLogStore:
                 if handle.fh is not None:
                     handle.fh.close()
                     handle.fh = None
+
+    def release_maps(self) -> None:
+        """Unmap every segment :meth:`read_records_at` mapped (records
+        already read stay valid; a later chain read maps afresh)."""
+        with self._lock:
+            self._unmap()
 
     def _unmap(self) -> None:
         for reader in self._mapped.values():

@@ -186,13 +186,10 @@ class RecoveryMethodKV(ABC):
         the segment files alone reconstruct this exact state.
 
         Unlike :meth:`checkpoint` this appends nothing, so quiescing is
-        idempotent — repeated quiesce/cold-start cycles stay byte-
-        identical, which is what the sharded deployment's process-parallel
-        cold start relies on: a child process recovers a shard, quiesces
-        it, and ships the disk image; the parent re-opens the same segment
-        directory without replaying and must land on the same bytes.
-        Methods with volatile state outside the buffer pool (logical's
-        object cache) override this.
+        idempotent: repeated quiesce/cold-start cycles stay byte-
+        identical, and a test can compare an eager and a drained lazy
+        restart by their disk images alone.  Methods with volatile state
+        outside the buffer pool (logical's object cache) override this.
         """
         self.machine.log.flush()
         self.machine.pool.flush_all()

@@ -217,6 +217,15 @@ class PagewiseLazyPlan:
         pool = self.method.machine.pool
         if pool.page_fault == self.fault:
             pool.page_fault = None
+        _release_segment_maps(self.method)
+
+
+def _release_segment_maps(method: "RecoveryMethodKV") -> None:
+    """A finished plan fetches no more chains: unmap the segments its
+    chain reads mapped, so the recovered store holds none for life."""
+    store = method.machine.log.store
+    if store is not None:
+        store.release_maps()
 
 
 class SuffixLazyPlan:
@@ -274,14 +283,19 @@ class SuffixLazyPlan:
         """Abandon the rest of the suffix (crash/shutdown)."""
         with self.lock:
             self.closed = True
+            _release_segment_maps(self.method)
 
     def _replay_batch(self) -> None:
         batch = self._entries[self._cursor : self._cursor + self.BATCH]
-        self._cursor += len(batch)
         self._active = True
         try:
             for run in _segment_runs(batch):
                 replay(self.method, self.method.machine.log.fetch_chain(run))
         finally:
             self._active = False
+        # Counted only once replayed: until then ``done`` stays False, so
+        # a reader's gate waits on the lock instead of reading stale pages.
+        self._cursor += len(batch)
         self.records_fetched += len(batch)
+        if self.done:
+            _release_segment_maps(self.method)

@@ -171,10 +171,10 @@ class LogicalKV(RecoveryMethodKV):
 
         Sound because recovery reads the replay start from the *root
         pointer*, never from checkpoint records — the swing alone moves
-        the replayed suffix out of ``redo_set``.  The append-free form is
-        what keeps repeated cold starts byte-identical: a second cold
-        start replays the (now empty) suffix after the swung root and
-        quiesces into a no-op.
+        the replayed suffix out of ``redo_set``.  The append-free form
+        keeps repeated quiesce/cold-start cycles byte-identical: a second
+        cold start replays the (now empty) suffix after the swung root
+        and quiesces into a no-op.
         """
         self._lazy_gate()
         self.machine.log.flush()

@@ -5,8 +5,8 @@ module reports what it is *doing*, while it runs.  A
 :class:`RecoveryProgress` is attached to a machine
 (``machine.progress``), the redo paths wrap their record stream in
 :meth:`RecoveryProgress.watch`, and an ``on_update`` callback receives
-throttled snapshots — which is how ``serve --shards N`` prints a
-per-shard progress line during a process-parallel cold start.
+throttled snapshots.  A caller opts in by passing one to
+``KVDatabase.cold_start(progress=...)``.
 
 The cost contract mirrors the tracer's: the shared
 :data:`NULL_PROGRESS` (``enabled = False``) makes an uninstrumented

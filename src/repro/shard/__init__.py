@@ -2,8 +2,8 @@
 
 A :class:`~repro.shard.keymap.Keymap` partitions the keyspace across N
 independent :class:`~repro.engine.kv.KVDatabase` shards — per-shard
-WALs, per-shard group-commit pipelines, process-parallel cold start —
-with a ``DEPLOY.json`` manifest making the deployment root
+WALs, per-shard group-commit pipelines, per-shard restart — with a
+``DEPLOY.json`` manifest making the deployment root
 self-describing.  See :mod:`repro.shard.sharded` for the argument.
 """
 

@@ -15,25 +15,15 @@ or an fsync.  Two consequences fall out:
   common log mutex or share a committer window, so aggregate capacity
   is the sum of per-shard capacity;
 - **restart**: each shard's recovery reads only its own segment files
-  and writes only its own pages, so cold start fans out across
-  *processes* (:meth:`ShardedDatabase.cold_start`) — real parallelism
-  for a CPU-bound replay loop.
+  and writes only its own pages, so a shard restarts alone — one
+  :meth:`~repro.engine.kv.EngineSpec.cold_start` per shard, eager or
+  lazy (:meth:`ShardedDatabase.cold_start`), with no coordination.
 
 A deployment root is self-describing: ``DEPLOY.json`` (the manifest)
 records the shard count, keymap seed, engine spec, and per-shard
 directories, so ``cold_start(root)`` needs no other configuration —
 the same property :meth:`LogManager.open` gives a single segment
 directory, one level up.
-
-**The cross-process handoff.**  The simulated :class:`Disk` is a Python
-object, so a child process's recovered state must be shipped, not
-shared.  The protocol (see :mod:`repro.shard.procs`) is *recover,
-quiesce, ship the disk image*: after ``quiesce()`` the disk plus the
-segment files alone capture the shard, with **no log appends**, so the
-parent re-opens each shard with ``recover=False`` and repeated cold
-starts stay byte-identical.  Warm :meth:`recover` quiesces too, which
-is what makes warm and cold recovery land on the same bytes, per
-shard and per method.
 """
 
 from __future__ import annotations
@@ -42,15 +32,12 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.engine.kv import EngineSpec, KVDatabase
 from repro.obs.metrics import MetricsRegistry
 from repro.shard.keymap import Keymap
-from repro.shard.procs import pack_disk, recover_shard, unpack_disk
 from repro.storage import Disk
 from repro.workloads.kv import MUTATIONS, KVOp
 
@@ -191,150 +178,77 @@ class ShardedDatabase:
         cls,
         root,
         disks: Sequence[Disk] | None = None,
-        processes: int | None = None,
         tracer=None,
         on_progress=None,
-        progress: bool = False,
         lazy: bool = False,
     ) -> "ShardedDatabase":
         """Restart a whole deployment from its root directory.
 
-        Reads the manifest, then fans one recovery task per shard across
-        a ``spawn`` :class:`ProcessPoolExecutor`: each child replays its
-        shard's segment files (applying the torn-tail rule to the real
-        files), quiesces, and ships the disk image back; the parent
-        rebuilds each shard from the shipped image without replaying.
-        Shards share nothing, so the fan-out needs no coordination and
-        the deployment's recovery time is the *slowest shard*, not the
-        sum — the Theorem 3 restart dividend.
+        Reads the manifest, then restarts the shards one after another
+        in this process, each with :meth:`EngineSpec.cold_start` on its
+        own segment directory (the torn-tail rule applied to the real
+        files).  Shards share nothing, so no step waits on another
+        shard.  Eager by default: each shard has replayed its stable log
+        before the next begins.  ``lazy=True`` is the instant-restart
+        path: every shard runs analysis only and serves at once, its
+        redo backlog draining in the background and on first page touch;
+        ``health`` reports the per-shard backlogs until the drain
+        completes (or :meth:`drain_lazy` forces it).
 
         ``disks`` optionally supplies per-shard survivor images (the
         crash harnesses' snapshot of what the page store held at the
-        crash).  ``processes`` bounds the pool, defaulting to
-        ``min(n_shards, cpu_count)``; ``processes=0`` recovers inline in
-        this process (no pool — the debugging path, and what a child
-        must use since pools don't nest).
+        crash); ``tracer`` reaches every shard's recovery.
 
-        ``self.cold_report`` afterwards holds the timing breakdown:
-        ``wall_s`` (observed, includes pool startup and pickling),
-        ``critical_path_s`` (max per-shard replay time as measured
-        inside the children — the deployment's recovery latency on a
-        machine with >= N cores), and ``per_shard`` details, each
-        carrying ``time_to_ready_s`` — the parent-observed wall time
-        from fan-out start to that shard's image arriving, i.e. when
-        that shard *could* begin serving.
-
-        ``on_progress`` (if given) is called with each shard's result
-        summary the moment it completes (fan-out order, not shard
-        order); ``progress=True`` additionally has each child print a
-        live per-shard recovery line to stderr.
-
-        ``lazy=True`` is the instant-restart path: no process pool and
-        no up-front replay — every shard runs analysis only
-        (:meth:`KVDatabase.cold_start` with ``lazy=True``) and is
-        serving when this returns, its redo backlog draining in the
-        background and on first page touch.  Each shard's
-        ``time_to_ready_s`` is then its analysis time alone; ``health``
-        reports the remaining per-shard backlogs until the drain
-        completes (or :meth:`drain_lazy` forces it).
+        ``self.cold_report`` afterwards holds ``wall_s``, ``lazy``, and
+        one summary per shard: ``shard``, ``dir``, ``elapsed_s`` (that
+        shard's restart), ``time_to_ready_s`` (from the start of the
+        whole restart until that shard could serve), ``stable_lsn``,
+        ``replayed`` (records replayed so far — all of them when eager),
+        ``torn_tails`` and ``replay_backlog`` (0 when eager).
+        ``on_progress``, if given, receives each summary as its shard
+        becomes ready.
         """
         root = Path(root)
         manifest = read_manifest(root)
         keymap = Keymap.from_dict(manifest["keymap"])
         spec = EngineSpec.from_dict(manifest["spec"])
         dirs = manifest["shard_dirs"]
-        n_shards = keymap.n_shards
-        if disks is not None and len(disks) != n_shards:
+        if disks is not None and len(disks) != keymap.n_shards:
             raise DeploymentError(
-                f"{len(disks)} survivor disks for {n_shards} shards"
+                f"{len(disks)} survivor disks for {keymap.n_shards} shards"
             )
-        if lazy:
-            started = time.perf_counter()
-            shards = []
-            per_shard = []
-            for index in range(n_shards):
-                shard_started = time.perf_counter()
-                shard = spec.cold_start(
-                    root / dirs[index],
-                    disk=disks[index] if disks is not None else None,
-                    lazy=True,
-                    tracer=tracer,
-                )
-                shards.append(shard)
-                summary = {
-                    "shard": index,
-                    "dir": str(root / dirs[index]),
-                    "elapsed_s": time.perf_counter() - shard_started,
-                    "time_to_ready_s": time.perf_counter() - started,
-                    "replay_backlog": shard.replay_backlog(),
-                }
-                per_shard.append(summary)
-                if on_progress is not None:
-                    on_progress(summary)
-            deployment = cls(shards, keymap, spec, root=root)
-            deployment.cold_report = {
-                "wall_s": time.perf_counter() - started,
-                "critical_path_s": max(r["elapsed_s"] for r in per_shard),
-                "per_shard": per_shard,
-                "lazy": True,
-            }
-            return deployment
-        tasks = [
-            {
-                "shard": index,
-                "dir": str(root / dirs[index]),
-                "spec": spec.as_dict(),
-                "pages": pack_disk(disks[index]) if disks is not None else {},
-                "progress": bool(progress),
-            }
-            for index in range(n_shards)
-        ]
         started = time.perf_counter()
-
-        def note_done(result: dict) -> None:
-            result["time_to_ready_s"] = time.perf_counter() - started
-            if on_progress is not None:
-                on_progress({k: v for k, v in result.items() if k != "pages"})
-
-        if processes == 0:
-            results = []
-            for task in tasks:
-                result = recover_shard(task)
-                note_done(result)
-                results.append(result)
-        else:
-            workers = (
-                processes
-                if processes is not None
-                else min(n_shards, os.cpu_count() or 1)
-            )
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=get_context("spawn")
-            ) as pool:
-                futures = [pool.submit(recover_shard, task) for task in tasks]
-                results = []
-                for future in as_completed(futures):
-                    result = future.result()
-                    note_done(result)
-                    results.append(result)
-        wall_s = time.perf_counter() - started
-        results.sort(key=lambda result: result["shard"])
-        shards = [
-            spec.cold_start(
-                root / dirs[result["shard"]],
-                disk=unpack_disk(result["pages"]),
-                recover=False,
+        shards = []
+        per_shard = []
+        for index, dirname in enumerate(dirs):
+            shard_started = time.perf_counter()
+            shard = spec.cold_start(
+                root / dirname,
+                disk=disks[index] if disks is not None else None,
+                lazy=lazy,
                 tracer=tracer,
             )
-            for result in results
-        ]
+            ready = time.perf_counter()
+            log = shard.method.machine.log
+            summary = {
+                "shard": index,
+                "dir": str(root / dirname),
+                "elapsed_s": ready - shard_started,
+                "time_to_ready_s": ready - started,
+                "stable_lsn": log.stable_lsn,
+                "replayed": shard.method.stats.records_replayed,
+                "torn_tails": log.store.torn_tails,
+                "replay_backlog": shard.replay_backlog(),
+            }
+            shards.append(shard)
+            per_shard.append(summary)
+            if on_progress is not None:
+                on_progress(summary)
         deployment = cls(shards, keymap, spec, root=root)
         deployment.cold_report = {
-            "wall_s": wall_s,
-            "critical_path_s": max(r["elapsed_s"] for r in results),
-            "per_shard": [
-                {k: v for k, v in r.items() if k != "pages"} for r in results
-            ],
+            "wall_s": time.perf_counter() - started,
+            "per_shard": per_shard,
+            "lazy": lazy,
         }
         return deployment
 
@@ -390,12 +304,6 @@ class ShardedDatabase:
         for shard in self.shards:
             shard.checkpoint()
 
-    def quiesce(self) -> None:
-        """Quiesce every shard (disk images alone then capture the
-        deployment)."""
-        for shard in self.shards:
-            shard.quiesce()
-
     # ------------------------------------------------------------------
     # Crash / recovery / verification
     # ------------------------------------------------------------------
@@ -411,16 +319,10 @@ class ShardedDatabase:
             shard.crash()
 
     def recover(self) -> None:
-        """Warm recovery, shard by shard, each followed by a quiesce.
-
-        The quiesce is what keeps warm recovery byte-identical to
-        :meth:`cold_start`: the cold path must quiesce (the disk image
-        is all that crosses the process boundary), so the warm path
-        mirrors it.
-        """
+        """Warm recovery, shard by shard — the same recovery an eager
+        :meth:`cold_start` runs, so the two land on the same bytes."""
         for shard in self.shards:
             shard.recover()
-            shard.quiesce()
 
     def drain_lazy(self) -> None:
         """Finish every shard's background replay synchronously (a

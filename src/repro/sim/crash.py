@@ -195,22 +195,17 @@ def cold_restart_states(
     return warm, canonical_state(cold_db)
 
 
-def sharded_cold_restart_states(
-    deployment, root, processes: int | None = 0
-) -> tuple[list[dict], list[dict]]:
+def sharded_cold_restart_states(deployment, root) -> tuple[list[dict], list[dict]]:
     """Crash a whole deployment and recover it twice — warm and cold —
     returning both per-shard canonical-state lists.
 
     The sharded analogue of :func:`cold_restart_states`: the warm path
     crashes and recovers the live :class:`~repro.shard.ShardedDatabase`
-    in place (per-shard recover + quiesce); the cold path hands
+    in place; the cold path hands
     :meth:`~repro.shard.ShardedDatabase.cold_start` only what a real
     restart has — the deployment root (manifest + per-shard segment
     files) and copies of each shard's crash-surviving disk image.
     Theorem 3 at deployment scale demands the lists agree element-wise.
-
-    ``processes`` defaults to 0 (inline recovery) so sweeps stay cheap;
-    pass ``None`` for the real spawn-pool fan-out.
     """
     from repro.shard import ShardedDatabase
     from repro.storage import Disk
@@ -224,7 +219,7 @@ def sharded_cold_restart_states(
         survivors.append(survivor)
     deployment.recover()
     warm = [canonical_state(shard) for shard in deployment.shards]
-    cold = ShardedDatabase.cold_start(root, disks=survivors, processes=processes)
+    cold = ShardedDatabase.cold_start(root, disks=survivors)
     cold_states = [canonical_state(shard) for shard in cold.shards]
     cold.close()
     return warm, cold_states

@@ -9,7 +9,9 @@ outstanding, backward compatibility with sidecar-less ("v1") segment
 directories, and the ``logdump --pages`` verification contract.
 """
 
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -732,3 +734,66 @@ class TestBackgroundDrain:
         assert lazy.get("k0") == 0
         assert lazy.replay_backlog() > 0
         lazy.close()
+
+    def test_logical_read_waits_for_the_batch_being_replayed(
+        self, tmp_path, monkeypatch
+    ):
+        """A suffix batch counts as replayed only once it has replayed:
+        while the drainer is held on the last record, the backlog stays
+        above zero, health says recovering, and a read of the key waits
+        for the batch and sees the last durable value."""
+        from repro.methods.logical import LogicalKV
+
+        db = KVDatabase(method="logical", log_dir=tmp_path, fsync=False)
+        db.run([("put", "k", i) for i in range(200)])
+        db.sync()
+        db.crash()
+        db.close()
+        held, release = threading.Event(), threading.Event()
+        redo_record = LogicalKV.redo_record
+
+        def holding_redo(method, record):
+            if getattr(record.payload, "description", None) == ("kv-put", "k", 199):
+                held.set()
+                release.wait(timeout=10.0)
+            return redo_record(method, record)
+
+        monkeypatch.setattr(LogicalKV, "redo_record", holding_redo)
+        lazy = KVDatabase.cold_start(tmp_path, method="logical", lazy=True)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(lazy.get("k")))
+        try:
+            assert held.wait(timeout=10.0)
+            assert lazy.replay_backlog() > 0
+            assert lazy.health()["state"] == "recovering"
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and read == []
+        finally:
+            release.set()
+        reader.join(timeout=10.0)
+        assert read == [199]
+        assert lazy.replay_backlog() == 0
+        lazy.close()
+
+
+class TestSegmentMapsReleased:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_restart_leaves_no_segment_mapped(self, method, lazy, tmp_path):
+        """The chain reads of a restart map sealed segments; once its plan
+        has drained, the store holds no mapping (eager: on return; lazy:
+        after ``drain_lazy``)."""
+        db = build_crashed(tmp_path, method, ckpt=None)
+        db.close()
+        restarted = cold(tmp_path, method, ckpt=None, lazy=lazy)
+        restarted.drain_lazy()
+        store = restarted.method.machine.log.store
+        assert len(list(tmp_path.glob("*.wal"))) > 2
+        if lazy or method != "logical":  # logical eager streams, no chains
+            assert store.chain_frames_read > 0
+        assert store._mapped == {}
+        maps = Path("/proc/self/maps")
+        if maps.exists():
+            assert str(tmp_path) not in maps.read_text()
+        restarted.close()

@@ -253,7 +253,7 @@ class TestShardedServer:
             client.put("other", 7)
             client.commit()
         server.close()
-        reborn = ShardedDatabase.cold_start(root, processes=0)
+        reborn = ShardedDatabase.cold_start(root)
         assert reborn.get("durable") == 42
         assert reborn.get("other") == 7
         reborn.close()

@@ -389,13 +389,13 @@ class TestManifest:
         manifest = json.loads(path.read_text())
         manifest["spec"].update(install_policy="graph", cache_policy="lru")
         path.write_text(json.dumps(manifest))
-        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        cold = ShardedDatabase.cold_start(tmp_path)
         assert cold.dump() == apply_to_oracle(put_stream(10))
         cold.close()
         manifest["spec"]["install_policy"] = "legacy"
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="install_policy='legacy'"):
-            ShardedDatabase.cold_start(tmp_path, processes=0)
+            ShardedDatabase.cold_start(tmp_path)
 
     def test_manifest_with_the_log_fields_cold_starts(self, tmp_path):
         """A manifest written while the spec still carried
@@ -408,20 +408,20 @@ class TestManifest:
         manifest = json.loads(path.read_text())
         manifest["spec"].update(group_commit=1, truncate_on_checkpoint=False)
         path.write_text(json.dumps(manifest))
-        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        cold = ShardedDatabase.cold_start(tmp_path)
         assert cold.dump() == apply_to_oracle(put_stream(10))
         cold.close()
         manifest["spec"]["group_commit"] = 4
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="group_commit=4"):
-            ShardedDatabase.cold_start(tmp_path, processes=0)
+            ShardedDatabase.cold_start(tmp_path)
 
     def test_cold_start_honors_keymap_seed(self, tmp_path):
         sdb = ShardedDatabase.create(root=tmp_path, n_shards=2, seed=5)
         sdb.run(put_stream(10))
         sdb.sync()
         sdb.close()
-        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        cold = ShardedDatabase.cold_start(tmp_path)
         assert cold.keymap == Keymap(2, seed=5)
         assert cold.dump() == apply_to_oracle(put_stream(10))
         cold.close()

@@ -1,6 +1,6 @@
-"""Cross-process recovery tests for sharded deployments: warm/cold
-byte-identity per shard, the spawn-pool fan-out, per-shard torn-tail
-handling, crash-during-cold-start (SIGKILL mid-replay), and
+"""Recovery tests for sharded deployments: warm/cold byte-identity per
+shard, the cold report and its trace, per-shard torn-tail handling,
+crash-during-cold-start (SIGKILL mid-replay), and
 crash-during-*lazy*-restart (SIGKILL mid-background-replay)."""
 
 import os
@@ -50,8 +50,8 @@ class TestWarmColdEquivalence:
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_repeated_cold_starts_converge(self, method, tmp_path):
-        """Quiesce appends nothing, so every subsequent cold start sees
-        the same segment bytes and lands on the same state."""
+        """Recovery appends nothing to the log, so every subsequent cold
+        start sees the same segment bytes and lands on the same state."""
         sdb = build_deployment(tmp_path, method)
         sdb.run(mixed_stream(30))
         sdb.crash()
@@ -70,56 +70,21 @@ class TestWarmColdEquivalence:
                 disks.append(disk)
             return disks
 
-        first = ShardedDatabase.cold_start(
-            tmp_path, disks=survivor_disks(), processes=0
-        )
+        first = ShardedDatabase.cold_start(tmp_path, disks=survivor_disks())
         state_a = [canonical_state(s) for s in first.shards]
         first.close()
         second = ShardedDatabase.cold_start(
             tmp_path,
             disks=[s.method.machine.disk for s in first.shards],
-            processes=0,
         )
         state_b = [canonical_state(s) for s in second.shards]
         assert state_a == state_b
         second.close()
 
-    def test_spawn_pool_matches_inline(self, tmp_path):
-        """The real ProcessPoolExecutor fan-out must land exactly where
-        inline recovery does — the pickled-disk handoff loses nothing."""
-        sdb = build_deployment(tmp_path, "physiological")
-        sdb.run(mixed_stream(40))
-        sdb.sync()
-        sdb.crash()
-        from repro.storage import Disk
-
-        def survivors():
-            disks = []
-            for shard in sdb.shards:
-                disk = Disk()
-                for page in shard.method.machine.disk.pages():
-                    disk.write_page(page)
-                disks.append(disk)
-            return disks
-
-        inline = ShardedDatabase.cold_start(
-            tmp_path, disks=survivors(), processes=0
-        )
-        pooled = ShardedDatabase.cold_start(tmp_path, disks=survivors())
-        assert [canonical_state(s) for s in inline.shards] == [
-            canonical_state(s) for s in pooled.shards
-        ]
-        assert pooled.cold_report is not None
-        assert len(pooled.cold_report["per_shard"]) == 3
-        assert pooled.cold_report["critical_path_s"] > 0
-        inline.close()
-        pooled.close()
-        sdb.close()
-
     def test_cold_report_accounts_replay_work(self, tmp_path):
         """Every mutation is replayed by exactly one shard; over many
-        keys, Theorem 3's split hands each shard an even share, so the
-        slowest shard bounds a parallel cold start at ~1/N of the log."""
+        keys, Theorem 3's split hands each shard an even share — about
+        1/N of the log each."""
         cases = [
             ("physical", 3, mixed_stream(30)),  # 40 mutations
             ("physiological", 4, [("put", f"k{i}", i) for i in range(2000)]),
@@ -132,7 +97,7 @@ class TestWarmColdEquivalence:
             sdb.run(stream)
             sdb.sync()
             sdb.close()
-            cold = ShardedDatabase.cold_start(root, processes=0)
+            cold = ShardedDatabase.cold_start(root)
             report = cold.cold_report
             assert report["wall_s"] > 0
             replayed = [r["replayed"] for r in report["per_shard"]]
@@ -141,6 +106,32 @@ class TestWarmColdEquivalence:
                 assert max(replayed) <= 1.1 * len(stream) / n_shards, replayed
             assert all(r["torn_tails"] == 0 for r in report["per_shard"])
             cold.close()
+
+    def test_traced_eager_cold_start_records_each_shard_recovery(self, tmp_path):
+        """A tracer handed to the sharded cold start reaches every
+        shard's recovery: one ``recovery`` span per shard, whose
+        ``replayed`` counts match the cold report's, and one
+        ``recovery.record`` event per replayed record."""
+        from repro.obs import RecoveryTimeline, RingBufferSink, Tracer
+
+        sdb = build_deployment(
+            tmp_path, "physiological", commit_every=1, checkpoint_every=None
+        )
+        sdb.run([("put", f"k{i}", i) for i in range(300)])
+        sdb.sync()
+        sdb.close()
+        sink = RingBufferSink()
+        cold = ShardedDatabase.cold_start(tmp_path, tracer=Tracer(sink))
+        timeline = RecoveryTimeline.from_sink(sink)
+        spans = timeline.recoveries()
+        per_shard = cold.cold_report["per_shard"]
+        assert len(spans) == len(per_shard) == 3
+        assert [span.field("replayed") for span in spans] == [
+            r["replayed"] for r in per_shard
+        ]
+        assert sum(r["replayed"] for r in per_shard) == 300
+        assert len(timeline.events("recovery.record")) == 300
+        cold.close()
 
 
 class TestTornTails:
@@ -158,7 +149,7 @@ class TestTornTails:
         victim = 0
         tail = sorted((tmp_path / "shard-00").glob("segment-*.wal"))[-1]
         tail.write_bytes(tail.read_bytes()[:-2])
-        cold = ShardedDatabase.cold_start(tmp_path, processes=0)
+        cold = ShardedDatabase.cold_start(tmp_path)
         per_shard = cold.cold_report["per_shard"]
         assert per_shard[victim]["torn_tails"] == 1
         assert all(r["torn_tails"] == 0 for r in per_shard[1:])
@@ -196,7 +187,7 @@ class TestCrashDuringColdStart:
             import sys
             from repro.shard import ShardedDatabase
             print("recovering", flush=True)
-            ShardedDatabase.cold_start(sys.argv[1], processes=0)
+            ShardedDatabase.cold_start(sys.argv[1])
             print("done", flush=True)
             """
         )
@@ -217,10 +208,10 @@ class TestCrashDuringColdStart:
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
 
-        first = ShardedDatabase.cold_start(tmp_path, processes=0)
+        first = ShardedDatabase.cold_start(tmp_path)
         state_a = [canonical_state(s) for s in first.shards]
         first.close()
-        second = ShardedDatabase.cold_start(tmp_path, processes=0)
+        second = ShardedDatabase.cold_start(tmp_path)
         state_b = [canonical_state(s) for s in second.shards]
         second.close()
         assert state_a == state_b
@@ -259,7 +250,7 @@ class TestLazyRestartSharded:
         assert health["state"] == "ready"
         assert health["replay_backlog_total"] == 0
         assert all(s["state"] == "ready" for s in health["shards"])
-        eager = ShardedDatabase.cold_start(tmp_path, processes=0)
+        eager = ShardedDatabase.cold_start(tmp_path)
         for shard in (*lazy.shards, *eager.shards):
             shard.quiesce()
         assert [canonical_state(s) for s in lazy.shards] == [
@@ -308,7 +299,7 @@ class TestLazyRestartSharded:
         proc.wait(timeout=30)
         assert proc.returncode == -signal.SIGKILL
 
-        eager = ShardedDatabase.cold_start(tmp_path, processes=0)
+        eager = ShardedDatabase.cold_start(tmp_path)
         lazy = ShardedDatabase.cold_start(tmp_path, lazy=True)
         lazy.drain_lazy()
         for shard in (*eager.shards, *lazy.shards):

@@ -267,60 +267,32 @@ class TestTopDashboard:
 
 
 class TestColdStartProgress:
-    def _filled_root(self, tmp_path, n_shards=3):
+    def test_on_progress_fires_per_shard_with_time_to_ready(self, tmp_path):
         root = tmp_path / "dep"
         sdb = ShardedDatabase.create(
             root=root,
-            n_shards=n_shards,
+            n_shards=3,
             spec=EngineSpec(method="physiological", commit_pipeline=True),
         )
         for i in range(60):
             sdb.execute(("put", f"key{i}", i))
         sdb.sync()
         sdb.close()
-        return root
-
-    def test_on_progress_fires_per_shard_with_time_to_ready(self, tmp_path):
-        root = self._filled_root(tmp_path)
         seen = []
-        sdb = ShardedDatabase.cold_start(
-            root, processes=0, on_progress=seen.append
-        )
+        sdb = ShardedDatabase.cold_start(root, on_progress=seen.append)
         try:
-            assert sorted(r["shard"] for r in seen) == [0, 1, 2]
+            assert [r["shard"] for r in seen] == [0, 1, 2]
+            assert seen == sdb.cold_report["per_shard"]
             for result in seen:
+                assert set(result) == {
+                    "shard", "dir", "elapsed_s", "time_to_ready_s",
+                    "stable_lsn", "replayed", "torn_tails", "replay_backlog",
+                }
                 assert result["time_to_ready_s"] > 0.0
-                assert "pages" not in result  # callbacks get the slim view
-            report = sdb.cold_report
-            assert all(
-                r["time_to_ready_s"] > 0.0 for r in report["per_shard"]
-            )
+                assert result["replay_backlog"] == 0
+            assert sum(r["replayed"] for r in seen) == 60
         finally:
             sdb.close()
-
-    def test_progress_lines_print_from_spawned_children(self, tmp_path):
-        """The ``serve --shards N`` cold-start path: each child prints
-        its shard's phase lines to stderr."""
-        root = self._filled_root(tmp_path, n_shards=2)
-        from repro.shard.procs import recover_shard
-        from repro.shard.sharded import read_manifest
-
-        manifest = read_manifest(root)
-        task = {
-            "shard": 1,
-            "dir": str(root / manifest["shard_dirs"][1]),
-            "spec": manifest["spec"],
-            "progress": True,
-        }
-        import contextlib
-        import io as _io
-
-        err = _io.StringIO()
-        with contextlib.redirect_stderr(err):
-            result = recover_shard(task)
-        lines = err.getvalue().splitlines()
-        assert any(line.startswith("[shard-01] ready:") for line in lines)
-        assert result["replayed"] > 0
 
 
 class TestPostmortemCli:
@@ -381,7 +353,7 @@ class TestPostmortemCli:
         report = collect_postmortem(root)
         assert report["ok"]
         manifest = read_manifest(root)
-        reborn = ShardedDatabase.cold_start(root, processes=0)
+        reborn = ShardedDatabase.cold_start(root)
         try:
             for index, dirname in enumerate(manifest["shard_dirs"]):
                 stable = reborn.shards[index].method.machine.log.stable_lsn

@@ -47,7 +47,6 @@ from repro.core import (
     StateGraph,
     Var,
     VariableIndex,
-    VariablePartition,
     WriteGraph,
     WriteGraphError,
     WriteNode,
@@ -63,9 +62,7 @@ from repro.core import (
     is_explainable,
     is_exposed,
     is_potentially_recoverable,
-    partition_operations,
     recover,
-    recover_partitioned,
     replay,
     replay_order,
     run_sequence,
@@ -92,7 +89,6 @@ __all__ = [
     "StateGraph",
     "Var",
     "VariableIndex",
-    "VariablePartition",
     "WriteGraph",
     "WriteGraphError",
     "WriteNode",
@@ -108,9 +104,7 @@ __all__ = [
     "is_explainable",
     "is_exposed",
     "is_potentially_recoverable",
-    "partition_operations",
     "recover",
-    "recover_partitioned",
     "replay",
     "replay_order",
     "run_sequence",

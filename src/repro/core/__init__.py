@@ -14,7 +14,7 @@ Module                  Paper section
 ``explain``             §3.2–3.3 explainable states, applicability, replay steps
 ``replay``              §3.4 Theorem 3 (potential recoverability)
 ``recovery``            §4 the abstract ``recover`` procedure (Figure 6)
-``partition``           Theorem 3 applied: component-partitioned recovery
+``polog``               §4.1 partial-order logs: any linearization recovers
 ``invariant``           §4.5 the Recovery Invariant checker
 ``write_graph``         §5 write graphs and Corollary 5
 ==============================================================================
@@ -48,12 +48,7 @@ from repro.core.recovery import (
     RedoDecision,
     recover,
 )
-from repro.core.partition import (
-    VariablePartition,
-    partition_operations,
-    recover_partitioned,
-)
-from repro.core.polog import PartialOrderLog, recover_partial
+from repro.core.polog import PartialOrderLog
 from repro.core.invariant import (
     InvariantReport,
     check_recovery_invariant,
@@ -79,7 +74,6 @@ __all__ = [
     "StateGraph",
     "Var",
     "VariableIndex",
-    "VariablePartition",
     "WriteGraph",
     "WriteGraphError",
     "WriteNode",
@@ -95,10 +89,7 @@ __all__ = [
     "is_explainable",
     "is_exposed",
     "is_potentially_recoverable",
-    "partition_operations",
     "recover",
-    "recover_partial",
-    "recover_partitioned",
     "replay",
     "replay_order",
     "run_sequence",

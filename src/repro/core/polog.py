@@ -6,28 +6,22 @@ order — "it is not necessary to have a totally ordered log reflecting
 the exact execution order; only conflicting logged operations need to be
 ordered" (a consequence of Lemma 1).
 
-:class:`PartialOrderLog` is that object, and :func:`recover_partial`
-runs the Figure 6 procedure over it: at each step the *minimal
-unrecovered* record is not unique, so a tie-break policy chooses among
-the minimal candidates.  The §4.1 claim, which the tests verify, is that
-the recovered state is independent of the policy — any linearization the
-DAG admits recovers the same state.
+:class:`PartialOrderLog` is that object.  Passed to
+:func:`repro.core.recovery.recover`, it supplies Figure 6's "minimal
+unrecovered" operation: that operation is not unique in a partial
+order, so the log's tie-break policy chooses among the DAG-minimal
+candidates.  The §4.1 claim, which the tests verify, is that the
+recovered state is independent of the policy — any linearization the
+DAG admits recovers the same state.  A component-by-component replay
+of variable-disjoint operations is one such linearization.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.core.conflict import ConflictGraph
-from repro.core.model import Operation, State
-from repro.core.recovery import (
-    AnalyzeFn,
-    RecoveryOutcome,
-    RedoDecision,
-    RedoTest,
-    always_redo,
-    analysis_once,
-)
+from repro.core.model import Operation
 from repro.graphs import Dag
 
 TieBreak = Callable[[list[Operation]], Operation]
@@ -40,10 +34,17 @@ def first_by_name(candidates: list[Operation]) -> Operation:
 
 class PartialOrderLog:
     """A DAG of logged operations, ordered only by conflict (plus any
-    extra edges the logger chose to impose)."""
+    extra edges the logger chose to impose); ``tie_break`` picks which
+    minimal record recovery takes next."""
 
-    def __init__(self, conflict: ConflictGraph, extra_edges: Iterable[tuple] = ()):
+    def __init__(
+        self,
+        conflict: ConflictGraph,
+        extra_edges: Iterable[tuple] = (),
+        tie_break: TieBreak = first_by_name,
+    ):
         self.conflict = conflict
+        self.tie_break = tie_break
         self.dag = Dag()
         for operation in conflict.operations:
             self.dag.add_node(operation.name)
@@ -52,10 +53,6 @@ class PartialOrderLog:
         for source, target in extra_edges:
             self.dag.add_edge(source.name, target.name)
 
-    def operations(self) -> list[Operation]:
-        """All logged operations (unordered set semantics; list for use)."""
-        return list(self.conflict.operations)
-
     def minimal_unrecovered(self, unrecovered: set[Operation]) -> list[Operation]:
         """The records recovery may legally consider next."""
         names = {op.name for op in unrecovered}
@@ -63,6 +60,25 @@ class PartialOrderLog:
             self.conflict.operation(name)
             for name in self.dag.minimal_nodes(names)
         ]
+
+    def recovery_order(self, checkpoint: frozenset[Operation]) -> Iterator[Operation]:
+        """Every logged operation once: the checkpointed ones first, then
+        the unrecovered ones, each the tie-break's pick among the minimal
+        candidates of what is left.  A pick outside the candidates is an
+        error — replaying it would break conflict order."""
+        remaining: set[Operation] = set()
+        for operation in self.conflict.operations:
+            if operation in checkpoint:
+                yield operation
+            else:
+                remaining.add(operation)
+        while remaining:
+            candidates = self.minimal_unrecovered(remaining)
+            operation = self.tie_break(candidates)
+            if operation not in candidates:
+                raise ValueError("tie_break returned a non-candidate operation")
+            remaining.discard(operation)
+            yield operation
 
     def is_consistent(self) -> bool:
         """§4.1's condition: conflict order embeds in log order."""
@@ -73,51 +89,3 @@ class PartialOrderLog:
 
     def __repr__(self) -> str:
         return f"PartialOrderLog(ops={len(self.conflict)}, edges={self.dag.edge_count()})"
-
-
-def recover_partial(
-    state: State,
-    log: PartialOrderLog,
-    checkpoint: Iterable[Operation] = (),
-    redo: RedoTest = always_redo,
-    analyze: AnalyzeFn | None = None,
-    tie_break: TieBreak = first_by_name,
-) -> RecoveryOutcome:
-    """The Figure 6 procedure over a partial-order log.
-
-    Identical to :func:`repro.core.recovery.recover` except that "the
-    minimal operation in unrecovered" is chosen by ``tie_break`` among
-    the DAG-minimal candidates, since a partial order has several.
-    """
-    if analyze is None:
-        analyze = analysis_once(lambda s, l, u: None)
-
-    current = state.copy()
-    logged = frozenset(log.operations())
-    checkpoint_set = frozenset(checkpoint)
-    remaining = {op for op in log.operations() if op not in checkpoint_set}
-    analysis: Any = None
-    decisions: list[RedoDecision] = []
-    redo_set: set[Operation] = set()
-
-    while remaining:
-        candidates = log.minimal_unrecovered(remaining)
-        operation = tie_break(candidates)
-        if operation not in remaining:
-            raise ValueError("tie_break returned a non-candidate operation")
-        analysis = analyze(current, log, set(remaining), analysis)
-        if redo(operation, current, log, analysis):
-            current = operation.apply(current)
-            redo_set.add(operation)
-            decisions.append(RedoDecision(operation, True, analysis))
-        else:
-            decisions.append(RedoDecision(operation, False, analysis))
-        remaining.discard(operation)
-
-    return RecoveryOutcome(
-        state=current,
-        redo_set=redo_set,
-        decisions=decisions,
-        checkpoint=checkpoint_set,
-        logged=logged,
-    )

@@ -2,8 +2,12 @@
 
 Recovery begins with the state and the log as of the crash, plus a
 checkpoint (a set of operations recovery may ignore).  It walks the
-unrecovered operations in log order; for each it runs an *analysis* phase
-and then a *redo test*, replaying the operation iff the test says yes.
+unrecovered operations, each time taking a minimal one in the order the
+log supplies; for each it runs an *analysis* phase and then a *redo
+test*, replaying the operation iff the test says yes.  :func:`recover`
+is the one loop: a linear :class:`Log` and a partial-order
+:class:`~repro.core.polog.PartialOrderLog` differ only in the order they
+hand it (``recovery_order``).
 
 The procedure is deliberately parameterized the way the paper's is:
 
@@ -28,13 +32,16 @@ simply a manager whose payloads are abstract operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.conflict import ConflictGraph
 from repro.core.model import Operation, State
 from repro.logmgr.codec import LazyRecord
 from repro.logmgr.manager import LogManager
 from repro.logmgr.records import LogRecord
+
+if TYPE_CHECKING:
+    from repro.core.polog import PartialOrderLog
 
 __all__ = [
     "Log",
@@ -188,6 +195,12 @@ class Log:
             for a, b, _ in conflict.edges()
         )
 
+    def recovery_order(self, checkpoint: frozenset[Operation]) -> Iterator[Operation]:
+        """``operations(log)`` in log order: the earliest unrecovered
+        record is minimal in any order the log is consistent with, so
+        the checkpoint does not change the order."""
+        return self.iter_operations()
+
     def suffix_from(self, lsn: int) -> "Log":
         """Records with LSN >= ``lsn`` (what a checkpoint lets recovery
         scan) — a lazy view sharing this log's manager, not a copy."""
@@ -290,75 +303,56 @@ def always_redo(operation: Operation, state: State, log: Log, analysis: Any) -> 
 
 def recover(
     state: State,
-    log: Log,
+    log: Log | PartialOrderLog,
     checkpoint: Iterable[Operation] = (),
     redo: RedoTest = always_redo,
     analyze: AnalyzeFn | None = None,
     trace: bool = True,
 ) -> RecoveryOutcome:
-    """The redo recovery procedure of Figure 6, streaming.
+    """The redo recovery procedure of Figure 6.
 
     ``state`` is consumed conceptually but not mutated; the outcome holds
     the rebuilt state.  ``checkpoint`` is the set of operations recovery
-    may ignore.  Operations are considered in log order: the minimal
-    unrecovered operation is always the earliest unrecovered log record,
-    which is minimal in any order the log is consistent with.
+    may ignore.  The log supplies "the minimal operation in unrecovered"
+    through its ``recovery_order``: a :class:`Log` takes its records in
+    log order, a :class:`~repro.core.polog.PartialOrderLog` its
+    tie-break's pick among the DAG-minimal candidates.
 
-    When no ``analyze`` function is given, the log is consumed as a
-    single streaming pass — no record list is materialized, so a suffix
-    view over a segmented manager is processed in O(segment) working
-    memory (plus the operation sets the outcome reports).  A custom
-    ``analyze`` receives the set of still-unrecovered operations each
-    iteration, which requires the unrecovered suffix up front; that path
-    materializes one list, exactly as the paper's per-iteration protocol
-    demands.  ``trace=False`` skips the per-iteration decision trace,
-    which long recoveries neither need nor can afford.
+    Without ``analyze`` the order is consumed as a single streaming pass
+    — no record list is materialized, so a suffix view over a segmented
+    manager is processed in O(segment) working memory (plus the
+    operation sets the outcome reports).  A custom ``analyze`` receives
+    the set of still-unrecovered operations each iteration, which
+    requires the unrecovered order up front; that path materializes one
+    list, exactly as the paper's per-iteration protocol demands.
+    ``trace=False`` skips the per-iteration decision trace, which long
+    recoveries neither need nor can afford.
     """
     current = state.copy()
     checkpoint_set = frozenset(checkpoint)
-    decisions: list[RedoDecision] = []
-    redo_set: set[Operation] = set()
     logged: set[Operation] = set()
 
-    if analyze is None:
-        # Streaming fast path: one pass, no analysis state.
-        for record in log:
-            operation = record.operation
+    def unrecovered() -> Iterator[Operation]:
+        for operation in log.recovery_order(checkpoint_set):
             logged.add(operation)
-            if operation in checkpoint_set:
-                continue
-            if redo(operation, current, log, None):
-                current = operation.apply(current)
-                redo_set.add(operation)
-                if trace:
-                    decisions.append(RedoDecision(operation, True, None))
-            elif trace:
-                decisions.append(RedoDecision(operation, False, None))
-        return RecoveryOutcome(
-            state=current,
-            redo_set=redo_set,
-            decisions=decisions,
-            checkpoint=checkpoint_set,
-            logged=frozenset(logged),
-        )
+            if operation not in checkpoint_set:
+                yield operation
 
-    unrecovered: list[Operation] = []
-    for record in log:
-        logged.add(record.operation)
-        if record.operation not in checkpoint_set:
-            unrecovered.append(record.operation)
-
+    order: Iterable[Operation] = unrecovered()
+    if analyze is not None:
+        order = list(order)
     analysis: Any = None
-    for index, operation in enumerate(unrecovered):
-        # minimal in log order; analyze sees the remaining suffix as a set
-        analysis = analyze(current, log, set(unrecovered[index:]), analysis)
-        if redo(operation, current, log, analysis):
+    decisions: list[RedoDecision] = []
+    redo_set: set[Operation] = set()
+    for index, operation in enumerate(order):
+        if analyze is not None:
+            analysis = analyze(current, log, set(order[index:]), analysis)
+        redone = redo(operation, current, log, analysis)
+        if redone:
             current = operation.apply(current)
             redo_set.add(operation)
-            if trace:
-                decisions.append(RedoDecision(operation, True, analysis))
-        elif trace:
-            decisions.append(RedoDecision(operation, False, analysis))
+        if trace:
+            decisions.append(RedoDecision(operation, redone, analysis))
 
     return RecoveryOutcome(
         state=current,

@@ -49,7 +49,6 @@ from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogDirectoryError, LogMan
 from repro.logmgr.pipeline import GroupCommitPipeline
 from repro.methods import METHODS, Machine, RecoveryMethodKV
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import RecoveryProgress
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.workloads.kv import MUTATIONS, KVOp, apply_to_oracle
 
@@ -109,7 +108,6 @@ class EngineSpec:
         recover: bool = True,
         lazy: bool = False,
         tracer: Tracer | None = None,
-        progress: "RecoveryProgress | None" = None,
     ) -> "KVDatabase":
         """Restart an engine of this spec from its segment directory."""
         return KVDatabase.cold_start(
@@ -118,7 +116,6 @@ class EngineSpec:
             recover=recover,
             lazy=lazy,
             tracer=tracer,
-            progress=progress,
             **self.as_dict(),
         )
 
@@ -153,7 +150,7 @@ class EngineSpec:
         return cls(**data)
 
 
-def _machine(spec: EngineSpec, log_dir, tracer: Tracer, progress, disk=None) -> Machine:
+def _machine(spec: EngineSpec, log_dir, tracer: Tracer, disk=None) -> Machine:
     """The one step that builds an engine's machine and its log: in
     memory, or opened from ``log_dir`` by
     :meth:`~repro.logmgr.manager.LogManager.open` (an empty or missing
@@ -165,7 +162,7 @@ def _machine(spec: EngineSpec, log_dir, tracer: Tracer, progress, disk=None) -> 
         log = LogManager(size, tracer=tracer)
     else:
         log = LogManager.open(log_dir, size, tracer=tracer, fsync=spec.fsync)
-    return Machine(spec.cache_capacity, tracer=tracer, disk=disk, log=log, progress=progress)
+    return Machine(spec.cache_capacity, tracer=tracer, disk=disk, log=log)
 
 
 class KVDatabase:
@@ -179,7 +176,6 @@ class KVDatabase:
         tracer: Tracer | None = None,
         log_dir=None,
         machine: Machine | None = None,
-        progress: RecoveryProgress | None = None,
         **spec_fields,
     ):
         """``spec_fields`` are :class:`EngineSpec`'s fields (cache size,
@@ -194,7 +190,7 @@ class KVDatabase:
             )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if machine is None:
-            machine = _machine(spec, log_dir, self.tracer, progress)
+            machine = _machine(spec, log_dir, self.tracer)
             if len(machine.log):
                 machine.log.store.close()
                 raise LogDirectoryError(
@@ -239,7 +235,6 @@ class KVDatabase:
         recover: bool = True,
         lazy: bool = False,
         tracer: Tracer | None = None,
-        progress: RecoveryProgress | None = None,
         **spec_fields,
     ) -> "KVDatabase":
         """Restart from durable state alone: segment files plus a disk.
@@ -266,7 +261,7 @@ class KVDatabase:
         """
         spec = EngineSpec(method=method, **spec_fields)
         tracer = tracer if tracer is not None else NULL_TRACER
-        machine = _machine(spec, log_dir, tracer, progress, disk)
+        machine = _machine(spec, log_dir, tracer, disk)
         db = cls(tracer=tracer, machine=machine, **spec.as_dict())
         if recover and lazy:
             db._begin_lazy_restart()
@@ -538,9 +533,6 @@ class KVDatabase:
             self._lazy_plan = self.method.begin_lazy_recovery()
             if self._commit_pipeline_enabled and self.pipeline is None:
                 self.pipeline = GroupCommitPipeline(self.method.machine.log)
-            progress = self.method.machine.progress
-            if progress.enabled:
-                progress.set_phase("background-replay")
             self._lazy_stop = threading.Event()
             self._lazy_thread = threading.Thread(
                 target=self._drain_lazy_backlog, name="lazy-redo", daemon=True
@@ -556,9 +548,6 @@ class KVDatabase:
             # pool mutex takes it here instead of waiting out the drain.
             time.sleep(0)
         if plan.done and stop is not None and not stop.is_set():
-            progress = self.method.machine.progress
-            if progress.enabled:
-                progress.finish()
             if self.tracer.enabled:
                 self.tracer.event(
                     "engine.lazy_drained",

@@ -27,7 +27,6 @@ from typing import Any
 
 from repro.cache import BufferPool
 from repro.logmgr import LogManager, LogRecord
-from repro.obs.progress import NULL_PROGRESS, RecoveryProgress
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.storage import Disk
 
@@ -64,10 +63,8 @@ class Machine:
         tracer: Tracer | None = None,
         disk: Disk | None = None,
         log: LogManager | None = None,
-        progress: RecoveryProgress | None = None,
     ):
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.progress = progress if progress is not None else NULL_PROGRESS
         self.disk = disk if disk is not None else Disk()
         self.log = log if log is not None else LogManager(tracer=self.tracer)
         self.enforce_wal = enforce_wal

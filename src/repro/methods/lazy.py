@@ -173,7 +173,7 @@ class PagewiseLazyPlan:
     def drain(self, watch: Callable | None = None) -> None:
         """Replay everything still pending, synchronously.  ``watch``
         wraps each fetched segment run (eager recovery passes its
-        progress gauges and segment spans)."""
+        ``recovery.segment`` spans)."""
         with self.lock:
             while not self.closed and self._pending:
                 self._replay_group(next(iter(self._pending)), watch)

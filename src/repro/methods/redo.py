@@ -121,40 +121,32 @@ def _diskless(method) -> bool:
 
 
 def _watched(method, records: Iterable[LogRecord]) -> Iterable[LogRecord]:
-    """``records`` (a segment run or an LSN-ordered suffix) wrapped by
-    the progress gauges and per-segment spans, when those are on."""
-    machine = method.machine
-    if machine.progress.enabled:
-        records = machine.progress.watch(records, log=machine.log, stats=method.stats)
+    """``records`` (a segment run or an LSN-ordered suffix) wrapped in
+    per-segment ``recovery.segment`` spans, when tracing is on."""
     if method.tracer.enabled:
-        records = traced_segments(method.tracer, machine.log, records)
+        records = traced_segments(method.tracer, method.machine.log, records)
     return records
 
 
-def _analyze(method, full_scan: bool, plan_for: Callable[[bool], tuple[Any, dict]]):
-    """Reboot the pool and run ``plan_for(full_scan)``: the plan (None
-    for a streamed suffix) and the analysis facts, ``redo_start`` among
-    them."""
-    method.machine.reboot_pool()
-    if method.machine.progress.enabled:
-        method.machine.progress.set_phase("analysis")
-    return plan_for(full_scan)
+PlanFor = Callable[[bool], tuple[Any, dict]]
 
 
-def recover_eager(method, full_scan: bool, plan_for) -> None:
+def recover_eager(method, full_scan: bool, plan_for: PlanFor) -> None:
     """Eager schedule: analysis, then the whole redo before returning.
-    A page-wise plan is drained one page's chain (or one multi-page
-    component) at a time; a ``None`` plan — logical recovery's — streams
-    the suffix from ``redo_start`` straight off the segmented log."""
-    tracer, stats, progress = method.tracer, method.stats, method.machine.progress
+    ``plan_for(full_scan)`` runs on a rebooted pool and returns the plan
+    (None for a streamed suffix) and the analysis facts, ``redo_start``
+    among them.  A page-wise plan is drained one page's chain (or one
+    multi-page component) at a time; a ``None`` plan — logical
+    recovery's — streams the suffix from ``redo_start`` straight off the
+    segmented log."""
+    tracer, stats = method.tracer, method.stats
     full_scan = full_scan or _diskless(method)
     span = tracer.span("recovery", method=method.name, full_scan=full_scan)
     before = (stats.records_scanned, stats.records_replayed, stats.records_skipped)
     analysis = tracer.span("recovery.analysis")
-    plan, found = _analyze(method, full_scan, plan_for)
+    method.machine.reboot_pool()
+    plan, found = plan_for(full_scan)
     analysis.end(**found)
-    if progress.enabled:
-        progress.set_phase("redo")
     if plan is None:
         log = method.machine.log
         replay(method, _watched(method, log.stable_records_from(found["redo_start"])))
@@ -167,15 +159,14 @@ def recover_eager(method, full_scan: bool, plan_for) -> None:
         replayed=stats.records_replayed - before[1],
         skipped=stats.records_skipped - before[2],
     )
-    if progress.enabled:
-        progress.finish()
 
 
-def begin_lazy(method, plan_for):
+def begin_lazy(method, plan_for: PlanFor):
     """Lazy schedule: analysis only; the returned plan feeds fetched
     chains to :func:`replay` as pages are touched."""
     span = method.tracer.span("recovery.lazy", method=method.name)
-    plan, found = _analyze(method, _diskless(method), plan_for)
+    method.machine.reboot_pool()
+    plan, found = plan_for(_diskless(method))
     method.stats.recoveries += 1
     span.end(backlog=plan.backlog(), **found)
     return plan

@@ -15,7 +15,9 @@ recovery; this package makes every contract-relevant decision
   null), instrumented at every theory-relevant seam: engine command
   execution, WAL append/force, checkpoints, flush/elide/victim
   decisions (with their write-graph reason), and recovery itself as a
-  span tree (analysis → per-segment redo → per-record replay);
+  span tree (analysis → per-segment redo → per-record replay; a lazy
+  restart's ``recovery.lazy`` span and ``engine.lazy_drained`` event) —
+  the one way recovery is observed;
 - :mod:`repro.obs.timeline` — :class:`RecoveryTimeline`, which replays
   a trace into a human-readable account of a crash/recovery run and
   cross-checks its totals against the metrics registry.
@@ -34,7 +36,6 @@ from repro.obs.flightrec import (
     flight_ring_path,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsError, MetricsRegistry
-from repro.obs.progress import NULL_PROGRESS, RecoveryProgress
 from repro.obs.timeline import RecoveryTimeline, SpanNode, build_span_tree, load_trace
 from repro.obs.trace import (
     NULL_TRACER,
@@ -59,11 +60,9 @@ __all__ = [
     "JsonLinesSink",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_PROGRESS",
     "NULL_TRACER",
     "NullSink",
     "NullTracer",
-    "RecoveryProgress",
     "RecoveryTimeline",
     "RingBufferSink",
     "Span",

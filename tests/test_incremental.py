@@ -1,7 +1,7 @@
 """Equivalence tests for the incremental theory core.
 
-The conflict graph, installation graph, exposure memo, and variable
-partition are all maintained incrementally (append-at-a-time) in the
+The conflict graph, installation graph and exposure memo are all
+maintained incrementally (append-at-a-time) in the
 library.  These tests pin them to independent from-scratch references:
 
 - a definitional O(N^2) backward-scan conflict-graph builder written
@@ -12,8 +12,7 @@ library.  These tests pin them to independent from-scratch references:
 - the uncached exposure functions and the definitional
   :func:`strictly_exposed_variables`, which the memoized
   :class:`ExposureMemo` must match across random interleavings of
-  appends, installs, and uninstalls;
-- a plain BFS component grouping for :class:`VariablePartition`.
+  appends, installs, and uninstalls.
 
 Lemma 1 is what makes these equivalences theorems rather than accidents:
 any linear extension regenerates the same conflict graph, so in
@@ -35,7 +34,6 @@ from repro.core.exposed import (
 from repro.core.explain import explains
 from repro.core.installation import InstallationGraph
 from repro.core.model import State
-from repro.core.partition import VariablePartition, partition_operations
 from repro.graphs import Dag
 from repro.workloads.opgen import OpSequenceSpec, random_operations
 
@@ -255,55 +253,3 @@ class TestLogGraphs:
         analysis = outcome.decisions[0].analysis
         assert analysis["conflict"] is log.conflict_graph()
         assert analysis["installation"] is log.installation_graph()
-
-
-class TestVariablePartition:
-    @staticmethod
-    def reference_components(ops):
-        """Plain BFS over the shares-a-variable relation."""
-        variable_ops: dict[str, list[int]] = {}
-        for index, op in enumerate(ops):
-            for variable in op.variables():
-                variable_ops.setdefault(variable, []).append(index)
-        seen: set[int] = set()
-        components = []
-        for start in range(len(ops)):
-            if start in seen:
-                continue
-            frontier, members = [start], set()
-            while frontier:
-                index = frontier.pop()
-                if index in members:
-                    continue
-                members.add(index)
-                for variable in ops[index].variables():
-                    frontier.extend(
-                        other
-                        for other in variable_ops[variable]
-                        if other not in members
-                    )
-            seen |= members
-            components.append([ops[i] for i in sorted(members)])
-        return components
-
-    @given(seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_union_find_matches_bfs(self, seed):
-        for spec in SPECS:
-            ops = random_operations(seed, spec)
-            partition = VariablePartition()
-            for op in ops:
-                partition.add(op)
-            assert partition.components() == self.reference_components(ops)
-            assert partition.components() == partition_operations(ops)
-
-    @given(seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_components_memo_survives_interleaved_queries(self, seed):
-        ops = random_operations(seed, SPARSE)
-        partition = VariablePartition()
-        for index, op in enumerate(ops):
-            partition.add(op)
-            prefix = ops[: index + 1]
-            assert partition.components() == partition_operations(prefix)
-            assert partition.component_count() == len(partition.components())

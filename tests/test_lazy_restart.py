@@ -693,22 +693,30 @@ class TestBackgroundDrain:
         assert lazy.health()["state"] == "ready"
         lazy.close()
 
-    def test_progress_reports_background_replay_phase(self, tmp_path):
-        from repro.obs.progress import RecoveryProgress
+    def test_lazy_restart_is_visible_in_the_trace(self, tmp_path):
+        """A traced lazy cold start leaves one ``recovery.lazy`` span with
+        the backlog analysis left, and the drainer's exit one
+        ``engine.lazy_drained`` event counting every record it fetched."""
+        from repro.obs.timeline import RecoveryTimeline
+        from repro.obs.trace import RingBufferSink, Tracer
 
         db = build_crashed(tmp_path, "physiological", ckpt=None)
         disk = survivor(db)
         db.close()
-        phases = []
-        progress = RecoveryProgress(
-            on_update=lambda snap: phases.append(snap["phase"])
-        )
+        sink = RingBufferSink()
         lazy = cold(
             tmp_path, "physiological", ckpt=None, disk=disk,
-            lazy=True, progress=progress,
+            lazy=True, tracer=Tracer(sink),
         )
+        plan, drainer = lazy._lazy_plan, lazy._lazy_thread
         lazy.drain_lazy()
-        assert "background-replay" in phases
+        drainer.join(timeout=10.0)
+        assert not drainer.is_alive()
+        timeline = RecoveryTimeline.from_sink(sink)
+        [span] = timeline.spans("recovery.lazy")
+        assert span.field("backlog") > 0
+        [drained] = timeline.events("engine.lazy_drained")
+        assert drained["fields"]["records"] == plan.records_fetched > 0
         lazy.close()
 
     def test_first_request_does_not_wait_out_the_drain(self, tmp_path):

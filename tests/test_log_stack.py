@@ -1,18 +1,10 @@
-"""Tests for the unified log stack: segments, partitioned redo, and the
+"""Tests for the unified log stack: segments and the
 fault-injection cases that show which assumptions are load-bearing."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Log,
-    State,
-    partition_operations,
-    recover,
-    recover_partitioned,
-)
-from repro.core.expr import Var, assign, blind_write, increment
 from repro.engine.kv import KVDatabase, VerificationError
 from repro.logmgr import (
     CheckpointRecord,
@@ -88,77 +80,6 @@ class TestWalCheckSegmented:
         # Nothing flushed yet; flushing the page must force the log first.
         machine.pool.flush_page("p1", force=True)
         assert machine.log.stable_lsn >= entry.lsn
-
-
-# ----------------------------------------------------------------------
-# Theory-level partitioned recovery
-# ----------------------------------------------------------------------
-
-
-class TestPartitionTheory:
-    def test_partition_by_connected_component(self):
-        A = increment("A", "x")
-        B = assign("B", "y", Var("x") + 1)  # joins x's component via read
-        C = blind_write("C", "z", 7)
-        parts = partition_operations([A, B, C])
-        as_names = sorted(sorted(op.name for op in part) for part in parts)
-        assert as_names == [["A", "B"], ["C"]]
-
-    @pytest.mark.parametrize("max_workers", [None, 4])
-    def test_matches_sequential_recover(self, max_workers):
-        ops = []
-        for i in range(4):
-            ops.append(increment(f"inc{i}", f"v{i % 2}"))
-            ops.append(assign(f"mix{i}", f"w{i}", Var(f"v{i % 2}") + i))
-            ops.append(blind_write(f"blind{i}", f"u{i}", i * 10))
-        log = Log(ops)
-        state = State()
-        sequential = recover(state, log)
-        partitioned = recover_partitioned(
-            state, log, max_workers=max_workers, trace=True
-        )
-        assert partitioned.state == sequential.state
-        assert partitioned.redo_set == sequential.redo_set
-        assert [d.operation.name for d in partitioned.decisions] == [
-            d.operation.name for d in sequential.decisions
-        ]
-
-    def test_respects_checkpoint(self):
-        A = blind_write("A", "x", 1)
-        B = increment("B", "y")
-        log = Log([A, B])
-        outcome = recover_partitioned(State(), log, checkpoint=[A])
-        assert outcome.redo_set == {B}
-        assert outcome.state["x"] == 0  # A was not replayed
-        assert outcome.state["y"] == 1
-
-    def test_accepts_live_partition(self):
-        """A VariablePartition maintained during normal operation can be
-        handed to recovery, skipping the union-find pass."""
-        from repro.core.partition import VariablePartition
-
-        ops = [
-            increment("inc0", "v0"),
-            assign("mix", "w", Var("v0") + 1),
-            blind_write("blind", "u", 10),
-        ]
-        live = VariablePartition()
-        for op in ops:
-            live.add(op)
-        log = Log(ops)
-        fresh = recover_partitioned(State(), log)
-        reused = recover_partitioned(State(), log, partition=live)
-        assert reused.state == fresh.state
-        assert reused.redo_set == fresh.redo_set
-
-    def test_rejects_undercovering_partition(self):
-        from repro.core.partition import VariablePartition
-
-        A = blind_write("A", "x", 1)
-        B = increment("B", "y")
-        partial = VariablePartition([A])  # never saw B
-        with pytest.raises(ValueError, match="does not cover"):
-            recover_partitioned(State(), Log([A, B]), partition=partial)
 
 
 # ----------------------------------------------------------------------

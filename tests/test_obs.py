@@ -629,88 +629,58 @@ class TestLenientTimeline:
         assert not open_span.closed
 
 
-class TestRecoveryProgress:
-    def test_watch_counts_records_and_bytes(self):
-        from repro.obs import RecoveryProgress
+class TestRetiredSurfaces:
+    """Recovery is observed through the tracer's spans only, and the
+    theory's recovery is one loop: the surfaces that duplicated them are
+    gone, not left ignored."""
 
-        class FakeRecord:
-            lsn = 1
+    def test_progress_option_is_gone(self, tmp_path):
+        from repro.engine import EngineSpec, KVDatabase
 
-            def size_bytes(self):
-                return 10
+        with pytest.raises(TypeError):
+            KVDatabase(method="physiological", progress=object())
+        with pytest.raises(TypeError):
+            KVDatabase.cold_start(tmp_path, method="physiological", progress=object())
+        with pytest.raises(TypeError):
+            EngineSpec().cold_start(tmp_path, progress=object())
 
-        progress = RecoveryProgress()
-        progress.set_phase("redo")
-        consumed = list(progress.watch([FakeRecord(), FakeRecord()]))
-        assert len(consumed) == 2
-        snap = progress.snapshot()
-        assert snap["phase"] == "redo"
-        assert snap["records"] == 2
-        assert snap["bytes"] == 20
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "recover_partial",
+            "recover_partitioned",
+            "VariablePartition",
+            "partition_operations",
+            "RecoveryProgress",
+            "NULL_PROGRESS",
+        ],
+    )
+    def test_not_exported(self, name):
+        import repro
+        import repro.core
+        import repro.obs
 
-    def test_phase_changes_fire_callback(self):
-        from repro.obs import RecoveryProgress
+        for package in (repro, repro.core, repro.obs):
+            assert not hasattr(package, name), (package.__name__, name)
 
-        seen = []
-        progress = RecoveryProgress(on_update=seen.append)
-        progress.set_phase("analysis")
-        progress.set_phase("redo")
-        progress.finish()
-        assert [s["phase"] for s in seen] == ["analysis", "redo", "ready"]
+    def test_engine_import_loads_no_thread_pool(self):
+        import os
+        import pathlib
+        import subprocess
+        import sys
 
-    def test_null_progress_is_identity(self):
-        from repro.obs import NULL_PROGRESS
-
-        assert NULL_PROGRESS.enabled is False
-        stream = [object(), object()]
-        assert list(NULL_PROGRESS.watch(stream)) == stream
-        NULL_PROGRESS.set_phase("redo")  # no-op, no state
-        assert NULL_PROGRESS.snapshot()["phase"] == "idle"
-
-    def test_engine_recovery_drives_progress(self, tmp_path):
-        from repro.engine import KVDatabase
-        from repro.obs import RecoveryProgress
-        from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
-
-        snaps = []
-        progress = RecoveryProgress(on_update=snaps.append, min_interval=0.0)
-        db = KVDatabase(
-            method="physiological",
-            log_dir=tmp_path,
-            commit_every=2,
-            checkpoint_every=None,
-            progress=progress,
+        src = pathlib.Path(__file__).parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = (
+            "import sys, repro.engine, repro.sim.audit; "
+            "print('concurrent.futures' in sys.modules)"
         )
-        db.run(generate_kv_workload(5, KVWorkloadSpec(n_operations=40)))
-        db.crash_and_recover()
-        db.verify_against()
-        final = progress.snapshot()
-        assert final["phase"] == "ready"
-        assert final["records"] > 0
-        assert final["bytes"] > 0
-        assert final["segments"] >= 1
-        assert final["replayed"] > 0
-        phases = [s["phase"] for s in snaps]
-        assert phases[0] == "analysis"
-        assert phases[-1] == "ready"
-
-    def test_cold_start_accepts_progress(self, tmp_path):
-        from repro.engine import KVDatabase
-        from repro.obs import RecoveryProgress
-        from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
-
-        stream = generate_kv_workload(6, KVWorkloadSpec(n_operations=30))
-        db = KVDatabase(method="physiological", log_dir=tmp_path)
-        db.run(stream)
-        db.sync()
-        db.crash()
-        progress = RecoveryProgress()
-        cold = KVDatabase.cold_start(
-            tmp_path, method="physiological", progress=progress
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60,
         )
-        assert cold.verify_against(stream) > 0
-        assert progress.snapshot()["phase"] == "ready"
-        assert progress.records > 0
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestThreadSafety:

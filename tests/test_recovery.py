@@ -3,16 +3,27 @@
 import pytest
 
 from repro.core.conflict import ConflictGraph
-from repro.core.expr import Var
 from repro.core.model import State
+from repro.core.polog import PartialOrderLog
 from repro.core.recovery import (
     Log,
-    LogRecord,
-    always_redo,
     analysis_once,
     recover,
 )
 from tests.conftest import make_ops
+
+
+def partial_order_log(operations):
+    return PartialOrderLog(ConflictGraph(operations))
+
+
+@pytest.fixture(
+    params=[Log.from_operations, partial_order_log], ids=["Log", "PartialOrderLog"]
+)
+def make_log(request):
+    """Both kinds of log over the same operations: one recovery loop
+    serves them, so the analysis protocol must hold for each."""
+    return request.param
 
 
 class TestLog:
@@ -107,31 +118,31 @@ class TestRecoverProcedure:
         assert outcome.installed_after(1) == {O, P}
         assert outcome.installed_after(2) == {O, P, Q}
 
-    def test_analysis_once_runs_single_pass(self, opq, initial_state):
+    def test_analysis_once_runs_single_pass(self, opq, initial_state, make_log):
         calls = []
 
         def single(state, log, unrecovered):
             calls.append(len(unrecovered))
             return "the-analysis"
 
-        log = Log.from_operations(list(opq))
+        log = make_log(list(opq))
         outcome = recover(initial_state, log, analyze=analysis_once(single))
         assert calls == [3]  # ran once, at the first iteration
         assert all(d.analysis == "the-analysis" for d in outcome.decisions)
 
-    def test_per_iteration_analysis(self, opq, initial_state):
+    def test_per_iteration_analysis(self, opq, initial_state, make_log):
         seen = []
 
         def analyze(state, log, unrecovered, analysis):
             seen.append(sorted(op.name for op in unrecovered))
             return len(unrecovered)
 
-        log = Log.from_operations(list(opq))
+        log = make_log(list(opq))
         recover(initial_state, log, analyze=analyze)
         assert seen == [["O", "P", "Q"], ["P", "Q"], ["Q"]]
 
-    def test_analysis_value_reaches_redo_test(self, opq, initial_state):
-        log = Log.from_operations(list(opq))
+    def test_analysis_value_reaches_redo_test(self, opq, initial_state, make_log):
+        log = make_log(list(opq))
 
         def analyze(state, log_, unrecovered, analysis):
             return {"countdown": len(unrecovered)}

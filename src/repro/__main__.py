@@ -34,8 +34,8 @@ Commands
     root (a directory holding ``DEPLOY.json``) dumps every shard's log,
     lines prefixed with the shard directory, same exit-code contract.
     ``--pages`` renders the per-page redo index instead (page → chain
-    length, first/last LSN) and verifies every ``.pages`` sidecar
-    against a full frame walk (exit 2 on mismatch).
+    length, first/last LSN) and verifies each segment's one sidecar
+    (seal + page index) against a full frame walk (exit 2 on mismatch).
 ``serve [--port N] [--log-dir DIR] [--shards N] [method]``
     Run the threaded KV server: a session per connection,
     line-delimited JSON protocol, commits coalesced by the
@@ -320,15 +320,16 @@ def _index_segment_files(paths, prefix: str = ""):
     sidecar against the walk.  Returns ``(index, verified, stale,
     mismatched)`` — or None after printing a structural error.
 
-    The walk is the ground truth: a sidecar that covers the same bytes
-    (``base_lsn`` and ``region_len`` agree) must produce the identical
-    chains and edges, else it is corrupt and the caller exits 2.  A
-    sidecar for *different* bytes is merely stale — the runtime ignores
-    those by design (segment grew, sidecar lost the race) — so it is
-    reported but not fatal.
+    The walk is the ground truth: a sidecar whose seal holds for the
+    segment's bytes must produce the identical chains and edges, else
+    it is corrupt and the caller exits 2.  A sidecar whose seal does
+    not hold is merely stale (segment grew, sidecar lost the race, or
+    it predates the current format), and one whose payload does not
+    decode is ignored — the runtime falls back to the rebuild scan for
+    both — so they are reported but not fatal.
     """
     from repro.logmgr.codec import CodecError
-    from repro.logmgr.filelog import SegmentReader, pages_path, read_sidecar
+    from repro.logmgr.filelog import SegmentReader, read_sidecar
     from repro.logmgr.pageindex import PageRedoIndex, parse_page_index
 
     index = PageRedoIndex()
@@ -340,27 +341,18 @@ def _index_segment_files(paths, prefix: str = ""):
             print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
             return None
         with reader:
-            base_lsn = reader.base_lsn
             scanned = reader.page_index()
-            blob = read_sidecar(pages_path(path))
-            sidecar = parse_page_index(blob)
-            if sidecar is None and blob is not None:
+            blob = read_sidecar(path)
+            sidecar = parse_page_index(blob) if reader.sealed else None
+            if blob is not None and sidecar is None:
                 stale += 1
                 print(
-                    f"{prefix}{path.name}: undecodable page-index sidecar "
-                    f"(ignored, rebuild scan used)"
+                    f"{prefix}{path.name}: "
+                    f"{'undecodable' if reader.sealed else 'stale'} page-index "
+                    f"sidecar (ignored, rebuild scan used)"
                 )
-            if sidecar is not None:
-                if (
-                    sidecar.base_lsn != base_lsn
-                    or sidecar.region_len != scanned.region_len
-                ):
-                    stale += 1
-                    print(
-                        f"{prefix}{path.name}: stale page-index sidecar "
-                        f"(ignored, rebuild scan used)"
-                    )
-                elif sidecar.pages == scanned.pages and _canon_edges(
+            elif sidecar is not None:
+                if sidecar.pages == scanned.pages and _canon_edges(
                     sidecar.edges
                 ) == _canon_edges(scanned.edges):
                     verified += 1
@@ -431,10 +423,10 @@ def cmd_logdump(args) -> int:
     """Pretty-print binary segment files, torn tails included.
 
     Streams each file through the shared zero-copy frame walker (the
-    same scanner recovery uses): the file is mmapped, sealed segments
-    are verified with one sidecar-seal CRC pass, and records decode
-    lazily one at a time — a multi-gigabyte segment dumps in O(record)
-    memory.
+    same scanner recovery uses): the file is mmapped, a segment whose
+    sidecar seal holds is verified with one CRC pass, and records
+    decode lazily one at a time — a multi-gigabyte segment dumps in
+    O(record) memory.
 
     A directory holding a ``DEPLOY.json`` manifest is a sharded
     deployment root: every shard's log is dumped in shard order, each
@@ -444,74 +436,54 @@ def cmd_logdump(args) -> int:
 
     ``--pages`` renders the per-page redo index instead of the record
     stream: one line per page (chain length, first/last LSN), the
-    multi-page replay components, and a verification of every
-    ``.pages`` sidecar against a full frame walk of its segment — a
-    sidecar that covers the segment's bytes but disagrees with the
-    walk is corrupt and the exit status is 2.
+    multi-page replay components, and a verification of each segment's
+    ``.pages`` sidecar against a full frame walk of the segment — a
+    sidecar whose seal holds but whose index disagrees with the walk
+    is corrupt and the exit status is 2.
     """
     from pathlib import Path
 
     from repro.logmgr.filelog import log_files
+    from repro.shard import DeploymentError, log_directories
 
     target = Path(args.path)
-    if target.is_dir():
-        from repro.shard import is_deployment_root, read_manifest
-        from repro.shard.sharded import DeploymentError
-
-        if is_deployment_root(target):
-            try:
-                manifest = read_manifest(target)
-            except DeploymentError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            if args.pages:
-                corrupt = 0
-                for dirname in manifest["shard_dirs"]:
-                    paths = log_files(target / dirname)
-                    if not paths:
-                        print(f"[{dirname}] no segment files")
-                        continue
-                    bad = _dump_page_index(paths, prefix=f"[{dirname}] ")
-                    if bad is None:
-                        return 2
-                    corrupt += bad
-                return 2 if corrupt else 0
-            total = torn = files = 0
-            for dirname in manifest["shard_dirs"]:
-                paths = log_files(target / dirname)
-                if not paths:
-                    print(f"[{dirname}] no segment files")
-                    continue
-                counts = _dump_segment_files(paths, prefix=f"[{dirname}] ")
-                if counts is None:
-                    return 2
-                total += counts[0]
-                torn += counts[1]
-                files += len(paths)
-            tail = f", {torn} torn tail(s)" if torn else ""
-            print(
-                f"{total} records in {files} file(s) across "
-                f"{len(manifest['shard_dirs'])} shard(s){tail}"
-            )
-            return 1 if torn else 0
-        paths = log_files(target)
-        if not paths:
+    if target.is_file():
+        logs = [(None, [target])]
+    elif target.is_dir():
+        try:
+            logs = [(label, log_files(d)) for label, d in log_directories(target)]
+        except DeploymentError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        if logs[0][0] is None and not logs[0][1]:
             print(f"no segment files in {target}", file=sys.stderr)
             return 2
-    elif target.is_file():
-        paths = [target]
     else:
         print(f"{target}: no such file or directory", file=sys.stderr)
         return 2
+    sharded = logs[0][0] is not None
+    total = torn = corrupt = files = 0
+    for label, paths in logs:
+        prefix = f"[{label}] " if sharded else ""
+        if not paths:
+            print(f"{prefix}no segment files")
+            continue
+        counts = (_dump_page_index if args.pages else _dump_segment_files)(
+            paths, prefix=prefix
+        )
+        if counts is None:
+            return 2
+        if args.pages:
+            corrupt += counts
+            continue
+        total += counts[0]
+        torn += counts[1]
+        files += len(paths)
     if args.pages:
-        bad = _dump_page_index(paths)
-        return 2 if bad is None or bad else 0
-    counts = _dump_segment_files(paths)
-    if counts is None:
-        return 2
-    total, torn = counts
+        return 2 if corrupt else 0
+    across = f" across {len(logs)} shard(s)" if sharded else ""
     tail = f", {torn} torn tail(s)" if torn else ""
-    print(f"{total} records in {len(paths)} file(s){tail}")
+    print(f"{total} records in {files} file(s){across}{tail}")
     # A torn/corrupt tail is expected after a crash but is something a
     # caller gating on log health must see: report it in the exit code.
     return 1 if torn else 0
@@ -829,8 +801,8 @@ def main(argv: list[str] | None = None) -> int:
         "--pages",
         action="store_true",
         help="render the per-page redo index (chain length, first/last "
-        "LSN per page) and verify every .pages sidecar against a full "
-        "frame walk (exit 2 on mismatch)",
+        "LSN per page) and verify each segment's one .pages sidecar (seal "
+        "+ page index) against a full frame walk (exit 2 on mismatch)",
     )
     serve = sub.add_parser(
         "serve", help="run the threaded KV server (line-delimited JSON)"

@@ -22,20 +22,6 @@ frames.  What it batches away is everything that made per-record
 encoding slow in Python — per-record ``bytes`` allocations, repeated
 string/tag encoding (memoized), and per-record syscalls.
 
-A finished segment may be **sealed** by a 20-byte sidecar file
-(``<segment>.seal``)::
-
-    "RSEA" | u32 crc32(frame region) | u64 region_length | u32 records
-
-letting the happy-path reader verify one checksum for the whole segment
-(a single C-speed ``crc32`` pass) and then walk frames trusting their
-length fields.  The seal lives *next to* the segment, never inside it,
-so segment bytes — and therefore torn-tail semantics — are identical
-with or without one.  A missing, stale (wrong region length), or
-damaged seal degrades to the per-frame CRC walk: same records, same
-tears, just slower.  That is also the whole v1-compatibility story —
-pre-seal segment directories simply have no sidecars.
-
 The **torn-tail rule**: a frame whose length field runs past the end of
 the file, or whose body fails the CRC check, ends the stable log — the
 decoder reports the tear and refuses to look further, because bytes
@@ -45,7 +31,8 @@ cold start.  The frame checks that implement it exist once, in
 :func:`walk_frames`; :func:`read_frame_at` is one step of that walk, and
 every reader of a segment file reaches both through
 :class:`~repro.logmgr.filelog.SegmentReader`, which alone decides when a
-verified seal lets the walk skip per-frame CRCs.
+verified seal (:mod:`repro.logmgr.pageindex`'s sidecar header) lets the
+walk skip per-frame CRCs.
 
 Values inside payloads (cell contents, action arguments, label values)
 are encoded with a small tagged value codec covering ``None``, bools,
@@ -88,12 +75,6 @@ _BODY_PREFIX = struct.Struct("<BQ")
 # Both prefixes at once — the scan hot loop reads a frame's length,
 # CRC, format version, and LSN with a single 17-byte unpack.
 _FRAME_AND_BODY_PREFIX = struct.Struct("<IIBQ")
-
-# Segment seal (sidecar ``.seal`` file contents): magic, CRC32 of the
-# frame region, region length, record count.
-SEAL_MAGIC = b"RSEA"
-_SEAL = struct.Struct("<4sIQI")
-SEGMENT_SEAL_SIZE = _SEAL.size
 
 # Per-record framing overhead around the ``payload | labels`` region:
 # the 8-byte frame prefix plus the 9-byte ``version | lsn`` body prefix.
@@ -647,42 +628,6 @@ def encode_window(records) -> bytearray:
         # re-measuring.
         setter(record, "_encoded_size", body_len + FRAME_PREFIX_SIZE)
     return out
-
-
-# ----------------------------------------------------------------------
-# Segment seals (sidecar checksum files)
-# ----------------------------------------------------------------------
-
-def encode_seal(region_crc: int, region_len: int, count: int) -> bytes:
-    """The 20-byte seal of a finished segment file (sidecar contents)."""
-    return _SEAL.pack(SEAL_MAGIC, region_crc, region_len, count)
-
-
-def parse_seal(blob: bytes | None) -> tuple[int, int, int] | None:
-    """Parse exactly the 20 seal bytes: ``(crc, region_len, count)``,
-    or None when they are absent, missized, or missing the magic."""
-    if blob is None or len(blob) != SEGMENT_SEAL_SIZE or blob[:4] != SEAL_MAGIC:
-        return None
-    _magic, crc, region_len, count = _SEAL.unpack(blob)
-    return crc, region_len, count
-
-
-def verify_seal(buf, blob: bytes | None) -> tuple[int, int] | None:
-    """Check a segment buffer against its sidecar seal in one C-speed
-    ``crc32`` pass: returns ``(region_end, count)`` when the seal is
-    present, covers exactly this buffer, and its CRC matches, else None
-    (no seal, a stale one — the file grew or shrank since sealing — or
-    a damaged one; the caller falls back to the per-frame CRC walk)."""
-    parsed = parse_seal(blob)
-    if parsed is None:
-        return None
-    crc, region_len, count = parsed
-    end = FILE_HEADER_SIZE + region_len
-    if end != len(buf):
-        return None
-    if zlib.crc32(memoryview(buf)[FILE_HEADER_SIZE:end]) != crc:
-        return None
-    return end, count
 
 
 # ----------------------------------------------------------------------

@@ -13,27 +13,37 @@ The write path is staged and **batch-granular**:
 - :meth:`stage_many` buffers one encoded blob covering a whole window of
   records (an append is cheap and *volatile*) — the one staging call, a
   single frame being a window of one;
-- :meth:`write_up_to` hands staged blobs to the OS in one ``write``
-  per segment file (written but unsynced bytes live in the page cache —
-  still volatile under the failure model);
+- :meth:`write_up_to` hands staged blobs to the OS, one blob per
+  segment file, looping until every byte is in (written but unsynced
+  bytes live in the page cache — still volatile under the failure
+  model);
 - :meth:`sync` is the only durability point: one ``fsync`` per dirty
   file, after which everything written survives a crash.
+
+A failed ``write`` or ``fsync`` is final: the store keeps the first
+``OSError`` and :meth:`write_up_to` and :meth:`sync` raise it again at
+once, so no later force can make bytes durable behind a short or lost
+write (the kernel may already have dropped the dirty pages a failed
+``fsync`` covered).  Only :meth:`crash` — process death — clears it.
 
 Every manager force ends in one :meth:`sync`; how many commits share
 it is decided above the manager (commit cadence, the cross-session
 pipeline).
 
-A segment that will never be written again can be **sealed** with
-:meth:`seal_segment`: a 20-byte sidecar file (``<segment>.seal``)
-carrying one CRC over the whole frame region.  The scan path checks it
+A segment that will never be written again gets one sidecar file,
+``<segment>.pages`` (:mod:`repro.logmgr.pageindex`): its header is the
+**seal** — one CRC over the whole frame region — and its payload the
+segment's page index.  :meth:`seal_segment` computes the seal and
+:meth:`write_page_index` writes the file.  The scan path checks the seal
 first — one C-speed ``crc32`` pass verifies the entire file, after
 which the frame walk trusts length fields and skips every per-frame
-checksum.  The seal is a pure accelerator kept *outside* the segment,
+checksum.  The sidecar is a pure accelerator kept *outside* the segment,
 so segment bytes and torn-tail semantics are byte-identical with or
-without it; a missing, stale, or damaged seal silently degrades to the
-per-frame CRC walk, which is also how every pre-seal segment directory
-remains readable.  Seals are written without an fsync — losing one in
-a crash costs a slow scan, never a record.
+without it; a missing, stale, or damaged one silently degrades to the
+per-frame CRC walk and the rebuild scan, which is also how every
+pre-sidecar segment directory remains readable.  Sidecars are written
+without an fsync — losing one in a crash costs a slow scan, never a
+record.
 
 :meth:`crash` simulates the kernel's view of a power cut: staged blobs
 vanish, and every file is truncated back to its last synced length.
@@ -44,7 +54,7 @@ cleans up whatever partial frame the page cache happened to flush.
 Every read of a segment or archive file — the cold-start loaders, the
 streaming scan, the page-index rebuild, ``logdump``, ``postmortem`` —
 goes through one :class:`SegmentReader`: it maps the file, validates the
-header, and alone decides from the sidecar seal how far the frame walk
+header, and alone decides from the sidecar's seal how far the frame walk
 runs and whether it may skip per-frame CRCs.  Callers keep only what
 genuinely differs between them: what to do at a tear.
 
@@ -63,6 +73,7 @@ tail can still be truncated by a crash (a shrunk mapping would fault).
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import threading
@@ -79,20 +90,19 @@ from repro.logmgr.codec import (
     TornTail,
     decode_file_header,
     encode_file_header,
-    encode_seal,
-    verify_seal,
     walk_frames,
 )
 from repro.logmgr.pageindex import (
+    PAGES_HEADER_SIZE,
     PAGES_SUFFIX,
     SegmentPageIndex,
     index_buffer,
     parse_page_index,
+    verify_seal,
 )
 
 SEGMENT_SUFFIX = ".wal"
 ARCHIVE_SUFFIX = ".arch"
-SEAL_SUFFIX = ".seal"
 
 
 def segment_filename(base_lsn: int) -> str:
@@ -100,32 +110,26 @@ def segment_filename(base_lsn: int) -> str:
     return f"segment-{base_lsn:016d}{SEGMENT_SUFFIX}"
 
 
-def seal_path(path: Path) -> Path:
-    """The sidecar seal file for a segment/archive path (may not exist)."""
-    return path.with_name(path.name + SEAL_SUFFIX)
-
-
 def pages_path(path: Path) -> Path:
     """The sidecar page-index file for a segment/archive path."""
     return path.with_name(path.name + PAGES_SUFFIX)
 
 
-def read_sidecar(sidecar: Path) -> bytes | None:
-    """The raw bytes of a sidecar file (:func:`seal_path` /
-    :func:`pages_path`), or None.  No validation here — the parsers
-    (:func:`~repro.logmgr.codec.verify_seal`,
+def read_sidecar(path: Path, size: int = -1) -> bytes | None:
+    """The first ``size`` bytes (default: all) of a segment's sidecar
+    file, or None.  No validation here — the checks
+    (:func:`~repro.logmgr.pageindex.verify_seal`,
     :func:`~repro.logmgr.pageindex.parse_page_index`) treat a damaged or
     stale sidecar exactly like a missing one."""
     try:
-        return sidecar.read_bytes()
+        with pages_path(path).open("rb") as fh:
+            return fh.read(size)
     except OSError:
         return None
 
 
-def _drop_sidecars(path: Path) -> None:
-    """Remove both sidecars of a segment whose bytes changed or vanished
-    (the seal and the page index share one staleness lifecycle)."""
-    seal_path(path).unlink(missing_ok=True)
+def _drop_sidecar(path: Path) -> None:
+    """Remove the sidecar of a segment whose bytes changed or vanished."""
     pages_path(path).unlink(missing_ok=True)
 
 
@@ -157,15 +161,16 @@ class SegmentReader:
     """One segment or archive file opened for reading.
 
     The single owner of *open → map → validate the header → verify the
-    sidecar seal → choose how far the walk runs and whether it may trust
-    length fields*.  A verified seal (one C-speed ``crc32`` pass over the
-    frame region) ends the walk at the sealed region and skips every
-    per-frame CRC; anything else — no seal, a stale or damaged one —
-    walks to the end of the file checking each frame.  The seal is read
-    on the first walk, so a random-access open (:meth:`views_at`) never
-    pays for it.  A walk raises :class:`~repro.logmgr.codec.TornTail`
-    at a damaged frame; what a tear *means* (truncate, report, stop
-    quietly) is the caller's business.
+    sidecar's seal → choose how far the walk runs and whether it may
+    trust length fields*.  A verified seal (one C-speed ``crc32`` pass
+    over the frame region) ends the walk at the sealed region and skips
+    every per-frame CRC; anything else — no sidecar, a stale or damaged
+    one — walks to the end of the file checking each frame.  Only the
+    sidecar's fixed header is read, on the first walk, so a
+    random-access open (:meth:`views_at`) never pays for it.  A walk
+    raises :class:`~repro.logmgr.codec.TornTail` at a damaged frame;
+    what a tear *means* (truncate, report, stop quietly) is the
+    caller's business.
 
     The file is read through a read-only ``mmap`` (zero-copy), falling
     back to ``read()`` for empty files, filesystems without mmap, and
@@ -207,8 +212,9 @@ class SegmentReader:
         """``(end, verify_crc)`` for a walk of this file — THE seal
         decision, made once per open."""
         if self._walk is None:
-            seal = verify_seal(self.buf, read_sidecar(seal_path(self.path)))
-            self._walk = (len(self.buf), True) if seal is None else (seal[0], False)
+            header = read_sidecar(self.path, PAGES_HEADER_SIZE)
+            end = verify_seal(self.buf, self.base_lsn, header)
+            self._walk = (len(self.buf), True) if end is None else (end, False)
         return self._walk
 
     @property
@@ -303,7 +309,6 @@ class _SegmentHandle:
         "synced_size",
         "sealed",
         "region_crc",
-        "record_count",
     )
 
     def __init__(self, path: Path, base_lsn: int, fh, size: int, synced_size: int):
@@ -312,15 +317,14 @@ class _SegmentHandle:
         self.fh = fh  # raw (unbuffered) append handle, or None once closed
         self.size = size
         self.synced_size = synced_size
-        # Sealing state.  ``region_crc``/``record_count`` are a running
-        # summary of the frame region as this incarnation wrote it, so
-        # sealing a segment costs zero reads; ``None`` means unknown
-        # (an attached pre-existing file) and sealing falls back to one
-        # read of the file.  ``sealed`` marks a sidecar written by this
-        # incarnation.
+        # Sealing state.  ``region_crc`` is a running CRC of the frame
+        # region as this incarnation wrote it, so sealing a segment
+        # costs zero reads; ``None`` means unknown (an attached
+        # pre-existing file) and sealing falls back to one read of the
+        # file.  ``sealed`` marks a sidecar known to describe the file:
+        # written by this incarnation, or verified when attached.
         self.sealed = False
         self.region_crc: int | None = None
-        self.record_count: int | None = None
 
 
 class FileLogStore:
@@ -338,6 +342,8 @@ class FileLogStore:
         # A blob is one frame or a whole packed window of frames.
         self._staged: list[tuple[int, int, bytes, int]] = []
         self._dir_dirty = False  # a file was created since the last sync
+        # The first failed write or fsync; final until crash().
+        self._failure: OSError | None = None
         # Non-active segments mapped by read_records_at, by base LSN.
         self._mapped: dict[int, SegmentReader] = {}
         # Counters surfaced through the engine metrics registry.
@@ -352,7 +358,6 @@ class FileLogStore:
         self.torn_tails = 0
         self.segments_created = 0
         self.seals_written = 0
-        self.page_indexes_written = 0
         self.page_index_rebuilds = 0
         self.chain_frames_read = 0
 
@@ -367,9 +372,9 @@ class FileLogStore:
         Every ``.wal`` file becomes a handle; the newest one is reopened
         for appending.  Bytes on disk at attach time are, by definition,
         the crash survivors, so ``synced_size`` starts at the file size.
-        The newest file's sidecar seal (if any) is dropped: the file is
-        about to take appends again, which would leave the seal stale
-        anyway — it gets re-sealed at its next rotation.
+        The newest file's sidecar (if any) is dropped: the file is about
+        to take appends again, which would leave it stale anyway — it
+        gets a new one at its next rotation.
         """
         store = cls(directory, fsync=fsync)
         paths = sorted(store.directory.glob(f"segment-*{SEGMENT_SUFFIX}"))
@@ -380,7 +385,7 @@ class FileLogStore:
             base_lsn = decode_file_header(header)
             active = index == len(paths) - 1
             if active:
-                _drop_sidecars(path)
+                _drop_sidecar(path)
             fh = path.open("ab", buffering=0) if active else None
             store._handles.append(_SegmentHandle(path, base_lsn, fh, size, size))
         return store
@@ -407,7 +412,6 @@ class FileLogStore:
         with self._lock:
             handle = _SegmentHandle(path, base_lsn, fh, len(header), 0)
             handle.region_crc = 0
-            handle.record_count = 0
             self._handles.append(handle)
             self.segments_created += 1
             self._dir_dirty = True
@@ -426,11 +430,15 @@ class FileLogStore:
 
     def write_up_to(self, lsn: int) -> None:
         """Hand staged blobs whose last LSN <= ``lsn`` to the OS, in
-        order, one ``write`` per touched segment file.  Written bytes
-        are still volatile until :meth:`sync`.  Callers serialize on the
+        order, one blob per touched segment file.  Written bytes are
+        still volatile until :meth:`sync`.  Callers serialize on the
         manager's force lock; the store lock covers the staged-buffer
-        cut so concurrent :meth:`stage_many` calls never lose frames."""
+        cut so concurrent :meth:`stage_many` calls never lose frames.
+        Raises the store's failure at once if an earlier write or
+        ``fsync`` failed."""
         with self._lock:
+            if self._failure is not None:
+                raise self._failure.with_traceback(None)
             if not self._staged or self._staged[0][0] > lsn:
                 return
             cut = 0
@@ -454,85 +462,87 @@ class FileLogStore:
                     # for it, reopen rather than lose the write.
                     handle.fh = handle.path.open("ab", buffering=0)
                 blob = b"".join(chunk)
-                handle.fh.write(blob)
-                handle.size += len(blob)
-                if handle.region_crc is not None:
-                    handle.region_crc = zlib.crc32(blob, handle.region_crc)
-                if handle.record_count is not None:
-                    handle.record_count += records
+                self.staged_bytes -= len(blob)
+                self._write_all(handle, blob)
                 self.frames_written += len(chunk)
                 self.records_written += records
-                self.bytes_written += len(blob)
-                self.staged_bytes -= len(blob)
 
-    def seal_segment(self, base_lsn: int) -> bool:
-        """Seal the segment at ``base_lsn``: write its sidecar seal.
+    def _write_all(self, handle: _SegmentHandle, blob: bytes) -> None:
+        """Write all of ``blob`` to the segment file, looping over short
+        writes, and account only the bytes that landed.  An ``OSError``
+        fails the store (see the module docstring)."""
+        view = memoryview(blob)
+        written = 0
+        try:
+            while written < len(view):
+                count = handle.fh.write(view[written:])
+                if not count:
+                    raise OSError(errno.EIO, f"write accepted no bytes: {handle.path}")
+                written += count
+        except OSError as exc:
+            self._failure = exc
+            raise
+        finally:
+            handle.size += written
+            if handle.region_crc is not None:
+                handle.region_crc = zlib.crc32(view[:written], handle.region_crc)
+            self.bytes_written += written
+
+    def seal_segment(self, base_lsn: int) -> int | None:
+        """The seal of the segment at ``base_lsn``: the CRC of its frame
+        region, for :meth:`write_page_index`'s sidecar.  Writes nothing.
 
         Meant for a segment that will never take another frame (the
         manager calls this when the in-memory segment has rotated and
         every one of its records has been written) — though if more
-        frames do land, the seal merely goes stale and readers ignore
-        it.  For a segment this incarnation wrote, the region CRC and
-        count are running state — sealing costs zero reads of the
-        segment.  For an attached pre-existing file they are rebuilt
-        with one read (and nothing is sealed if that read hits a tear).
-        The sidecar is written without an fsync: losing it in a crash
-        costs a slow scan, never a record.  Returns True when a seal was
-        written; False when the segment is already sealed, unknown, or
-        still has staged frames outstanding (its final bytes aren't in
-        the file yet).
+        frames do land, the sidecar merely goes stale and readers ignore
+        it.  For a segment this incarnation wrote, the region CRC is
+        running state — sealing costs zero reads of the segment.  For
+        an attached pre-existing file it is rebuilt with one read.
+        Returns None when the segment is already sealed, unknown, still
+        has staged frames outstanding (its final bytes aren't in the
+        file yet), or was damaged since it was attached.
         """
         with self._lock:
             try:
                 handle = self._handle_for(base_lsn)
             except KeyError:
-                return False
+                return None
             if handle.sealed:
-                return False
+                return None
             if any(base == base_lsn for _, base, _, _ in self._staged):
-                return False
+                return None
             crc = handle.region_crc
-            count = handle.record_count
-            region_len = handle.size - FILE_HEADER_SIZE
-        if crc is None or count is None:
+        if crc is None:
             with self._reader(base_lsn) as reader:
+                if reader.stats().tear_offset is not None:
+                    return None  # unsealed: the next scan finds the tear
                 crc = zlib.crc32(memoryview(reader.buf)[FILE_HEADER_SIZE:])
-                try:
-                    count = sum(1 for _ in reader.views())
-                except TornTail:
-                    # Damaged since it was attached: leave it unsealed,
-                    # so the next scan's per-frame walk finds the tear.
-                    return False
-        blob = encode_seal(crc, region_len, count)
-        with self._lock:
-            seal_path(handle.path).write_bytes(blob)
-            handle.sealed = True
-            handle.region_crc = crc
-            handle.record_count = count
-            self.seals_written += 1
-        return True
+            with self._lock:
+                handle.region_crc = crc
+        return crc
 
     def write_page_index(self, base_lsn: int, blob: bytes) -> None:
-        """Write a segment's page-index sidecar (no fsync — losing it in
-        a crash costs a rebuild scan, never a record)."""
+        """Write a segment's one sidecar — its seal and page index,
+        :func:`~repro.logmgr.pageindex.encode_page_index`'s bytes — with
+        no fsync (losing it in a crash costs a rebuild scan, never a
+        record)."""
         with self._lock:
             handle = self._handle_for(base_lsn)
             pages_path(handle.path).write_bytes(blob)
-            self.page_indexes_written += 1
+            handle.sealed = True
+            self.seals_written += 1
 
     def load_page_index(self, base_lsn: int) -> SegmentPageIndex | None:
-        """The segment's page index from its sidecar, or None when the
-        sidecar is absent, damaged, for the wrong segment, or stale
-        (covers a different byte count than the file holds)."""
+        """The segment's page index from its sidecar, or None unless the
+        sidecar's seal is known to hold (this incarnation wrote it, or
+        :meth:`segment_stats` verified it) and its payload passes its
+        CRC."""
         with self._lock:
             handle = self._handle_for(base_lsn)
-            size = handle.size
-        index = parse_page_index(read_sidecar(pages_path(handle.path)))
-        if index is None or index.base_lsn != base_lsn:
-            return None
-        if index.region_len != size - FILE_HEADER_SIZE:
-            return None
-        return index
+            if not handle.sealed:
+                return None
+        return parse_page_index(read_sidecar(handle.path))
 
     def build_page_index(self, base_lsn: int) -> SegmentPageIndex:
         """Rebuild a segment's page index with one structural scan — the
@@ -551,8 +561,8 @@ class FileLogStore:
         restart plan calls it), :meth:`close` or :meth:`crash`.
         An entry whose frame does not carry the expected LSN raises
         :class:`CodecError` (a stale index is a structural bug).  A
-        segment this incarnation sealed holds only bytes it wrote, so
-        its frames are read without their CRCs."""
+        sealed segment's bytes are covered by its seal's CRC, so its
+        frames are read without their own."""
         with self._lock:
             handle = self._handle_for(base_lsn)
             active = handle is self._handles[-1]
@@ -581,8 +591,12 @@ class FileLogStore:
         disk is busy.  ``synced_size`` advances only to each file's size
         as captured *before* its fsync — bytes written mid-sync stay
         volatile until the next one, which is exactly the crash rule.
+        A failed ``fsync`` fails the store; a failed store raises here
+        at once.
         """
         with self._lock:
+            if self._failure is not None:
+                raise self._failure.with_traceback(None)
             dirty = [
                 (handle, handle.size)
                 for handle in self._handles
@@ -590,21 +604,25 @@ class FileLogStore:
             ]
             dir_dirty = self._dir_dirty
             self._dir_dirty = False
-        for handle, size_at_sync in dirty:
-            if self.fsync_enabled and handle.fh is not None:
-                os.fsync(handle.fh.fileno())
-                self.fsyncs += 1
-            with self._lock:
-                if size_at_sync > handle.synced_size:
-                    handle.synced_size = size_at_sync
-        if dir_dirty:
-            if self.fsync_enabled:
+        try:
+            for handle, size_at_sync in dirty:
+                if self.fsync_enabled and handle.fh is not None:
+                    os.fsync(handle.fh.fileno())
+                    self.fsyncs += 1
+                with self._lock:
+                    if size_at_sync > handle.synced_size:
+                        handle.synced_size = size_at_sync
+            if dir_dirty and self.fsync_enabled:
                 dir_fd = os.open(self.directory, os.O_RDONLY)
                 try:
                     os.fsync(dir_fd)
                 finally:
                     os.close(dir_fd)
                 self.fsyncs += 1
+        except OSError as exc:
+            with self._lock:
+                self._failure = exc
+            raise
         with self._lock:
             # A sealed segment may still be the target of staged frames:
             # an append can stage into segment A and rotate to B before
@@ -629,14 +647,16 @@ class FileLogStore:
 
     def crash(self) -> None:
         """Lose everything volatile: staged frames and written-but-
-        unsynced file tails (files with nothing synced disappear).
-        Callers quiesce the write path first (the manager's crash takes
-        the force lock), so no fsync is in flight here."""
+        unsynced file tails (files with nothing synced disappear) — and
+        the store's failure, if any, dies with the process.  Callers
+        quiesce the write path first (the manager's crash takes the
+        force lock), so no fsync is in flight here."""
         with self._lock:
             self._crash_locked()
 
     def _crash_locked(self) -> None:
         self._unmap()
+        self._failure = None
         self._staged.clear()
         self.staged_bytes = 0
         survivors: list[_SegmentHandle] = []
@@ -648,7 +668,7 @@ class FileLogStore:
                 if handle.fh is not None:
                     handle.fh.close()
                 handle.path.unlink(missing_ok=True)
-                _drop_sidecars(handle.path)
+                _drop_sidecar(handle.path)
                 continue
             if handle.size > handle.synced_size:
                 if handle.fh is not None:
@@ -658,12 +678,11 @@ class FileLogStore:
                 handle.size = handle.synced_size
                 handle.fh = None
                 # The truncation cut a frame tail, so the running seal
-                # state no longer describes the file; sidecars written
-                # for the longer file are stale and must go too.
-                _drop_sidecars(handle.path)
+                # state no longer describes the file; a sidecar written
+                # for the longer file is stale and must go too.
+                _drop_sidecar(handle.path)
                 handle.sealed = False
                 handle.region_crc = None
-                handle.record_count = None
             survivors.append(handle)
         self._handles = survivors
         # Reopen the newest survivor for the recovered incarnation.
@@ -678,10 +697,9 @@ class FileLogStore:
         with handle.path.open("rb+") as fh:
             fh.truncate(byte_offset)
         handle.size = handle.synced_size = byte_offset
-        _drop_sidecars(handle.path)
+        _drop_sidecar(handle.path)
         handle.sealed = False
         handle.region_crc = None
-        handle.record_count = None
         self.torn_tails += 1
         self._reopen_active()
 
@@ -696,7 +714,7 @@ class FileLogStore:
             if handle.fh is not None:
                 handle.fh.close()
             handle.path.unlink(missing_ok=True)
-            _drop_sidecars(handle.path)
+            _drop_sidecar(handle.path)
         self._handles = keep
         self._reopen_active()
         return len(drop)
@@ -768,9 +786,14 @@ class FileLogStore:
     def segment_stats(self, base_lsn: int) -> SegmentStats:
         """Summarize one segment without materializing records — the
         cold-start fast path for sealed segments (they are rebuilt as
-        evicted in-memory segments straight from these numbers)."""
+        evicted in-memory segments straight from these numbers).  The
+        walk's seal verdict is kept for :meth:`load_page_index` and
+        :meth:`read_records_at`."""
         with self._reader(base_lsn) as reader:
-            return reader.stats()
+            stats = reader.stats()
+            with self._lock:
+                self._handle_for(base_lsn).sealed = reader.sealed
+            return stats
 
     # ------------------------------------------------------------------
     # Introspection
@@ -789,7 +812,6 @@ class FileLogStore:
             "torn_tails": self.torn_tails,
             "segments_created": self.segments_created,
             "seals_written": self.seals_written,
-            "page_indexes_written": self.page_indexes_written,
             "page_index_rebuilds": self.page_index_rebuilds,
             "chain_frames_read": self.chain_frames_read,
         }

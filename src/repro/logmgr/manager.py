@@ -177,7 +177,7 @@ class LogManager:
         # path just assigns the LSN and takes the reference.
         self._pending: list[tuple[int, LogRecord]] = []
         # Segment files at or below this base LSN are sealed (sidecar
-        # seal written) or will never be; only newer rotations get seals.
+        # written) or will never be; only newer rotations get sidecars.
         self._seal_watermark = -1
         self._checkpoint_lsns: list[int] = []
         self.forced_flushes = 0
@@ -209,10 +209,10 @@ class LogManager:
         the state they produced.
 
         Non-tail segments are rebuilt straight from a statistics walk —
-        one sidecar-seal CRC pass (or the per-frame walk when no valid
-        seal exists) plus one byte per record — into already-evicted
-        in-memory segments; only the tail segment's records are
-        materialized.
+        one CRC pass checking the seal in the header of the segment's
+        one sidecar (or the per-frame walk when no valid seal exists)
+        plus one byte per record — into already-evicted in-memory
+        segments; only the tail segment's records are materialized.
         """
         from repro.logmgr.filelog import ARCHIVE_SUFFIX, FileLogStore, log_files
 
@@ -437,27 +437,28 @@ class LogManager:
                 self._evict_synced()
 
     def _seal_filled_locked(self) -> None:
-        """Seal every segment file that has rotated and whose records
-        are all written: a 20-byte sidecar carrying the segment-level
-        CRC, after which the happy-path reader verifies the whole file
-        with one checksum instead of one per frame.  The page-index
-        sidecar is written in the same breath — the records are still
-        resident here (eviction runs after the sync), so indexing which
-        frames touch which page costs zero reads of the file."""
+        """Give every segment file that has rotated, and whose records
+        are all written, its one sidecar: the seal (one CRC over the
+        frame region, after which the happy-path reader verifies the
+        whole file with one checksum instead of one per frame) and the
+        page index.  The records are still resident here (eviction runs
+        after the sync), so indexing which frames touch which page costs
+        zero reads of the file."""
         for segment in self._segments[:-1]:
             if segment.end_lsn > self._written_lsn:
                 break
             if segment.base_lsn <= self._seal_watermark:
                 continue
-            self._store.seal_segment(segment.base_lsn)
-            records = segment.records
-            if records is not None:
-                seg_index = index_records(segment.base_lsn, records)
-            else:  # evicted before sealing (stable covered it early)
-                seg_index = self._store.build_page_index(segment.base_lsn)
-            self._store.write_page_index(
-                segment.base_lsn, encode_page_index(seg_index)
-            )
+            region_crc = self._store.seal_segment(segment.base_lsn)
+            if region_crc is not None:
+                records = segment.records
+                if records is not None:
+                    seg_index = index_records(segment.base_lsn, records)
+                else:  # evicted before sealing (stable covered it early)
+                    seg_index = self._store.build_page_index(segment.base_lsn)
+                self._store.write_page_index(
+                    segment.base_lsn, encode_page_index(seg_index, region_crc)
+                )
             self._seal_watermark = segment.base_lsn
 
     def _evict_synced(self) -> None:

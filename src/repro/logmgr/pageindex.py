@@ -1,23 +1,33 @@
-"""The per-page redo index: which frames touch which page, and where.
+"""The per-page redo index, and the one sidecar file that carries it.
 
 Recovery's eager form decodes the entire stable suffix even when it
-needs a single page's history.  This module gives every segment a
-sidecar (``<segment>.pages``) mapping ``page_id -> [(offset, lsn), ...]``
-— the byte offset of each frame that writes the page — so a cold start
-can fetch exactly one page's log chain via
-:func:`~repro.logmgr.codec.read_frame_at` without decoding unrelated
+needs a single page's history.  This module gives every sealed segment
+one sidecar (``<segment>.pages``) mapping ``page_id -> [(offset, lsn),
+...]`` — the byte offset of each frame that writes the page — so a cold
+start can fetch exactly one page's log chain without decoding unrelated
 frames.  Sidecars are written at seal time from the still-resident
 records (zero extra reads); segments without one (unsealed tails, every
 pre-sidecar directory) are indexed by a single structural scan instead,
 so the index is a pure accelerator: same entries either way.
 
-Sidecar layout::
+Sidecar layout (version 2)::
 
-    "RPGX" | u8 version | u64 base_lsn | u64 region_len
+    "RPGX" | u8 version | u64 base_lsn | u64 region_len | u32 region_crc
           | u32 payload_len | u32 crc32(payload) | payload
 
-where ``payload`` is the tagged-value encoding (the codec's own value
-format) of ``(pages, edges)``:
+The fixed header is the segment's **seal**: it names the exact bytes the
+sidecar describes, and :func:`verify_seal` checks it against a segment
+in one C-speed ``crc32`` pass, after which the frame walk trusts length
+fields and skips every per-frame CRC.  A missing, stale (the file grew
+or shrank since), or damaged sidecar degrades to the per-frame walk and
+the rebuild scan: same records, same tears, just slower.  A version-1
+sidecar (no ``region_crc``) fails the version check, so a directory
+written before the seal moved here reads like a pre-sidecar one.
+Sidecars are written without an fsync; losing one costs a slow scan,
+never a record.
+
+``payload`` is the tagged-value encoding (the codec's own value format)
+of ``(pages, edges)``:
 
 - ``pages``: ``{page_id: packed}`` where ``packed`` is the struct-packed
   (``<q``) flat interleaved ``offset0, lsn0, offset1, lsn1, ...`` list,
@@ -32,12 +42,6 @@ format) of ``(pages, edges)``:
   record's readers and writers *together* (a later fault reading an
   already-recovered page would see final state, not state-at-LSN), so
   these edges feed a union-find that groups pages into replay components.
-
-``region_len`` ties the sidecar to the exact segment bytes it indexed —
-the same staleness rule as the ``.seal`` sidecar: a file that grew or
-shrank since indexing silently invalidates the sidecar and readers fall
-back to the scan.  Like seals, sidecars are written without an fsync;
-losing one in a crash costs a rebuild scan, never a record.
 """
 
 from __future__ import annotations
@@ -72,14 +76,14 @@ from repro.logmgr.records import (
 
 PAGES_SUFFIX = ".pages"
 PAGES_MAGIC = b"RPGX"
-PAGES_VERSION = 1
+PAGES_VERSION = 2
 
 # Pseudo-pages for record kinds that have no single data page.  Data
 # pages are ``data%03d`` (and never start with "@"), so no collision.
 CHECKPOINT_PAGE = "@checkpoint"
 LOGICAL_PAGE = "@logical"
 
-_PAGES_HEADER = struct.Struct("<4sBQQII")
+_PAGES_HEADER = struct.Struct("<4sBQQIII")
 PAGES_HEADER_SIZE = _PAGES_HEADER.size
 
 
@@ -194,8 +198,9 @@ def index_buffer(
     return SegmentPageIndex(base_lsn, last - FILE_HEADER_SIZE, pages, edges)
 
 
-def encode_page_index(index: SegmentPageIndex) -> bytes:
-    """The sidecar bytes for one segment's page index.
+def encode_page_index(index: SegmentPageIndex, region_crc: int) -> bytes:
+    """The sidecar bytes for one segment: its seal (``index.base_lsn``,
+    ``index.region_len`` and the frame region's CRC) and its page index.
 
     Each page's flat ``[offset, lsn, ...]`` list is struct-packed into
     one bytes value rather than encoded int by int: a restart decodes a
@@ -215,6 +220,7 @@ def encode_page_index(index: SegmentPageIndex) -> bytes:
             PAGES_VERSION,
             index.base_lsn,
             index.region_len,
+            region_crc,
             len(payload),
             zlib.crc32(payload),
         )
@@ -222,16 +228,40 @@ def encode_page_index(index: SegmentPageIndex) -> bytes:
     )
 
 
-def parse_page_index(blob: bytes | None) -> SegmentPageIndex | None:
-    """Decode a sidecar blob; None for anything absent, damaged, or from
-    a future version (callers fall back to the rebuild scan)."""
+def _header(blob: bytes | None) -> tuple | None:
+    """The unpacked fixed header; None if short or of another version."""
     if blob is None or len(blob) < PAGES_HEADER_SIZE:
         return None
-    magic, version, base_lsn, region_len, payload_len, crc = _PAGES_HEADER.unpack_from(
-        blob, 0
-    )
-    if magic != PAGES_MAGIC or version != PAGES_VERSION:
+    header = _PAGES_HEADER.unpack_from(blob, 0)
+    if header[0] != PAGES_MAGIC or header[1] != PAGES_VERSION:
         return None
+    return header
+
+
+def verify_seal(buf, base_lsn: int, header: bytes | None) -> int | None:
+    """The end of the frame region when the sidecar ``header`` seals
+    exactly this segment buffer (base LSN, region length, region CRC in
+    one C-speed pass); else None, and the caller walks every frame."""
+    fields = _header(header)
+    if fields is None:
+        return None
+    _magic, _version, sealed_base, region_len, region_crc, _plen, _pcrc = fields
+    end = FILE_HEADER_SIZE + region_len
+    if sealed_base != base_lsn or end != len(buf):
+        return None
+    if zlib.crc32(memoryview(buf)[FILE_HEADER_SIZE:end]) != region_crc:
+        return None
+    return end
+
+
+def parse_page_index(blob: bytes | None) -> SegmentPageIndex | None:
+    """Decode a sidecar blob's page index; None for anything absent,
+    damaged, or from another version (callers fall back to the rebuild
+    scan).  The seal is :func:`verify_seal`'s business."""
+    fields = _header(blob)
+    if fields is None:
+        return None
+    _magic, _version, base_lsn, region_len, _region_crc, payload_len, crc = fields
     payload = blob[PAGES_HEADER_SIZE : PAGES_HEADER_SIZE + payload_len]
     if len(payload) != payload_len or zlib.crc32(payload) != crc:
         return None

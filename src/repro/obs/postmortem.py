@@ -83,14 +83,10 @@ def collect_postmortem(root, ring_path=None, last_events: int = 20) -> dict[str,
     root = Path(root)
     logs: dict[str, dict[str, Any]] = {}
     if root.is_dir():
-        from repro.shard import is_deployment_root, read_manifest
+        from repro.shard import log_directories
 
-        if is_deployment_root(root):
-            manifest = read_manifest(root)
-            for dirname in manifest["shard_dirs"]:
-                logs[dirname] = scan_log_tail(root / dirname)
-        else:
-            logs["."] = scan_log_tail(root)
+        for label, directory in log_directories(root):
+            logs[label or "."] = scan_log_tail(directory)
 
     ring: dict[str, Any] | None = None
     interrupted: list[dict[str, Any]] = []

@@ -14,6 +14,7 @@ from repro.shard.sharded import (
     ShardedDatabase,
     ShardedSession,
     is_deployment_root,
+    log_directories,
     read_manifest,
     shard_dirname,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "ShardedDatabase",
     "ShardedSession",
     "is_deployment_root",
+    "log_directories",
     "read_manifest",
     "shard_dirname",
 ]

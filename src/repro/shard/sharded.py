@@ -102,6 +102,17 @@ def is_deployment_root(path) -> bool:
     return (Path(path) / MANIFEST_NAME).is_file()
 
 
+def log_directories(path) -> list[tuple[str | None, Path]]:
+    """``(label, directory)`` for every log under ``path``: one per
+    shard of a deployment root, labelled with its directory name, else
+    ``path`` itself, labelled None.  A corrupt manifest raises
+    :class:`DeploymentError`."""
+    path = Path(path)
+    if not is_deployment_root(path):
+        return [(None, path)]
+    return [(name, path / name) for name in read_manifest(path)["shard_dirs"]]
+
+
 class ShardedDatabase:
     """N engines behind one keymap — the deployment-level database.
 

@@ -2,12 +2,21 @@
 
 Covers the :class:`~repro.logmgr.filelog.FileLogStore` write path
 (stage → write → fsync), one fsync per force, the crash model (staged
-and written-but-unsynced bytes vanish), torn-tail cleanup on cold start,
-segment eviction, and the refusal of trimmed directories.
+and written-but-unsynced bytes vanish), a failed write or fsync being
+final, torn-tail cleanup on cold start, segment eviction, the one
+sidecar per sealed segment, and the refusal of trimmed directories.
 """
+
+import errno
+import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
+from repro.engine import KVDatabase
 from repro.logmgr import (
     CheckpointRecord,
     CodecError,
@@ -22,15 +31,15 @@ from repro.logmgr.codec import (
     FRAME_PREFIX_SIZE,
     encode_file_header,
     encode_record,
-    encode_seal,
     walk_frames,
 )
 from repro.logmgr.filelog import (
     SEGMENT_SUFFIX,
     SegmentReader,
-    seal_path,
+    pages_path,
     segment_filename,
 )
+from repro.logmgr.pageindex import SegmentPageIndex, encode_page_index
 from repro.logmgr.records import LogRecord
 
 
@@ -318,8 +327,9 @@ class TestColdStart:
 
 
 class TestSegmentSeal:
-    """The sidecar seal is a pure accelerator: removing, corrupting, or
-    staling it must never change what a scan returns."""
+    """The seal in each sealed segment's one sidecar is a pure
+    accelerator: removing, corrupting, or staling it must never change
+    what a scan returns."""
 
     def _filled_log(self, tmp_path, n=20, segment_size=8):
         log = durable_log(tmp_path, segment_size=segment_size)
@@ -328,36 +338,73 @@ class TestSegmentSeal:
         log.flush()
         return log
 
+    @staticmethod
+    def _sealed(tmp_path, base=0):
+        with SegmentReader(tmp_path / segment_filename(base)) as reader:
+            return reader.sealed
+
     def test_filled_segments_gain_seal_sidecars(self, tmp_path):
-        self._filled_log(tmp_path)
-        assert seal_path(tmp_path / segment_filename(0)).exists()
-        assert seal_path(tmp_path / segment_filename(8)).exists()
-        # The active tail is still growing — never sealed.
-        assert not seal_path(tmp_path / segment_filename(16)).exists()
+        log = self._filled_log(tmp_path)
+        # One sidecar per sealed segment; the growing tail has none.
+        sidecars = sorted(
+            path.name for path in tmp_path.iterdir() if path.suffix != SEGMENT_SUFFIX
+        )
+        assert sidecars == [
+            pages_path(tmp_path / segment_filename(base)).name for base in (0, 8)
+        ]
+        assert self._sealed(tmp_path, 0) and self._sealed(tmp_path, 8)
+        assert log.store.as_dict()["seals_written"] == 2
+        log.store.close()
 
     def test_corrupt_seal_falls_back_to_frame_walk(self, tmp_path):
         log = self._filled_log(tmp_path)
         good = [(r.lsn, r.payload) for r in log.store.scan_segment(0)]
-        sidecar = seal_path(tmp_path / segment_filename(0))
+        sidecar = pages_path(tmp_path / segment_filename(0))
         sidecar.write_bytes(bytes(len(sidecar.read_bytes())))
         again = [(r.lsn, r.payload) for r in log.store.scan_segment(0)]
         assert again == good
         assert [lsn for lsn, _ in good] == list(range(8))
+        assert not self._sealed(tmp_path)
 
     def test_stale_seal_is_ignored(self, tmp_path):
-        # A seal whose region length doesn't match the file is treated
-        # exactly like a missing one (the file grew or shrank since).
+        # A seal for other bytes — the file grew or shrank since, or it
+        # names another segment — is treated exactly like a missing one.
         log = self._filled_log(tmp_path)
         good = [(r.lsn, r.payload) for r in log.store.scan_segment(0)]
-        sidecar = seal_path(tmp_path / segment_filename(0))
-        sidecar.write_bytes(encode_seal(0, 1, 1))
-        assert [(r.lsn, r.payload) for r in log.store.scan_segment(0)] == good
+        path = tmp_path / segment_filename(0)
+        region = path.read_bytes()[FILE_HEADER_SIZE:]
+        for base_lsn, region_len in [(0, len(region) + 1), (8, len(region))]:
+            stale = SegmentPageIndex(base_lsn, region_len, {}, [])
+            pages_path(path).write_bytes(encode_page_index(stale, zlib.crc32(region)))
+            assert [(r.lsn, r.payload) for r in log.store.scan_segment(0)] == good
+            assert not self._sealed(tmp_path)
+        log.store.close()
 
     def test_short_seal_is_ignored(self, tmp_path):
         log = self._filled_log(tmp_path)
         good = [(r.lsn, r.payload) for r in log.store.scan_segment(0)]
-        seal_path(tmp_path / segment_filename(0)).write_bytes(b"RS")
+        sidecar = pages_path(tmp_path / segment_filename(0))
+        sidecar.write_bytes(sidecar.read_bytes()[:10])
         assert [(r.lsn, r.payload) for r in log.store.scan_segment(0)] == good
+        assert not self._sealed(tmp_path)
+
+    def test_attached_segment_seals_from_its_bytes(self, tmp_path):
+        # An attached file has no running CRC: its seal is read back
+        # from the file, and a file torn since it was attached gets none.
+        log = durable_log(tmp_path, segment_size=8)
+        for i in range(5):
+            log.append(LogicalRedo((i,)))
+        log.flush()
+        log.store.close()
+        store = LogManager.open(tmp_path, segment_size=8).store
+        path = tmp_path / segment_filename(0)
+        buf = path.read_bytes()
+        assert store.seal_segment(0) == zlib.crc32(buf[FILE_HEADER_SIZE:])
+        store._handle_for(0).region_crc = None
+        _lsn, lo, _hi = list(walk_frames(buf))[2]
+        path.write_bytes(buf[:lo] + bytes([buf[lo] ^ 0xFF]) + buf[lo + 1 :])
+        assert store.seal_segment(0) is None
+        store.close()
 
     def test_damage_under_a_seal_is_still_caught(self, tmp_path):
         # Flipping a record byte breaks the seal CRC, so the scan
@@ -412,28 +459,31 @@ class TestScanSeek:
         damaged[lo + 1] ^= 0x55
         path.write_bytes(bytes(damaged))
         _records, tear_with_seal, _ = log.store.load_segment(0)
-        seal_path(path).unlink()
+        pages_path(path).unlink()
         _records, tear_without_seal, _ = log.store.load_segment(0)
         assert tear_with_seal == tear_without_seal == frame_start
 
 
 class TestPreSealCompat:
-    """Directories written before segment seals existed (no ``.seal``
-    sidecars anywhere) must stay fully readable — the wire format never
-    changed, only the accelerator beside it."""
+    """Directories written before segment sidecars existed (none
+    anywhere) must stay fully readable — the wire format never changed,
+    only the accelerator beside it."""
 
     def test_directory_without_seals_cold_starts(self, tmp_path):
         log = durable_log(tmp_path, segment_size=8)
         for i in range(20):
             log.append(LogicalRedo((i,)))
         log.flush()
-        for sidecar in tmp_path.glob("*.seal"):
+        stripped = list(tmp_path.glob("*.pages"))
+        assert len(stripped) == 2
+        for sidecar in stripped:
             sidecar.unlink()
         reopened = LogManager.open(tmp_path, segment_size=8)
         assert reopened.stable_lsn == 19
         records = list(reopened.stable_records_from(0))
         assert [r.lsn for r in records] == list(range(20))
         assert [r.payload for r in records] == [LogicalRedo((i,)) for i in range(20)]
+        assert reopened.page_index().sidecars_used == 0
 
     def test_handwritten_v1_segment_file_streams(self, tmp_path):
         # A fixture file built from nothing but the v1 primitives —
@@ -451,3 +501,111 @@ class TestPreSealCompat:
         assert [r.lsn for r in streamed] == [0, 1, 2, 3, 4]
         assert [r.payload for r in streamed] == [r.payload for r in records]
         assert [r.labels for r in streamed] == [r.labels for r in records]
+
+
+# A child process that ignores SIGXFSZ and caps its file size, so the
+# kernel accepts part of one window's write and refuses the rest with
+# EFBIG.  It puts keys with a commit each until a put raises, then
+# prints how many were acknowledged.
+_RLIMIT_CHILD = """
+import resource, signal, sys
+from repro.engine import KVDatabase
+log_dir, limit = sys.argv[1], int(sys.argv[2])
+db = KVDatabase("physiological", log_dir=log_dir, checkpoint_every=None)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+acked = 0
+try:
+    for i in range(1000):
+        db.execute(("put", f"k{i}", i))
+        acked += 1
+except OSError:
+    pass
+print(acked)
+"""
+
+
+class _FlakyFile:
+    """A segment handle whose first write lands 5 bytes, then fails."""
+
+    def __init__(self, fh, error):
+        self._fh = fh
+        self._error = error
+
+    def write(self, data):
+        if self._error is not None:
+            error, self._error = self._error, None
+            self._fh.write(bytes(data[:5]))
+            raise error
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestFailedWriteIsFinal:
+    """A short or failed write, or a failed fsync, fails the store: no
+    later force acknowledges anything, and a cold start recovers every
+    acknowledged put."""
+
+    def _db(self, tmp_path, puts):
+        db = KVDatabase("physiological", log_dir=tmp_path, checkpoint_every=None)
+        db.run([("put", f"k{i}", i) for i in range(puts)])
+        return db
+
+    def _assert_recovers(self, tmp_path, acked):
+        cold = KVDatabase.cold_start(
+            tmp_path, method="physiological", checkpoint_every=None
+        )
+        assert [cold.get(f"k{i}") for i in range(acked)] == list(range(acked))
+        cold.close()
+        cold.method.machine.log.store.close()
+
+    @pytest.mark.parametrize("limit", [3013, 3037, 3050])
+    def test_short_write_loses_no_acknowledged_put(self, tmp_path, limit):
+        pytest.importorskip("resource")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        child = subprocess.run(
+            [sys.executable, "-c", _RLIMIT_CHILD, str(tmp_path / "log"), str(limit)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        acked = int(child.stdout)
+        assert 0 < acked < 1000  # the limit cut the run short
+        self._assert_recovers(tmp_path / "log", acked)
+
+    def test_transient_enospc_mid_write_is_final(self, tmp_path):
+        db = self._db(tmp_path, 10)
+        log = db.method.machine.log
+        handle = log.store._handles[-1]
+        handle.fh = _FlakyFile(handle.fh, OSError(errno.ENOSPC, "no space"))
+        for i in (10, 11):  # the failed put, then one that would succeed
+            with pytest.raises(OSError) as raised:
+                db.execute(("put", f"k{i}", i))
+            assert raised.value.errno == errno.ENOSPC
+            assert log.stable_lsn == 9
+        log.store.close()
+        self._assert_recovers(tmp_path, 10)
+
+    def test_failed_fsync_is_final_until_crash(self, tmp_path, monkeypatch):
+        db = self._db(tmp_path, 1)
+        log = db.method.machine.log
+        real_fsync = os.fsync
+        failures = [OSError(errno.EIO, "fsync failed")]
+
+        def fsync(fd):
+            if failures:
+                raise failures.pop()
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        for i in (1, 2):  # the put whose fsync fails, then one that would not
+            with pytest.raises(OSError) as raised:
+                db.execute(("put", f"k{i}", i))
+            assert raised.value.errno == errno.EIO
+            assert log.stable_lsn == 0
+        db.crash_and_recover()  # process death clears the failure
+        db.execute(("put", "k3", 3))
+        assert log.stable_lsn > 0
+        db.method.machine.log.store.close()
+        self._assert_recovers(tmp_path, 1)

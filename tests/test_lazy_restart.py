@@ -9,16 +9,20 @@ outstanding, backward compatibility with sidecar-less ("v1") segment
 directories, and the ``logdump --pages`` verification contract.
 """
 
+import shutil
+import struct
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.engine import KVDatabase
-from repro.logmgr.codec import encode_file_header, encode_record
-from repro.logmgr.filelog import segment_filename
+from repro.logmgr.codec import FILE_HEADER_SIZE, encode_file_header, encode_record
+from repro.logmgr.filelog import SegmentReader, pages_path, segment_filename
 from repro.logmgr.pageindex import (
+    PAGES_HEADER_SIZE,
     PageRedoIndex,
     SegmentPageIndex,
     encode_page_index,
@@ -79,6 +83,33 @@ def build_crashed(root, method, ckpt=25, n=120, ops=None, **engine):
     return db
 
 
+def region_crc(sidecar):
+    """The CRC of the frame region of the segment ``sidecar`` belongs to."""
+    segment = sidecar.with_name(sidecar.name.removesuffix(".pages"))
+    return zlib.crc32(segment.read_bytes()[FILE_HEADER_SIZE:])
+
+
+def to_pre_merge(segment):
+    """Give ``segment`` the two sidecars it had before its seal moved
+    into the page-index sidecar: a 20-byte ``RSEA`` seal file and a
+    version-1 ``RPGX`` page index (same payload, no region CRC)."""
+    sidecar = pages_path(segment)
+    payload = sidecar.read_bytes()[PAGES_HEADER_SIZE:]
+    region = segment.read_bytes()[FILE_HEADER_SIZE:]
+    with SegmentReader(segment) as reader:
+        base_lsn, count = reader.base_lsn, sum(1 for _ in reader.views())
+    segment.with_name(segment.name + ".seal").write_bytes(
+        struct.pack("<4sIQI", b"RSEA", zlib.crc32(region), len(region), count)
+    )
+    sidecar.write_bytes(
+        struct.pack(
+            "<4sBQQII", b"RPGX", 1, base_lsn, len(region), len(payload),
+            zlib.crc32(payload),
+        )
+        + payload
+    )
+
+
 def survivor(db):
     """An independent copy of the crashed machine's disk."""
     disk = Disk()
@@ -117,6 +148,31 @@ class TestPageRedoIndex:
         assert index_b.scans == index_b.segments_indexed
         via_scan.close()
         assert index_a.pages() == index_b.pages()
+        for page_id in index_a.pages():
+            assert index_a.chain(page_id) == index_b.chain(page_id)
+        assert index_a.edges == index_b.edges
+
+    def test_damaged_payload_under_a_good_seal_falls_back_to_the_scan(
+        self, tmp_path
+    ):
+        """A sidecar whose seal still holds but whose payload fails its
+        CRC is ignored by the index load alone: that segment is
+        rebuilt by a scan, and the index does not change."""
+        build_crashed(tmp_path, "generalized").close()
+        intact = cold(tmp_path, "generalized", recover=False)
+        index_a = intact.method.machine.log.page_index()
+        intact.close()
+        victim = sorted(tmp_path.glob("*.pages"))[0]
+        blob = bytearray(victim.read_bytes())
+        blob[-1] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        with SegmentReader(victim.with_name(victim.name.removesuffix(".pages"))) as reader:
+            assert reader.sealed
+        damaged = cold(tmp_path, "generalized", recover=False)
+        index_b = damaged.method.machine.log.page_index()
+        damaged.close()
+        assert index_b.sidecars_used == index_a.sidecars_used - 1
+        assert index_b.scans == index_a.scans + 1
         for page_id in index_a.pages():
             assert index_a.chain(page_id) == index_b.chain(page_id)
         assert index_a.edges == index_b.edges
@@ -169,11 +225,12 @@ class TestPageRedoIndex:
             pages={"data000": [13, 7, 55, 9]},
             edges=[(8, ("data000",), ("data001",))],
         )
-        blob = encode_page_index(index)
+        blob = encode_page_index(index, 0xDEADBEEF)
         assert parse_page_index(blob) == index
         assert parse_page_index(None) is None
         assert parse_page_index(blob[:10]) is None  # truncated header
         assert parse_page_index(b"XXXX" + blob[4:]) is None  # bad magic
+        assert parse_page_index(blob[:4] + b"\x01" + blob[5:]) is None  # version 1
         corrupt = bytearray(blob)
         corrupt[-1] ^= 0xFF
         assert parse_page_index(bytes(corrupt)) is None  # payload CRC
@@ -533,6 +590,34 @@ class TestBackwardCompat:
         eager.close()
         lazy.close()
 
+    def test_pre_merge_directory_cold_starts_like_a_fresh_one(self, tmp_path):
+        """A directory written while the seal had its own ``.seal`` file
+        reads like a pre-sidecar one — same state, no sidecar used — and
+        its segments get one new sidecar each as they rotate."""
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        build_crashed(fresh, "generalized").close()
+        shutil.copytree(fresh, old)
+        sealed = [s for s in sorted(old.glob("*.wal")) if pages_path(s).exists()]
+        assert len(sealed) >= 2
+        for segment in sealed:
+            to_pre_merge(segment)
+        expected = cold(fresh, "generalized")
+        restarted = cold(old, "generalized")
+        assert restarted.method.dump() == expected.method.dump()
+        assert expected.method.machine.log.page_index().sidecars_used > 0
+        assert restarted.method.machine.log.page_index().sidecars_used == 0
+        expected.close()
+        tail = sorted(old.glob("*.wal"))[-1]
+        restarted.run([("put", f"n{i}", i) for i in range(40)])  # > 1 segment
+        restarted.sync()
+        restarted.close()
+        assert sorted(p.name for p in old.glob(tail.name + "*")) == [
+            tail.name, pages_path(tail).name,
+        ]
+        with SegmentReader(tail) as reader:
+            assert reader.sealed
+        assert parse_page_index(pages_path(tail).read_bytes()) is not None
+
     def test_handwritten_v1_segment_directory(self, tmp_path):
         """A segment file written by hand from codec primitives alone —
         header plus frames, no seal, no sidecar — is a faithful v1
@@ -602,7 +687,8 @@ class TestLogdumpPages:
             encode_page_index(
                 SegmentPageIndex(
                     index.base_lsn, index.region_len, pages, index.edges
-                )
+                ),
+                region_crc(victim),
             )
         )
         assert main(["logdump", str(root), "--pages"]) == 2
@@ -624,7 +710,8 @@ class TestLogdumpPages:
                     index.region_len + 1,
                     index.pages,
                     index.edges,
-                )
+                ),
+                region_crc(victim),
             )
         )
         assert main(["logdump", str(root), "--pages"]) == 0
@@ -648,22 +735,16 @@ class TestLogdumpPages:
         sidecar as undecodable, and the runtime (which uses the same
         parse) falls back to the rebuild scan — exit 0, not a
         traceback."""
-        import struct
-        import zlib
-
         from repro.__main__ import main
-        from repro.logmgr.pageindex import PAGES_HEADER_SIZE
 
         root = self._prepare(tmp_path)
         victim = sorted(root.glob("*.pages"))[0]
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
-        header = struct.Struct("<4sBQQII")
-        magic, ver, base, region, plen, _crc = header.unpack_from(blob, 0)
+        header = struct.Struct("<4sBQQIII")
+        *seal, plen, _crc = header.unpack_from(blob, 0)
         payload = bytes(blob[PAGES_HEADER_SIZE : PAGES_HEADER_SIZE + plen])
-        blob[: PAGES_HEADER_SIZE] = header.pack(
-            magic, ver, base, region, plen, zlib.crc32(payload)
-        )
+        blob[: PAGES_HEADER_SIZE] = header.pack(*seal, plen, zlib.crc32(payload))
         victim.write_bytes(bytes(blob))
         assert parse_page_index(bytes(blob)) is None
         assert main(["logdump", str(root), "--pages"]) == 0

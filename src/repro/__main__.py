@@ -274,15 +274,19 @@ def _dump_segment_files(paths, prefix: str = "") -> tuple[int, int] | None:
     """Dump segment files (every line ``prefix``-ed); returns
     (records, torn_tails), or None after printing a structural error."""
     from repro.logmgr.codec import CodecError, TornTail
-    from repro.logmgr.filelog import ARCHIVE_SUFFIX, SegmentReader
+    from repro.logmgr.filelog import ARCHIVE_SUFFIX, SegmentReader, header_torn
 
     total = torn = 0
     for path in paths:
         try:
             reader = SegmentReader(path)
         except CodecError as exc:
-            print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
-            return None
+            if not header_torn(path, paths):
+                print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
+                return None
+            print(f"{prefix}== {path.name} == torn tail at byte 0: {exc}")
+            torn += 1
+            continue
         with reader:
             kind = "archive" if path.suffix == ARCHIVE_SUFFIX else "segment"
             seal = ", sealed" if reader.sealed else ""
@@ -329,7 +333,7 @@ def _index_segment_files(paths, prefix: str = ""):
     both — so they are reported but not fatal.
     """
     from repro.logmgr.codec import CodecError
-    from repro.logmgr.filelog import SegmentReader, read_sidecar
+    from repro.logmgr.filelog import SegmentReader, header_torn, read_sidecar
     from repro.logmgr.pageindex import PageRedoIndex, parse_page_index
 
     index = PageRedoIndex()
@@ -338,6 +342,8 @@ def _index_segment_files(paths, prefix: str = ""):
         try:
             reader = SegmentReader(path)
         except CodecError as exc:
+            if header_torn(path, paths):
+                continue  # a torn tail holds no frame to index
             print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
             return None
         with reader:

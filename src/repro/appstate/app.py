@@ -102,7 +102,7 @@ class PersistentApplication:
 
     def durable_event_count(self) -> int:
         """Events whose log records are stable (the crash-survivable prefix)."""
-        return self.machine.log.stable_count_of(LogicalRedo)
+        return self.machine.log.stable_operation_count()
 
     def expected_state_after(self, events: list) -> Any:
         """The oracle: fold ``events`` over the initial state."""

@@ -664,6 +664,8 @@ class KVDatabase:
         ``dirty_pages`` reads the install scheduler's live dirty-page
         table (:meth:`~repro.cache.scheduler.InstallScheduler.rec_lsns`),
         the same table a post-crash analysis pass would reconstruct.
+        ``state`` is ``"failed"`` once a commit-pipeline force has
+        failed, and ``errno`` is then that failure's.
         """
         with self.mutex:
             log = self.method.machine.log
@@ -671,6 +673,7 @@ class KVDatabase:
             next_lsn = log.next_lsn
             dirty = len(self.method.machine.pool.scheduler.rec_lsns())
         backlog = self.replay_backlog()
+        failure = getattr(self.pipeline, "failure", None)
         return {
             "method": self.method_name,
             "stable_lsn": stable,
@@ -680,7 +683,8 @@ class KVDatabase:
             "operations": self.method.stats.operations,
             "recoveries": self.method.stats.recoveries,
             "replay_backlog": backlog,
-            "state": "recovering" if backlog else "ready",
+            "state": "failed" if failure else "recovering" if backlog else "ready",
+            "errno": getattr(failure, "errno", None),
         }
 
 

@@ -78,9 +78,9 @@ _FRAME_AND_BODY_PREFIX = struct.Struct("<IIBQ")
 
 # Per-record framing overhead around the ``payload | labels`` region:
 # the 8-byte frame prefix plus the 9-byte ``version | lsn`` body prefix.
-# All byte accounting (``LogRecord.size_bytes``, ``stable_bytes``) is
-# ``region + RECORD_OVERHEAD`` — exactly the frame size — so warm and
-# cold starts agree without re-encoding anything.
+# A record's byte count is the length of its encoded frame
+# (``LogRecord.size_bytes``); a record read back from a file holds only
+# its region, so it counts ``region + RECORD_OVERHEAD`` — the same number.
 RECORD_OVERHEAD = FRAME_PREFIX_SIZE + _BODY_PREFIX.size  # 17
 
 # ----------------------------------------------------------------------
@@ -106,22 +106,6 @@ PAYLOAD_PHYSIOLOGICAL = 0x12
 PAYLOAD_LOGICAL = 0x13
 PAYLOAD_MULTIPAGE = 0x14
 PAYLOAD_CHECKPOINT = 0x15
-
-PAYLOAD_NAMES = {
-    PAYLOAD_PHYSICAL: "PhysicalRedo",
-    PAYLOAD_PHYSIOLOGICAL: "PhysiologicalRedo",
-    PAYLOAD_LOGICAL: "LogicalRedo",
-    PAYLOAD_MULTIPAGE: "MultiPageRedo",
-    PAYLOAD_CHECKPOINT: "CheckpointRecord",
-}
-
-PAYLOAD_CLASSES = {
-    PAYLOAD_PHYSICAL: PhysicalRedo,
-    PAYLOAD_PHYSIOLOGICAL: PhysiologicalRedo,
-    PAYLOAD_LOGICAL: LogicalRedo,
-    PAYLOAD_MULTIPAGE: MultiPageRedo,
-    PAYLOAD_CHECKPOINT: CheckpointRecord,
-}
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -378,86 +362,6 @@ def encode_record(record: LogRecord) -> bytes:
     return _FRAME_PREFIX.pack(len(body), zlib.crc32(body)) + bytes(body)
 
 
-def _value_size(value: Any) -> int:
-    """The exact byte count :func:`encode_value` would append — computed
-    arithmetically, without materializing anything.  Branch order mirrors
-    :func:`encode_value` so subclasses take the same path."""
-    if value is None or value is True or value is False:
-        return 1
-    if isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            return 9
-        return 5 + (value.bit_length() + 8) // 8
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, str):
-        return 5 + len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return 5 + len(value)
-    if isinstance(value, (tuple, list)):
-        return 5 + sum(_value_size(item) for item in value)
-    if isinstance(value, dict):
-        return 5 + sum(
-            _value_size(key) + _value_size(item) for key, item in value.items()
-        )
-    raise CodecError(f"value of type {type(value).__name__!r} has no wire encoding")
-
-
-def _payload_size(payload: Any) -> int:
-    """The exact byte count of ``u8 tag`` plus the payload body."""
-    tag = payload_tag(payload)
-    if tag == PAYLOAD_PHYSICAL:
-        return (
-            1
-            + _value_size(payload.page_id)
-            + _value_size(payload.cells)
-            + _value_size(payload.whole_page)
-        )
-    if tag == PAYLOAD_PHYSIOLOGICAL:
-        return (
-            1
-            + _value_size(payload.page_id)
-            + _value_size(payload.action.kind)
-            + _value_size(payload.action.args)
-        )
-    if tag == PAYLOAD_LOGICAL:
-        return 1 + _value_size(payload.description)
-    if tag == PAYLOAD_MULTIPAGE:
-        total = 1 + _value_size(payload.read_page_ids) + 4
-        for page_id, actions in payload.writes.items():
-            total += _value_size(page_id) + 4
-            for action in actions:
-                total += _value_size(action.kind) + _value_size(action.args)
-        return total
-    return 1 + _value_size(payload.data)  # PAYLOAD_CHECKPOINT
-
-
-def encoded_size(record: LogRecord) -> int:
-    """The exact on-wire byte count of ``record``'s v1 frame.
-
-    Computed analytically (no encoding, no CRC) — the batch encoder's
-    pre-sizing and the log's byte accounting both lean on this being
-    exactly ``len(encode_record(record))``, which a property test pins.
-    """
-    return RECORD_OVERHEAD + _payload_size(record.payload) + _value_size(record.labels)
-
-
-def is_encodable(payload: Any) -> bool:
-    """Can this payload take the durable path?  (Type check only — a
-    known payload type holding an exotic value still raises
-    :class:`CodecError` at encode time.)"""
-    return isinstance(
-        payload,
-        (
-            PhysicalRedo,
-            PhysiologicalRedo,
-            LogicalRedo,
-            MultiPageRedo,
-            CheckpointRecord,
-        ),
-    )
-
-
 def encode_file_header(base_lsn: int) -> bytes:
     """The segment-file header: magic, format version, base LSN."""
     return _FILE_HEADER.pack(FILE_MAGIC, FORMAT_VERSION, base_lsn)
@@ -623,10 +527,9 @@ def encode_window(records) -> bytearray:
         frame_fixup(
             out, frame_start, body_len, crc32(memoryview(out)[body_start:])
         )
-        # Cache the record's exact frame size while we have it for
-        # free — eviction and byte accounting read it without
-        # re-measuring.
-        setter(record, "_encoded_size", body_len + FRAME_PREFIX_SIZE)
+        # Cache the record's frame size (``LogRecord.size_bytes``)
+        # while we have it for free.
+        setter(record, "_frame_size", body_len + FRAME_PREFIX_SIZE)
     return out
 
 
@@ -723,28 +626,6 @@ def read_frame_at(buf, offset: int, verify_crc: bool = True):
     return next(walk_frames(buf, verify_crc=verify_crc, offsets=(offset,)))
 
 
-def _decode_body(lsn: int, body: bytes) -> tuple[Any, dict]:
-    """``(payload, labels)`` of one record's ``payload | labels`` bytes —
-    the one body decode, eager (:func:`decode_record_body`) and lazy
-    (:class:`LazyRecord`) alike."""
-    payload, pos = decode_payload(body, 0)
-    labels, pos = decode_value(body, pos)
-    if pos != len(body):
-        raise CodecError(
-            f"record LSN {lsn} has {len(body) - pos} trailing bytes after decode"
-        )
-    return payload, labels
-
-
-def decode_record_body(lsn: int, body: bytes) -> LogRecord:
-    """Materialize a full :class:`LogRecord` from one record's
-    ``payload | labels`` bytes (as yielded by :func:`walk_frames`)."""
-    payload, labels = _decode_body(lsn, body)
-    record = LogRecord(lsn=lsn, payload=payload, labels=labels)
-    object.__setattr__(record, "_encoded_size", len(body) + RECORD_OVERHEAD)
-    return record
-
-
 _UNSET = object()
 
 
@@ -772,7 +653,15 @@ class LazyRecord:
         self._labels = _UNSET
 
     def _decode(self) -> None:
-        self._payload, self._labels = _decode_body(self.lsn, self._body)
+        body = self._body
+        payload, pos = decode_payload(body, 0)
+        labels, pos = decode_value(body, pos)
+        if pos != len(body):
+            raise CodecError(
+                f"record LSN {self.lsn} has {len(body) - pos} trailing bytes "
+                f"after decode"
+            )
+        self._payload, self._labels = payload, labels
 
     @property
     def payload(self) -> Any:
@@ -797,7 +686,8 @@ class LazyRecord:
         return self._body[0]
 
     def size_bytes(self) -> int:
-        """V1-equivalent frame length (same accounting as LogRecord)."""
+        """The encoded frame's length: the body plus the frame overhead
+        (the same number as :meth:`LogRecord.size_bytes`)."""
         return len(self._body) + RECORD_OVERHEAD
 
     def __eq__(self, other) -> bool:

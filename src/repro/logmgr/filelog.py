@@ -128,6 +128,14 @@ def read_sidecar(path: Path, size: int = -1) -> bytes | None:
         return None
 
 
+def header_torn(path: Path, paths) -> bool:
+    """Is ``path`` the last of ``paths`` and shorter than a segment
+    header?  That is what a kill or ``ENOSPC`` leaves between creating a
+    segment file and writing its header: the file can hold no record,
+    so it is a torn tail (dropped at attach), not structural damage."""
+    return path == paths[-1] and path.stat().st_size < FILE_HEADER_SIZE
+
+
 def _drop_sidecar(path: Path) -> None:
     """Remove the sidecar of a segment whose bytes changed or vanished."""
     pages_path(path).unlink(missing_ok=True)
@@ -137,8 +145,7 @@ class SegmentStats(NamedTuple):
     """One segment file summarized without materializing its records."""
 
     count: int
-    bytes: int  # v1-equivalent frame bytes (matches LogRecord.size_bytes)
-    tag_counts: dict  # payload wire tag -> record count
+    bytes: int  # frame bytes (matches LogRecord.size_bytes)
     checkpoint_lsns: list
     tear_offset: int | None
     tear_reason: str | None
@@ -276,10 +283,8 @@ class SegmentReader:
         reported."""
         buf = self.buf
         count = nbytes = 0
-        tag_counts: dict = {}
         checkpoints: list = []
         tear_offset = tear_reason = None
-        get_count = tag_counts.get
         try:
             for lsn, lo, hi in self.views():
                 if lsn != self.base_lsn + count:
@@ -287,15 +292,13 @@ class SegmentReader:
                         f"segment {self.base_lsn} holds LSN {lsn} "
                         f"at position {count}"
                     )
-                tag = buf[lo]
-                tag_counts[tag] = get_count(tag, 0) + 1
-                if tag == PAYLOAD_CHECKPOINT:
+                if buf[lo] == PAYLOAD_CHECKPOINT:
                     checkpoints.append(lsn)
                 nbytes += (hi - lo) + RECORD_OVERHEAD
                 count += 1
         except TornTail as tear:
             tear_offset, tear_reason = tear.offset, tear.reason
-        return SegmentStats(count, nbytes, tag_counts, checkpoints, tear_offset, tear_reason)
+        return SegmentStats(count, nbytes, checkpoints, tear_offset, tear_reason)
 
 
 class _SegmentHandle:
@@ -374,10 +377,15 @@ class FileLogStore:
         the crash survivors, so ``synced_size`` starts at the file size.
         The newest file's sidecar (if any) is dropped: the file is about
         to take appends again, which would leave it stale anyway — it
-        gets a new one at its next rotation.
+        gets a new one at its next rotation.  A newest file shorter than
+        its header (:func:`header_torn`) is dropped with its sidecar.
         """
         store = cls(directory, fsync=fsync)
         paths = sorted(store.directory.glob(f"segment-*{SEGMENT_SUFFIX}"))
+        if paths and header_torn(paths[-1], paths):
+            _drop_sidecar(paths[-1])
+            paths.pop().unlink()
+            store.torn_tails += 1
         for index, path in enumerate(paths):
             size = path.stat().st_size
             with path.open("rb") as fh:
@@ -404,13 +412,30 @@ class FileLogStore:
     # ------------------------------------------------------------------
 
     def begin_segment(self, base_lsn: int) -> None:
-        """Start a new segment file; subsequent frames route to it."""
+        """Start a new segment file (created empty, whatever an earlier
+        attempt left); subsequent frames route to it.  The header goes in
+        whole or its ``OSError`` fails the store; a failed store refuses."""
+        if self._failure is not None:
+            raise self._failure.with_traceback(None)
         path = self.directory / segment_filename(base_lsn)
-        fh = path.open("ab", buffering=0)
-        header = encode_file_header(base_lsn)
-        fh.write(header)
+        header = memoryview(encode_file_header(base_lsn))
+        try:
+            fh = path.open("wb", buffering=0)
+            try:
+                while header:
+                    count = fh.write(header)
+                    if not count:
+                        raise OSError(errno.EIO, f"write accepted no bytes: {path}")
+                    header = header[count:]
+            except BaseException:
+                fh.close()
+                raise
+        except OSError as exc:
+            with self._lock:
+                self._failure = exc
+            raise
         with self._lock:
-            handle = _SegmentHandle(path, base_lsn, fh, len(header), 0)
+            handle = _SegmentHandle(path, base_lsn, fh, FILE_HEADER_SIZE, 0)
             handle.region_crc = 0
             self._handles.append(handle)
             self.segments_created += 1

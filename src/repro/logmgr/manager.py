@@ -55,7 +55,6 @@ from typing import Any, Iterator
 
 from repro.logmgr.codec import (
     PAYLOAD_CHECKPOINT,
-    PAYLOAD_CLASSES,
     CodecError,
     encode_window,
     payload_tag,
@@ -89,19 +88,18 @@ class LogSegment:
     watermark, exposed per segment via :meth:`LogManager.segment_stable_boundary`.
 
     A file-backed segment that is sealed and fully synced may be
-    **evicted**: ``records`` becomes ``None`` and only the statistics
-    needed for accounting (count, bytes, per-type counts) stay resident;
-    reads re-stream the segment's file through the store.
+    **evicted**: ``records`` becomes ``None`` and only its record and
+    byte counts stay resident; reads re-stream the segment's file
+    through the store.
     """
 
-    __slots__ = ("base_lsn", "records", "_count", "_bytes", "_type_counts")
+    __slots__ = ("base_lsn", "records", "_count", "_bytes")
 
     def __init__(self, base_lsn: int):
         self.base_lsn = base_lsn
         self.records: list[LogRecord] | None = []
         self._count = 0
         self._bytes = 0
-        self._type_counts: dict[type, int] = {}
 
     @property
     def end_lsn(self) -> int:
@@ -114,7 +112,7 @@ class LogSegment:
         return self.records is None
 
     def evict(self) -> None:
-        """Drop the decoded records, keeping count/byte/type statistics.
+        """Drop the decoded records, keeping their count and bytes.
 
         Only legal for a segment whose every record is durable in a
         segment file — the manager enforces that before calling.
@@ -123,20 +121,7 @@ class LogSegment:
             return
         self._count = len(self.records)
         self._bytes = sum(record.size_bytes() for record in self.records)
-        for record in self.records:
-            kind = type(record.payload)
-            self._type_counts[kind] = self._type_counts.get(kind, 0) + 1
         self.records = None
-
-    @property
-    def stat_bytes(self) -> int:
-        """Byte accounting for an evicted segment (0 while resident)."""
-        return self._bytes
-
-    @property
-    def type_counts(self) -> dict[type, int]:
-        """Per-payload-type counts for an evicted segment."""
-        return self._type_counts
 
     def __len__(self) -> int:
         return self._count if self.records is None else len(self.records)
@@ -264,9 +249,6 @@ class LogManager:
                 segment.records = None
                 segment._count = stats.count
                 segment._bytes = stats.bytes
-                segment._type_counts = {
-                    PAYLOAD_CLASSES[tag]: n for tag, n in stats.tag_counts.items()
-                }
                 checkpoints.extend(stats.checkpoint_lsns)
                 count = stats.count
             segments.append(segment)
@@ -294,9 +276,6 @@ class LogManager:
                     f"segment {tail.base_lsn} still torn after truncation"
                 )
             tail.records = records
-            tail._count = 0
-            tail._bytes = 0
-            tail._type_counts = {}
         manager._segments = segments
         manager._stable_lsn = segments[-1].end_lsn
         manager._written_lsn = manager._stable_lsn
@@ -331,10 +310,11 @@ class LogManager:
         with self._mutex:
             tail = self._segments[-1]
             if len(tail) >= self.segment_size:
-                tail = LogSegment(self._next_lsn)
-                self._segments.append(tail)
+                # The file first: a failed rotation leaves no orphan segment.
                 if self._store is not None:
                     self._store.begin_segment(self._next_lsn)
+                tail = LogSegment(self._next_lsn)
+                self._segments.append(tail)
             record = LogRecord(lsn=self._next_lsn, payload=payload, labels=labels)
             if self._store is not None:
                 payload_tag(payload)  # raises CodecError for undurable types
@@ -689,62 +669,36 @@ class LogManager:
             base, [(offset, lsn) for _base, offset, lsn in entries]
         )
 
-    def stable_count_of(self, *payload_types: type) -> int:
-        """Stable records whose payload is an instance of the given
-        types — the one durable-count
-        primitive every method shares.  Evicted segments answer from
-        their cached per-type counts (they are fully stable by
-        construction), so this never touches a file."""
+    def stable_operation_count(self) -> int:
+        """Operations in the stable prefix: every engine logs exactly one
+        record per operation plus its checkpoint records, so this is the
+        stable LSNs minus the stable checkpoints."""
         with self._mutex:
-            return self._stable_count_of_locked(*payload_types)
-
-    def _stable_count_of_locked(self, *payload_types: type) -> int:
-        count = 0
-        for segment in self._segments:
-            if segment.base_lsn > self._stable_lsn:
-                break
-            if segment.records is None:
-                count += sum(
-                    n
-                    for kind, n in segment.type_counts.items()
-                    if issubclass(kind, payload_types)
-                )
-            else:
-                for record in segment.records:
-                    if record.lsn > self._stable_lsn:
-                        break
-                    if isinstance(record.payload, payload_types):
-                        count += 1
-        return count
+            stable = self._stable_lsn
+            return stable + 1 - bisect_right(self._checkpoint_lsns, stable)
 
     def stable_bytes(self) -> int:
         """Bytes in the stable prefix."""
-        with self._mutex:
-            return self._stable_bytes_locked()
-
-    def _stable_bytes_locked(self) -> int:
-        total = 0
-        for segment in self._segments:
-            if segment.base_lsn > self._stable_lsn:
-                break
-            if segment.records is None:
-                total += segment.stat_bytes
-            else:
-                for record in segment.records:
-                    if record.lsn > self._stable_lsn:
-                        break
-                    total += record.size_bytes()
-        return total
+        return self._frame_bytes(volatile=False)
 
     def total_bytes(self) -> int:
         """Bytes in the whole log, volatile tail included."""
+        return self._frame_bytes(volatile=True)
+
+    def _frame_bytes(self, volatile: bool) -> int:
+        """Frame bytes through the tail (or the stable boundary)."""
         with self._mutex:
+            limit = self._next_lsn - 1 if volatile else self._stable_lsn
             total = 0
             for segment in self._segments:
-                if segment.records is None:
-                    total += segment.stat_bytes
+                if segment.base_lsn > limit:
+                    break
+                records = segment.records
+                if records is None:
+                    total += segment._bytes
                 else:
-                    total += sum(record.size_bytes() for record in segment.records)
+                    end = limit - segment.base_lsn + 1
+                    total += sum(record.size_bytes() for record in records[:end])
             return total
 
     # ------------------------------------------------------------------
@@ -789,9 +743,9 @@ class LogManager:
                 self._store.begin_segment(tail.base_lsn)
 
     def __len__(self) -> int:
-        """Records in the log, volatile tail included."""
-        with self._mutex:
-            return sum(len(s) for s in self._segments)
+        """Records in the log, volatile tail included (it starts at LSN 0
+        and is never trimmed)."""
+        return self._next_lsn
 
     def __repr__(self) -> str:
         return (

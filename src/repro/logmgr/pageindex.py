@@ -54,7 +54,6 @@ from typing import Iterable, NamedTuple
 from repro.logmgr.codec import (
     FILE_HEADER_SIZE,
     RECORD_OVERHEAD,
-    PAYLOAD_CHECKPOINT,
     PAYLOAD_LOGICAL,
     PAYLOAD_MULTIPAGE,
     PAYLOAD_PHYSICAL,

@@ -45,6 +45,10 @@ force lock and can only advance the same watermark.  Every commit is
 counted exactly once, as ``fast_path`` (already stable when asked) or
 in the window whose force covered it: ``coalesced_total + fast_path ==
 commits`` once no commit is waiting.
+
+A force that raises is final: the committer keeps the exception, closes
+the pipeline and wakes every parked commit; each commit whose records are
+not yet stable then raises :class:`PipelineFailed`, chained to it, at once.
 """
 
 from __future__ import annotations
@@ -58,6 +62,11 @@ DEFAULT_COMMIT_TIMEOUT = 60.0
 
 class PipelineClosed(RuntimeError):
     """A commit was requested after the pipeline shut down."""
+
+
+class PipelineFailed(PipelineClosed):
+    """The pipeline shut down because a force failed; ``__cause__`` is
+    the force's exception."""
 
 
 class GroupCommitPipeline:
@@ -87,6 +96,8 @@ class GroupCommitPipeline:
         self._force_estimate = 0.0  # seconds; running mean of one force
         self._closed = False
         self._abort = False
+        # The exception of the force that failed the pipeline, if any.
+        self.failure: BaseException | None = None
         # Counters (read via stats(); mutated under the mutex).
         self.commits = 0
         self.fast_path = 0
@@ -127,6 +138,7 @@ class GroupCommitPipeline:
                 self.commits += 1
                 self.fast_path += 1
                 return self.log.stable_lsn
+            self._raise_if_failed()
             if self._closed:
                 raise PipelineClosed("commit after pipeline close")
             self.commits += 1
@@ -148,11 +160,17 @@ class GroupCommitPipeline:
         done.wait(timeout)
         stable = self.log.stable_lsn
         if stable < lsn:
+            self._raise_if_failed()
             raise TimeoutError(
                 f"group commit of LSN {lsn} still not stable after "
                 f"{timeout}s (stable_lsn={stable})"
             )
         return stable
+
+    def _raise_if_failed(self) -> None:
+        failure = self.failure
+        if failure is not None:
+            raise PipelineFailed(f"group commit failed: {failure}") from failure
 
     def _join_window(self, n: int) -> None:
         self._window_size += n
@@ -201,7 +219,16 @@ class GroupCommitPipeline:
                 self._requested_lsn = -1
                 self.windows += 1
             started = time.perf_counter()
-            self.log.flush(up_to_lsn=target)
+            try:
+                self.log.flush(up_to_lsn=target)
+            except Exception as exc:
+                with self._mutex:
+                    self.failure = exc
+                    self._closed = True
+                    self._covering_lsn = -1
+                    self._forcing.set()
+                    self._next.set()
+                return
             elapsed = time.perf_counter() - started
             with self._mutex:
                 self._covering_lsn = -1

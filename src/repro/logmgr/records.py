@@ -2,9 +2,10 @@
 
 Every payload is plain data: replay is performed by interpreting the
 record against pages, never by calling captured closures, because a log
-that survives a crash can only contain data.  ``size_bytes`` estimates
-are deterministic and value-proportional so the log-volume experiments
-(notably E6, the B-tree split comparison) measure something meaningful.
+that survives a crash can only contain data.  A record's size is the
+length of its binary frame (:mod:`repro.logmgr.codec`), so the
+log-volume experiments (notably E6, the B-tree split comparison) count
+the bytes the durable log writes.
 
 The action vocabulary for page-logical records is deliberately small —
 ``put``, ``delete``, ``add``, ``copycell``, ``copyfrom``,
@@ -44,10 +45,6 @@ class PageAction:
 
     kind: str
     args: tuple = ()
-
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        return len(self.kind) + sum(len(repr(a)) for a in self.args) + 4
 
     def apply_to(self, page: Page, lsn: int | None = None, reader=None) -> None:
         """Interpret this action against ``page``.
@@ -109,14 +106,6 @@ class PhysicalRedo:
     cells: dict = field(hash=False)
     whole_page: bool = False
 
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        return (
-            len(self.page_id)
-            + sum(len(repr(k)) + len(repr(v)) for k, v in self.cells.items())
-            + 8
-        )
-
 
 @dataclass(frozen=True)
 class PhysiologicalRedo:
@@ -124,10 +113,6 @@ class PhysiologicalRedo:
 
     page_id: str
     action: PageAction
-
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        return len(self.page_id) + self.action.size_bytes() + 8
 
 
 @dataclass(frozen=True)
@@ -139,10 +124,6 @@ class LogicalRedo:
     """
 
     description: tuple
-
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        return sum(len(repr(part)) for part in self.description) + 8
 
 
 @dataclass(frozen=True)
@@ -158,13 +139,6 @@ class MultiPageRedo:
     read_page_ids: tuple[str, ...]
     writes: dict = field(hash=False)  # page_id -> tuple[PageAction, ...]
 
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        total = sum(len(p) for p in self.read_page_ids) + 8
-        for page_id, actions in self.writes.items():
-            total += len(page_id) + sum(action.size_bytes() for action in actions)
-        return total
-
 
 @dataclass(frozen=True)
 class CheckpointRecord:
@@ -172,10 +146,6 @@ class CheckpointRecord:
     logical recovery, the dirty-page table for physiological)."""
 
     data: tuple = ()
-
-    def size_bytes(self) -> int:
-        """Deterministic size estimate for log-volume accounting."""
-        return sum(len(repr(part)) for part in self.data) + 8
 
 
 Payload = Any  # one of the dataclasses above, or a theory-level Operation
@@ -205,41 +175,21 @@ class LogRecord:
         return self.payload
 
     def size_bytes(self) -> int:
-        """The record's byte count for log-volume accounting.
+        """The record's byte count: the length of its encoded wire frame,
+        computed once and cached on the instance (the durable append
+        path fills the cache from the frame it just encoded).  A payload
+        with no wire encoding (an abstract theory operation) counts
+        ``len(repr(payload)) + 8``."""
+        size = self.__dict__.get("_frame_size")
+        if size is None:
+            from repro.logmgr.codec import CodecError, encode_record
 
-        When the payload has a binary wire encoding (the §6 record
-        types), this is the *exact* encoded frame length — the number of
-        bytes the durable log writes for this record — computed once and
-        cached on the instance (the durable append path pre-fills the
-        cache from the frame it just encoded).  Payloads outside the
-        wire format (abstract theory operations) fall back to the legacy
-        repr-proportional estimate, kept available for everyone as
-        :meth:`estimated_size_bytes`.
-        """
-        cached = self.__dict__.get("_encoded_size")
-        if cached is not None:
-            return cached
-        from repro.logmgr import codec
-
-        if codec.is_encodable(self.payload):
             try:
-                size = codec.encoded_size(self)
-            except codec.CodecError:
-                size = self.estimated_size_bytes()
-        else:
-            size = self.estimated_size_bytes()
-        object.__setattr__(self, "_encoded_size", size)
+                size = len(encode_record(self))
+            except CodecError:
+                size = len(repr(self.payload)) + 8
+            object.__setattr__(self, "_frame_size", size)
         return size
-
-    def estimated_size_bytes(self) -> int:
-        """The legacy deterministic estimate: payload size plus an
-        8-byte LSN header.  Kept as the yardstick the E6/E6b log-volume
-        experiments were originally calibrated against; a test pins it
-        within a stated bound of the true encoded length."""
-        sizer = getattr(self.payload, "size_bytes", None)
-        if sizer is None:
-            return len(repr(self.payload)) + 8
-        return sizer() + 8
 
     def __str__(self) -> str:
         return f"[{self.lsn}] {self.payload}"

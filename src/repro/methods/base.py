@@ -191,9 +191,10 @@ class RecoveryMethodKV(ABC):
         self.machine.log.flush()
         self.machine.pool.flush_all()
 
-    @abstractmethod
     def durable_count(self) -> int:
-        """How many operations would survive a crash right now."""
+        """How many operations would survive a crash right now: every
+        method logs one record per operation, plus checkpoints."""
+        return self.machine.log.stable_operation_count()
 
     # -- crash / recovery --------------------------------------------------
 

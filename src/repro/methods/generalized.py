@@ -23,7 +23,7 @@ page table) *is* :class:`~repro.methods.physiological.PhysiologicalKV` —
 
 from __future__ import annotations
 
-from repro.logmgr import LogRecord, MultiPageRedo, PageAction, PhysiologicalRedo
+from repro.logmgr import LogRecord, MultiPageRedo, PageAction
 from repro.methods.physiological import PhysiologicalKV
 from repro.methods.redo import redo_multipage
 from repro.storage.page import Page
@@ -75,9 +75,6 @@ class GeneralizedKV(PhysiologicalKV):
         # carry later updates to disk.
         pool.add_flush_constraint(dst_page, src_page)
         self.stats.operations += 1
-
-    def durable_count(self) -> int:
-        return self.machine.log.stable_count_of(PhysiologicalRedo, MultiPageRedo)
 
     # ------------------------------------------------------------------
     # Recovery: the multi-page branch of the redo test

@@ -185,9 +185,6 @@ class LogicalKV(RecoveryMethodKV):
         self.shadow.swing_pointer(checkpoint_lsn)
         self._cache.clear()
 
-    def durable_count(self) -> int:
-        return self.machine.log.stable_count_of(LogicalRedo)
-
     # ------------------------------------------------------------------
     # Crash / recovery
     # ------------------------------------------------------------------

@@ -107,11 +107,6 @@ class PhysicalKV(RecoveryMethodKV):
         self.machine.log.flush()          # the atomic redo_set update
         self.stats.checkpoints += 1
 
-    def durable_count(self) -> int:
-        """Operations with stable log records (checkpoint records don't
-        count as operations)."""
-        return self.machine.log.stable_count_of(PhysicalRedo)
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------

@@ -144,9 +144,6 @@ class PhysiologicalKV(RecoveryMethodKV):
         self.machine.log.flush()
         self.stats.checkpoints += 1
 
-    def durable_count(self) -> int:
-        return self.machine.log.stable_count_of(PhysiologicalRedo)
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------

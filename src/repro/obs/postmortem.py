@@ -34,7 +34,7 @@ def scan_log_tail(directory) -> dict[str, Any]:
     offset, reason).  A crash-torn log is data here, not an error.
     """
     from repro.logmgr.codec import CodecError, TornTail
-    from repro.logmgr.filelog import SegmentReader, log_files
+    from repro.logmgr.filelog import SegmentReader, header_torn, log_files
 
     paths = log_files(directory)
     records = 0
@@ -45,7 +45,10 @@ def scan_log_tail(directory) -> dict[str, Any]:
         try:
             reader = SegmentReader(path)
         except CodecError as exc:
-            errors.append(f"{path.name}: bad header ({exc})")
+            if header_torn(path, paths):
+                torn.append({"file": path.name, "offset": 0, "reason": str(exc)})
+            else:
+                errors.append(f"{path.name}: bad header ({exc})")
             continue
         with reader:
             try:

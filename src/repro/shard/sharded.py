@@ -413,16 +413,18 @@ class ShardedDatabase:
 
     def health(self) -> dict[str, Any]:
         """Per-shard liveness (:meth:`KVDatabase.health` per shard) plus
-        deployment shape — the payload behind the server's ``health`` op."""
+        deployment shape — the payload behind the server's ``health`` op.
+        The deployment has failed when any shard has."""
         per_shard = [shard.health() for shard in self.shards]
         backlog_total = sum(h["replay_backlog"] for h in per_shard)
+        failed = any(h["state"] == "failed" for h in per_shard)
         return {
             "n_shards": self.keymap.n_shards,
             "stable_lsn_total": sum(h["stable_lsn"] for h in per_shard),
             "pipeline_depth_total": sum(h["pipeline_depth"] for h in per_shard),
             "dirty_pages_total": sum(h["dirty_pages"] for h in per_shard),
             "replay_backlog_total": backlog_total,
-            "state": "recovering" if backlog_total else "ready",
+            "state": "failed" if failed else "recovering" if backlog_total else "ready",
             "shards": per_shard,
         }
 

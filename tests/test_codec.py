@@ -15,14 +15,13 @@ from repro.logmgr.codec import (
     FILE_HEADER_SIZE,
     FRAME_PREFIX_SIZE,
     CodecError,
+    LazyRecord,
     TornTail,
     decode_file_header,
-    decode_record_body,
     encode_file_header,
     encode_record,
     encode_value,
     encode_window,
-    encoded_size,
     decode_value,
     read_frame_at,
     walk_frames,
@@ -37,11 +36,19 @@ from repro.logmgr.records import (
     PhysiologicalRedo,
 )
 
+def decoded(lsn: int, body: bytes) -> LazyRecord:
+    """One record's ``payload | labels`` bytes, decoded at once (a
+    malformed body raises :class:`CodecError` here, not on first use)."""
+    record = LazyRecord(lsn, bytes(body))
+    record.payload
+    return record
+
+
 def frame_at(buf: bytes, offset: int):
     """One frame at ``offset`` through the walker recovery uses:
     ``(record, next offset)``; a tear raises :class:`TornTail`."""
     lsn, lo, hi = read_frame_at(buf, offset)
-    return decode_record_body(lsn, buf[lo:hi]), hi
+    return decoded(lsn, buf[lo:hi]), hi
 
 
 def records_until_tear(buf: bytes):
@@ -49,7 +56,7 @@ def records_until_tear(buf: bytes):
     the torn-tail rule as every production scan applies it."""
     try:
         for lsn, lo, hi in walk_frames(buf, 0):
-            yield decode_record_body(lsn, buf[lo:hi])
+            yield decoded(lsn, buf[lo:hi])
     except TornTail:
         return
 
@@ -323,19 +330,20 @@ class TestWindowEncoding:
             for i, p in enumerate(payloads)
         ]
         buf = encode_file_header(0) + bytes(encode_window(records))
-        decoded = [
-            decode_record_body(lsn, buf[lo:hi])
+        read_back = [
+            decoded(lsn, buf[lo:hi])
             for lsn, lo, hi in walk_frames(buf)
         ]
-        assert decoded == records
-        assert [r.labels for r in decoded] == [r.labels for r in records]
+        assert read_back == records
+        assert [r.labels for r in read_back] == [r.labels for r in records]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_window_annotates_exact_frame_sizes(self, seed):
         records = self._random_records(seed, n=25)
         encode_window(records)
         for record in records:
-            assert record.size_bytes() == len(encode_record(record))
+            cached = record.__dict__["_frame_size"]  # filled by the window
+            assert record.size_bytes() == cached == len(encode_record(record))
 
     def test_empty_window_raises(self):
         with pytest.raises(CodecError, match="empty window"):
@@ -343,16 +351,21 @@ class TestWindowEncoding:
 
 
 class TestEncodedSizeProperty:
-    """``encoded_size(record) == len(encode_record(record))`` — the
-    batch encoder's pre-sizing and the log's byte accounting both lean
-    on the analytic size being exact, for every value and payload kind."""
+    """``record.size_bytes() == len(encode_record(record))``: a record's
+    byte count is its encoded frame, for every value and payload kind,
+    for fresh records and for records read back from a cold start."""
+
+    @staticmethod
+    def fresh(record: LogRecord) -> LogRecord:
+        """A copy with nothing cached, so ``size_bytes`` encodes it."""
+        return LogRecord(lsn=record.lsn, payload=record.payload, labels=record.labels)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_analytic_size_matches_wire_for_random_records(self, seed):
         rng = random.Random(1000 + seed)
         for lsn in range(30):
             record = random_record(rng, lsn)
-            assert encoded_size(record) == len(encode_record(record))
+            assert record.size_bytes() == len(encode_record(self.fresh(record)))
 
     def test_analytic_size_matches_for_every_action_kind(self):
         cases = [
@@ -371,19 +384,20 @@ class TestEncodedSizeProperty:
                 payload=PhysiologicalRedo("p1", PageAction(kind, args)),
                 labels={"origin": "test"},
             )
-            assert encoded_size(record) == len(encode_record(record))
+            assert record.size_bytes() == len(encode_record(self.fresh(record)))
+
+    PAYLOADS = [
+        PhysicalRedo("p1", {"k": "v"}, whole_page=False),
+        PhysiologicalRedo("p1", PageAction("put", ("k", 1))),
+        LogicalRedo(("op", [1, 2], {"a": "b"})),
+        MultiPageRedo(("p1", "p2"), {"p3": (PageAction("delete", ("k",)),)}),
+        CheckpointRecord((("dirty", "p1"),)),
+    ]
 
     def test_analytic_size_matches_for_every_payload_class(self):
-        payloads = [
-            PhysicalRedo("p1", {"k": "v"}, whole_page=False),
-            PhysiologicalRedo("p1", PageAction("put", ("k", 1))),
-            LogicalRedo(("op", [1, 2], {"a": "b"})),
-            MultiPageRedo(("p1", "p2"), {"p3": (PageAction("delete", ("k",)),)}),
-            CheckpointRecord((("dirty", "p1"),)),
-        ]
-        for lsn, payload in enumerate(payloads):
+        for lsn, payload in enumerate(self.PAYLOADS):
             record = LogRecord(lsn=lsn, payload=payload, labels={})
-            assert encoded_size(record) == len(encode_record(record))
+            assert record.size_bytes() == len(encode_record(self.fresh(record)))
 
     def test_analytic_size_matches_for_every_value_kind(self):
         values = [None, True, False, 0, -1, 2**40, -(2**70), 3.14, "", "héλ",
@@ -394,4 +408,23 @@ class TestEncodedSizeProperty:
                 payload=PhysiologicalRedo("p1", PageAction("put", ("k", value))),
                 labels={"v": value},
             )
-            assert encoded_size(record) == len(encode_record(record))
+            assert record.size_bytes() == len(encode_record(self.fresh(record)))
+
+    def test_record_read_back_from_a_cold_start_counts_its_frame(self, tmp_path):
+        from repro.logmgr import LogManager
+
+        warm = LogManager.open(tmp_path, segment_size=2, fsync=False)
+        appended = [warm.append(payload, page="p1") for payload in self.PAYLOADS]
+        warm.flush()
+        warm.store.close()
+        cold = LogManager.open(tmp_path, segment_size=2, fsync=False)
+        read_back = list(cold.stable_records_from(0))
+        assert len(read_back) == len(self.PAYLOADS)
+        for record in read_back:
+            assert isinstance(record, LazyRecord)
+            frame = encode_record(LogRecord(record.lsn, record.payload, record.labels))
+            assert record.size_bytes() == len(frame)
+        assert cold.stable_bytes() == sum(
+            len(encode_record(record)) for record in appended
+        )
+        cold.store.close()

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.engine import KVDatabase
 from repro.logmgr import (
     CheckpointRecord,
@@ -41,6 +42,7 @@ from repro.logmgr.filelog import (
 )
 from repro.logmgr.pageindex import SegmentPageIndex, encode_page_index
 from repro.logmgr.records import LogRecord
+from repro.obs.postmortem import scan_log_tail
 
 
 def durable_log(tmp_path, **kwargs):
@@ -196,14 +198,15 @@ class TestEviction:
         log = durable_log(tmp_path, segment_size=4)
         reference = LogManager(segment_size=4)
         for i in range(10):
-            log.append(PhysicalRedo(f"p{i % 3}", {"k": i}))
-            reference.append(PhysicalRedo(f"p{i % 3}", {"k": i}))
+            for manager in (log, reference):
+                manager.append(PhysicalRedo(f"p{i % 3}", {"k": i}))
+                if i == 5:
+                    manager.append(CheckpointRecord(("physical",)))
         log.flush()
         reference.flush()
         assert len(log) == len(reference)
-        assert log.stable_count_of(PhysicalRedo) == reference.stable_count_of(
-            PhysicalRedo
-        )
+        assert [s.evicted for s in log.segments()] == [True, True, False]
+        assert log.stable_operation_count() == reference.stable_operation_count() == 10
         assert log.stable_bytes() == reference.stable_bytes()
         assert log.total_bytes() == reference.total_bytes()
 
@@ -609,3 +612,115 @@ class TestFailedWriteIsFinal:
         assert log.stable_lsn > 0
         db.method.machine.log.store.close()
         self._assert_recovers(tmp_path, 1)
+
+
+class _ShortFirstWrite:
+    """A segment handle whose first write accepts only 5 bytes."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._short = True
+
+    def write(self, data):
+        if self._short:
+            self._short = False
+            return self._fh.write(bytes(data[:5]))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def _wrap_segment_file(monkeypatch, base_lsn, wrap):
+    """Open the segment file of ``base_lsn`` through ``wrap`` (once)."""
+    real_open = Path.open
+    name = segment_filename(base_lsn)
+    wrapped = []
+
+    def open_(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        if self.name == name and not wrapped:
+            wrapped.append(self)
+            return wrap(fh)
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+class TestFailedRotation:
+    """Starting a segment file writes its whole header or fails the
+    store, and a file cut short before its header is a torn tail."""
+
+    def test_failed_rotation_fails_the_store(self, tmp_path, monkeypatch):
+        log = durable_log(tmp_path, segment_size=4)
+        for i in range(4):
+            log.append(LogicalRedo((i,)))
+        _wrap_segment_file(
+            monkeypatch, 4, lambda fh: _FlakyFile(fh, OSError(errno.ENOSPC, "full"))
+        )
+        for attempt in ("rotation", "retry"):
+            with pytest.raises(OSError) as raised:
+                log.append(LogicalRedo((4,)))
+            assert raised.value.errno == errno.ENOSPC, attempt
+            assert [(s.base_lsn, s.end_lsn) for s in log.segments()] == [(0, 3)]
+        with pytest.raises(OSError) as raised:
+            log.flush()
+        assert raised.value.errno == errno.ENOSPC
+        assert log.stable_lsn == -1
+        log.store.close()
+        cold = durable_log(tmp_path, segment_size=4)
+        assert cold.stable_lsn == -1  # nothing was acknowledged
+        cold.store.close()
+
+    def test_short_header_write_is_completed(self, tmp_path, monkeypatch):
+        log = durable_log(tmp_path, segment_size=4)
+        _wrap_segment_file(monkeypatch, 4, _ShortFirstWrite)
+        for i in range(6):
+            log.append(LogicalRedo((i,)))
+        log.flush()
+        log.store.close()
+        cold = durable_log(tmp_path, segment_size=4)
+        assert [r.payload.description[0] for r in cold.stable_records_from(0)] == list(
+            range(6)
+        )
+        cold.store.close()
+
+    @pytest.mark.parametrize("size", [0, 5, FILE_HEADER_SIZE - 1])
+    def test_trailing_file_shorter_than_its_header_is_a_torn_tail(
+        self, tmp_path, size
+    ):
+        db = KVDatabase("physiological", log_dir=tmp_path, log_segment_size=4)
+        stream = [("put", f"k{i}", i) for i in range(6)]
+        db.run(stream)
+        db.sync()
+        db.method.machine.log.store.close()
+        short = tmp_path / segment_filename(8)
+        short.write_bytes(encode_file_header(8)[:size])
+        pages_path(short).write_bytes(b"stale")
+        assert main(["logdump", str(tmp_path)]) == 1
+        report = scan_log_tail(tmp_path)
+        assert [tear["file"] for tear in report["torn_tails"]] == [short.name]
+        assert report["errors"] == []
+        cold = KVDatabase.cold_start(tmp_path, method="physiological", log_segment_size=4)
+        assert cold.verify_against(stream) == 6
+        assert not short.exists() and not pages_path(short).exists()
+        cold.execute(("put", "k6", 6))  # the log rotates into LSN 8 again
+        cold.execute(("put", "k7", 7))
+        cold.execute(("put", "k8", 8))
+        cold.method.machine.log.store.close()
+        again = KVDatabase.cold_start(tmp_path, method="physiological", log_segment_size=4)
+        assert again.verify_against(stream + [("put", f"k{i}", i) for i in (6, 7, 8)]) == 9
+        again.method.machine.log.store.close()
+
+    def test_short_file_before_the_last_is_structural(self, tmp_path):
+        log = durable_log(tmp_path, segment_size=4)
+        for i in range(6):
+            log.append(LogicalRedo((i,)))
+        log.flush()
+        log.store.close()
+        (tmp_path / segment_filename(8)).write_bytes(b"RLOG")
+        (tmp_path / segment_filename(12)).write_bytes(encode_file_header(12))
+        assert main(["logdump", str(tmp_path)]) == 2
+        assert scan_log_tail(tmp_path)["errors"]
+        with pytest.raises(CodecError, match="shorter than its header"):
+            durable_log(tmp_path, segment_size=4)

@@ -62,6 +62,13 @@ class TestPageAction:
             PageAction("explode", ()).apply_to(Page("p1"))
 
 
+def frame_size(payload) -> int:
+    """The encoded frame length of ``payload`` logged at LSN 0."""
+    from repro.logmgr.records import LogRecord
+
+    return LogRecord(lsn=0, payload=payload).size_bytes()
+
+
 class TestRecordSizes:
     def test_all_payloads_have_positive_size(self):
         payloads = [
@@ -72,23 +79,24 @@ class TestRecordSizes:
             CheckpointRecord(("A",)),
         ]
         for payload in payloads:
-            assert payload.size_bytes() > 0
+            assert frame_size(payload) > 0
 
     def test_physical_size_grows_with_payload(self):
         small = PhysicalRedo("p1", {"k": 1})
         big = PhysicalRedo("p1", {"k": "x" * 200})
-        assert big.size_bytes() > small.size_bytes()
+        assert frame_size(big) > frame_size(small)
 
     def test_multipage_smaller_than_physical_image_of_moved_half(self):
         """The heart of §6.4: a split-move record costs O(1) while the
-        physical image of the moved half costs O(contents)."""
+        physical image of the moved half costs O(contents) — measured on
+        the encoded frames."""
         moved_half = {f"key{i}": f"value-{i}" * 3 for i in range(50)}
         physical = PhysicalRedo("new-page", moved_half, whole_page=True)
         generalized = MultiPageRedo(
             ("old-page",),
             {"new-page": (PageAction("split-move", ("old-page", "key25")),)},
         )
-        assert generalized.size_bytes() < physical.size_bytes() / 5
+        assert frame_size(generalized) < frame_size(physical) / 5
 
 
 class TestEncodedSizeBytes:
@@ -119,32 +127,17 @@ class TestEncodedSizeBytes:
         record = LogRecord(lsn=0, payload=PhysicalRedo("p1", {"k": "v" * 50}))
         first = record.size_bytes()
         assert record.size_bytes() == first
-        assert record.__dict__["_encoded_size"] == first
+        assert record.__dict__["_frame_size"] == first
 
     def test_unencodable_payload_falls_back_to_estimate(self):
+        """A payload with no wire encoding counts its repr plus an
+        8-byte LSN header."""
         from repro.core.model import Operation
         from repro.logmgr.records import LogRecord
 
         op = Operation("w1", frozenset(), frozenset({"x"}), lambda env: {"x": 1})
         record = LogRecord(lsn=0, payload=op)
-        assert record.size_bytes() == record.estimated_size_bytes()
-
-    def test_legacy_estimate_within_stated_bound(self):
-        """The legacy repr-proportional estimate stays within a factor
-        of 4 (either way) of the true encoded frame length — the stated
-        bound under which the E6/E6b log-volume *trends* measured with
-        the estimate remain honest for encoded logs."""
-        from repro.logmgr.records import LogRecord
-
-        for payload in self.PAYLOADS:
-            record = LogRecord(lsn=123, payload=payload)
-            encoded = record.size_bytes()
-            estimate = record.estimated_size_bytes()
-            assert encoded / 4 <= estimate <= encoded * 4, (
-                payload,
-                encoded,
-                estimate,
-            )
+        assert record.size_bytes() == len(repr(op)) + 8
 
 
 class TestLogManager:

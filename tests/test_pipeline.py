@@ -2,15 +2,19 @@
 concurrency contract: coalescing, monotone stable watermarks, no early
 wakes, sync() barriers interleaved with in-flight windows."""
 
+import errno
+import os
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.engine import KVDatabase
+from repro.engine import EngineSpec, KVDatabase
 from repro.logmgr import GroupCommitPipeline, LogManager, PipelineClosed
+from repro.logmgr.pipeline import PipelineFailed
 from repro.logmgr.records import PhysicalRedo
+from repro.shard import ShardedDatabase
 
 
 def _append(log, n=1):
@@ -315,6 +319,123 @@ class TestLifecycle:
         session2.execute(("put", "b", 9))
         assert session2.commit() >= session2.last_lsn
         db.close()
+
+
+def _fsync_fails_once(monkeypatch, code=errno.EIO):
+    """Make the next ``os.fsync`` raise ``OSError(code)``; later calls
+    go through."""
+    real_fsync = os.fsync
+    failed = []
+
+    def fsync(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError(code, os.strerror(code))
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestFailedForce:
+    """A force that raises fails the pipeline: the committer keeps the
+    failure, and every parked and later commit raises it at once instead
+    of waiting out its timeout."""
+
+    def test_failed_fsync_fails_parked_and_later_commits_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
+        db.pipeline.commit_timeout = 5.0
+        _fsync_fails_once(monkeypatch)
+        started = time.monotonic()
+        with pytest.raises(PipelineClosed) as parked:
+            db.execute(("put", "a", 1))  # commit_every=1: parks on the window
+        assert time.monotonic() - started < 2.0
+        assert isinstance(parked.value.__cause__, OSError)
+        assert parked.value.__cause__.errno == errno.EIO
+        started = time.monotonic()
+        with pytest.raises(PipelineClosed) as later:
+            db.execute(("put", "b", 2))
+        assert time.monotonic() - started < 2.0
+        assert later.value.__cause__ is parked.value.__cause__
+        health = db.health()
+        assert health["state"] == "failed"
+        assert health["errno"] == errno.EIO
+        db.close()
+
+    def test_every_parked_session_fails_at_once(self, tmp_path, monkeypatch):
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
+        db.pipeline.commit_timeout = 5.0
+        real_fsync = os.fsync
+        failed = []
+
+        def slow_failing_fsync(fd):
+            if not failed:
+                failed.append(fd)
+                time.sleep(0.05)  # the other sessions park behind this force
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", slow_failing_fsync)
+        outcomes = []
+
+        def client(i):
+            try:
+                db.session().execute(("put", f"k{i}", i))
+            except Exception as exc:  # noqa: BLE001 — the outcome is the test
+                outcomes.append(type(exc))
+            else:
+                outcomes.append(None)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        started = time.monotonic()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < 3.0
+        assert outcomes == [PipelineFailed] * 8
+        assert db.method.machine.log.stable_lsn == -1
+        db.close()
+
+    def test_commit_already_stable_still_acknowledges(self, tmp_path, monkeypatch):
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
+        db.pipeline.commit_timeout = 5.0
+        session = db.session()
+        session.execute(("put", "a", 1))
+        stable = db.method.machine.log.stable_lsn
+        assert stable >= session.last_lsn
+        _fsync_fails_once(monkeypatch)
+        with pytest.raises(PipelineClosed):
+            db.execute(("put", "b", 2))
+        # Records made stable before the failure are still acknowledged.
+        assert session.commit() == stable
+        db.close()
+
+    def test_deployment_health_reports_a_failed_shard(self, tmp_path, monkeypatch):
+        deployment = ShardedDatabase.create(
+            tmp_path, n_shards=2, spec=EngineSpec(commit_pipeline=True)
+        )
+        for shard in deployment.shards:
+            shard.pipeline.commit_timeout = 5.0
+        assert deployment.health()["state"] == "ready"
+        _fsync_fails_once(monkeypatch)
+        session = deployment.session(commit_every=1)
+        with pytest.raises(PipelineClosed):
+            session.execute(("put", "a", 1))
+        health = deployment.health()
+        assert health["state"] == "failed"
+        assert sorted(shard["state"] for shard in health["shards"]) == [
+            "failed",
+            "ready",
+        ]
+        deployment.close()
 
 
 class TestConcurrentSessionsVerify:

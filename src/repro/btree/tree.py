@@ -457,9 +457,7 @@ class BTree:
         if isinstance(payload, PhysicalRedo):
 
             def reinstall(page: Page) -> None:
-                if payload.whole_page:
-                    page.cells.clear()
-                page.cells.update(payload.cells)
+                payload.apply_to(page)
                 page.stamp(lsn)
 
             return redo_page(self.pool, payload.page_id, lsn, reinstall)

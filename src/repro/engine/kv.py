@@ -664,8 +664,9 @@ class KVDatabase:
         ``dirty_pages`` reads the install scheduler's live dirty-page
         table (:meth:`~repro.cache.scheduler.InstallScheduler.rec_lsns`),
         the same table a post-crash analysis pass would reconstruct.
-        ``state`` is ``"failed"`` once a commit-pipeline force has
-        failed, and ``errno`` is then that failure's.
+        ``state`` is ``"failed"`` once a force has failed — in the commit
+        pipeline or, for a direct commit, in the file store — and
+        ``errno`` is then that failure's.
         """
         with self.mutex:
             log = self.method.machine.log
@@ -673,7 +674,9 @@ class KVDatabase:
             next_lsn = log.next_lsn
             dirty = len(self.method.machine.pool.scheduler.rec_lsns())
         backlog = self.replay_backlog()
-        failure = getattr(self.pipeline, "failure", None)
+        failure = getattr(self.pipeline, "failure", None) or getattr(
+            log.store, "failure", None
+        )
         return {
             "method": self.method_name,
             "stable_lsn": stable,

@@ -19,6 +19,7 @@ from repro.logmgr.records import (
     PageAction,
     PhysicalRedo,
     PhysiologicalRedo,
+    TOMBSTONE,
 )
 from repro.logmgr.codec import (
     CodecError,
@@ -65,6 +66,7 @@ __all__ = [
     "PageAction",
     "PhysicalRedo",
     "PhysiologicalRedo",
+    "TOMBSTONE",
     "TornTail",
     "WalViolation",
     "encode_record",

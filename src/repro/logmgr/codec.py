@@ -37,7 +37,8 @@ walk skip per-frame CRCs.
 Values inside payloads (cell contents, action arguments, label values)
 are encoded with a small tagged value codec covering ``None``, bools,
 ints, floats, strings, bytes, tuples, lists, and dicts — everything the
-engines, the B-tree, and the checkpoint snapshots actually log.  A
+engines, the B-tree, and the checkpoint snapshots actually log — plus
+the physical tombstone (:data:`~repro.logmgr.records.TOMBSTONE`).  A
 payload holding anything else (e.g. an abstract theory
 :class:`~repro.core.model.Operation`) raises :class:`CodecError`; such
 logs are in-memory-only by construction.
@@ -57,6 +58,7 @@ from repro.logmgr.records import (
     PageAction,
     PhysicalRedo,
     PhysiologicalRedo,
+    TOMBSTONE,
 )
 
 FORMAT_VERSION = 1
@@ -99,6 +101,7 @@ _V_BYTES = 0x07     # u32 length + raw
 _V_TUPLE = 0x08     # u32 count + values
 _V_LIST = 0x09      # u32 count + values
 _V_DICT = 0x0A      # u32 count + key/value pairs
+_V_TOMBSTONE = 0x0B  # records.TOMBSTONE: a physical cell's removal
 
 # Payload tags.
 PAYLOAD_PHYSICAL = 0x11
@@ -188,6 +191,8 @@ def encode_value(value: Any, out: bytearray) -> None:
         for key, item in value.items():
             encode_value(key, out)
             encode_value(item, out)
+    elif value is TOMBSTONE:
+        out += _U8.pack(_V_TOMBSTONE)
     else:
         raise CodecError(
             f"value of type {type(value).__name__!r} has no wire encoding"
@@ -243,6 +248,8 @@ def decode_value(buf: bytes, offset: int) -> tuple[Any, int]:
             return result, offset
     except struct.error:
         raise CodecError(f"value truncated at byte {offset}") from None
+    if tag == _V_TOMBSTONE:
+        return TOMBSTONE, offset
     raise CodecError(f"unknown value tag 0x{tag:02x} at byte {offset - 1}")
 
 

@@ -407,6 +407,12 @@ class FileLogStore:
         """True when the store has no segment files yet."""
         return not self._handles
 
+    @property
+    def failure(self) -> OSError | None:
+        """The first failed write or ``fsync`` (None while healthy); every
+        later write and sync raises it again, until :meth:`crash`."""
+        return self._failure
+
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------

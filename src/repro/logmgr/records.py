@@ -94,17 +94,51 @@ class PageAction:
         return f"{self.kind}{self.args}"
 
 
+class _Tombstone:
+    """The value a physical record writes to say "this cell is gone".
+
+    One instance, :data:`TOMBSTONE`; it survives ``copy``, ``deepcopy``
+    and ``pickle`` as itself, so identity (``is TOMBSTONE``) is the test.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "TOMBSTONE"
+
+    def __repr__(self) -> str:
+        return "TOMBSTONE"
+
+
+TOMBSTONE = _Tombstone()
+
+
 @dataclass(frozen=True)
 class PhysicalRedo:
     """§6.2: the exact cells (byte ranges) written, by location.
 
     Physical operations only write — replay blindly installs the cells.
-    ``whole_page`` distinguishes full-page from partial-page logging [1].
+    A cell whose value is :data:`TOMBSTONE` is removed: a tombstone is
+    still a blind write (of "absent"), so replay never reads.
+    ``whole_page`` distinguishes full-page from partial-page logging [1]:
+    the page is cleared first, so its cells are all the page holds.
     """
 
     page_id: str
     cells: dict = field(hash=False)
     whole_page: bool = False
+
+    def apply_to(self, page: Page) -> None:
+        """Install this record's cells into ``page`` (the caller stamps
+        it).  No page ever stores a tombstone: the cell is popped."""
+        cells = page.cells
+        if self.whole_page:
+            cells.clear()
+        for cell, value in self.cells.items():
+            if value is TOMBSTONE:
+                cells.pop(cell, None)
+            else:
+                cells[cell] = value
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ write graph collapses to one node per page.
 Consequences implemented here:
 
 - A ``put`` logs the exact cell written (partial-page logging); a
-  ``delete`` logs the whole-page after-image, because "write these bytes"
-  cannot express "remove those bytes" any other way.
+  ``delete`` logs the same one cell with the value
+  :data:`~repro.logmgr.records.TOMBSTONE`.  "Remove these bytes" is a
+  blind write of "absent", so a delete neither reads its page nor pays
+  for the page's size in the log.
 - The redo test is trivially *replay everything after the checkpoint*:
   while operations sit in ``redo_set``, their target cells are unexposed
   (nothing reads them during recovery), so replaying them against
@@ -27,7 +29,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any
 
-from repro.logmgr import CheckpointRecord, LogRecord, PhysicalRedo
+from repro.logmgr import TOMBSTONE, CheckpointRecord, LogRecord, PhysicalRedo
 from repro.methods.base import RecoveryMethodKV
 from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
@@ -53,11 +55,7 @@ class PhysicalKV(RecoveryMethodKV):
 
     def delete(self, key: str) -> None:
         page_id = self.page_of(key)
-        page = self.machine.pool.get_page(page_id, create=True)
-        after_image = {k: v for k, v in page.cells.items() if k != key}
-        entry = self.machine.log.append(
-            PhysicalRedo(page_id, after_image, whole_page=True)
-        )
+        entry = self.machine.log.append(PhysicalRedo(page_id, {key: TOMBSTONE}))
         self.machine.pool.update(
             page_id, lambda p: p.delete(key, lsn=entry.lsn), create=True
         )
@@ -119,9 +117,7 @@ class PhysicalKV(RecoveryMethodKV):
             return NOT_REDO
 
         def install(page: Page) -> None:
-            if payload.whole_page:
-                page.cells.clear()
-            page.cells.update(payload.cells)
+            payload.apply_to(page)
             page.stamp(max(page.lsn, record.lsn))
 
         self.machine.pool.update(payload.page_id, install, create=True)

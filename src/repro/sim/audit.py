@@ -41,6 +41,7 @@ from repro.logmgr import (
     MultiPageRedo,
     PhysicalRedo,
     PhysiologicalRedo,
+    TOMBSTONE,
 )
 from repro.methods import GeneralizedKV, LogicalKV, PhysicalKV, PhysiologicalKV
 from repro.workloads.kv import KVOp
@@ -84,9 +85,12 @@ def _lift_record(entry: LogEntry) -> Operation | None:
         if payload.whole_page:
             raise AuditError(
                 "whole-page physical images mix per-key and per-page "
-                "granularity; audit put/add workloads (no deletes) instead"
+                "granularity (the B-tree's split images have their own lifter)"
             )
-        cells = dict(payload.cells)
+        cells = {
+            cell: None if value is TOMBSTONE else value
+            for cell, value in payload.cells.items()
+        }
         return Operation(
             name=name,
             read_set=frozenset(),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import KVDatabase
+from repro.logmgr import PhysicalRedo
 from repro.sim.audit import (
     AuditError,
     AuditTracker,
@@ -20,7 +21,7 @@ MIXED = KVWorkloadSpec(
     put_ratio=0.35,
     add_ratio=0.25,
     copyadd_ratio=0.25,
-    delete_ratio=0.0,
+    delete_ratio=0.1,
 )
 
 
@@ -121,10 +122,23 @@ class TestAuditInstant:
         verdict = audit_instant(db)
         assert not verdict.holds
 
-    def test_whole_page_records_rejected(self):
+    def test_physical_delete_lifts_to_a_blind_write_of_none(self):
         db = KVDatabase(method="physical")
         db.execute(("put", "k", 1))
         db.execute(("delete", "k", None))
+        db.commit()
+        assert audit_instant(db).holds
+        (_, deleted) = installation_graph_of(db).conflict.operations
+        assert deleted.read_set == frozenset()
+        assert deleted.compute({}) == {"k": None}
+
+    def test_whole_page_records_rejected(self):
+        """Only the B-tree logs whole-page images, and it has its own
+        lifter: the KV audit refuses one by name."""
+        db = KVDatabase(method="physical")
+        db.execute(("put", "k", 1))
+        log = db.method.machine.log
+        log.append(PhysicalRedo(db.method.page_of("k"), {"k": 2}, whole_page=True))
         db.commit()
         with pytest.raises(AuditError, match="whole-page"):
             audit_instant(db)
@@ -231,7 +245,7 @@ class TestPropertyAudits:
             seed,
             KVWorkloadSpec(
                 n_operations=25, n_keys=5, put_ratio=0.4, add_ratio=0.2,
-                copyadd_ratio=0.2, delete_ratio=0.0,
+                copyadd_ratio=0.2, delete_ratio=0.1,
             ),
         )
         for method in ("logical", "physical"):

@@ -7,6 +7,8 @@ flips bytes, truncates frames, and checks the torn-tail rule: a damaged
 record ends the stable log, cleanly, every time.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -34,6 +36,7 @@ from repro.logmgr.records import (
     PageAction,
     PhysicalRedo,
     PhysiologicalRedo,
+    TOMBSTONE,
 )
 
 def decoded(lsn: int, body: bytes) -> LazyRecord:
@@ -83,6 +86,7 @@ def random_value(rng: random.Random, depth: int = 0):
         lambda: rng.random() * 1e6 - 5e5,
         lambda: "".join(rng.choices("abcxyz-éλ0123", k=rng.randint(0, 12))),
         lambda: bytes(rng.randbytes(rng.randint(0, 16))),
+        lambda: TOMBSTONE,
     ]
     makers = list(scalar_makers)
     if depth < 2:
@@ -197,6 +201,23 @@ class TestValueRoundTrip:
         encode_value("hello world", out)
         with pytest.raises(CodecError, match="truncated"):
             decode_value(bytes(out[:-3]), 0)
+
+    def test_tombstone_is_one_tag_and_decodes_as_itself(self):
+        out = bytearray()
+        encode_value(TOMBSTONE, out)
+        assert bytes(out) == b"\x0b"
+        assert decode_value(bytes(out), 0) == (TOMBSTONE, 1)
+        assert decode_value(bytes(out), 0)[0] is TOMBSTONE
+
+    def test_tombstone_survives_copy_and_pickle_as_itself(self):
+        cells = {"k": TOMBSTONE}
+        assert copy.copy(TOMBSTONE) is TOMBSTONE
+        assert copy.deepcopy(cells)["k"] is TOMBSTONE
+        assert pickle.loads(pickle.dumps(cells))["k"] is TOMBSTONE
+
+    def test_unknown_value_tag_raises(self):
+        with pytest.raises(CodecError, match="unknown value tag 0x0c"):
+            decode_value(b"\x0c", 0)
 
 
 class TestRecordRoundTrip:
@@ -401,7 +422,8 @@ class TestEncodedSizeProperty:
 
     def test_analytic_size_matches_for_every_value_kind(self):
         values = [None, True, False, 0, -1, 2**40, -(2**70), 3.14, "", "héλ",
-                  b"", b"\x01\x02", (), (1, (2,)), [], [1, [2]], {}, {"k": {"n": 1}}]
+                  b"", b"\x01\x02", (), (1, (2,)), [], [1, [2]], {}, {"k": {"n": 1}},
+                  TOMBSTONE]
         for lsn, value in enumerate(values):
             record = LogRecord(
                 lsn=lsn,
@@ -427,4 +449,18 @@ class TestEncodedSizeProperty:
         assert cold.stable_bytes() == sum(
             len(encode_record(record)) for record in appended
         )
+        cold.store.close()
+
+    def test_tombstone_read_back_from_a_cold_start_is_itself(self, tmp_path):
+        from repro.logmgr import LogManager
+
+        warm = LogManager.open(tmp_path, fsync=False)
+        warm.append(PhysicalRedo("p1", {"k": TOMBSTONE, "j": 1}))
+        warm.flush()
+        warm.store.close()
+        cold = LogManager.open(tmp_path, fsync=False)
+        (record,) = cold.stable_records_from(0)
+        assert isinstance(record, LazyRecord)
+        assert record.payload.cells["k"] is TOMBSTONE
+        assert record.payload.cells["j"] == 1
         cold.store.close()

@@ -613,6 +613,34 @@ class TestFailedWriteIsFinal:
         db.method.machine.log.store.close()
         self._assert_recovers(tmp_path, 1)
 
+    @pytest.mark.parametrize(
+        "code", [errno.EIO, errno.ENOSPC], ids=["EIO", "ENOSPC"]
+    )
+    def test_health_reports_a_failed_direct_commit(self, tmp_path, monkeypatch, code):
+        """No pipeline: the force runs in the committing thread, and the
+        store's failure alone must turn ``health()`` to failed."""
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_every=1)
+        db.execute(("put", "k0", 0))
+        assert db.health()["state"] == "ready"
+        real_fsync = os.fsync
+        failures = [OSError(code, os.strerror(code))]
+
+        def fsync(fd):
+            if failures:
+                raise failures.pop()
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        for i in (1, 2):
+            with pytest.raises(OSError) as raised:
+                db.execute(("put", f"k{i}", i))
+            assert raised.value.errno == code
+        health = db.health()
+        assert (health["state"], health["errno"]) == ("failed", code)
+        assert db.method.machine.log.store.failure.errno == code
+        db.method.machine.log.store.close()
+        self._assert_recovers(tmp_path, 1)
+
 
 class _ShortFirstWrite:
     """A segment handle whose first write accepts only 5 bytes."""

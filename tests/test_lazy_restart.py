@@ -58,14 +58,6 @@ def mixed_stream(method, n=120):
     return ops
 
 
-def audited_stream(method):
-    """:func:`mixed_stream` as the Recovery Invariant audit can lift it:
-    the audit models physical records per key, so a whole-page delete
-    image is out of its reach and physical runs without deletes."""
-    ops = mixed_stream(method)
-    return [op for op in ops if method != "physical" or op[0] != "delete"]
-
-
 def build_crashed(root, method, ckpt=25, n=120, ops=None, **engine):
     """A database crashed mid-workload over a real segment directory,
     small segments so several sealed sidecars exist."""
@@ -368,7 +360,7 @@ class TestTheorem3:
         self, method, ckpt, diskless, capacity, tmp_path
     ):
         db = build_crashed(
-            tmp_path, method, ckpt=ckpt, ops=audited_stream(method),
+            tmp_path, method, ckpt=ckpt, ops=mixed_stream(method),
             cache_capacity=capacity,
         )
         disks = (Disk(), Disk()) if diskless else (survivor(db), survivor(db))
@@ -427,7 +419,7 @@ class TestTheorem3:
         checkpoint: the next start must replay the chains of the pages
         it lacks from their heads, or their pre-checkpoint writes are
         lost."""
-        db = build_crashed(tmp_path, method, ckpt=10, ops=audited_stream(method))
+        db = build_crashed(tmp_path, method, ckpt=10, ops=mixed_stream(method))
         db.close()
         first = cold(tmp_path, method, ckpt=10, disk=Disk(), cache_capacity=2)
         expected = first.method.dump()

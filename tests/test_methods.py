@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.engine import KVDatabase
+from repro.logmgr import TOMBSTONE, PhysicalRedo
 from repro.methods import METHODS, LogicalKV, Machine, PhysicalKV, PhysiologicalKV
 from repro.methods.base import page_of
 
@@ -147,17 +149,50 @@ class TestPhysicalSpecifics:
         assert kv.get("late") == 99
         assert kv.get("k0") == 0  # from the flushed pages
 
-    def test_delete_logs_whole_page_image(self):
-        from repro.logmgr import PhysicalRedo
+    def test_delete_logs_a_tombstone(self):
+        """A delete logs one tombstoned cell, whatever else its page
+        holds: the record's size does not grow with the page."""
+        sizes = []
+        for occupancy in (1, 200):
+            kv = PhysicalKV(Machine(), n_pages=1)
+            for i in range(occupancy):
+                kv.put(f"k{i:03d}", "v" * 20)
+            kv.delete("k000")
+            last = kv.machine.log.entries()[-1]
+            assert last.payload == PhysicalRedo("data000", {"k000": TOMBSTONE})
+            assert kv.get("k000") is None
+            sizes.append(last.size_bytes())
+        assert sizes[0] == sizes[1]
 
-        kv = PhysicalKV(Machine(), n_pages=1)
-        kv.put("a", 1)
-        kv.put("b", 2)
-        kv.delete("a")
-        last = kv.machine.log.entries()[-1].payload
-        assert isinstance(last, PhysicalRedo)
-        assert last.whole_page
-        assert last.cells == {"b": 2}
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_directory_with_whole_page_delete_images_cold_starts(
+        self, tmp_path, lazy
+    ):
+        """A directory written across the switch to tombstones: its older
+        deletes are whole-page after-images, its newer ones tombstones.
+        Replay must still clear the page for an image, or the keys those
+        older deletes removed come back."""
+        db = KVDatabase("physical", log_dir=tmp_path, n_pages=1, commit_every=1)
+        for key, value in (("a", 1), ("b", 2), ("c", 3)):
+            db.execute(("put", key, value))
+        # What a delete of "b" logged before tombstones.
+        db.method.machine.log.append(
+            PhysicalRedo("data000", {"a": 1, "c": 3}, whole_page=True)
+        )
+        db.method.machine.pool.update("data000", lambda p: p.delete("b"))
+        db.execute(("delete", "a", None))
+        db.execute(("put", "d", 4))
+        payloads = [r.payload for r in db.method.machine.log.records_from(0)]
+        assert payloads[3].whole_page
+        assert payloads[4].cells == {"a": TOMBSTONE}
+        db.close()
+        db.method.machine.log.store.close()
+        cold = KVDatabase.cold_start(tmp_path, method="physical", n_pages=1, lazy=lazy)
+        assert cold.get("b") is None
+        cold.drain_lazy()
+        assert cold.method.dump() == {"c": 3, "d": 4}
+        cold.close()
+        cold.method.machine.log.store.close()
 
 
 class TestLogicalSpecifics:

@@ -156,11 +156,9 @@ class EngineMachine(RuleBasedStateMachine):
     def recovery_invariant_holds(self):
         """§4's contract, audited every step: the operations recovery
         would not redo form an installation-graph prefix that explains
-        the stable state.  (The auditor rejects physical's whole-page
-        delete images by design.)"""
-        if self.method != "physical":
-            verdict = self.db.theory_audit()
-            assert verdict.holds, verdict.detail
+        the stable state."""
+        verdict = self.db.theory_audit()
+        assert verdict.holds, verdict.detail
 
 
 EngineMachine.TestCase.settings = settings(

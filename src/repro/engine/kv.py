@@ -25,17 +25,19 @@ exactly the first ``durable_count()`` operations of the stream.
 **Concurrency contract.**  One ``KVDatabase`` serves many threads.
 Command execution is serialized under the engine's re-entrant mutex —
 applying a command is fast, in-memory work — but *commit waits are not*:
-with ``commit_pipeline=True`` a session's commit parks outside the
-engine lock on the cross-session group-commit pipeline
-(:class:`~repro.logmgr.pipeline.GroupCommitPipeline`), so while one
-window's fsync is on the disk, other sessions keep executing and their
-commits fold into the next window.  Each operation is announced to the
-pipeline while it applies, so a window opening meanwhile waits for its
-records instead of sleeping on a timer.  ``applied`` is appended under the
-engine mutex in log order, which keeps the durable-prefix oracle of
-:meth:`verify_against` valid under any interleaving.  Per-client streams
-go through :class:`Session` (from :meth:`KVDatabase.session`), which
-carries its own commit cadence and last-LSN watermark.
+with ``commit_pipeline=True`` a session commits outside the engine lock
+through the cross-session group commit
+(:class:`~repro.logmgr.pipeline.GroupCommitPipeline`): on its own thread
+it either leads a force of everything appended so far or follows the
+force in progress, so while one fsync is on the disk other sessions keep
+executing and their commits share the next one.  Each operation is
+announced to the pipeline while it applies, so a leader about to force
+waits for its records instead of sleeping on a timer.  ``applied`` is
+appended under the engine mutex in log order, which keeps the
+durable-prefix oracle of :meth:`verify_against` valid under any
+interleaving.  Per-client streams go through :class:`Session` (from
+:meth:`KVDatabase.session`), which carries its own commit cadence and
+last-LSN watermark.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
 from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogDirectoryError, LogManager
-from repro.logmgr.pipeline import GroupCommitPipeline
+from repro.logmgr.pipeline import GroupCommitPipeline, stable_through
 from repro.methods import METHODS, Machine, RecoveryMethodKV
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -212,7 +214,6 @@ class KVDatabase:
         # Serializes command application and all cadence bookkeeping;
         # re-entrant because checkpoint/commit re-enter from execute().
         self.mutex = threading.RLock()
-        self._commit_pipeline_enabled = spec.commit_pipeline
         self._next_session_id = 0
         self.pipeline: GroupCommitPipeline | None = (
             GroupCommitPipeline(self.method.machine.log)
@@ -334,7 +335,7 @@ class KVDatabase:
         Application and bookkeeping run under the engine mutex; when the
         commit cadence fires on a pipelined database, the durability
         *wait* happens after the lock is released, so other threads keep
-        executing while this one's window is on the disk.
+        executing while this one's force is on the disk.
         """
         return self._execute(command, self)
 
@@ -342,7 +343,7 @@ class KVDatabase:
         """The one execute path, shared with :meth:`Session.execute`.  On
         a pipelined database the operation is announced to the pipeline
         from before it queues for the mutex until its records are
-        appended, so an opening commit window can wait for them."""
+        appended, so a leader about to force can wait for them."""
         pipeline = self.pipeline
         if pipeline is not None:
             pipeline.enter()
@@ -416,7 +417,7 @@ class KVDatabase:
     def commit(self) -> None:
         """Make everything issued so far durable; resets the
         operation-batching counter.  With ``commit_pipeline=True`` the
-        request joins the cross-session window and blocks until its
+        request leads or follows a shared force and blocks until its
         records are stable; otherwise it forces the log itself."""
         with self.mutex:
             self._since_commit = 0
@@ -428,7 +429,7 @@ class KVDatabase:
 
     def sync(self) -> None:
         """Force the log directly: everything issued so far is durable
-        on return, whatever pipeline window is in flight."""
+        on return, whatever pipeline force is in flight."""
         self.method.machine.log.flush()
 
     def quiesce(self) -> None:
@@ -487,16 +488,12 @@ class KVDatabase:
     def crash(self) -> None:
         """Lose the cache and the unforced log tail.
 
-        An active commit pipeline is *aborted*, not drained — the crash
-        must lose the volatile tail, not flush it on the way down.
-        Likewise a lazy-restart backlog is *abandoned*, not replayed:
-        its records are stable in the log and the next incarnation's
-        analysis will find them again.
+        Nothing is forced on the way down: a commit whose records the
+        crash drops raises instead of acknowledging them.  A lazy-restart
+        backlog is *abandoned*, not replayed: its records are stable in
+        the log and the next incarnation's analysis will find them again.
         """
         self._stop_lazy()
-        if self.pipeline is not None:
-            self.pipeline.close(abort=True)
-            self.pipeline = None
         with self.mutex:
             if self.tracer.enabled:
                 self.tracer.event(
@@ -509,13 +506,10 @@ class KVDatabase:
             self.method.crash()
 
     def recover(self) -> None:
-        """Run the method's recovery procedure (and restart the commit
-        pipeline, if this database was configured with one)."""
+        """Run the method's recovery procedure."""
         self._stop_lazy()
         with self.mutex:
             self.method.recover()
-            if self._commit_pipeline_enabled and self.pipeline is None:
-                self.pipeline = GroupCommitPipeline(self.method.machine.log)
 
     # ------------------------------------------------------------------
     # Lazy restart (serve during recovery)
@@ -531,8 +525,6 @@ class KVDatabase:
         """
         with self.mutex:
             self._lazy_plan = self.method.begin_lazy_recovery()
-            if self._commit_pipeline_enabled and self.pipeline is None:
-                self.pipeline = GroupCommitPipeline(self.method.machine.log)
             self._lazy_stop = threading.Event()
             self._lazy_thread = threading.Thread(
                 target=self._drain_lazy_backlog, name="lazy-redo", daemon=True
@@ -586,14 +578,11 @@ class KVDatabase:
         return 0 if plan is None else plan.backlog()
 
     def close(self) -> None:
-        """Shut down cleanly: finish any background replay, then drain
-        the commit pipeline (one last window covers every appended
-        record) and stop its committer thread."""
+        """Shut down cleanly: finish any background replay and stop its
+        drainer.  Commits force on their callers' threads, so there is no
+        commit work to drain."""
         self.drain_lazy()
         self._stop_lazy()
-        if self.pipeline is not None:
-            self.pipeline.close()
-            self.pipeline = None
 
     def crash_and_recover(self) -> None:
         """Crash, then recover — one full fault cycle."""
@@ -674,9 +663,7 @@ class KVDatabase:
             next_lsn = log.next_lsn
             dirty = len(self.method.machine.pool.scheduler.rec_lsns())
         backlog = self.replay_backlog()
-        failure = getattr(self.pipeline, "failure", None) or getattr(
-            log.store, "failure", None
-        )
+        failure = getattr(log.store, "failure", None)
         return {
             "method": self.method_name,
             "stable_lsn": stable,
@@ -698,10 +685,11 @@ class Session:
     LSN of its last mutation.  Application is serialized by the engine
     mutex; :meth:`commit` waits for durability of *this session's*
     records — through the cross-session pipeline when the database has
-    one (many sessions, one fsync per window), otherwise by forcing the
-    log itself (one fsync per commit).  Mutation order in ``db.applied``
-    is the engine mutex's acquisition order, which is also log order, so
-    the durable-prefix oracle remains exact under any interleaving.
+    one (leading or following a shared force: many sessions, one fsync),
+    otherwise by forcing the log itself (one fsync per commit).  Mutation
+    order in ``db.applied`` is the engine mutex's acquisition order, which
+    is also log order, so the durable-prefix oracle remains exact under
+    any interleaving.
     """
 
     def __init__(self, db: KVDatabase, session_id: int, commit_every: int = 1):
@@ -724,18 +712,20 @@ class Session:
 
     def commit(self) -> int:
         """Block until this session's records are stable; returns the
-        stable LSN observed on return (>= this session's last LSN)."""
+        stable LSN observed on return (>= this session's last LSN).
+        Raises ``RuntimeError`` if a crash dropped those records."""
         self._since_commit = 0
         self.commits += 1
         db = self.db
+        log = db.method.machine.log
         if self.last_lsn < 0:
-            return db.method.machine.log.stable_lsn
+            return log.stable_lsn
         if db.pipeline is not None:
             return db.pipeline.commit(self.last_lsn)
         # Per-session forcing: this session pays its own force and fsync.
         with db.mutex:
             db.method.commit()
-        return db.method.machine.log.stable_lsn
+        return stable_through(log, self.last_lsn)
 
     def sync(self) -> int:
         """Force the log directly: everything appended so far — all

@@ -42,7 +42,7 @@ from repro.logmgr.pageindex import (
     PageRedoIndex,
     SegmentPageIndex,
 )
-from repro.logmgr.pipeline import GroupCommitPipeline, PipelineClosed
+from repro.logmgr.pipeline import GroupCommitPipeline
 
 __all__ = [
     "CHECKPOINT_PAGE",
@@ -59,7 +59,6 @@ __all__ = [
     "LogRecord",
     "LogSegment",
     "PageRedoIndex",
-    "PipelineClosed",
     "SegmentPageIndex",
     "LogicalRedo",
     "MultiPageRedo",

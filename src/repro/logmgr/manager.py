@@ -26,8 +26,9 @@ API becomes real: ``append`` encodes each record to its binary frame
 (:mod:`repro.logmgr.codec`) and stages it, every ``flush`` writes and
 ``fsync``\\ s, and the stable watermark only advances at an actual
 ``fsync``.  Batching lives above the manager — the engine's commit
-cadence and the cross-session pipeline decide how often to force, never
-whether a force is durable.  Sealed, fully-synced segments drop their
+cadence and the cross-session pipeline, whose leading committer forces
+for every session behind it, decide how often to force, never whether a
+force is durable.  Sealed, fully-synced segments drop their
 decoded records from memory and are re-streamed from their files on
 demand, so long-log memory stays O(segment).  :meth:`LogManager.open`
 is the one way to put a log on files: it rebuilds a manager from the
@@ -41,10 +42,11 @@ contract — the *manager mutex* guards LSN assignment, segment mutation,
 and every watermark, so "one LSN authority" survives concurrent
 appenders; the *force lock* serializes the write+fsync path, so exactly
 one force is in flight at a time while appends keep flowing (the
-``fsync`` itself runs outside the manager mutex).  ``stable_lsn`` is
-monotone under any interleaving — a force only ever advances it — which
-is what the cross-session commit pipeline (:mod:`repro.logmgr.pipeline`)
-checks before it acknowledges a commit.
+``fsync`` itself runs outside the manager mutex).  A force runs on the
+thread that asked for it; the manager starts no thread of its own.
+``stable_lsn`` is monotone under any interleaving — a force only ever
+advances it — and it is the one thing the cross-session commit pipeline
+(:mod:`repro.logmgr.pipeline`) checks before it acknowledges a commit.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The server (:mod:`repro.server.server`) multiplexes many client
 connections onto one engine: each connection gets its own
 :class:`~repro.engine.kv.Session`, command application serializes on the
-engine mutex, and commits fan into the cross-session group-commit
-pipeline — which is where the throughput comes from (one fsync per
-window, not per client).  The protocol is line-delimited JSON, small
+engine mutex, and concurrent commits share forces through the
+cross-session group commit — which is where the throughput comes from
+(one fsync per leader's force, not per client).  The protocol is line-delimited JSON, small
 enough to drive with ``nc`` and exact enough for the crash tests: a
 ``commit`` reply is a durability promise the post-``kill -9`` oracle
 holds the server to.

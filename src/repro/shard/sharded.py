@@ -12,7 +12,7 @@ true by construction — no two shards ever share a page, a log record,
 or an fsync.  Two consequences fall out:
 
 - **throughput**: commits on different shards never serialize on a
-  common log mutex or share a committer window, so aggregate capacity
+  common log mutex or share a force, so aggregate capacity
   is the sum of per-shard capacity;
 - **restart**: each shard's recovery reads only its own segment files
   and writes only its own pages, so a shard restarts alone — one
@@ -346,7 +346,7 @@ class ShardedDatabase:
         return sum(shard.replay_backlog() for shard in self.shards)
 
     def close(self) -> None:
-        """Shut down every shard cleanly (drain commit pipelines)."""
+        """Shut down every shard cleanly."""
         for shard in self.shards:
             shard.close()
 

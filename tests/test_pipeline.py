@@ -1,6 +1,6 @@
-"""Tests for the cross-session group-commit pipeline and the engine's
-concurrency contract: coalescing, monotone stable watermarks, no early
-wakes, sync() barriers interleaved with in-flight windows."""
+"""Tests for the cross-session group commit and the engine's concurrency
+contract: coalescing, monotone stable watermarks, no acknowledgement
+below a commit's own records, sync() barriers interleaved with forces."""
 
 import errno
 import os
@@ -11,8 +11,7 @@ import time
 import pytest
 
 from repro.engine import EngineSpec, KVDatabase
-from repro.logmgr import GroupCommitPipeline, LogManager, PipelineClosed
-from repro.logmgr.pipeline import PipelineFailed
+from repro.logmgr import GroupCommitPipeline, LogManager
 from repro.logmgr.records import PhysicalRedo
 from repro.shard import ShardedDatabase
 
@@ -70,9 +69,7 @@ class TestPipelineCoalescing:
         assert stats["commits"] == n_threads * per_thread
         # The whole point: windows (fsyncs paid) << commits requested.
         assert stats["windows"] < stats["commits"]
-        assert stats["max_coalesced"] >= 2
         assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
-        pipeline.close()
         log.store.close()
 
     def test_fast_path_skips_already_stable(self, tmp_path):
@@ -85,7 +82,6 @@ class TestPipelineCoalescing:
         stats = pipeline.stats()
         assert stats["fast_path"] >= 1
         assert stats["windows"] == before
-        pipeline.close()
         log.store.close()
 
 
@@ -120,11 +116,9 @@ class TestExactCounters:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
-        pipeline.close()
         stats = pipeline.stats()
         assert stats["commits"] == n_threads * 10
         assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
-        assert stats["max_coalesced"] <= n_threads
         assert pipeline._in_flight == 0
         log.store.close()
 
@@ -141,7 +135,6 @@ class TestAdaptiveWindow:
             pipeline.leave()
             pipeline.commit(lsn)
         elapsed = time.perf_counter() - started
-        pipeline.close()
         assert elapsed < 0.1
         assert pipeline.stats()["gathered_windows"] == 0
 
@@ -157,37 +150,30 @@ class TestAdaptiveWindow:
         stats = pipeline.stats()
         assert stats["gathered_windows"] == 1
         assert stats["force_estimate_us"] < 1e6
-        pipeline.close()
 
-    def test_abort_during_gather_does_not_force(self, tmp_path):
-        log = LogManager.open(tmp_path)
-        log._store = _SlowSyncStore(log._store, delay=0.5)
-        pipeline = GroupCommitPipeline(log)
-        pipeline.commit(_append(log))  # the force estimate becomes ~0.5 s
-        stable_before = log.stable_lsn
-        pipeline.enter()
-        lsn = _append(log)
-        errors = []
+    def test_two_sessions_share_forces(self, tmp_path):
+        """Two closed-loop sessions: the leader gathers the other's
+        in-flight put, so its force covers both commits."""
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
+        log = db.method.machine.log
+        log._store = _SlowSyncStore(log._store, delay=0.005)
 
-        def waiter():
-            try:
-                pipeline.commit(lsn, timeout=0.5)
-            except TimeoutError as exc:
-                errors.append(exc)
+        def client(i):
+            session = db.session(commit_every=1)
+            for j in range(50):
+                session.execute(("put", f"c{i}:k{j}", j))
 
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        deadline = time.monotonic() + 5.0
-        while pipeline.stats()["gathered_windows"] < 1:
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-        pipeline.close(abort=True)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert not pipeline._thread.is_alive()
-        assert log.stable_lsn == stable_before
-        assert errors  # the waiter was never promised durability
-        log.store.close()
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        stats = db.pipeline.stats()
+        assert stats["commits"] == 100
+        assert stats["windows"] <= 0.85 * stats["commits"]
+        db.close()
+        db.verify_against()
 
 
 class TestStableMonotonicity:
@@ -215,7 +201,6 @@ class TestStableMonotonicity:
         stop.set()
         sampling.join()
         assert samples == sorted(samples)  # monotone, no regression
-        pipeline.close()
         log.store.close()
 
 
@@ -268,40 +253,78 @@ class TestBarrierInterleaving:
 
 
 class TestLifecycle:
-    def test_commit_after_close_raises(self, tmp_path):
-        log = LogManager.open(tmp_path)
-        pipeline = GroupCommitPipeline(log)
-        pipeline.close()
-        _append(log)
-        with pytest.raises(PipelineClosed):
-            pipeline.commit()
-        log.store.close()
-
     def test_abort_close_does_not_flush_the_tail(self, tmp_path):
-        log = LogManager.open(tmp_path)
-        pipeline = GroupCommitPipeline(log)
-        _append(log, 5)
+        """A crash of a pipelined database forces nothing: the volatile
+        tail is lost, not flushed on the way down."""
+        db = KVDatabase(
+            "physiological", log_dir=tmp_path, commit_pipeline=True, commit_every=10
+        )
+        for i in range(5):
+            db.execute(("put", f"k{i}", i))
+        log = db.method.machine.log
         stable_before = log.stable_lsn
-        pipeline.close(abort=True)
-        # The volatile tail stayed volatile: abort is for crashes.
+        forces_before = log.forced_flushes
+        db.crash()
         assert log.stable_lsn == stable_before
-        log.store.close()
+        assert log.forced_flushes == forces_before
+        assert log.next_lsn == stable_before + 1
+        db.recover()
+        assert db.verify_against() == 0
 
     def test_close_drains_open_window(self, tmp_path):
-        log = LogManager.open(tmp_path)
-        pipeline = GroupCommitPipeline(log)
-        lsn = _append(log, 4)
-        waiter_stable = []
+        """A commit on the disk when the database closes still completes:
+        no thread of the database's stands between it and its ack."""
+        db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
+        log = db.method.machine.log
+        log._store = _SlowSyncStore(log._store, delay=0.05)
+        session = db.session()
+        acked = []
 
         def waiter():
-            waiter_stable.append(pipeline.commit(lsn))
+            session.execute(("put", "a", 1))
+            acked.append(log.stable_lsn)
 
         thread = threading.Thread(target=waiter)
         thread.start()
+        deadline = time.monotonic() + 5.0
+        while not log._store.sync_calls:  # the leader's fsync is on the disk
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        db.close()
         thread.join(timeout=10)
-        pipeline.close()
-        assert waiter_stable and waiter_stable[0] >= lsn
-        log.store.close()
+        assert not thread.is_alive()
+        assert acked and acked[0] >= session.last_lsn >= 0
+
+    def test_commit_of_crashed_records_raises(self):
+        """A commit whose records a crash dropped raises; it never
+        acknowledges below its own LSN."""
+        log = LogManager()
+        pipeline = GroupCommitPipeline(log)
+        pipeline.commit(_append(log, 2))
+        lsn = _append(log, 3)
+        log.crash()
+        with pytest.raises(RuntimeError, match=f"LSN {lsn} .*stable_lsn=1"):
+            pipeline.commit(lsn)
+        assert log.stable_lsn == 1
+        stats = pipeline.stats()
+        assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
+
+    @pytest.mark.parametrize("commit_pipeline", [False, True])
+    def test_session_commit_after_crash_raises(self, tmp_path, commit_pipeline):
+        """Session.commit never returns a stable LSN below the session's
+        own records, on the direct path and the pipelined one."""
+        db = KVDatabase(
+            "physiological", log_dir=tmp_path, commit_pipeline=commit_pipeline
+        )
+        session = db.session(commit_every=10)
+        session.execute(("put", "a", 1))
+        session.execute(("put", "b", 2))
+        assert session.last_lsn == 1
+        db.crash()
+        with pytest.raises(RuntimeError, match="LSN 1 "):
+            session.commit()
+        db.recover()
+        assert db.verify_against() == 0
 
     def test_crash_aborts_and_recover_restarts_pipeline(self, tmp_path):
         db = KVDatabase(
@@ -311,10 +334,11 @@ class TestLifecycle:
         session.execute(("put", "a", 1))
         session.commit()
         session.execute(("put", "a", 2))  # uncommitted tail
+        pipeline = db.pipeline
         db.crash_and_recover()
-        assert db.pipeline is not None  # restarted by recover()
+        assert db.pipeline is pipeline  # one pipeline for the database's life
         db.verify_against()
-        # The restarted pipeline serves new commits.
+        # It serves new commits after recovery.
         session2 = db.session()
         session2.execute(("put", "b", 9))
         assert session2.commit() >= session2.last_lsn
@@ -337,27 +361,25 @@ def _fsync_fails_once(monkeypatch, code=errno.EIO):
 
 
 class TestFailedForce:
-    """A force that raises fails the pipeline: the committer keeps the
-    failure, and every parked and later commit raises it at once instead
-    of waiting out its timeout."""
+    """A force that raises fails on the leader's thread, and the store
+    keeps the failure: every parked and later commit raises the same
+    ``OSError`` at once."""
 
     def test_failed_fsync_fails_parked_and_later_commits_at_once(
         self, tmp_path, monkeypatch
     ):
         db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
-        db.pipeline.commit_timeout = 5.0
         _fsync_fails_once(monkeypatch)
         started = time.monotonic()
-        with pytest.raises(PipelineClosed) as parked:
-            db.execute(("put", "a", 1))  # commit_every=1: parks on the window
+        with pytest.raises(OSError) as parked:
+            db.execute(("put", "a", 1))  # commit_every=1: leads the force
         assert time.monotonic() - started < 2.0
-        assert isinstance(parked.value.__cause__, OSError)
-        assert parked.value.__cause__.errno == errno.EIO
+        assert parked.value.errno == errno.EIO
         started = time.monotonic()
-        with pytest.raises(PipelineClosed) as later:
+        with pytest.raises(OSError) as later:
             db.execute(("put", "b", 2))
         assert time.monotonic() - started < 2.0
-        assert later.value.__cause__ is parked.value.__cause__
+        assert later.value is parked.value
         health = db.health()
         assert health["state"] == "failed"
         assert health["errno"] == errno.EIO
@@ -365,7 +387,6 @@ class TestFailedForce:
 
     def test_every_parked_session_fails_at_once(self, tmp_path, monkeypatch):
         db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
-        db.pipeline.commit_timeout = 5.0
         real_fsync = os.fsync
         failed = []
 
@@ -383,7 +404,7 @@ class TestFailedForce:
             try:
                 db.session().execute(("put", f"k{i}", i))
             except Exception as exc:  # noqa: BLE001 — the outcome is the test
-                outcomes.append(type(exc))
+                outcomes.append((type(exc), getattr(exc, "errno", None)))
             else:
                 outcomes.append(None)
 
@@ -400,20 +421,20 @@ class TestFailedForce:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert time.monotonic() - started < 3.0
-        assert outcomes == [PipelineFailed] * 8
+        assert outcomes == [(OSError, errno.EIO)] * 8
         assert db.method.machine.log.stable_lsn == -1
         db.close()
 
     def test_commit_already_stable_still_acknowledges(self, tmp_path, monkeypatch):
         db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
-        db.pipeline.commit_timeout = 5.0
         session = db.session()
         session.execute(("put", "a", 1))
         stable = db.method.machine.log.stable_lsn
         assert stable >= session.last_lsn
         _fsync_fails_once(monkeypatch)
-        with pytest.raises(PipelineClosed):
+        with pytest.raises(OSError) as failed:
             db.execute(("put", "b", 2))
+        assert failed.value.errno == errno.EIO
         # Records made stable before the failure are still acknowledged.
         assert session.commit() == stable
         db.close()
@@ -422,13 +443,12 @@ class TestFailedForce:
         deployment = ShardedDatabase.create(
             tmp_path, n_shards=2, spec=EngineSpec(commit_pipeline=True)
         )
-        for shard in deployment.shards:
-            shard.pipeline.commit_timeout = 5.0
         assert deployment.health()["state"] == "ready"
         _fsync_fails_once(monkeypatch)
         session = deployment.session(commit_every=1)
-        with pytest.raises(PipelineClosed):
+        with pytest.raises(OSError) as failed:
             session.execute(("put", "a", 1))
+        assert failed.value.errno == errno.EIO
         health = deployment.health()
         assert health["state"] == "failed"
         assert sorted(shard["state"] for shard in health["shards"]) == [

@@ -187,11 +187,11 @@ class TestCrashDuringColdStart:
             import sys
             from repro.shard import ShardedDatabase
             print("recovering", flush=True)
-            ShardedDatabase.cold_start(sys.argv[1])
-            print("done", flush=True)
+            while True:  # until killed: the kill always lands in a restart
+                ShardedDatabase.cold_start(sys.argv[1]).close()
             """
         )
-        script_path = tmp_path / "recover_once.py"
+        script_path = tmp_path / "recover_forever.py"
         script_path.write_text(script)
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         proc = subprocess.Popen(
@@ -201,8 +201,9 @@ class TestCrashDuringColdStart:
             text=True,
         )
         assert proc.stdout.readline().strip() == "recovering"
-        # Land the kill inside the replay window (best effort — any kill
-        # point is a valid test of convergence).
+        # The child restarts in a loop, so the kill lands inside a cold
+        # start or its close whenever it comes (the first pass repairs the
+        # torn tail; any kill point is a valid test of convergence).
         time.sleep(0.01)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)

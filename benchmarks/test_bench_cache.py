@@ -36,7 +36,7 @@ def run_cell(capacity: int):
     report = db.report()
     hits, misses = report["cache_hits"], report["cache_misses"]
     db.crash_and_recover()
-    db.verify_against()
+    db.verify_against(STREAM)
     return hits / (hits + misses), db.method.stats.records_replayed
 
 

@@ -36,7 +36,7 @@ def run_method(method: str, checkpoint_every=30, n_pages=8):
     )
     db.run(STREAM)
     db.crash_and_recover()
-    db.verify_against()
+    db.verify_against(STREAM)
     return db
 
 

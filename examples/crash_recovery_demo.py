@@ -12,7 +12,7 @@ Run:  python examples/crash_recovery_demo.py
 
 from repro.engine import KVDatabase
 from repro.sim import crash_sweep
-from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
+from repro.workloads.kv import MUTATIONS, KVWorkloadSpec, generate_kv_workload
 
 METHODS = ["logical", "physical", "physiological"]
 
@@ -32,9 +32,9 @@ def one_dramatic_crash() -> None:
         db.run(stream)
         db.crash()                   # cache gone, log tail gone, disk intact
         db.recover()
-        durable = db.verify_against()
+        durable = db.verify_against(stream)
         report = db.report()
-        issued = len(db.applied)
+        issued = sum(1 for command in stream if command[0] in MUTATIONS)
         print(
             f"  {method:14s} issued={issued:3d} durable={durable:3d} "
             f"lost_tail={issued - durable}  "
@@ -68,7 +68,7 @@ def recovery_is_restartable() -> None:
     for round_number in range(3):
         db.crash()
         db.recover()   # a crash during recovery just means recovering again
-    durable = db.verify_against()
+    durable = db.verify_against(stream)
     print(f"  three crash/recover rounds, still exactly {durable} durable ops")
 
 

@@ -151,7 +151,7 @@ def _make_tracer(trace_path: str | None):
 def cmd_demo(args) -> int:
     from repro.engine import KVDatabase
     from repro.logmgr import LogDirectoryError
-    from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
+    from repro.workloads.kv import MUTATIONS, KVWorkloadSpec, generate_kv_workload
 
     method = args.method
     stream = generate_kv_workload(
@@ -180,12 +180,13 @@ def cmd_demo(args) -> int:
         return 2
     try:
         db.run(stream[:crash_at])
+        history = [c for c in stream[:crash_at] if c[0] in MUTATIONS]
         print(
-            f"{method}: ran {len(db.applied)} mutations "
+            f"{method}: ran {len(history)} mutations "
             f"(seed {args.seed}, crash at {crash_at}); crashing..."
         )
         db.crash_and_recover()
-        durable = db.verify_against()
+        durable = db.verify_against(history)
         report = db.report()
         print(
             f"recovered exactly {durable} durable operations "
@@ -194,10 +195,9 @@ def cmd_demo(args) -> int:
             f"log {report['log_bytes']}B)"
         )
         if crash_at < len(stream):
-            db.applied = db.applied[:durable]
             db.run(stream[crash_at:])
             db.commit()
-            db.verify_against()
+            db.verify_against(history[:durable] + stream[crash_at:])
             print(
                 f"finished the remaining {len(stream) - crash_at} commands on "
                 f"the recovered incarnation; state verified"

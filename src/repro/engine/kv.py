@@ -32,12 +32,11 @@ it either leads a force of everything appended so far or follows the
 force in progress, so while one fsync is on the disk other sessions keep
 executing and their commits share the next one.  Each operation is
 announced to the pipeline while it applies, so a leader about to force
-waits for its records instead of sleeping on a timer.  ``applied`` is
-appended under the engine mutex in log order, which keeps the
-durable-prefix oracle of :meth:`verify_against` valid under any
-interleaving.  Per-client streams go through :class:`Session` (from
-:meth:`KVDatabase.session`), which carries its own commit cadence and
-last-LSN watermark.
+waits for its records instead of sleeping on a timer.  The engine keeps
+no history of the commands it ran: the caller that issued a stream holds
+it and hands it to :meth:`verify_against`.  Per-client streams go
+through :class:`Session` (from :meth:`KVDatabase.session`), which
+carries its own commit cadence and last-LSN watermark.
 """
 
 from __future__ import annotations
@@ -194,7 +193,7 @@ class KVDatabase:
         if machine is None:
             machine = _machine(spec, log_dir, self.tracer)
             if len(machine.log):
-                machine.log.store.close()
+                machine.log.close()
                 raise LogDirectoryError(
                     f"{log_dir} already holds {len(machine.log)} log records; "
                     f"reopen it with KVDatabase.cold_start"
@@ -210,7 +209,6 @@ class KVDatabase:
         self._theory_tracker: Any = None
         self._since_commit = 0
         self._since_checkpoint = 0
-        self.applied: list[KVOp] = []
         # Serializes command application and all cadence bookkeeping;
         # re-entrant because checkpoint/commit re-enter from execute().
         self.mutex = threading.RLock()
@@ -365,14 +363,13 @@ class KVDatabase:
 
     def _after_apply(self, command: KVOp, cadence: "KVDatabase | Session") -> bool:
         """Every applied mutation's bookkeeping, under the engine mutex,
-        for both ``execute`` paths: ``applied``, the commit cadence of
-        ``cadence`` (this database or the issuing session), checkpoints,
+        for both ``execute`` paths: the commit cadence of ``cadence``
+        (this database or the issuing session), checkpoints,
         the theory tracker.  A due commit forces here, ahead of any
         checkpoint; on a pipelined database it returns True instead and
         the caller commits once the mutex is released."""
         if command[0] not in MUTATIONS:
             return False
-        self.applied.append(command)
         if cadence is not self:
             cadence.last_lsn = self.method.machine.log.next_lsn - 1
             cadence.ops += 1
@@ -578,11 +575,12 @@ class KVDatabase:
         return 0 if plan is None else plan.backlog()
 
     def close(self) -> None:
-        """Shut down cleanly: finish any background replay and stop its
-        drainer.  Commits force on their callers' threads, so there is no
-        commit work to drain."""
+        """Shut down cleanly: finish any background replay, stop its
+        drainer, then close the log's segment files once any force in
+        flight on a committing thread has finished."""
         self.drain_lazy()
         self._stop_lazy()
+        self.method.machine.log.close()
 
     def crash_and_recover(self) -> None:
         """Crash, then recover — one full fault cycle."""
@@ -593,18 +591,14 @@ class KVDatabase:
         """Operations that would survive a crash right now."""
         return self.method.durable_count()
 
-    def verify_against(self, mutation_stream: Sequence[KVOp] | None = None) -> int:
+    def verify_against(self, mutation_stream: Sequence[KVOp]) -> int:
         """Check the durability contract; returns the durable count.
 
-        ``mutation_stream`` defaults to the mutations this database has
-        executed (gets excluded).  The recovered state must equal the
-        oracle applied to the durable prefix.
+        ``mutation_stream`` is the stream this database ran, in log order
+        (gets are filtered out).  The recovered state must equal the
+        oracle applied to its durable prefix.
         """
-        mutations = (
-            [c for c in mutation_stream if c[0] in MUTATIONS]
-            if mutation_stream is not None
-            else self.applied
-        )
+        mutations = [c for c in mutation_stream if c[0] in MUTATIONS]
         durable = self.durable_count()
         if durable > len(mutations):
             raise VerificationError(
@@ -653,8 +647,8 @@ class KVDatabase:
         ``dirty_pages`` reads the install scheduler's live dirty-page
         table (:meth:`~repro.cache.scheduler.InstallScheduler.rec_lsns`),
         the same table a post-crash analysis pass would reconstruct.
-        ``state`` is ``"failed"`` once a force has failed — in the commit
-        pipeline or, for a direct commit, in the file store — and
+        ``state`` is ``"failed"`` once a force has failed — the file
+        store's sticky ``failure``, whichever thread's force hit it — and
         ``errno`` is then that failure's.
         """
         with self.mutex:
@@ -686,10 +680,9 @@ class Session:
     mutex; :meth:`commit` waits for durability of *this session's*
     records — through the cross-session pipeline when the database has
     one (leading or following a shared force: many sessions, one fsync),
-    otherwise by forcing the log itself (one fsync per commit).  Mutation
-    order in ``db.applied`` is the engine mutex's acquisition order, which
-    is also log order, so the durable-prefix oracle remains exact under
-    any interleaving.
+    otherwise by forcing the log itself (one fsync per commit).  Commands
+    reach the log in the engine mutex's acquisition order; ``last_lsn``
+    places this session's last mutation in that order.
     """
 
     def __init__(self, db: KVDatabase, session_id: int, commit_every: int = 1):

@@ -720,6 +720,13 @@ class LogManager:
         with self._force_lock, self._mutex:
             self._crash_locked()
 
+    def close(self) -> None:
+        """Close the file store's handles (a no-op in memory), under the
+        force lock as in :meth:`crash`: an in-flight force finishes first."""
+        if self._store is not None:
+            with self._force_lock:
+                self._store.close()
+
     def _crash_locked(self) -> None:
         while self._segments and self._segments[-1].base_lsn > self._stable_lsn:
             if len(self._segments) == 1:

@@ -362,19 +362,14 @@ class ShardedDatabase:
             merged.update(shard.method.dump())
         return merged
 
-    def verify_against(
-        self, mutation_stream: Sequence[KVOp] | None = None
-    ) -> int:
+    def verify_against(self, mutation_stream: Sequence[KVOp]) -> int:
         """Per-shard durability contract; returns the deployment's
         durable count.
 
-        With an explicit stream, the keymap splits it into the per-shard
-        substreams (order within a shard is what each shard's oracle
-        needs — commands on other shards touch disjoint keys).  Without
-        one, each shard verifies against its own ``applied`` history.
+        The keymap splits the stream into the per-shard substreams
+        (order within a shard is what each shard's oracle needs —
+        commands on other shards touch disjoint keys).
         """
-        if mutation_stream is None:
-            return sum(shard.verify_against() for shard in self.shards)
         parts = self.keymap.split(
             [c for c in mutation_stream if c[0] in MUTATIONS]
         )

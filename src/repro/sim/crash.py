@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.engine import KVDatabase, VerificationError
-from repro.workloads.kv import KVOp
+from repro.workloads.kv import MUTATIONS, KVOp
 
 
 @dataclass
@@ -51,6 +51,7 @@ def crash_once(
     sweeps report them alongside recovery verdicts.
     """
     db = make_db()
+    history = [c for c in stream[:crash_point] if c[0] in MUTATIONS]
     audits = audit_failures = 0
     if audit_every is not None and audit_every > 0:
         from repro.sim.audit import AuditTracker
@@ -72,7 +73,7 @@ def crash_once(
     replayed = snapshot["method.records_replayed"]
     scanned = snapshot["method.records_scanned"]
     try:
-        durable = db.verify_against()
+        durable = db.verify_against(history)
     except VerificationError as exc:
         return CrashResult(
             crash_point=crash_point,
@@ -87,14 +88,13 @@ def crash_once(
     if continue_after:
         # The recovered incarnation must accept the rest of the workload.
         # Its logical history is the durable prefix plus the remainder.
-        surviving = db.applied[:durable] if durable <= len(db.applied) else db.applied
-        db.applied = list(surviving)
+        history = history[:durable] + list(stream[crash_point:])
         db.run(stream[crash_point:])
         # Force what the commit cadence left unforced: the oracle compare
         # below needs every applied operation durable.
         db.sync()
         try:
-            db.verify_against()
+            db.verify_against(history)
         except VerificationError as exc:
             return CrashResult(
                 crash_point=crash_point,
@@ -233,15 +233,17 @@ def repeated_crashes(
     """One database surviving several crashes at increasing points —
     recovery must be idempotent and re-crashable."""
     db = make_db()
+    history: list[KVOp] = []
     done = 0
     for point in sorted(crash_points):
         db.run(stream[done:point])
+        history += [c for c in stream[done:point] if c[0] in MUTATIONS]
         done = point
         db.crash_and_recover()
         durable = db.durable_count()
-        db.applied = db.applied[:durable]
+        del history[durable:]
         try:
-            db.verify_against()
+            db.verify_against(history)
         except VerificationError as exc:
             return CrashResult(
                 crash_point=point,
@@ -252,7 +254,7 @@ def repeated_crashes(
     db.run(stream[done:])
     db.sync()
     try:
-        durable = db.verify_against()
+        durable = db.verify_against(history + list(stream[done:]))
     except VerificationError as exc:
         return CrashResult(
             crash_point=len(stream), durable_count=db.durable_count(),

@@ -65,3 +65,41 @@ def make_ops(*specs: tuple) -> list[Operation]:
             else:
                 operations.append(blind_write(name, target, value))
     return operations
+
+
+@pytest.fixture
+def session_log(monkeypatch):
+    """Record every mutation a :class:`~repro.engine.kv.Session` executes,
+    with its database and LSN, for tests whose sessions run concurrently.
+
+    Returns ``stream(*dbs)``: each database's recorded mutations sorted
+    by LSN (log order), the databases concatenated in the order given —
+    shard order for a deployment, which is what
+    :meth:`~repro.shard.ShardedDatabase.verify_against` splits by.
+    ``ShardedSession`` executes through one inner ``Session`` per shard,
+    so server and deployment traffic is recorded too.
+    """
+    from repro.engine import kv
+    from repro.workloads.kv import MUTATIONS
+
+    records: list[tuple[int, int, tuple]] = []
+    execute = kv.Session.execute
+
+    def recording_execute(session, command):
+        result = execute(session, command)
+        if command[0] in MUTATIONS:
+            records.append((id(session.db), session.last_lsn, command))
+        return result
+
+    monkeypatch.setattr(kv.Session, "execute", recording_execute)
+
+    def stream(*dbs):
+        return [
+            record[2]
+            for db in dbs
+            for record in sorted(
+                (r for r in records if r[0] == id(db)), key=lambda r: r[1]
+            )
+        ]
+
+    return stream

@@ -36,10 +36,10 @@ class TestCopyaddOperation:
     @pytest.mark.parametrize("method", ["logical", "physical"])
     def test_survives_crash(self, method):
         db = KVDatabase(method=method, cache_capacity=4)
-        db.execute(("put", "src", 10))
-        db.execute(("copyadd", "dst", ("src", 5)))
+        stream = [("put", "src", 10), ("copyadd", "dst", ("src", 5))]
+        db.run(stream)
         db.crash_and_recover()
-        db.verify_against()
+        db.verify_against(stream)
         assert db.get("dst") == 15
 
     def test_copyadd_of_missing_source(self):
@@ -55,10 +55,10 @@ class TestCopyaddOperation:
     @pytest.mark.parametrize("method", ["logical", "physical"])
     def test_add_chain_is_exact(self, method):
         db = KVDatabase(method=method, cache_capacity=2)
-        for _ in range(5):
-            db.execute(("add", "counter", 10))
+        stream = [("add", "counter", 10)] * 5
+        db.run(stream)
         db.crash_and_recover()
-        db.verify_against()
+        db.verify_against(stream)
         assert db.get("counter") == 50
 
 

@@ -239,7 +239,7 @@ class TestCliTracing:
         )
         db.run(stream)
         db.crash_and_recover()
-        db.verify_against()
+        db.verify_against(stream)
         report = db.report()
         tracer.close()
 

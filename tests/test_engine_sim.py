@@ -40,7 +40,7 @@ class TestKVDatabase:
         db = KVDatabase(method=method, cache_capacity=4)
         db.run(stream)
         db.crash_and_recover()
-        durable = db.verify_against()
+        durable = db.verify_against(stream)
         mutations = [c for c in stream if c[0] != "get"]
         assert durable == len(mutations)  # commit_every=1: everything durable
 
@@ -50,7 +50,7 @@ class TestKVDatabase:
         db = KVDatabase(method=method, commit_every=4)
         db.run(stream)
         db.crash_and_recover()
-        durable = db.verify_against()
+        durable = db.verify_against(stream)
         assert durable == 8  # two full groups of 4; the tail of 2 lost
         assert durable % 4 == 0
 
@@ -81,7 +81,7 @@ class TestKVDatabase:
             db.method.page_of("k"), lambda p: p.put("k", 999), create=True
         )
         with pytest.raises(VerificationError):
-            db.verify_against()
+            db.verify_against([("put", "k", 1)])
 
 
 class TestCrashSim:
@@ -166,7 +166,7 @@ class TestPropertySweeps:
         db = KVDatabase(method=method, commit_every=group, cache_capacity=4)
         db.run(stream)
         db.crash_and_recover()
-        durable = db.verify_against()
+        durable = db.verify_against(stream)
         mutations = [c for c in stream if c[0] != "get"]
         # Durable horizon never regresses below the last full group and
         # never exceeds what was issued.

@@ -145,7 +145,7 @@ class TestElisionKeepsReadOrdering:
                 assert verdict.holds, (command, key, verdict.detail)
                 instant += 1
         db.crash_and_recover()
-        assert db.verify_against() == len(commands)
+        assert db.verify_against(commands) == len(commands)
         assert db.get("k4") == 4
 
 

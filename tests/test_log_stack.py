@@ -91,10 +91,11 @@ class TestFaultsThroughWal:
     """Arm disk faults on flushes that satisfy the WAL rule, and check
     which recovery methods notice."""
 
+    STREAM = [("put", "alpha", 1), ("put", "beta", 2)]
+
     def _physiological_with_faulted_flush(self, fault_cls, **fault_kwargs):
         db = KVDatabase(method="physiological", n_pages=2, commit_every=1)
-        db.execute(("put", "alpha", 1))
-        db.execute(("put", "beta", 2))
+        db.run(self.STREAM)
         page_id = db.method.page_of("alpha")
         machine = db.method.machine
         machine.disk.arm_fault(fault_cls(page_id, **fault_kwargs))
@@ -108,13 +109,13 @@ class TestFaultsThroughWal:
         db.crash_and_recover()
         # The dropped write left the old page image (old LSN) on disk, so
         # the LSN redo test correctly says "not installed" and replays.
-        db.verify_against()
+        db.verify_against(self.STREAM)
 
     def test_torn_write_defeats_the_lsn_test(self):
         # Fill one page with several cells so a torn write can keep some.
         db = KVDatabase(method="physiological", n_pages=1, commit_every=1)
-        for i in range(4):
-            db.execute(("put", f"k{i}", i))
+        stream = [("put", f"k{i}", i) for i in range(4)]
+        db.run(stream)
         page_id = db.method.page_of("k0")
         machine = db.method.machine
         machine.disk.arm_fault(TornWriteFault(page_id, keep_cells=1))
@@ -125,12 +126,12 @@ class TestFaultsThroughWal:
         # the cells: the page-LSN redo test is fooled into skipping the
         # replay.  The atomic-page-write assumption is load-bearing.
         with pytest.raises(VerificationError):
-            db.verify_against()
+            db.verify_against(stream)
 
     def test_torn_write_is_repaired_by_blind_physical_replay(self):
         db = KVDatabase(method="physical", n_pages=1, commit_every=1)
-        for i in range(4):
-            db.execute(("put", f"k{i}", i))
+        stream = [("put", f"k{i}", i) for i in range(4)]
+        db.run(stream)
         page_id = db.method.page_of("k0")
         machine = db.method.machine
         machine.disk.arm_fault(TornWriteFault(page_id, keep_cells=1))
@@ -139,7 +140,7 @@ class TestFaultsThroughWal:
         # No checkpoint was taken, so physical recovery blindly replays
         # the whole log; blind replay does not consult the (lying) page
         # LSN and rebuilds every cell.
-        db.verify_against()
+        db.verify_against(stream)
 
 
 # ----------------------------------------------------------------------
@@ -202,27 +203,29 @@ class TestCrashDuringRecovery:
         db = KVDatabase(
             method=method, n_pages=4, cache_capacity=4, checkpoint_every=7
         )
+        stream = []
         for i in range(20):
-            db.execute(("put", f"k{i % 8}", i))
+            stream.append(("put", f"k{i % 8}", i))
             if i % 4 == 0:
-                db.execute(("add", f"k{i % 8}", 1000))
+                stream.append(("add", f"k{i % 8}", 1000))
+        db.run(stream)
         db.crash()
         fired = _crash_midway_through_recovery(db, after_applies)
         # Whether or not the first recovery got far enough to be
         # interrupted, a fresh crash + full recovery must converge.
         db.crash()
         db.recover()
-        db.verify_against()
+        db.verify_against(stream)
         if after_applies == 0:
             assert fired, "the injected mid-recovery crash never fired"
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_double_recovery_is_a_fixpoint(self, method):
         db = KVDatabase(method=method, n_pages=4, checkpoint_every=5)
-        for i in range(17):
-            db.execute(("put", f"k{i % 6}", i))
+        stream = [("put", f"k{i % 6}", i) for i in range(17)]
+        db.run(stream)
         db.crash_and_recover()
         first = db.method.dump()
         db.crash_and_recover()
         assert db.method.dump() == first
-        db.verify_against()
+        db.verify_against(stream)

@@ -279,7 +279,7 @@ class TestEngineIntegration:
         )
         db.run(stream)
         db.crash_and_recover()
-        db.verify_against()
+        db.verify_against(stream)
         return db, RecoveryTimeline.from_sink(sink)
 
     def test_recovery_span_tree_reconstructs_redo(self):
@@ -384,11 +384,11 @@ class TestEngineIntegration:
         )
         # "src" and "dst" hash to different pages, so the copyadd is a
         # genuine multi-page record with a careful-write-ordering edge.
-        db.execute(("put", "src", 1))
-        db.execute(("copyadd", "dst", ("src", 5)))
+        stream = [("put", "src", 1), ("copyadd", "dst", ("src", 5))]
+        db.run(stream)
         db.commit()
         db.crash_and_recover()
-        db.verify_against()
+        db.verify_against(stream)
         timeline = RecoveryTimeline.from_sink(sink)
         names = {r.get("name") for r in timeline.records}
         assert "scheduler.add_edge" in names  # the careful write ordering

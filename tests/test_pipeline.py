@@ -151,7 +151,7 @@ class TestAdaptiveWindow:
         assert stats["gathered_windows"] == 1
         assert stats["force_estimate_us"] < 1e6
 
-    def test_two_sessions_share_forces(self, tmp_path):
+    def test_two_sessions_share_forces(self, tmp_path, session_log):
         """Two closed-loop sessions: the leader gathers the other's
         in-flight put, so its force covers both commits."""
         db = KVDatabase("physiological", log_dir=tmp_path, commit_pipeline=True)
@@ -173,7 +173,7 @@ class TestAdaptiveWindow:
         assert stats["commits"] == 100
         assert stats["windows"] <= 0.85 * stats["commits"]
         db.close()
-        db.verify_against()
+        db.verify_against(session_log(db))
 
 
 class TestStableMonotonicity:
@@ -205,7 +205,7 @@ class TestStableMonotonicity:
 
 
 class TestBarrierInterleaving:
-    def test_sync_barrier_interleaves_with_windows(self, tmp_path):
+    def test_sync_barrier_interleaves_with_windows(self, tmp_path, session_log):
         """db.sync() issued mid-flight must observe every record appended
         before it was called — a barrier around, not through, the
         pipeline's open window."""
@@ -238,7 +238,7 @@ class TestBarrierInterleaving:
             t.join()
         assert not errors
         db.close()
-        db.verify_against()
+        db.verify_against(session_log(db))
 
     def test_session_commit_is_durability_barrier(self, tmp_path):
         db = KVDatabase(
@@ -259,8 +259,8 @@ class TestLifecycle:
         db = KVDatabase(
             "physiological", log_dir=tmp_path, commit_pipeline=True, commit_every=10
         )
-        for i in range(5):
-            db.execute(("put", f"k{i}", i))
+        stream = [("put", f"k{i}", i) for i in range(5)]
+        db.run(stream)
         log = db.method.machine.log
         stable_before = log.stable_lsn
         forces_before = log.forced_flushes
@@ -269,7 +269,8 @@ class TestLifecycle:
         assert log.forced_flushes == forces_before
         assert log.next_lsn == stable_before + 1
         db.recover()
-        assert db.verify_against() == 0
+        assert db.verify_against(stream) == 0
+        db.close()
 
     def test_close_drains_open_window(self, tmp_path):
         """A commit on the disk when the database closes still completes:
@@ -295,6 +296,22 @@ class TestLifecycle:
         assert not thread.is_alive()
         assert acked and acked[0] >= session.last_lsn >= 0
 
+    def test_close_closes_every_segment_file(self, tmp_path):
+        """After close no segment handle holds an open file, however
+        many segments the log rotated through; closing again is a no-op."""
+        db = KVDatabase(
+            "physiological", log_dir=tmp_path, log_segment_size=8, fsync=False
+        )
+        db.run([("put", f"k{i}", i) for i in range(40)])
+        store = db.method.machine.log.store
+        assert len(store.segment_base_lsns()) > 1
+        assert any(handle.fh is not None for handle in store._handles)
+        db.close()
+        assert all(handle.fh is None for handle in store._handles)
+        assert not store._mapped
+        store.close()
+        LogManager().close()  # an in-memory log has nothing to close
+
     def test_commit_of_crashed_records_raises(self):
         """A commit whose records a crash dropped raises; it never
         acknowledges below its own LSN."""
@@ -317,14 +334,15 @@ class TestLifecycle:
             "physiological", log_dir=tmp_path, commit_pipeline=commit_pipeline
         )
         session = db.session(commit_every=10)
-        session.execute(("put", "a", 1))
-        session.execute(("put", "b", 2))
+        stream = [("put", "a", 1), ("put", "b", 2)]
+        session.run(stream)
         assert session.last_lsn == 1
         db.crash()
         with pytest.raises(RuntimeError, match="LSN 1 "):
             session.commit()
         db.recover()
-        assert db.verify_against() == 0
+        assert db.verify_against(stream) == 0
+        db.close()
 
     def test_crash_aborts_and_recover_restarts_pipeline(self, tmp_path):
         db = KVDatabase(
@@ -337,7 +355,7 @@ class TestLifecycle:
         pipeline = db.pipeline
         db.crash_and_recover()
         assert db.pipeline is pipeline  # one pipeline for the database's life
-        db.verify_against()
+        db.verify_against([("put", "a", 1), ("put", "a", 2)])
         # It serves new commits after recovery.
         session2 = db.session()
         session2.execute(("put", "b", 9))
@@ -358,6 +376,32 @@ def _fsync_fails_once(monkeypatch, code=errno.EIO):
         return real_fsync(fd)
 
     monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestBoundedMemory:
+    def test_engine_heap_does_not_grow_with_history(self, tmp_path):
+        """A file-backed engine keeps no per-operation state: the second
+        20 000 puts through a pipelined session grow the traced heap by
+        under 1 MB (a history of commands costs ~150 B a put).  The log
+        must be on files, because an in-memory log keeps every record."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            db = KVDatabase(
+                "physiological", log_dir=tmp_path, fsync=False, commit_pipeline=True
+            )
+            session = db.session(commit_every=64)
+            for i in range(20_000):
+                session.execute(("put", f"k{i % 512}", i))
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(20_000, 40_000):
+                session.execute(("put", f"k{i % 512}", i))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        db.close()
+        assert grown < 1_000_000, f"heap grew {grown} B over 20 000 puts"
 
 
 class TestFailedForce:
@@ -459,13 +503,15 @@ class TestFailedForce:
 
 
 class TestConcurrentSessionsVerify:
-    """The durable-prefix oracle stays exact under concurrency: applied
-    order is engine-mutex order is log order."""
+    """The durable-prefix oracle stays exact under concurrency: each
+    session's mutations, ordered by LSN, are the log order."""
 
     @pytest.mark.parametrize(
         "method", ["physical", "logical", "physiological", "generalized"]
     )
-    def test_concurrent_sessions_then_crash_recover(self, method, tmp_path):
+    def test_concurrent_sessions_then_crash_recover(
+        self, method, tmp_path, session_log
+    ):
         db = KVDatabase(method=method, log_dir=tmp_path, commit_pipeline=True)
 
         def client(client_id):
@@ -480,6 +526,6 @@ class TestConcurrentSessionsVerify:
         for t in threads:
             t.join()
         db.crash_and_recover()
-        durable = db.verify_against()
+        durable = db.verify_against(session_log(db))
         assert durable == 36  # every session committed everything
         db.close()

@@ -317,7 +317,8 @@ class TestFlushSavings:
             commit_every=3, checkpoint_every=40,
         )
         tracker = AuditTracker(db.method)
-        for index, command in enumerate(generate_kv_workload(16, spec), start=1):
+        stream = generate_kv_workload(16, spec)
+        for index, command in enumerate(stream, start=1):
             db.execute(command)
             if index % 25 == 0:
                 assert tracker.audit(instant=index), f"audit failed at {index}"
@@ -325,7 +326,7 @@ class TestFlushSavings:
         db.crash_and_recover()
 
         expected, legacy_flushes, legacy_durable = FLUSH_COUNTS[method]
-        assert db.verify_against() == legacy_durable
+        assert db.verify_against(stream) == legacy_durable
         assert flushes == expected
         if method in SAVINGS_FLOOR:
             saved = 1 - flushes / legacy_flushes

@@ -86,7 +86,7 @@ class TestProtocol:
 
 
 class TestConcurrentClients:
-    def test_disjoint_keyspaces_commit_concurrently(self, served_db):
+    def test_disjoint_keyspaces_commit_concurrently(self, served_db, session_log):
         db, server = served_db
         n_clients, errors = 8, []
 
@@ -111,7 +111,7 @@ class TestConcurrentClients:
             t.join()
         assert not errors
         assert server.sessions_served >= n_clients
-        db.verify_against()  # applied order == log order under concurrency
+        db.verify_against(session_log(db))
 
     def test_committed_data_survives_cold_start(self, tmp_path):
         wal = tmp_path / "wal"
@@ -126,10 +126,11 @@ class TestConcurrentClients:
         server.close()
         reborn = KVDatabase.cold_start(wal, method="physiological")
         assert reborn.get("durable") == 42
+        reborn.close()
 
 
 class TestHarness:
-    def test_simulated_clients_all_durable(self, tmp_path):
+    def test_simulated_clients_all_durable(self, tmp_path, session_log):
         db = KVDatabase(
             method="physiological", log_dir=tmp_path, commit_pipeline=True
         )
@@ -141,10 +142,10 @@ class TestHarness:
         assert result.commits == 50  # commit_every=2 + final commit folds in
         assert result.commits_per_sec > 0
         assert db.durable_count() == 100  # every client committed at the end
-        db.verify_against()
+        db.verify_against(session_log(db))
         db.close()
 
-    def test_harness_works_without_pipeline(self, tmp_path):
+    def test_harness_works_without_pipeline(self, tmp_path, session_log):
         """The per-session-forcing path: each session forces the log
         itself."""
         db = KVDatabase(
@@ -155,7 +156,7 @@ class TestHarness:
         )
         assert result.commits == 10
         assert db.durable_count() == 20
-        db.verify_against()
+        db.verify_against(session_log(db))
         db.close()
 
     def test_pipeline_coalesces_under_harness_load(self, tmp_path):
@@ -212,7 +213,9 @@ class TestShardedServer:
         assert stats["sessions_served"] >= 1
         assert any(key.startswith("shard02_") for key in stats)
 
-    def test_concurrent_clients_spread_across_shards(self, sharded_server):
+    def test_concurrent_clients_spread_across_shards(
+        self, sharded_server, session_log
+    ):
         sdb, server = sharded_server
         errors = []
 
@@ -234,9 +237,7 @@ class TestShardedServer:
             t.join()
         assert not errors
         assert sdb.durable_count() == 32
-        sdb.verify_against(
-            [c for shard in sdb.shards for c in shard.applied]
-        )
+        sdb.verify_against(session_log(*sdb.shards))
 
     def test_committed_data_survives_deployment_cold_start(self, tmp_path):
         from repro.engine import EngineSpec

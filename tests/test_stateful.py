@@ -110,23 +110,29 @@ class EngineMachine(RuleBasedStateMachine):
             commit_every=group,
             n_pages=4,
         )
+        # The model: every mutation the surviving incarnations ran.
+        self.history = []
+
+    def execute(self, command):
+        self.db.execute(command)
+        self.history.append(command)
 
     @rule(key=st.sampled_from(KEYS), value=st.integers(0, 999))
     def put(self, key, value):
-        self.db.execute(("put", key, value))
+        self.execute(("put", key, value))
 
     @rule(key=st.sampled_from(KEYS), delta=st.integers(1, 50))
     def add(self, key, delta):
-        self.db.execute(("add", key, delta))
+        self.execute(("add", key, delta))
 
     @rule(dst=st.sampled_from(KEYS), src=st.sampled_from(KEYS), delta=st.integers(1, 9))
     @precondition(lambda self: self.method in ("logical", "physical", "generalized"))
     def copyadd(self, dst, src, delta):
-        self.db.execute(("copyadd", dst, (src, delta)))
+        self.execute(("copyadd", dst, (src, delta)))
 
     @rule(key=st.sampled_from(KEYS))
     def delete(self, key):
-        self.db.execute(("delete", key, None))
+        self.execute(("delete", key, None))
 
     @rule()
     def commit(self):
@@ -139,16 +145,16 @@ class EngineMachine(RuleBasedStateMachine):
     @rule()
     def crash_and_recover(self):
         self.db.crash_and_recover()
-        durable = self.db.verify_against()  # raises on divergence
+        durable = self.db.verify_against(self.history)  # raises on divergence
         # The surviving history is the durable prefix.
-        self.db.applied = self.db.applied[:durable]
+        del self.history[durable:]
 
     @invariant()
     def committed_view_is_oracle_consistent(self):
         """Without crashing, the full applied history must be visible."""
         from repro.workloads.kv import apply_to_oracle
 
-        oracle = apply_to_oracle(self.db.applied)
+        oracle = apply_to_oracle(self.history)
         for key in KEYS:
             assert self.db.get(key) == oracle.get(key)
 

@@ -47,12 +47,12 @@ Commands
     after analysis alone and pages replay on first access while a
     background thread drains the rest (``health`` shows the backlog).
     Telemetry
-    is on by default: per-op latency histograms behind ``stats``, the
+    is always on: per-op latency histograms behind ``stats``, the
     ``health`` op, and (with ``--log-dir``) a crash flight recorder in
     the log root fed by the server's serve span and 1 Hz health
     heartbeats — the engines stay untraced unless ``--trace-ops`` opts
     into the per-operation firehose (a measured double-digit throughput
-    tax).  ``--no-telemetry`` turns all of it off.  Prints ``listening on HOST:PORT`` once bound.
+    tax).  Prints ``listening on HOST:PORT`` once bound.
 ``top --port N [--host H] [--interval S] [--once]``
     A polling terminal dashboard over a live server: per-shard stable
     LSN / pipeline depth / dirty pages, throughput rates, and per-op
@@ -495,15 +495,10 @@ def cmd_logdump(args) -> int:
     return 1 if torn else 0
 
 
-def _serve_tracer(log_dir, telemetry: bool):
-    """The serve tracer: in-memory ring teed into an on-disk flight ring.
-
-    With telemetry off (or no log directory for the ring file) the
-    flight recorder is skipped; with telemetry off entirely the shared
-    NULL tracer keeps every instrumentation site at one branch.
+def _serve_tracer(log_dir):
+    """The serve tracer: in-memory ring teed into an on-disk flight ring
+    (the ring alone when there is no log directory for the ring file).
     """
-    if not telemetry:
-        return None
     from repro.obs import FlightRecorderSink, RingBufferSink, TeeSink, Tracer
     from repro.obs.flightrec import FlightRecorder, flight_ring_path
 
@@ -533,8 +528,7 @@ def cmd_serve(args) -> int:
     from repro.engine import KVDatabase
     from repro.server import KVServer
 
-    telemetry = not args.no_telemetry
-    tracer = _serve_tracer(args.log_dir, telemetry)
+    tracer = _serve_tracer(args.log_dir)
     # The engine firehose (a trace record per log append/force/replay) is
     # measurably expensive at serve throughput — a double-digit
     # commits/s tax — so by default only the *server* gets
@@ -578,38 +572,31 @@ def cmd_serve(args) -> int:
             db = ShardedDatabase.cold_start(
                 args.log_dir,
                 tracer=engine_tracer,
-                on_progress=shard_ready if telemetry else None,
+                on_progress=shard_ready,
                 lazy=args.lazy_restart,
             )
-            if tracer is not None:
-                tracer.event(
-                    "serve.cold_start",
-                    wall_s=round(db.cold_report["wall_s"], 3),
-                    lazy=db.cold_report["lazy"],
-                    shards=[
-                        {
-                            "shard": r["shard"],
-                            "stable_lsn": r["stable_lsn"],
-                            "time_to_ready_s": round(
-                                r["time_to_ready_s"], 3
-                            ),
-                        }
-                        for r in db.cold_report["per_shard"]
-                    ],
-                )
+            tracer.event(
+                "serve.cold_start",
+                wall_s=round(db.cold_report["wall_s"], 3),
+                lazy=db.cold_report["lazy"],
+                shards=[
+                    {
+                        "shard": r["shard"],
+                        "stable_lsn": r["stable_lsn"],
+                        "time_to_ready_s": round(r["time_to_ready_s"], 3),
+                    }
+                    for r in db.cold_report["per_shard"]
+                ],
+            )
             n_shards = db.keymap.n_shards
-            if telemetry:
+            print(f"cold start: wall {db.cold_report['wall_s']:.2f}s", flush=True)
+            if db.cold_report["lazy"]:
                 print(
-                    f"cold start: wall {db.cold_report['wall_s']:.2f}s",
+                    f"lazy restart: serving with "
+                    f"{db.replay_backlog()} page(s) awaiting "
+                    f"background replay",
                     flush=True,
                 )
-                if db.cold_report["lazy"]:
-                    print(
-                        f"lazy restart: serving with "
-                        f"{db.replay_backlog()} page(s) awaiting "
-                        f"background replay",
-                        flush=True,
-                    )
             if shards not in (0, n_shards):
                 print(
                     f"--shards {shards} conflicts with the manifest's "
@@ -637,7 +624,7 @@ def cmd_serve(args) -> int:
             tracer=engine_tracer,
             lazy=args.lazy_restart,
         )
-        if args.lazy_restart and telemetry:
+        if args.lazy_restart:
             print(
                 f"lazy restart: serving with {db.replay_backlog()} "
                 f"page(s) awaiting background replay",
@@ -654,7 +641,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         session_commit_every=args.commit_every,
-        telemetry=telemetry,
         tracer=tracer,
     )
     host, port = server.address
@@ -665,8 +651,7 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.close()
-        if tracer is not None:
-            tracer.close()
+        tracer.close()
     return 0
 
 
@@ -865,12 +850,6 @@ def main(argv: list[str] | None = None) -> int:
         dest="no_fsync",
         action="store_true",
         help="skip fsync on the durable log (benchmarks only)",
-    )
-    serve.add_argument(
-        "--no-telemetry",
-        dest="no_telemetry",
-        action="store_true",
-        help="disable latency histograms, tracing, and the flight recorder",
     )
     serve.add_argument(
         "--trace-ops",

@@ -5,7 +5,9 @@ variable *exposed by σ* has the same value in S as in the state determined
 by σ.  Unexposed variables may hold anything — their values are
 overwritten before being read during a replay.  States explained by some
 prefix are **explainable**, and Theorem 3 (in :mod:`repro.core.replay`)
-shows they are potentially recoverable.
+shows they are potentially recoverable.  :func:`explanation` is the one
+place that verdict is computed: the Recovery Invariant checker, the
+write-graph and live-engine audits and the B-tree audit all call it.
 
 An operation O is **applicable** to S when O's read-set variables have the
 same values in S as in the state determined by O's conflict-graph
@@ -17,11 +19,45 @@ Theorem 3 and is property-tested directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
-from repro.core.exposed import exposed_variables
+from repro.core.exposed import ExposureMemo, exposed_variables
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
+
+
+def explanation(
+    installation: InstallationGraph,
+    installed: Collection[Operation],
+    state: State,
+    initial: State,
+    memo: ExposureMemo | None = None,
+) -> tuple[bool, set[str], set[str]]:
+    """§3.2's "explains", computed once for every checker in the repo.
+
+    Returns ``(is_prefix, exposed, mismatched)``: whether ``installed``
+    induces an installation-graph prefix, the variables it exposes, and
+    the exposed variables whose value in ``state`` differs from the
+    prefix-determined one.  The prefix explains ``state`` iff
+    ``is_prefix`` and ``mismatched`` is empty; a non-prefix stops at the
+    prefix test, with both sets empty.  ``memo`` (an
+    :class:`~repro.core.exposed.ExposureMemo` over the same conflict
+    graph) is moved to ``installed`` and answers the exposure side
+    incrementally; without one it is the definitional
+    :func:`~repro.core.exposed.exposed_variables`.
+    """
+    if not installation.is_prefix(installed):
+        return False, set(), set()
+    determined = installation.determined_state(installed, initial)
+    if memo is None:
+        exposed = exposed_variables(installation.conflict, installed)
+    else:
+        memo.set_installed(installed)
+        exposed = memo.exposed_variables()
+    mismatched = {
+        variable for variable in exposed if state[variable] != determined[variable]
+    }
+    return True, exposed, mismatched
 
 
 def explains(
@@ -35,12 +71,10 @@ def explains(
     Raises ValueError if ``prefix`` is not actually a prefix of the
     installation graph; returns a boolean verdict otherwise.
     """
-    members = set(prefix)
-    if not installation.is_prefix(members):
+    is_prefix, _, mismatched = explanation(installation, set(prefix), state, initial)
+    if not is_prefix:
         raise ValueError("explains() requires a prefix of the installation graph")
-    determined = installation.determined_state(members, initial)
-    exposed = exposed_variables(installation.conflict, members)
-    return state.agrees_with(determined, exposed)
+    return not mismatched
 
 
 def find_explaining_prefixes(

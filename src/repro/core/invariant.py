@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.conflict import ConflictGraph
-from repro.core.exposed import exposed_variables
+from repro.core.explain import explanation
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
 from repro.core.recovery import AnalyzeFn, Log, RecoveryOutcome, RedoTest, recover
@@ -92,38 +92,28 @@ def check_recovery_invariant(
 
     redo_test = redo if redo is not None else always_redo
     outcome = recover(state, log, checkpoint=checkpoint, redo=redo_test, analyze=analyze)
-    conflict = installation.conflict
-
     installed = installed_set(log, outcome.redo_set)
-    prefix_ok = installation.is_prefix(installed)
-
-    exposed: frozenset[str] = frozenset()
-    mismatched: frozenset[str] = frozenset()
-    explains_ok = False
-    if prefix_ok:
-        exposed = frozenset(exposed_variables(conflict, installed))
-        determined = installation.determined_state(installed, initial)
-        mismatched = frozenset(
-            variable for variable in exposed if state[variable] != determined[variable]
-        )
-        explains_ok = not mismatched
+    prefix_ok, exposed, mismatched = explanation(
+        installation, installed, state, initial
+    )
+    explains_ok = prefix_ok and not mismatched
 
     recovered_ok: bool | None = None
     if verify_outcome:
-        final = conflict.final_state(initial)
+        final = installation.conflict.final_state(initial)
         variables: set[str] = set()
-        for operation in conflict.operations:
+        for operation in installation.conflict.operations:
             variables |= operation.variables()
         recovered_ok = outcome.state.agrees_with(final, variables)
 
     return InvariantReport(
-        holds=prefix_ok and explains_ok,
+        holds=explains_ok,
         is_prefix=prefix_ok,
         explains_state=explains_ok,
         installed=frozenset(installed),
         redo_set=frozenset(outcome.redo_set),
-        exposed=exposed,
-        mismatched_variables=mismatched,
+        exposed=frozenset(exposed),
+        mismatched_variables=frozenset(mismatched),
         outcome=outcome,
         recovered_correctly=recovered_ok,
     )

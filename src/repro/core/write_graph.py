@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
 from repro.core.conflict import WR
+from repro.core.explain import explanation
 from repro.core.exposed import ExposureMemo
 from repro.core.expr import Value
 from repro.core.installation import InstallationGraph
@@ -134,13 +135,6 @@ class WriteGraph:
             operation,
             (name for name, labels in incoming.items() if labels != {WR}),
         )
-
-    def _synced_memo(self) -> ExposureMemo:
-        """The exposure memo, synchronized to the installed prefix (the
-        sync invalidates only the symmetric difference, so steady-state
-        audits pay O(newly installed operations))."""
-        self._memo.set_installed(self.installed_operations())
-        return self._memo
 
     # ------------------------------------------------------------------
     # Inspection
@@ -308,9 +302,9 @@ class WriteGraph:
             self.dag.add_edge(new_id, target, check_acyclic=False)
         self._audit_cache = None
 
-        assert self._installed_bits_form_prefix(), (
-            "internal error: pre-validated collapse broke the installed prefix"
-        )
+        assert self.dag.is_prefix(
+            {node.node_id for node in self.installed_nodes()}
+        ), "internal error: pre-validated collapse broke the installed prefix"
         return merged
 
     def remove_write(self, node_id: Hashable, variable: str) -> None:
@@ -380,7 +374,8 @@ class WriteGraph:
     def unexposed_now(self) -> set[str]:
         """Variables currently unexposed by the installed operations
         (memoized per variable; see :class:`ExposureMemo`)."""
-        return set(self._synced_memo().unexposed_variables())
+        self._memo.set_installed(self.installed_operations())
+        return self._memo.unexposed_variables()
 
     def elide_unexposed(self) -> dict[Hashable, set[str]]:
         """Apply remove-write wherever its side conditions permit, for
@@ -404,10 +399,6 @@ class WriteGraph:
     # ------------------------------------------------------------------
     # States and audits
     # ------------------------------------------------------------------
-
-    def _installed_bits_form_prefix(self) -> bool:
-        installed_ids = {node.node_id for node in self.installed_nodes()}
-        return self.dag.is_prefix(installed_ids)
 
     def determined_state(self, within: Iterable[Hashable] | None = None) -> State:
         """The state determined by the node set ``within`` (default: the
@@ -442,17 +433,14 @@ class WriteGraph:
         so auditing after each step of a long run is cheap.
         """
         if self._audit_cache is None:
-            installed_ops = self.installed_operations()
-            if not self.installation.is_prefix(installed_ops):
-                self._audit_cache = False
-            else:
-                determined = self.installation.determined_state(
-                    installed_ops, self.initial
-                )
-                exposed = self._synced_memo().exposed_variables()
-                self._audit_cache = self.stable_state().agrees_with(
-                    determined, exposed
-                )
+            is_prefix, _, mismatched = explanation(
+                self.installation,
+                self.installed_operations(),
+                self.stable_state(),
+                self.initial,
+                self._memo,
+            )
+            self._audit_cache = is_prefix and not mismatched
         return self._audit_cache
 
     def __repr__(self) -> str:

@@ -8,10 +8,6 @@
 - ``checkpoint_every``: take a method checkpoint every N operations
   (None = never), trading normal-operation work against recovery work —
   the knob behind the checkpoint-frequency benchmark;
-- ``track_theory``: keep an incremental theory-audit tracker (conflict
-  graph, installation graph, exposure memo) synchronized with the stable
-  log during normal operation, so :meth:`KVDatabase.theory_audit` checks
-  the Recovery Invariant at any instant without rebuilding graphs;
 - ``log_dir`` / ``fsync``: put the log on real binary segment files,
   where every force is one ``fsync``.  A fresh database needs a fresh
   (or empty) directory; :meth:`KVDatabase.cold_start` reopens a used one
@@ -91,15 +87,9 @@ class EngineSpec:
         log_dir=None,
         *,
         tracer: Tracer | None = None,
-        track_theory: bool = False,
     ) -> "KVDatabase":
         """A fresh engine per this spec (durable when ``log_dir`` is set)."""
-        return KVDatabase(
-            log_dir=log_dir,
-            tracer=tracer,
-            track_theory=track_theory,
-            **self.as_dict(),
-        )
+        return KVDatabase(log_dir=log_dir, tracer=tracer, **self.as_dict())
 
     def cold_start(
         self,
@@ -173,7 +163,6 @@ class KVDatabase:
         self,
         method: str = "physiological",
         *,
-        track_theory: bool = False,
         tracer: Tracer | None = None,
         log_dir=None,
         machine: Machine | None = None,
@@ -205,7 +194,6 @@ class KVDatabase:
         self.metrics = self._build_metrics()
         self.commit_every = max(1, spec.commit_every)
         self.checkpoint_every = spec.checkpoint_every
-        self.track_theory = track_theory
         self._theory_tracker: Any = None
         self._since_commit = 0
         self._since_checkpoint = 0
@@ -384,8 +372,6 @@ class KVDatabase:
             and self._since_checkpoint >= self.checkpoint_every
         ):
             self.checkpoint()
-        if self.track_theory:
-            self.theory_tracker().sync()
         return wait
 
     def run(self, stream: Sequence[KVOp]) -> None:

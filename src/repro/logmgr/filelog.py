@@ -487,11 +487,6 @@ class FileLogStore:
                     records += batch[index][3]
                     index += 1
                 handle = by_base[base]
-                if handle.fh is None:
-                    # Belt and braces for the stage-then-rotate race: if
-                    # a sealed handle was closed with frames still bound
-                    # for it, reopen rather than lose the write.
-                    handle.fh = handle.path.open("ab", buffering=0)
                 blob = b"".join(chunk)
                 self.staged_bytes -= len(blob)
                 self._write_all(handle, blob)
@@ -655,18 +650,17 @@ class FileLogStore:
                 self._failure = exc
             raise
         with self._lock:
-            # A sealed segment may still be the target of staged frames:
-            # an append can stage into segment A and rotate to B before
-            # any flush covers A's tail, so "fully synced" alone is not
-            # "done being written".  Closing such a handle would break
-            # the next write_up_to (the window's target LSN can trail
-            # the staging front by a whole rotation).
-            staged_bases = {base for _, base, _, _ in self._staged}
+            # A rotated segment is done being written only once it is
+            # sealed: the manager seals it after every one of its records
+            # is written.  "Fully synced" alone is not enough — an append
+            # can rotate to segment B while A's tail is still staged, or
+            # still pending in the manager behind a flush to an earlier
+            # LSN, and the next write_up_to must find A's handle open.
             for handle in self._handles[:-1]:
                 if (
                     handle.fh is not None
+                    and handle.sealed
                     and handle.size == handle.synced_size
-                    and handle.base_lsn not in staged_bases
                 ):
                     handle.fh.close()
                     handle.fh = None

@@ -168,6 +168,7 @@ class LogManager:
         self._seal_watermark = -1
         self._checkpoint_lsns: list[int] = []
         self.forced_flushes = 0
+        self._closed = False
         if store is not None and store.is_empty():
             store.begin_segment(0)
 
@@ -307,9 +308,12 @@ class LogManager:
         is still checked here — an undurable payload must fail at the
         append, not poison a later flush.  Thread-safe: concurrent
         appenders serialize on the manager mutex, so LSNs stay dense
-        and monotone under any interleaving.
+        and monotone under any interleaving.  A closed log raises
+        ``ValueError``.
         """
         with self._mutex:
+            if self._closed:
+                raise ValueError("append to a closed log")
             tail = self._segments[-1]
             if len(tail) >= self.segment_size:
                 # The file first: a failed rotation leaves no orphan segment.
@@ -343,9 +347,12 @@ class LogManager:
         (exactly one write+fsync in flight), the watermark advance is
         monotone (a slower force can never drag ``stable_lsn``
         backwards), and the ``fsync`` itself runs outside the manager
-        mutex so appends keep flowing while it waits on the disk.
+        mutex so appends keep flowing while it waits on the disk.  A
+        closed log raises ``ValueError``.
         """
         with self._mutex:
+            if self._closed:
+                raise ValueError("flush of a closed log")
             target = (
                 self._next_lsn - 1
                 if up_to_lsn is None
@@ -366,6 +373,10 @@ class LogManager:
             # lock held — appenders keep appending while the CPU packs
             # bytes.  One packed blob per (window × segment) run.
             with self._mutex:
+                # close() may have run while this flush waited for the
+                # force lock: refuse before anything is cut or staged.
+                if self._closed:
+                    raise ValueError("flush of a closed log")
                 batch: list[tuple[int, LogRecord]] = []
                 if target > self._written_lsn and self._pending:
                     pending = self._pending
@@ -721,10 +732,12 @@ class LogManager:
             self._crash_locked()
 
     def close(self) -> None:
-        """Close the file store's handles (a no-op in memory), under the
-        force lock as in :meth:`crash`: an in-flight force finishes first."""
-        if self._store is not None:
-            with self._force_lock:
+        """Refuse every later append and flush, and close the file
+        store's handles under the force lock as in :meth:`crash`: an
+        in-flight force finishes first."""
+        with self._force_lock, self._mutex:
+            self._closed = True
+            if self._store is not None:
                 self._store.close()
 
     def _crash_locked(self) -> None:

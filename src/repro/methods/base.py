@@ -278,7 +278,7 @@ class RecoveryMethodKV(ABC):
         decision, and checks that the not-redone operations induce an
         installation-graph prefix explaining the stable state.  For
         repeated audits keep an ``AuditTracker`` (or use
-        ``KVDatabase(track_theory=True)``) so the graphs carry over.
+        ``KVDatabase.theory_audit``) so the graphs carry over.
         """
         from repro.sim.audit import AuditTracker
 

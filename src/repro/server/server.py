@@ -35,15 +35,14 @@ each command to the key's owning shard, so the handler needs no
 sharding special case and ``serve --shards N`` is the same front-end
 over N engines.
 
-**Telemetry.**  With ``telemetry=True`` (the default) every dispatched
-request lands its wall-clock latency in a per-op log-scale histogram
-(``server.latency.put`` / ``.get`` / ``.commit`` / …), and ``stats``
-replies carry the quantile summaries (p50/p95/p99) next to the engine's
-merged counter snapshot; ``health`` answers the cheap liveness
-questions (per-shard stable LSN, volatile pipeline depth, dirty-page
-count, uptime) without touching the full registry.  ``telemetry=False``
-reduces the per-request cost to one attribute check; the default costs
-within 5% of that in commits/s.
+**Telemetry.**  Every dispatched request lands its wall-clock latency
+in a per-op log-scale histogram (``server.latency.put`` / ``.get`` /
+``.commit`` / …), and ``stats`` replies carry the quantile summaries
+(p50/p95/p99) next to the engine's merged counter snapshot; ``health``
+answers the cheap liveness questions (per-shard stable LSN, volatile
+pipeline depth, dirty-page count, uptime) without touching the full
+registry.  It is always on: measured, it costs within 5% of no
+telemetry at all in commits/s.
 
 The budget dictates the architecture: per-*operation* tracing costs
 microseconds of JSON per record, which at tens of thousands of ops/s is
@@ -95,8 +94,6 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _dispatch(self, session, request: dict) -> dict[str, Any]:
         server: KVServer = self.server  # type: ignore[assignment]
-        if not server.telemetry:
-            return self._dispatch_inner(session, request)
         started = time.perf_counter()
         try:
             return self._dispatch_inner(session, request)
@@ -150,13 +147,11 @@ class KVServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         session_commit_every: int = 1,
-        telemetry: bool = True,
         tracer: Any = None,
         heartbeat_interval: float = 1.0,
     ):
         self.db = db
         self.session_commit_every = session_commit_every
-        self.telemetry = telemetry
         self.heartbeat_interval = heartbeat_interval
         self.started_at = time.monotonic()
         self._sessions_lock = threading.Lock()
@@ -187,7 +182,7 @@ class KVServer(socketserver.ThreadingTCPServer):
             self._serve_span = self.tracer.span(
                 "server.serve", host=host_bound, port=port_bound
             )
-            if self.telemetry and self.heartbeat_interval > 0:
+            if self.heartbeat_interval > 0:
                 self._heartbeat_thread = threading.Thread(
                     target=self._heartbeat_loop,
                     name="kv-server-heartbeat",
@@ -247,10 +242,8 @@ class KVServer(socketserver.ThreadingTCPServer):
                 "sessions_active": self.sessions_active,
             }
         stats["uptime_s"] = time.monotonic() - self.started_at
-        stats["telemetry"] = self.telemetry
         stats.update(self.db.report())
-        if self.telemetry:
-            stats["latency"] = self.latency_summaries()
+        stats["latency"] = self.latency_summaries()
         return stats
 
     def health(self) -> dict[str, Any]:
@@ -263,7 +256,6 @@ class KVServer(socketserver.ThreadingTCPServer):
                 "sessions_active": self.sessions_active,
             }
         health["uptime_s"] = time.monotonic() - self.started_at
-        health["telemetry"] = self.telemetry
         if hasattr(self.db, "health"):
             health.update(self.db.health())
         return health

@@ -58,11 +58,10 @@ def render_top(
     """One dashboard frame, as a multi-line string."""
     host, port = address
     lines: list[str] = []
-    telemetry = "on" if stats.get("telemetry") else "off"
     lines.append(
         f"repro top — {host}:{port} — uptime {health.get('uptime_s', 0.0):.1f}s "
         f"— sessions {health.get('sessions_active', 0)} active / "
-        f"{health.get('sessions_served', 0)} served — telemetry {telemetry}"
+        f"{health.get('sessions_served', 0)} served"
     )
 
     ops = _total(stats, "method_operations")
@@ -126,10 +125,8 @@ def render_top(
                 f"{_fmt_seconds(summary['p95']):>9} "
                 f"{_fmt_seconds(summary['p99']):>9}"
             )
-    elif stats.get("telemetry"):
-        lines.append("no request latency observed yet")
     else:
-        lines.append("latency quantiles unavailable (server telemetry off)")
+        lines.append("no request latency observed yet")
     return "\n".join(lines)
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.conflict import ConflictGraph
+from repro.core.explain import explanation
 from repro.core.exposed import ExposureMemo
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
@@ -67,10 +68,58 @@ class InstantAudit:
     def __bool__(self) -> bool:
         return self.holds
 
+    @classmethod
+    def of(
+        cls,
+        instant: int,
+        stable_records: int,
+        redo_count: int,
+        verdict: tuple[bool, set[str], set[str]],
+        scheduler: tuple[bool, str] = (True, ""),
+    ) -> "InstantAudit":
+        """The audit for an :func:`~repro.core.explain.explanation`
+        verdict plus the install-scheduler cross-check's ``(ok, detail)``."""
+        is_prefix, _, mismatched = verdict
+        scheduler_ok, scheduler_detail = scheduler
+        details = [
+            "" if is_prefix else "installed set is not an installation-graph prefix",
+            f"exposed variables with wrong stable values: {sorted(mismatched)}"
+            if mismatched
+            else "",
+            scheduler_detail,
+        ]
+        explains_state = is_prefix and not mismatched
+        return cls(
+            instant=instant,
+            stable_records=stable_records,
+            redo_count=redo_count,
+            holds=explains_state and scheduler_ok,
+            is_prefix=is_prefix,
+            explains_state=explains_state,
+            scheduler_ok=scheduler_ok,
+            detail="; ".join(filter(None, details)),
+        )
+
 
 # ----------------------------------------------------------------------
 # Lifting log records to abstract operations
 # ----------------------------------------------------------------------
+
+def _lifted(name: str, cells: dict, src: str | None = None) -> Operation:
+    """The two shapes a KV record lifts to: a blind write of ``cells``
+    (key -> value, None for a delete), or, given ``src``, the one-cell
+    ``{dst: delta}`` as ``dst <- (src or 0) + delta`` — an add when
+    ``src`` is ``dst``, a copy-add otherwise."""
+    if src is None:
+        return Operation(name, frozenset(), frozenset(cells), lambda reads: dict(cells))
+    ((dst, delta),) = cells.items()
+    return Operation(
+        name,
+        frozenset({src}),
+        frozenset({dst}),
+        lambda reads: {dst: (reads[src] or 0) + delta},
+    )
+
 
 def _lift_record(entry: LogEntry) -> Operation | None:
     """The abstract operation a stable log record denotes (None for
@@ -87,116 +136,49 @@ def _lift_record(entry: LogEntry) -> Operation | None:
                 "whole-page physical images mix per-key and per-page "
                 "granularity (the B-tree's split images have their own lifter)"
             )
-        cells = {
+        return _lifted(name, {
             cell: None if value is TOMBSTONE else value
             for cell, value in payload.cells.items()
-        }
-        return Operation(
-            name=name,
-            read_set=frozenset(),
-            write_set=frozenset(cells),
-            compute=lambda reads, cells=cells: dict(cells),
-        )
+        })
 
     if isinstance(payload, LogicalRedo):
         kind, key, value = payload.description
         if kind == "kv-put":
-            return Operation(
-                name=name,
-                read_set=frozenset(),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key, value=value: {key: value},
-            )
+            return _lifted(name, {key: value})
         if kind == "kv-add":
-            return Operation(
-                name=name,
-                read_set=frozenset({key}),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key, value=value: {
-                    key: (reads[key] or 0) + value
-                },
-            )
+            return _lifted(name, {key: value}, src=key)
         if kind == "kv-copyadd":
             src, delta = value
-            return Operation(
-                name=name,
-                read_set=frozenset({src}),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key, src=src, delta=delta: {
-                    key: (reads[src] or 0) + delta
-                },
-            )
+            return _lifted(name, {key: delta}, src=src)
         if kind == "kv-delete":
-            return Operation(
-                name=name,
-                read_set=frozenset(),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key: {key: None},
-            )
+            return _lifted(name, {key: None})
         raise AuditError(f"unknown logical record {kind!r}")
 
     if isinstance(payload, MultiPageRedo):
-        operations = []
-        for page_id, actions in payload.writes.items():
-            for action in actions:
-                if action.kind != "copyfrom":
-                    raise AuditError(
-                        f"unliftable multi-page action {action.kind!r} "
-                        "(KV audits cover copyfrom records; B-tree splits "
-                        "work at page granularity)"
-                    )
-                _, src, dst, delta = action.args
-                operations.append((src, dst, delta))
-        if len(operations) != 1:
-            raise AuditError("expected exactly one copyfrom per KV record")
-        src, dst, delta = operations[0]
-        return Operation(
-            name=name,
-            read_set=frozenset({src}),
-            write_set=frozenset({dst}),
-            compute=lambda reads, src=src, dst=dst, delta=delta: {
-                dst: (reads[src] or 0) + delta
-            },
-        )
+        actions = [action for group in payload.writes.values() for action in group]
+        if len(actions) != 1 or actions[0].kind != "copyfrom":
+            raise AuditError(
+                f"unliftable multi-page actions {[a.kind for a in actions]} "
+                "(KV audits cover one copyfrom per record; B-tree splits "
+                "work at page granularity)"
+            )
+        _, src, dst, delta = actions[0].args
+        return _lifted(name, {dst: delta}, src=src)
 
     if isinstance(payload, PhysiologicalRedo):
         action = payload.action
         if action.kind == "copycell":
             dst, src, delta = action.args
-            return Operation(
-                name=name,
-                read_set=frozenset({src}),
-                write_set=frozenset({dst}),
-                compute=lambda reads, src=src, dst=dst, delta=delta: {
-                    dst: (reads[src] or 0) + delta
-                },
-            )
+            return _lifted(name, {dst: delta}, src=src)
         if action.kind == "put":
             key, value = action.args
-            return Operation(
-                name=name,
-                read_set=frozenset(),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key, value=value: {key: value},
-            )
+            return _lifted(name, {key: value})
         if action.kind == "add":
             key, delta = action.args
-            return Operation(
-                name=name,
-                read_set=frozenset({key}),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key, delta=delta: {
-                    key: (reads[key] or 0) + delta
-                },
-            )
+            return _lifted(name, {key: delta}, src=key)
         if action.kind == "delete":
             (key,) = action.args
-            return Operation(
-                name=name,
-                read_set=frozenset(),
-                write_set=frozenset({key}),
-                compute=lambda reads, key=key: {key: None},
-            )
+            return _lifted(name, {key: None})
         raise AuditError(f"unliftable page action {action.kind!r}")
 
     raise AuditError(f"unliftable record type {type(payload).__name__}")
@@ -341,9 +323,9 @@ class AuditTracker:
     changed verdicts) instead of rebuilding both graphs from the whole
     log.
 
-    The tracker accepts any §6 method engine; :class:`KVDatabase` wraps
-    one per database (``track_theory=True`` keeps it synchronized during
-    normal operation).  The watermark discipline rests on the log being
+    The tracker accepts any §6 method engine; :class:`KVDatabase` builds
+    one per database on first use (``theory_tracker()``) and keeps it
+    for every later audit.  The watermark discipline rests on the log being
     append-only from LSN 0, which the log manager guarantees.
     """
 
@@ -373,55 +355,30 @@ class AuditTracker:
         """Evaluate the Recovery Invariant for the engine right now."""
         entries = self.sync()
         redo = _redo_lsns(self.method, entries)
-        installed = [
-            op for lsn, op in self._by_lsn.items() if lsn not in redo
-        ]
-
-        initial = State(default=None)
-        stable = _stable_model_state(self.method)
-
-        prefix_ok = self.installation.is_prefix(installed)
-        explains_ok = False
-        detail = ""
-        if prefix_ok:
-            determined = self.installation.determined_state(installed, initial)
-            self.memo.set_installed(installed)
-            mismatched = sorted(
-                variable
-                for variable in self.memo.exposed_variables()
-                if stable[variable] != determined[variable]
-            )
-            explains_ok = not mismatched
-            if mismatched:
-                detail = f"exposed variables with wrong stable values: {mismatched}"
-        else:
-            detail = "installed set is not an installation-graph prefix"
-
-        scheduler_ok, scheduler_detail = _scheduler_cross_check(self.method)
-        if scheduler_detail:
-            detail = f"{detail}; {scheduler_detail}" if detail else scheduler_detail
-
-        return InstantAudit(
-            instant=instant,
-            stable_records=len(self._by_lsn),
-            redo_count=len(redo),
-            holds=prefix_ok and explains_ok and scheduler_ok,
-            is_prefix=prefix_ok,
-            explains_state=explains_ok,
-            scheduler_ok=scheduler_ok,
-            detail=detail,
+        installed = [op for lsn, op in self._by_lsn.items() if lsn not in redo]
+        verdict = explanation(
+            self.installation,
+            installed,
+            _stable_model_state(self.method),
+            State(default=None),
+            self.memo,
+        )
+        return InstantAudit.of(
+            instant,
+            len(self._by_lsn),
+            len(redo),
+            verdict,
+            _scheduler_cross_check(self.method),
         )
 
 
 def audit_instant(db: KVDatabase, instant: int = -1) -> InstantAudit:
     """Evaluate the Recovery Invariant for ``db`` right now.
 
-    One-shot form: reuses the database's live tracker when it keeps one
-    (``track_theory=True``), otherwise builds graphs for this instant
-    only.
+    Runs through the database's own tracker, so the graphs it lifts
+    carry over to the next audit of ``db``.
     """
-    tracker = getattr(db, "_theory_tracker", None) or AuditTracker(db.method)
-    return tracker.audit(instant)
+    return db.theory_tracker().audit(instant)
 
 
 def audited_run(

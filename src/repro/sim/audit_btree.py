@@ -19,11 +19,9 @@ own granularity.  Each stable log record lifts to abstract operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.btree.tree import BTree
+from repro.btree.tree import FIRST_PAGE, META_PAGE, TYPE_CELL, BTree
 from repro.core.conflict import ConflictGraph
-from repro.core.exposed import exposed_variables
+from repro.core.explain import explanation
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
 from repro.logmgr import (
@@ -34,26 +32,15 @@ from repro.logmgr import (
     PhysicalRedo,
     PhysiologicalRedo,
 )
+from repro.sim.audit import InstantAudit
 
 
-@dataclass
-class BTreeAudit:
-    """The page-granular invariant verdict for one instant."""
-
-    holds: bool
-    is_prefix: bool
-    explains_state: bool
-    operations: int
-    redo_count: int
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def _interpret(actions: tuple[PageAction, ...], reads: dict, page_id: str) -> dict:
+def _interpret(
+    actions: tuple[PageAction, ...], reads: dict, page_id: str
+) -> dict | None:
     """Apply page actions functionally: reads maps page ids to cell
-    dicts; returns the written page's new cell dict."""
+    dicts; returns the written page's new cell dict, or None when it is
+    empty (an empty page is an absent one, as in the stable state)."""
     cells = dict(reads.get(page_id) or {})
     for action in actions:
         if action.kind in ("put", "set-meta"):
@@ -74,7 +61,7 @@ def _interpret(actions: tuple[PageAction, ...], reads: dict, page_id: str) -> di
             cells = {c: v for c, v in source.items() if c >= split_key}
         else:
             raise ValueError(f"unliftable B-tree action {action.kind!r}")
-    return cells
+    return cells or None
 
 
 def _read_pages_of(actions: tuple[PageAction, ...], page_id: str) -> set[str]:
@@ -108,67 +95,53 @@ def lift_btree_log(entries: list[LogEntry]) -> tuple[list[Operation], dict]:
     """
     operations: list[Operation] = []
     by_lsn: dict[int, list[tuple[Operation, str]]] = {}
-
-    def make(name, read_pages, page_id, actions):
-        read_set = frozenset(read_pages)
-
-        def compute(reads, actions=actions, page_id=page_id):
-            return {page_id: _interpret(actions, reads, page_id)}
-
-        return Operation(
-            name=name,
-            read_set=read_set,
-            write_set=frozenset({page_id}),
-            compute=compute,
-        )
-
     for entry in entries:
         payload = entry.payload
+        name = f"L{entry.lsn}"
         if isinstance(payload, CheckpointRecord):
             continue
-        if isinstance(payload, PhysiologicalRedo):
-            op = make(
-                f"L{entry.lsn}",
-                {payload.page_id},
-                payload.page_id,
-                (payload.action,),
-            )
-            operations.append(op)
-            by_lsn[entry.lsn] = [(op, payload.page_id)]
-        elif isinstance(payload, PhysicalRedo):
-            cells = dict(payload.cells)
-
-            def blind(reads, cells=cells, page_id=payload.page_id):
-                return {page_id: dict(cells)}
-
+        if isinstance(payload, PhysicalRedo):
+            cells, page_id = dict(payload.cells), payload.page_id
             op = Operation(
-                name=f"L{entry.lsn}",
-                read_set=frozenset(),
-                write_set=frozenset({payload.page_id}),
-                compute=blind,
+                name,
+                frozenset(),
+                frozenset({page_id}),
+                lambda reads, cells=cells, page_id=page_id: {
+                    page_id: dict(cells) or None
+                },
             )
             operations.append(op)
-            by_lsn[entry.lsn] = [(op, payload.page_id)]
+            by_lsn[entry.lsn] = [(op, page_id)]
+            continue
+        if isinstance(payload, PhysiologicalRedo):
+            writes = {payload.page_id: (payload.action,)}
         elif isinstance(payload, MultiPageRedo):
-            group = []
-            for page_id, actions in payload.writes.items():
-                reads = _read_pages_of(actions, page_id)
-                op = make(f"L{entry.lsn}.{page_id}", reads, page_id, actions)
-                operations.append(op)
-                group.append((op, page_id))
-            by_lsn[entry.lsn] = group
+            writes = payload.writes
         else:
             raise ValueError(f"unliftable record {type(payload).__name__}")
+        group = by_lsn[entry.lsn] = []
+        for page_id, actions in writes.items():
+            op = Operation(
+                name if len(writes) == 1 else f"{name}.{page_id}",
+                frozenset(_read_pages_of(actions, page_id)),
+                frozenset({page_id}),
+                lambda reads, actions=actions, page_id=page_id: {
+                    page_id: _interpret(actions, reads, page_id)
+                },
+            )
+            operations.append(op)
+            group.append((op, page_id))
     return operations, by_lsn
 
 
-def audit_btree(tree: BTree) -> BTreeAudit:
+def audit_btree(tree: BTree) -> InstantAudit:
     """Evaluate the Recovery Invariant for the tree's current stable
-    configuration (disk + stable log + per-page LSN redo decisions)."""
+    configuration (disk + stable log + per-page LSN redo decisions).
+    ``stable_records`` counts lifted records; ``redo_count`` counts the
+    per-page operations recovery would replay."""
     entries = tree.machine.log.entries(volatile=False)
     operations, by_lsn = lift_btree_log(entries)
-    conflict = ConflictGraph(operations)
-    installation = InstallationGraph(conflict)
+    installation = InstallationGraph(ConflictGraph(operations))
 
     disk = tree.machine.disk
 
@@ -180,50 +153,23 @@ def audit_btree(tree: BTree) -> BTreeAudit:
         if isinstance(entry.payload, CheckpointRecord):
             redo_start = entry.payload.data[1]
 
-    installed: list[Operation] = []
-    redo_count = 0
-    for lsn, group in by_lsn.items():
-        for op, page_id in group:
-            if lsn < redo_start or page_lsn(page_id) >= lsn:
-                installed.append(op)
-            else:
-                redo_count += 1
+    installed = [
+        op
+        for lsn, group in by_lsn.items()
+        for op, page_id in group
+        if lsn < redo_start or page_lsn(page_id) >= lsn
+    ]
 
-    # The initial state is the unlogged idempotent bootstrap (§-free by
-    # design: recovery recreates it identically), and a page absent from
-    # disk holds its initial value — states are total functions.
-    from repro.btree.tree import FIRST_PAGE, META_PAGE, TYPE_CELL
-
+    # The initial state is the unlogged idempotent bootstrap (recovery
+    # recreates it identically), and a page absent from disk holds its
+    # initial value — states are total functions.  An empty page is an
+    # absent one (None) here as in the lifter.
     initial = State(default=None)
     initial.set(META_PAGE, {"root": FIRST_PAGE})
     initial.set(FIRST_PAGE, {TYPE_CELL: "leaf"})
-
     stable = initial.copy()
     for page in disk.pages():
-        stable.set(page.page_id, dict(page.cells))
+        stable.set(page.page_id, dict(page.cells) or None)
 
-    prefix_ok = installation.is_prefix(installed)
-    explains_ok = False
-    detail = ""
-    if prefix_ok:
-        determined = installation.determined_state(installed, initial)
-        exposed = exposed_variables(conflict, installed)
-        mismatched = sorted(
-            page_id
-            for page_id in exposed
-            if (stable[page_id] or {}) != (determined[page_id] or {})
-        )
-        explains_ok = not mismatched
-        if mismatched:
-            detail = f"exposed pages with wrong stable contents: {mismatched}"
-    else:
-        detail = "installed per-page operations do not form a prefix"
-
-    return BTreeAudit(
-        holds=prefix_ok and explains_ok,
-        is_prefix=prefix_ok,
-        explains_state=explains_ok,
-        operations=len(operations),
-        redo_count=redo_count,
-        detail=detail,
-    )
+    verdict = explanation(installation, installed, stable, initial)
+    return InstantAudit.of(-1, len(by_lsn), len(operations) - len(installed), verdict)

@@ -174,8 +174,9 @@ def cold_restart_states(
     only the segment files in ``log_dir`` and a copy of the
     crash-surviving disk image; :meth:`KVDatabase.cold_start` rebuilds
     the log manager from the files (torn-tail rule applied) and recovers
-    on a second, fully independent database.  Corollary 4 demands these
-    agree — the test asserts the returned pair is equal.
+    on a second, fully independent database, closed again once its state
+    is taken.  Corollary 4 demands these agree — the test asserts the
+    returned pair is equal.
 
     ``cold_kwargs`` are forwarded to :meth:`KVDatabase.cold_start`
     (``n_pages`` and ``method`` default to the warm database's).
@@ -192,7 +193,9 @@ def cold_restart_states(
     cold_kwargs.setdefault("method", db.method_name)
     cold_kwargs.setdefault("n_pages", db.method.n_pages)
     cold_db = KVDatabase.cold_start(log_dir, disk=survivor, **cold_kwargs)
-    return warm, canonical_state(cold_db)
+    cold = canonical_state(cold_db)
+    cold_db.close()
+    return warm, cold
 
 
 def sharded_cold_restart_states(deployment, root) -> tuple[list[dict], list[dict]]:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.audit as audit_module
+from repro.core.explain import explanation
 from repro.engine import KVDatabase
 from repro.logmgr import PhysicalRedo
 from repro.sim.audit import (
@@ -147,8 +149,8 @@ class TestAuditInstant:
 class TestIncrementalTracking:
     @pytest.mark.parametrize("method", ["logical", "physical", "physiological"])
     def test_tracked_database_audits_clean(self, method):
-        """track_theory keeps one tracker synchronized during normal
-        operation; its verdicts must match fresh per-instant audits."""
+        """theory_audit keeps one tracker across instants; its verdicts
+        must match fresh per-instant audits."""
         spec = MIXED if method != "physiological" else KVWorkloadSpec(
             n_operations=30, n_keys=5, put_ratio=0.5, add_ratio=0.35,
             delete_ratio=0.0,
@@ -156,7 +158,7 @@ class TestIncrementalTracking:
         stream = generate_kv_workload(23, spec)
         db = KVDatabase(
             method=method, cache_capacity=3, commit_every=2,
-            checkpoint_every=7, track_theory=True,
+            checkpoint_every=7,
         )
         for index, command in enumerate(stream, start=1):
             db.execute(command)
@@ -170,9 +172,10 @@ class TestIncrementalTracking:
                 )
 
     def test_tracker_lifts_each_record_once(self):
-        db = KVDatabase(method="physiological", track_theory=True)
+        db = KVDatabase(method="physiological")
         for i in range(6):
             db.execute(("put", f"k{i}", i))
+        db.theory_audit()
         tracker = db.theory_tracker()
         graph_size = len(tracker.conflict)
         assert graph_size == 6
@@ -255,3 +258,52 @@ class TestPropertyAudits:
             )
             for verdict in audited_run(db, stream, audit_every=3):
                 assert verdict.holds, (method, verdict.instant, verdict.detail)
+
+
+@pytest.fixture
+def verdict_pairs(monkeypatch):
+    """Every verdict the tracker computes, paired with the same verdict
+    computed on the definitional path (no exposure memo)."""
+    pairs = []
+
+    def both(installation, installed, state, initial, memo=None):
+        memoized = explanation(installation, installed, state, initial, memo)
+        pairs.append((memoized, explanation(installation, installed, state, initial)))
+        return memoized
+
+    monkeypatch.setattr(audit_module, "explanation", both)
+    return pairs
+
+
+class TestSharedVerdict:
+    """The tracker's memoized exposure is an optimization of the §3.2
+    verdict, never a different one: same prefix test, same exposed set,
+    same mismatched set at every instant."""
+
+    @pytest.mark.parametrize(
+        "method", ["logical", "physical", "physiological", "generalized"]
+    )
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_memo_matches_definitional(self, verdict_pairs, method, seed):
+        spec = MIXED if method != "physiological" else KVWorkloadSpec(
+            n_operations=40, n_keys=6, put_ratio=0.5, add_ratio=0.35,
+            delete_ratio=0.1,
+        )
+        db = KVDatabase(
+            method=method, cache_capacity=3, commit_every=2, checkpoint_every=9
+        )
+        audits = audited_run(db, generate_kv_workload(seed, spec))
+        assert len(verdict_pairs) == len(audits)
+        for memoized, definitional in verdict_pairs:
+            assert memoized == definitional
+
+    @pytest.mark.parametrize(
+        "case",
+        ["test_audit_detects_sabotaged_page_lsn", "test_audit_detects_missing_wal"],
+    )
+    def test_memo_matches_definitional_on_violations(self, verdict_pairs, case):
+        getattr(TestAuditInstant(), case)()
+        assert verdict_pairs
+        assert any(not ok or bad for (ok, _, bad), _ in verdict_pairs)
+        for memoized, definitional in verdict_pairs:
+            assert memoized == definitional

@@ -10,12 +10,14 @@ process is SIGKILLed mid-workload and the parent recovers cold from the
 files the kernel kept.
 """
 
+import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -49,7 +51,44 @@ class TestColdRestartEquivalence:
         )
         db.run(generate_kv_workload(11, MIXED))
         warm, cold = cold_restart_states(db, tmp_path, log_segment_size=32)
+        db.close()
         assert warm == cold
+
+    def test_cold_database_is_closed(self, tmp_path, monkeypatch):
+        started = []
+        cold_start = KVDatabase.cold_start
+
+        def spy(*args, **kwargs):
+            started.append(cold_start(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(KVDatabase, "cold_start", spy)
+        db = KVDatabase(method="physiological", log_dir=tmp_path, log_segment_size=8)
+        db.run(generate_kv_workload(11, MIXED))
+        cold_restart_states(db, tmp_path, log_segment_size=8)
+        (cold,) = started
+        handles = cold.method.machine.log.store._handles
+        assert len(handles) > 1
+        assert all(handle.fh is None for handle in handles)
+        db.close()
+
+    def test_closed_log_refuses_writes(self, tmp_path):
+        db = KVDatabase(method="physiological", log_dir=tmp_path)
+        db.execute(("put", "a", 1))
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            db.close()
+            with pytest.raises(ValueError, match="closed log"):
+                db.execute(("put", "b", 2))
+            with pytest.raises(ValueError, match="closed log"):
+                db.commit()
+            del db
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        cold = KVDatabase.cold_start(tmp_path, method="physiological")
+        assert cold.method.dump() == {"a": 1}
+        cold.close()
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_cold_state_identical_without_checkpoints(self, tmp_path, method):

@@ -76,11 +76,10 @@ class TestFileLogStore:
 
     def test_sync_keeps_handle_open_while_frames_staged(self, tmp_path):
         """Regression: an append can stage into a segment and rotate
-        before any flush covers that tail, so a sealed fully-synced
+        before any flush covers that tail, so a rotated fully-synced
         segment may still owe staged bytes.  sync() must not close its
-        handle out from under the next write_up_to (the group-commit
-        committer hit exactly this under fan-in: the window's target
-        LSN trailed the staging front by a rotation)."""
+        handle out from under the next write_up_to: only a sealed
+        segment's handle is closed."""
         store = FileLogStore(tmp_path)
         store.begin_segment(0)
         frames = [
@@ -91,7 +90,7 @@ class TestFileLogStore:
         store.stage_many(1, 0, frames[1], 1)
         store.begin_segment(2)  # rotate with LSN 1 still staged for seg 0
         store.write_up_to(0)
-        store.sync()  # seg 0 is sealed and fully synced — but still owed
+        store.sync()  # seg 0 is rotated and fully synced — but still owed
         handle = store._handle_for(0)
         assert handle.fh is not None  # not closed: staged frames remain
         store.write_up_to(1)  # raised AttributeError before the fix
@@ -173,6 +172,45 @@ class TestGroupCommit:
         log.append(LogicalRedo(("b",)))
         log.flush()
         assert log.stable_lsn == 0
+
+    def test_partial_flush_across_a_rotation_writes_every_record(self, tmp_path):
+        # A flush to LSN 1 syncs segment 0 while LSNs 2-3 are still
+        # pending for it behind a rotation; the next flush must find
+        # segment 0's handle open and write them.
+        log = durable_log(tmp_path, segment_size=4)
+        for i in range(6):
+            log.append(LogicalRedo((i,)))
+        log.flush(up_to_lsn=1)
+        log.flush()
+        assert log.stable_lsn == 5
+        log.close()
+        cold = LogManager.open(tmp_path, segment_size=4)
+        assert [r.lsn for r in cold.stable_records_from(0)] == list(range(6))
+        cold.close()
+
+    def test_flush_waiting_behind_close_is_refused(self, tmp_path):
+        log = durable_log(tmp_path)
+        log.append(LogicalRedo(("a",)))
+        force_lock = log._force_lock
+
+        class CloseFirst:
+            """The force lock, with close() winning the flush's wait."""
+
+            armed = True
+
+            def __enter__(self):
+                if CloseFirst.armed:
+                    CloseFirst.armed = False
+                    log.close()
+                force_lock.acquire()
+
+            def __exit__(self, *exc):
+                force_lock.release()
+
+        log._force_lock = CloseFirst()
+        with pytest.raises(ValueError, match="closed log"):
+            log.flush()
+        assert log.stable_lsn == -1
 
 
 class TestEviction:

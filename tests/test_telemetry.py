@@ -50,26 +50,10 @@ class TestLatencyQuantiles:
         assert latency["put"]["p50"] <= latency["put"]["p99"]
         assert latency["commit"]["count"] == 1
 
-    def test_uptime_and_telemetry_flag_in_stats(self, served_engine):
+    def test_uptime_in_stats(self, served_engine):
         with KVClient(*served_engine.address) as client:
             stats = client.stats()
-        assert stats["telemetry"] is True
         assert stats["uptime_s"] >= 0.0
-
-    def test_telemetry_off_skips_latency(self, tmp_path):
-        db = KVDatabase(method="physiological", log_dir=tmp_path / "wal")
-        server = KVServer(db, telemetry=False)
-        server.serve_background()
-        try:
-            with KVClient(*server.address) as client:
-                client.put("a", 1)
-                client.commit()
-                stats = client.stats()
-            assert stats["telemetry"] is False
-            assert "latency" not in stats
-            assert server.latency_summaries() == {}
-        finally:
-            server.close()
 
     def test_malformed_op_does_not_mint_arbitrary_metric_names(
         self, served_engine
@@ -231,15 +215,15 @@ class TestTopDashboard:
         assert run_top(host, port, once=True, out=out) == 0
         frame = out.getvalue()
         assert f"{host}:{port}" in frame
-        assert "telemetry on" in frame
+        assert "served" in frame
         assert "shard" in frame
         assert "put" in frame  # the latency table
 
     def test_rates_come_from_deltas(self):
         stats0 = {"pipeline_commits": 100, "method_operations": 10,
-                  "durable_fsyncs": 5, "log_forces": 0, "telemetry": True}
+                  "durable_fsyncs": 5, "log_forces": 0}
         stats1 = {"pipeline_commits": 300, "method_operations": 20,
-                  "durable_fsyncs": 10, "log_forces": 0, "telemetry": True}
+                  "durable_fsyncs": 10, "log_forces": 0}
         frame = render_top(
             ("h", 1), stats1, {}, prev_stats=stats0, dt=2.0
         )
@@ -248,7 +232,6 @@ class TestTopDashboard:
     def test_totals_roll_up_shard_prefixes(self):
         stats = {
             "n_shards": 2,
-            "telemetry": True,
             "shard00_pipeline_commits": 3,
             "shard01_pipeline_commits": 4,
         }

@@ -49,10 +49,9 @@ Commands
     Telemetry
     is always on: per-op latency histograms behind ``stats``, the
     ``health`` op, and (with ``--log-dir``) a crash flight recorder in
-    the log root fed by the server's serve span and 1 Hz health
-    heartbeats — the engines stay untraced unless ``--trace-ops`` opts
-    into the per-operation firehose (a measured double-digit throughput
-    tax).  Prints ``listening on HOST:PORT`` once bound.
+    the log root, written synchronously with the server's serve span
+    and 1 Hz health heartbeats; the engines are never traced.  Prints
+    ``listening on HOST:PORT`` once bound.
 ``top --port N [--host H] [--interval S] [--once]``
     A polling terminal dashboard over a live server: per-shard stable
     LSN / pipeline depth / dirty pages, throughput rates, and per-op
@@ -273,43 +272,41 @@ def _payload_pages(payload) -> str:
 def _dump_segment_files(paths, prefix: str = "") -> tuple[int, int] | None:
     """Dump segment files (every line ``prefix``-ed); returns
     (records, torn_tails), or None after printing a structural error."""
-    from repro.logmgr.codec import CodecError, TornTail
-    from repro.logmgr.filelog import ARCHIVE_SUFFIX, SegmentReader, header_torn
+    from repro.logmgr.codec import TornTail
+    from repro.logmgr.filelog import ARCHIVE_SUFFIX, open_segments
 
     total = torn = 0
-    for path in paths:
-        try:
-            reader = SegmentReader(path)
-        except CodecError as exc:
-            if not header_torn(path, paths):
-                print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
+    for path, reader, fault in open_segments(paths):
+        if fault is not None:
+            header_torn, reason = fault
+            if not header_torn:
+                print(f"{prefix}{path.name}: bad header ({reason})", file=sys.stderr)
                 return None
-            print(f"{prefix}== {path.name} == torn tail at byte 0: {exc}")
+            print(f"{prefix}== {path.name} == torn tail at byte 0: {reason}")
             torn += 1
             continue
-        with reader:
-            kind = "archive" if path.suffix == ARCHIVE_SUFFIX else "segment"
-            seal = ", sealed" if reader.sealed else ""
-            print(
-                f"{prefix}== {path.name} "
-                f"({kind}, base_lsn={reader.base_lsn}, {len(reader.buf)}B{seal}) =="
-            )
-            try:
-                for record in reader.records():
-                    print(
-                        f"{prefix}  lsn={record.lsn:<6d} "
-                        f"type={type(record.payload).__name__:<18s} "
-                        f"page={_payload_pages(record.payload):<12s} "
-                        f"size={record.size_bytes()}B crc=ok"
-                    )
-                    total += 1
-            except TornTail as tear:
+        kind = "archive" if path.suffix == ARCHIVE_SUFFIX else "segment"
+        seal = ", sealed" if reader.sealed else ""
+        print(
+            f"{prefix}== {path.name} "
+            f"({kind}, base_lsn={reader.base_lsn}, {len(reader.buf)}B{seal}) =="
+        )
+        try:
+            for record in reader.records():
                 print(
-                    f"{prefix}  torn tail at byte {tear.offset}: {tear.reason} "
-                    f"({len(reader.buf) - tear.offset}B after the tear are not "
-                    f"part of the log)"
+                    f"{prefix}  lsn={record.lsn:<6d} "
+                    f"type={type(record.payload).__name__:<18s} "
+                    f"page={_payload_pages(record.payload):<12s} "
+                    f"size={record.size_bytes()}B crc=ok"
                 )
-                torn += 1
+                total += 1
+        except TornTail as tear:
+            print(
+                f"{prefix}  torn tail at byte {tear.offset}: {tear.reason} "
+                f"({len(reader.buf) - tear.offset}B after the tear are not "
+                f"part of the log)"
+            )
+            torn += 1
     return total, torn
 
 
@@ -332,54 +329,51 @@ def _index_segment_files(paths, prefix: str = ""):
     decode is ignored — the runtime falls back to the rebuild scan for
     both — so they are reported but not fatal.
     """
-    from repro.logmgr.codec import CodecError
-    from repro.logmgr.filelog import SegmentReader, header_torn, read_sidecar
+    from repro.logmgr.filelog import open_segments, read_sidecar
     from repro.logmgr.pageindex import PageRedoIndex, parse_page_index
 
     index = PageRedoIndex()
     verified = stale = mismatched = 0
-    for path in paths:
-        try:
-            reader = SegmentReader(path)
-        except CodecError as exc:
-            if header_torn(path, paths):
+    for path, reader, fault in open_segments(paths):
+        if fault is not None:
+            header_torn, reason = fault
+            if header_torn:
                 continue  # a torn tail holds no frame to index
-            print(f"{prefix}{path.name}: bad header ({exc})", file=sys.stderr)
+            print(f"{prefix}{path.name}: bad header ({reason})", file=sys.stderr)
             return None
-        with reader:
-            scanned = reader.page_index()
-            blob = read_sidecar(path)
-            sidecar = parse_page_index(blob) if reader.sealed else None
-            if blob is not None and sidecar is None:
-                stale += 1
-                print(
-                    f"{prefix}{path.name}: "
-                    f"{'undecodable' if reader.sealed else 'stale'} page-index "
-                    f"sidecar (ignored, rebuild scan used)"
+        scanned = reader.page_index()
+        blob = read_sidecar(path)
+        sidecar = parse_page_index(blob) if reader.sealed else None
+        if blob is not None and sidecar is None:
+            stale += 1
+            print(
+                f"{prefix}{path.name}: "
+                f"{'undecodable' if reader.sealed else 'stale'} page-index "
+                f"sidecar (ignored, rebuild scan used)"
+            )
+        elif sidecar is not None:
+            if sidecar.pages == scanned.pages and _canon_edges(
+                sidecar.edges
+            ) == _canon_edges(scanned.edges):
+                verified += 1
+            else:
+                mismatched += 1
+                only_sidecar = sorted(set(sidecar.pages) - set(scanned.pages))
+                only_walk = sorted(set(scanned.pages) - set(sidecar.pages))
+                wrong = sorted(
+                    p
+                    for p in set(sidecar.pages) & set(scanned.pages)
+                    if sidecar.pages[p] != scanned.pages[p]
                 )
-            elif sidecar is not None:
-                if sidecar.pages == scanned.pages and _canon_edges(
-                    sidecar.edges
-                ) == _canon_edges(scanned.edges):
-                    verified += 1
-                else:
-                    mismatched += 1
-                    only_sidecar = sorted(set(sidecar.pages) - set(scanned.pages))
-                    only_walk = sorted(set(scanned.pages) - set(sidecar.pages))
-                    wrong = sorted(
-                        p
-                        for p in set(sidecar.pages) & set(scanned.pages)
-                        if sidecar.pages[p] != scanned.pages[p]
-                    )
-                    print(
-                        f"{prefix}{path.name}: page-index sidecar DISAGREES "
-                        f"with the frame walk "
-                        f"(sidecar-only={only_sidecar or '-'} "
-                        f"walk-only={only_walk or '-'} "
-                        f"chains-differ={wrong or '-'})",
-                        file=sys.stderr,
-                    )
-            index.add_segment(scanned)
+                print(
+                    f"{prefix}{path.name}: page-index sidecar DISAGREES "
+                    f"with the frame walk "
+                    f"(sidecar-only={only_sidecar or '-'} "
+                    f"walk-only={only_walk or '-'} "
+                    f"chains-differ={wrong or '-'})",
+                    file=sys.stderr,
+                )
+        index.add_segment(scanned)
     return index, verified, stale, mismatched
 
 
@@ -496,22 +490,18 @@ def cmd_logdump(args) -> int:
 
 
 def _serve_tracer(log_dir):
-    """The serve tracer: in-memory ring teed into an on-disk flight ring
-    (the ring alone when there is no log directory for the ring file).
-    """
-    from repro.obs import FlightRecorderSink, RingBufferSink, TeeSink, Tracer
-    from repro.obs.flightrec import FlightRecorder, flight_ring_path
-
+    """The serve tracer: one writing straight into the flight ring in
+    the log root, or None when there is no log directory to hold it."""
+    if not log_dir:
+        return None
     import os
 
-    ring = RingBufferSink(capacity=4096)
-    if not log_dir:
-        return Tracer(ring)
+    from repro.obs import FlightRecorder, Tracer, flight_ring_path
+
     # The log root may not exist yet (fresh create path): the recorder
     # needs its directory before the engine lays down segment files.
     os.makedirs(log_dir, exist_ok=True)
-    recorder = FlightRecorder.attach(flight_ring_path(log_dir))
-    return Tracer(TeeSink(ring, FlightRecorderSink(recorder)))
+    return Tracer(FlightRecorder.attach(flight_ring_path(log_dir)))
 
 
 def cmd_serve(args) -> int:
@@ -528,13 +518,9 @@ def cmd_serve(args) -> int:
     from repro.engine import KVDatabase
     from repro.server import KVServer
 
+    # Only the server is traced (serve span + heartbeats into the flight
+    # ring); the engines' per-op firehose would tax every commit.
     tracer = _serve_tracer(args.log_dir)
-    # The engine firehose (a trace record per log append/force/replay) is
-    # measurably expensive at serve throughput — a double-digit
-    # commits/s tax — so by default only the *server* gets
-    # the tracer (serve span + heartbeat into the flight ring) and the
-    # engines run untraced.  --trace-ops opts into the full firehose.
-    engine_tracer = tracer if args.trace_ops else None
     shards = args.shards
     if args.log_dir and shards is None:
         # A deployment root is self-describing; serving one without
@@ -571,7 +557,6 @@ def cmd_serve(args) -> int:
 
             db = ShardedDatabase.cold_start(
                 args.log_dir,
-                tracer=engine_tracer,
                 on_progress=shard_ready,
                 lazy=args.lazy_restart,
             )
@@ -608,7 +593,6 @@ def cmd_serve(args) -> int:
                 root=args.log_dir or None,
                 n_shards=max(1, shards),
                 spec=spec,
-                tracer=engine_tracer,
             )
         print(
             f"sharded: {db.keymap.n_shards} shards, "
@@ -621,7 +605,6 @@ def cmd_serve(args) -> int:
             method=args.method,
             commit_pipeline=True,
             fsync=not args.no_fsync,
-            tracer=engine_tracer,
             lazy=args.lazy_restart,
         )
         if args.lazy_restart:
@@ -631,11 +614,7 @@ def cmd_serve(args) -> int:
                 flush=True,
             )
     else:
-        db = KVDatabase(
-            method=args.method,
-            commit_pipeline=True,
-            tracer=engine_tracer,
-        )
+        db = KVDatabase(method=args.method, commit_pipeline=True)
     server = KVServer(
         db,
         host=args.host,
@@ -651,7 +630,8 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.close()
-        tracer.close()
+        if tracer is not None:
+            tracer.close()
     return 0
 
 
@@ -850,15 +830,6 @@ def main(argv: list[str] | None = None) -> int:
         dest="no_fsync",
         action="store_true",
         help="skip fsync on the durable log (benchmarks only)",
-    )
-    serve.add_argument(
-        "--trace-ops",
-        dest="trace_ops",
-        action="store_true",
-        help="also trace the engine's per-operation firehose (log "
-        "appends, forces, replay) into the flight ring — a measured "
-        "double-digit throughput tax; the default traces only the "
-        "server's serve span and 1 Hz health heartbeats",
     )
     top = sub.add_parser(
         "top", help="polling terminal dashboard over a live server"

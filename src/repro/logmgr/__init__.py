@@ -12,7 +12,6 @@ volatile tail at a crash.  It never trims its head.
 
 from repro.logmgr.records import (
     CheckpointRecord,
-    LogEntry,
     LogRecord,
     LogicalRedo,
     MultiPageRedo,
@@ -54,7 +53,6 @@ __all__ = [
     "LOGICAL_PAGE",
     "LazyRecord",
     "LogDirectoryError",
-    "LogEntry",
     "LogManager",
     "LogRecord",
     "LogSegment",

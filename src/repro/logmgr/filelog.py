@@ -301,6 +301,25 @@ class SegmentReader:
         return SegmentStats(count, nbytes, checkpoints, tear_offset, tear_reason)
 
 
+def open_segments(paths):
+    """Open each of ``paths`` (a :func:`log_files` list) read-only, in
+    order — the forensic tools' one per-file preamble.
+
+    Yields ``(path, reader, fault)``.  Either ``reader`` is an open
+    :class:`SegmentReader` (closed when the consumer moves on) and
+    ``fault`` is None, or the header did not decode: ``reader`` is None
+    and ``fault`` is ``(torn, reason)``, ``torn`` telling a torn tail
+    (:func:`header_torn`) from structural damage."""
+    for path in paths:
+        try:
+            reader = SegmentReader(path)
+        except CodecError as exc:
+            yield path, None, (header_torn(path, paths), str(exc))
+            continue
+        with reader:
+            yield path, reader, None
+
+
 class _SegmentHandle:
     """Bookkeeping for one segment file (internal to the store)."""
 

@@ -210,82 +210,86 @@ class LogManager:
                 f"trimmed, and a trimmed log cannot be recovered"
             )
         store = FileLogStore.attach(directory, fsync=fsync)
-        manager = cls(segment_size=segment_size, tracer=tracer, store=store)
-        bases = store.segment_base_lsns()
-        if not bases:
-            return manager
-        if bases[0] != 0:
-            raise LogDirectoryError(
-                f"{directory}: the log starts at LSN {bases[0]}, not 0 — "
-                f"its head was trimmed, and a trimmed log cannot be recovered"
-            )
-        segments: list[LogSegment] = []
-        checkpoints: list[int] = []
-        expected = 0
-        for position, base in enumerate(bases):
-            if base != expected:
-                raise CodecError(
-                    f"segment files not dense: expected base LSN {expected}, "
-                    f"found {base}"
+        try:
+            manager = cls(segment_size=segment_size, tracer=tracer, store=store)
+            bases = store.segment_base_lsns()
+            if not bases:
+                return manager
+            if bases[0] != 0:
+                raise LogDirectoryError(
+                    f"{directory}: the log starts at LSN {bases[0]}, not 0 — "
+                    f"its head was trimmed, and a trimmed log cannot be recovered"
                 )
-            segment = LogSegment(base)
-            if position == len(bases) - 1:
-                records, tear_offset, tear_reason = store.load_segment(base)
-                for index, record in enumerate(records):
-                    if record.lsn != base + index:
-                        raise CodecError(
-                            f"segment {base} holds LSN {record.lsn} "
-                            f"at position {index}"
-                        )
-                segment.records = records
-                # Loaded records are lazy — spot checkpoints by wire tag
-                # so the scan stays decode-free.
-                checkpoints.extend(
-                    record.lsn
-                    for record in records
-                    if record.payload_tag == PAYLOAD_CHECKPOINT
-                )
-                count = len(records)
-            else:
-                stats = store.segment_stats(base)
-                tear_offset, tear_reason = stats.tear_offset, stats.tear_reason
-                segment.records = None
-                segment._count = stats.count
-                segment._bytes = stats.bytes
-                checkpoints.extend(stats.checkpoint_lsns)
-                count = stats.count
-            segments.append(segment)
-            if tear_offset is not None:
-                store.truncate_segment_tail(base, tear_offset)
-                dropped = store.drop_segments_after(base)
-                if manager.tracer.enabled:
-                    manager.tracer.event(
-                        "log.torn_tail",
-                        base_lsn=base,
-                        offset=tear_offset,
-                        reason=tear_reason,
-                        dropped_segments=dropped,
+            segments: list[LogSegment] = []
+            checkpoints: list[int] = []
+            expected = 0
+            for position, base in enumerate(bases):
+                if base != expected:
+                    raise CodecError(
+                        f"segment files not dense: expected base LSN {expected}, "
+                        f"found {base}"
                     )
-                break
-            expected = base + count
-        # A tear can make an evicted segment the tail; the tail must be
-        # resident (appends extend it), so load it now that the file is
-        # truncated clean.
-        tail = segments[-1]
-        if tail.records is None:
-            records, tear_offset, _reason = store.load_segment(tail.base_lsn)
-            if tear_offset is not None:  # pragma: no cover - just truncated
-                raise CodecError(
-                    f"segment {tail.base_lsn} still torn after truncation"
-                )
-            tail.records = records
-        manager._segments = segments
-        manager._stable_lsn = segments[-1].end_lsn
-        manager._written_lsn = manager._stable_lsn
-        manager._next_lsn = manager._stable_lsn + 1
-        manager._checkpoint_lsns = checkpoints
-        manager._seal_watermark = segments[-1].base_lsn - 1
-        return manager
+                segment = LogSegment(base)
+                if position == len(bases) - 1:
+                    records, tear_offset, tear_reason = store.load_segment(base)
+                    for index, record in enumerate(records):
+                        if record.lsn != base + index:
+                            raise CodecError(
+                                f"segment {base} holds LSN {record.lsn} "
+                                f"at position {index}"
+                            )
+                    segment.records = records
+                    # Loaded records are lazy — spot checkpoints by wire tag
+                    # so the scan stays decode-free.
+                    checkpoints.extend(
+                        record.lsn
+                        for record in records
+                        if record.payload_tag == PAYLOAD_CHECKPOINT
+                    )
+                    count = len(records)
+                else:
+                    stats = store.segment_stats(base)
+                    tear_offset, tear_reason = stats.tear_offset, stats.tear_reason
+                    segment.records = None
+                    segment._count = stats.count
+                    segment._bytes = stats.bytes
+                    checkpoints.extend(stats.checkpoint_lsns)
+                    count = stats.count
+                segments.append(segment)
+                if tear_offset is not None:
+                    store.truncate_segment_tail(base, tear_offset)
+                    dropped = store.drop_segments_after(base)
+                    if manager.tracer.enabled:
+                        manager.tracer.event(
+                            "log.torn_tail",
+                            base_lsn=base,
+                            offset=tear_offset,
+                            reason=tear_reason,
+                            dropped_segments=dropped,
+                        )
+                    break
+                expected = base + count
+            # A tear can make an evicted segment the tail; the tail must be
+            # resident (appends extend it), so load it now that the file is
+            # truncated clean.
+            tail = segments[-1]
+            if tail.records is None:
+                records, tear_offset, _reason = store.load_segment(tail.base_lsn)
+                if tear_offset is not None:  # pragma: no cover - just truncated
+                    raise CodecError(
+                        f"segment {tail.base_lsn} still torn after truncation"
+                    )
+                tail.records = records
+            manager._segments = segments
+            manager._stable_lsn = segments[-1].end_lsn
+            manager._written_lsn = manager._stable_lsn
+            manager._next_lsn = manager._stable_lsn + 1
+            manager._checkpoint_lsns = checkpoints
+            manager._seal_watermark = segments[-1].base_lsn - 1
+            return manager
+        except BaseException:
+            store.close()  # a refused directory keeps no handle open
+            raise
 
     @property
     def store(self):

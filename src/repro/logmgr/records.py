@@ -227,8 +227,3 @@ class LogRecord:
 
     def __str__(self) -> str:
         return f"[{self.lsn}] {self.payload}"
-
-
-# Historical name, kept so external code written against the pre-unification
-# split keeps importing; new code should say LogRecord.
-LogEntry = LogRecord

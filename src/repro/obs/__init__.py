@@ -5,19 +5,22 @@ recovery; this package makes every contract-relevant decision
 *observable* in production mode instead of only in the sim auditor:
 
 - :mod:`repro.obs.metrics` — a zero-dependency :class:`MetricsRegistry`
-  of counters/gauges/histograms that unifies the scattered per-component
-  counters (method stats, scheduler stats, log/disk/pool counters)
-  behind one namespaced read path (``method.records_replayed``,
-  ``scheduler.elisions``, ``log.forces``, ...) with snapshot/delta
-  APIs;
+  that reads the per-component counters (method stats, scheduler
+  stats, log/disk/pool counters) through one namespaced, collision-
+  checked snapshot (``method.records_replayed``, ``scheduler.elisions``,
+  ``log.forces``, ...), plus the log-bucket :class:`Histogram` behind
+  the server's latency quantiles;
 - :mod:`repro.obs.trace` — a structured :class:`Tracer` emitting typed
-  span/event records to pluggable sinks (JSON-lines file, ring buffer,
-  null), instrumented at every theory-relevant seam: engine command
-  execution, WAL append/force, checkpoints, flush/elide/victim
+  span/event records to pluggable sinks (JSON-lines file, in-memory
+  ring buffer, null), instrumented at every theory-relevant seam:
+  engine command execution, WAL append/force, checkpoints, flush/elide/victim
   decisions (with their write-graph reason), and recovery itself as a
   span tree (analysis → per-segment redo → per-record replay; a lazy
   restart's ``recovery.lazy`` span and ``engine.lazy_drained`` event) —
   the one way recovery is observed;
+- :mod:`repro.obs.flightrec` — :class:`FlightRecorder`, the sink that
+  writes each record straight into a fixed-size ring file, so a
+  SIGKILL leaves the final records on disk for ``repro postmortem``;
 - :mod:`repro.obs.timeline` — :class:`RecoveryTimeline`, which replays
   a trace into a human-readable account of a crash/recovery run and
   cross-checks its totals against the metrics registry.
@@ -32,10 +35,9 @@ from repro.obs.flightrec import (
     FLIGHT_FILENAME,
     FlightRecorder,
     FlightRecorderError,
-    FlightRecorderSink,
     flight_ring_path,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsError, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsError, MetricsRegistry
 from repro.obs.timeline import RecoveryTimeline, SpanNode, build_span_tree, load_trace
 from repro.obs.trace import (
     NULL_TRACER,
@@ -44,18 +46,14 @@ from repro.obs.trace import (
     NullTracer,
     RingBufferSink,
     Span,
-    TeeSink,
     Tracer,
     traced_segments,
 )
 
 __all__ = [
-    "Counter",
     "FLIGHT_FILENAME",
     "FlightRecorder",
     "FlightRecorderError",
-    "FlightRecorderSink",
-    "Gauge",
     "Histogram",
     "JsonLinesSink",
     "MetricsError",
@@ -67,7 +65,6 @@ __all__ = [
     "RingBufferSink",
     "Span",
     "SpanNode",
-    "TeeSink",
     "Tracer",
     "build_span_tree",
     "flight_ring_path",

@@ -1,9 +1,9 @@
 """Crash flight recorder: a bounded, file-backed ring of trace records.
 
-The in-memory :class:`~repro.obs.trace.RingBufferSink` dies with the
-process — exactly when its contents matter most.  The flight recorder
-keeps the newest trace records in a **fixed-size slot file** in the log
-directory so a SIGKILL leaves evidence on disk:
+An in-memory trace dies with the process — exactly when its contents
+matter most.  The flight recorder is a tracer sink that keeps the
+newest trace records in a **fixed-size slot file** in the log directory
+so a SIGKILL leaves evidence on disk:
 
 - a 16-byte header (``FREC`` magic, format version, slot size, slot
   count) written once at creation;
@@ -13,13 +13,16 @@ directory so a SIGKILL leaves evidence on disk:
   ``i % n_slots``, so the file is a ring that overwrites oldest-first
   and never grows.
 
-Durability is deliberately **best-effort**: every write is a single
-``pwrite`` at a slot offset with no fsync — the recorder must never
-slow the hot path it is observing, and after a SIGKILL (process death,
-OS survives) the page cache preserves the writes anyway.  What a crash
-*can* leave is a torn slot, which is why each slot carries its own CRC:
-:meth:`FlightRecorder.records` simply drops slots that fail the check.
-A torn or stale slot costs one record of history, never the file.
+Writes are **synchronous and best-effort**: :meth:`FlightRecorder.emit`
+encodes the record and lands it with a single ``pwrite`` at its slot
+offset, on the emitting thread, with no fsync.  A record emitted before
+a SIGKILL is therefore already in the page cache, which survives the
+process; a failed ``pwrite`` is counted in ``write_errors`` and never
+raised — a broken disk must not take down what it observes.  What a
+crash *can* leave is a torn slot, which is why each slot carries its
+own CRC: :meth:`FlightRecorder.records` simply drops slots that fail
+the check.  A torn or stale slot costs one record of history, never
+the file.
 
 Reopening an existing ring (:meth:`FlightRecorder.open`) scans all
 slots, validates CRCs, and resumes the sequence after the highest
@@ -34,9 +37,7 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
-from collections import deque
 from typing import Iterator
 
 FLIGHT_MAGIC = b"FREC"
@@ -52,12 +53,13 @@ class FlightRecorderError(RuntimeError):
 
 
 class FlightRecorder:
-    """A fixed-size on-disk ring of JSON trace records.
+    """A fixed-size on-disk ring of JSON trace records — and a tracer sink.
 
     Create a fresh ring with :meth:`create`, reattach to a survivor with
-    :meth:`open`, or do whichever applies with :meth:`attach`.  Appends
-    are thread-safe; readers should use :meth:`records` (oldest→newest
-    by ``seq``).
+    :meth:`open`, or do whichever applies with :meth:`attach`, then hand
+    it to a :class:`~repro.obs.trace.Tracer`.  :meth:`emit` is
+    thread-safe; readers should use :meth:`records` (oldest→newest by
+    ``seq``).
     """
 
     def __init__(self, path: str, fd: int, slot_size: int, n_slots: int, next_seq: int):
@@ -66,8 +68,8 @@ class FlightRecorder:
         self.slot_size = slot_size
         self.n_slots = n_slots
         self.next_seq = next_seq
-        self.appended = 0
         self.truncated_payloads = 0
+        self.write_errors = 0
         self._lock = threading.Lock()
         self._closed = False
 
@@ -127,12 +129,13 @@ class FlightRecorder:
 
     # -- writing -------------------------------------------------------
 
-    def append(self, record: dict) -> None:
+    def emit(self, record: dict) -> None:
         """Write one record into the next slot (overwriting the oldest).
 
         Payloads longer than the slot allows are degraded to a stub that
         keeps the record's identity (``seq``/``type``/``name``) — the
-        ring prefers a thin record over a missing one.
+        ring prefers a thin record over a missing one.  A failed write
+        costs that record and bumps ``write_errors``; it never raises.
         """
         max_payload = self.slot_size - _SLOT_FRAME.size
         payload = json.dumps(
@@ -157,12 +160,14 @@ class FlightRecorder:
                 return
             seq = self.next_seq
             self.next_seq += 1
-            self.appended += 1
             crc = zlib.crc32(_SLOT_FRAME.pack(0, len(payload), seq)[4:] + payload)
             frame = _SLOT_FRAME.pack(crc, len(payload), seq) + payload
             frame = frame.ljust(self.slot_size, b"\x00")
             offset = _HEADER.size + (seq % self.n_slots) * self.slot_size
-            os.pwrite(self._fd, frame, offset)
+            try:
+                os.pwrite(self._fd, frame, offset)
+            except OSError:
+                self.write_errors += 1
 
     # -- reading -------------------------------------------------------
 
@@ -213,80 +218,6 @@ class FlightRecorder:
             f"FlightRecorder({self.path!r}, {self.slot_size}x{self.n_slots}, "
             f"next_seq={self.next_seq})"
         )
-
-
-class FlightRecorderSink:
-    """A tracer sink that tees every record into a :class:`FlightRecorder`.
-
-    Pair it with any other sink via :class:`~repro.obs.trace.TeeSink` to
-    keep the normal in-memory ring *and* the on-disk flight ring.
-
-    Writes are **write-behind**: :meth:`emit` runs inside the tracer's
-    emission lock, so it must not pay the JSON encode + ``pwrite``
-    (~10µs) there — it appends to a bounded in-memory queue and a
-    daemon drainer thread does the disk work, overlapping the log's
-    fsync waits instead of serializing every traced thread.  The cost:
-    a SIGKILL loses whatever was still queued — typically well under a
-    millisecond of history, the same bounded-loss contract the no-fsync
-    policy already accepts.  Queue overflow drops oldest (counted in
-    ``dropped``), mirroring the ring's own overwrite policy.
-    """
-
-    def __init__(self, recorder: FlightRecorder, queue_capacity: int = 8192):
-        self.recorder = recorder
-        self.dropped = 0
-        self._queue: deque = deque(maxlen=queue_capacity)
-        self._wake = threading.Event()
-        self._stop = False
-        self._drainer = threading.Thread(
-            target=self._drain, name="flightrec-drain", daemon=True
-        )
-        self._drainer.start()
-
-    def emit(self, record: dict) -> None:
-        """Queue the record for the drainer (cheap: one deque append)."""
-        queue = self._queue
-        if len(queue) == queue.maxlen:
-            self.dropped += 1  # overwrite-oldest, same policy as the ring
-        queue.append(record)
-        self._wake.set()
-
-    def _drain(self) -> None:
-        queue = self._queue
-        while True:
-            self._wake.wait(timeout=0.05)
-            self._wake.clear()
-            while queue:
-                try:
-                    record = queue.popleft()
-                except IndexError:  # pragma: no cover - racing close()
-                    break
-                try:
-                    self.recorder.append(record)
-                except OSError:
-                    pass  # a broken disk must never take down the drainer
-            if self._stop:
-                return
-
-    def flush(self, timeout: float = 5.0) -> None:
-        """Block until every queued record reached the ring file."""
-        deadline = time.monotonic() + timeout
-        while self._queue and time.monotonic() < deadline:
-            self._wake.set()
-            time.sleep(0.001)
-
-    def close(self) -> None:
-        """Drain the queue, stop the drainer, close the ring file."""
-        self.flush()
-        self._stop = True
-        self._wake.set()
-        self._drainer.join(timeout=5.0)
-        while self._queue:  # belt and braces: the drainer is gone now
-            try:
-                self.recorder.append(self._queue.popleft())
-            except (IndexError, OSError):
-                break
-        self.recorder.close()
 
 
 def flight_ring_path(log_dir: str) -> str:

@@ -1,25 +1,23 @@
 """The metrics registry: one namespaced read path for every counter.
 
-Before this module, the system's operational counters were scattered:
+The system's operational counters live where the work happens —
 ``MethodStats`` on each recovery method, ``SchedulerStats`` on the
 install scheduler, loose attributes on the log manager, disk, and
-buffer pool — and :meth:`repro.engine.KVDatabase.report` merged them
-into one flat dict with ``update()``, silently at risk of key
-collisions.  The :class:`MetricsRegistry` unifies them:
+buffer pool.  The :class:`MetricsRegistry` reads them all through one
+path instead of merging dicts with ``update()`` (the historical
+``report()`` collision hazard):
 
-- **instruments** (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) are owned by the registry and named with dotted
-  namespaces (``obs.trace_records``, ``recovery.redo_start``);
-- **collectors** adopt the existing per-component stats objects without
+- **collectors** adopt the per-component stats objects without
   rewriting them: a collector is a namespace plus a callable returning
   a plain mapping, and its keys are published as ``namespace.key``
   (``method.records_replayed``, ``scheduler.elisions``, ``log.forces``);
+- :meth:`MetricsRegistry.merge` folds a child registry in under a
+  prefix, read live (one per shard in a deployment);
+- :class:`Histogram` instruments are owned by the registry and named
+  with dotted namespaces (``server.latency.put``);
 - :meth:`MetricsRegistry.snapshot` materializes everything into one
   dict and **raises on any name collision** instead of silently
-  overwriting — the fix for the historical ``report()`` hazard;
-- :meth:`MetricsRegistry.delta` subtracts two snapshots, which is what
-  benchmarks and the crash harnesses want ("how much redo work did
-  *this* recovery do").
+  overwriting.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ _NAMESPACE_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 class MetricsError(ValueError):
-    """A metrics-naming violation: bad name, type clash, or collision."""
+    """A metrics-naming violation: bad name, taken namespace, or collision."""
 
 
 def _check_name(name: str) -> str:
@@ -44,52 +42,6 @@ def _check_name(name: str) -> str:
             f"(namespace.key, e.g. 'method.records_replayed')"
         )
     return name
-
-
-class Counter:
-    """A monotonically increasing count (increments are atomic)."""
-
-    __slots__ = ("name", "value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (must be >= 0: counters only go up)."""
-        if amount < 0:
-            raise MetricsError(f"counter {self.name!r} cannot decrease")
-        with self._lock:
-            self.value += amount
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}={self.value})"
-
-
-class Gauge:
-    """A point-in-time value: set directly, or computed by a callable."""
-
-    __slots__ = ("name", "_value", "_fn")
-
-    def __init__(self, name: str, fn: Callable[[], Any] | None = None):
-        self.name = name
-        self._value: Any = 0
-        self._fn = fn
-
-    def set(self, value: Any) -> None:
-        """Set the gauge (illegal on computed gauges)."""
-        if self._fn is not None:
-            raise MetricsError(f"gauge {self.name!r} is computed; cannot set")
-        self._value = value
-
-    @property
-    def value(self) -> Any:
-        """The current value (calling the callable for computed gauges)."""
-        return self._fn() if self._fn is not None else self._value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}={self.value})"
 
 
 class Histogram:
@@ -240,54 +192,23 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms, and adopted stats — one namespace.
+    """Histograms and adopted stats — one namespace.
 
-    Instruments are created on first request (``counter(name)`` is
-    get-or-create); requesting an existing name as a different
-    instrument type raises.  Collectors adopt external stats objects;
-    their keys surface as ``namespace.key`` in every snapshot.
+    Histograms are created on first request (``histogram(name)`` is
+    get-or-create).  Collectors adopt external stats objects; their keys
+    surface as ``namespace.key`` in every snapshot.
     """
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Any] = {}
+        self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, Callable[[], Mapping[str, Any]]] = {}
-
-    # -- instruments ---------------------------------------------------
-
-    def _instrument(self, name: str, kind: type):
-        _check_name(name)
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not kind:
-                raise MetricsError(
-                    f"{name!r} already registered as {type(existing).__name__}"
-                )
-            return existing
-        instrument = kind(name)
-        self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter ``name``."""
-        return self._instrument(name, Counter)
-
-    def gauge(self, name: str, fn: Callable[[], Any] | None = None) -> Gauge:
-        """Get or create the gauge ``name`` (optionally computed by ``fn``)."""
-        _check_name(name)
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if type(existing) is not Gauge:
-                raise MetricsError(
-                    f"{name!r} already registered as {type(existing).__name__}"
-                )
-            return existing
-        instrument = Gauge(name, fn)
-        self._instruments[name] = instrument
-        return instrument
 
     def histogram(self, name: str) -> Histogram:
         """Get or create the histogram ``name``."""
-        return self._instrument(name, Histogram)
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[_check_name(name)] = Histogram(name)
+        return histogram
 
     # -- collectors ----------------------------------------------------
 
@@ -336,43 +257,16 @@ class MetricsRegistry:
                 raise MetricsError(f"metric name collision on {key!r}")
             out[key] = value
 
-        for name, instrument in self._instruments.items():
-            if isinstance(instrument, Histogram):
-                for suffix, value in instrument.summary().items():
-                    put(f"{name}.{suffix}", value)
-            else:
-                put(name, instrument.value)
+        for name, histogram in self._histograms.items():
+            for suffix, value in histogram.summary().items():
+                put(f"{name}.{suffix}", value)
         for namespace, collect in self._collectors.items():
             for key, value in collect().items():
                 put(f"{namespace}.{key}", value)
         return out
 
-    def as_dict(self) -> dict[str, Any]:
-        """Alias of :meth:`snapshot` (symmetry with the stats objects)."""
-        return self.snapshot()
-
-    def delta(self, previous: Mapping[str, Any]) -> dict[str, Any]:
-        """Current snapshot minus ``previous``, numeric keys subtracted.
-
-        Keys absent from ``previous`` count from zero; non-numeric
-        values (labels) are passed through unchanged.  The shape every
-        "work done by this phase" measurement wants.
-        """
-        current = self.snapshot()
-        out: dict[str, Any] = {}
-        for key, value in current.items():
-            before = previous.get(key, 0)
-            if isinstance(value, (int, float)) and isinstance(before, (int, float)):
-                out[key] = value - before
-            else:
-                out[key] = value
-        return out
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(instruments={len(self._instruments)}, "
+            f"MetricsRegistry(histograms={len(self._histograms)}, "
             f"collectors={sorted(self._collectors)})"
         )

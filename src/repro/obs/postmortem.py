@@ -28,41 +28,46 @@ from repro.obs.timeline import RecoveryTimeline
 def scan_log_tail(directory) -> dict[str, Any]:
     """Read-only scan of one segment directory's stable suffix.
 
-    Walks every archive + segment file with the same zero-copy frame
-    walker recovery and ``logdump`` use, but never writes: returns the
+    Summarizes every archive + segment file with
+    :meth:`~repro.logmgr.filelog.SegmentReader.stats` — the same frame
+    walk recovery and ``logdump`` use — but never writes: returns the
     record count, the last stable LSN, and any torn tail (file, byte
-    offset, reason).  A crash-torn log is data here, not an error.
+    offset, reason).  A crash-torn log is data here, not an error; a
+    bad header or an LSN hole is reported under ``errors``.
     """
-    from repro.logmgr.codec import CodecError, TornTail
-    from repro.logmgr.filelog import SegmentReader, header_torn, log_files
+    from repro.logmgr.codec import CodecError
+    from repro.logmgr.filelog import log_files, open_segments
 
     paths = log_files(directory)
     records = 0
     last_lsn: int | None = None
     torn: list[dict[str, Any]] = []
     errors: list[str] = []
-    for path in paths:
-        try:
-            reader = SegmentReader(path)
-        except CodecError as exc:
-            if header_torn(path, paths):
-                torn.append({"file": path.name, "offset": 0, "reason": str(exc)})
+    for path, reader, fault in open_segments(paths):
+        if fault is not None:
+            header_torn, reason = fault
+            if header_torn:
+                torn.append({"file": path.name, "offset": 0, "reason": reason})
             else:
-                errors.append(f"{path.name}: bad header ({exc})")
+                errors.append(f"{path.name}: bad header ({reason})")
             continue
-        with reader:
-            try:
-                for lsn, _lo, _hi in reader.views():
-                    records += 1
-                    last_lsn = lsn if last_lsn is None else max(last_lsn, lsn)
-            except TornTail as tear:
-                torn.append(
-                    {
-                        "file": path.name,
-                        "offset": tear.offset,
-                        "reason": tear.reason,
-                    }
-                )
+        try:
+            stats = reader.stats()
+        except CodecError as exc:
+            errors.append(f"{path.name}: {exc}")
+            continue
+        if stats.count:
+            records += stats.count
+            end = reader.base_lsn + stats.count - 1
+            last_lsn = end if last_lsn is None else max(last_lsn, end)
+        if stats.tear_offset is not None:
+            torn.append(
+                {
+                    "file": path.name,
+                    "offset": stats.tear_offset,
+                    "reason": stats.tear_reason,
+                }
+            )
     return {
         "dir": str(Path(directory)),
         "files": len(paths),

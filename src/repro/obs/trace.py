@@ -49,9 +49,10 @@ class NullSink:
 class RingBufferSink:
     """Keeps the newest ``capacity`` records in memory.
 
-    The flight-recorder sink: always-on tracing with bounded memory,
-    inspected after the fact (e.g. by
-    :class:`repro.obs.timeline.RecoveryTimeline`).  ``dropped`` counts
+    Bounded-memory tracing, read back in the same process (e.g. by
+    :class:`repro.obs.timeline.RecoveryTimeline`); a trace that must
+    outlive the process goes to a
+    :class:`~repro.obs.flightrec.FlightRecorder`.  ``dropped`` counts
     records that fell off the old end.
     """
 
@@ -76,44 +77,6 @@ class RingBufferSink:
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self.records)
-
-
-class TeeSink:
-    """Fans each record out to several sinks (e.g. ring buffer + flight ring).
-
-    Emission order follows construction order; ``close`` closes every
-    sink, even if an earlier one raises.
-    """
-
-    def __init__(self, *sinks: Any):
-        if not sinks:
-            raise ValueError("TeeSink needs at least one sink")
-        self.sinks = tuple(sinks)
-
-    def emit(self, record: dict) -> None:
-        """Emit the record to every sink, in order."""
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        """Close every sink; the first failure propagates after all run."""
-        first_error: Exception | None = None
-        for sink in self.sinks:
-            try:
-                sink.close()
-            except Exception as exc:  # pragma: no cover - defensive
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def __iter__(self) -> Iterator[dict]:
-        # Iterating a tee iterates its first iterable sink (the ring
-        # buffer in the standard ring+flight pairing).
-        for sink in self.sinks:
-            if hasattr(sink, "__iter__"):
-                return iter(sink)
-        return iter(())
 
 
 class JsonLinesSink:

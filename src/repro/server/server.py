@@ -46,17 +46,15 @@ telemetry at all in commits/s.
 
 The budget dictates the architecture: per-*operation* tracing costs
 microseconds of JSON per record, which at tens of thousands of ops/s is
-a double-digit throughput tax — so the default serve
-telemetry never puts the engine's event firehose on the hot path.
-Instead the server's own tracer (``tracer=``, teed into the on-disk
-flight ring by ``repro serve``) carries the cheap-but-sufficient crash
-narrative: the ``server.serve`` span (left open while serving, so a
-SIGKILL renders it INTERRUPTED in the postmortem) and a **heartbeat**
-event every ``heartbeat_interval`` seconds with the health snapshot —
-stable LSNs, pipeline depth, dirty pages, session counts.  A few
-records per second buys a postmortem that says what the deployment
-looked like moments before it died; the full per-op firehose stays an
-explicit opt-in (``serve --trace-ops``) with its cost documented.
+a double-digit throughput tax — so served engines are never traced.
+Instead the server's own tracer (``tracer=``, writing straight into the
+on-disk flight ring under ``repro serve --log-dir``) carries the
+cheap-but-sufficient crash narrative: the ``server.serve`` span (left
+open while serving, so a SIGKILL renders it INTERRUPTED in the
+postmortem) and a **heartbeat** event every ``heartbeat_interval``
+seconds with the health snapshot — stable LSNs, pipeline depth, dirty
+pages, session counts.  A few records per second buys a postmortem that
+says what the deployment looked like moments before it died.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from repro.core.model import Operation, State
 from repro.engine import KVDatabase
 from repro.logmgr import (
     CheckpointRecord,
-    LogEntry,
+    LogRecord,
     LogicalRedo,
     MultiPageRedo,
     PhysicalRedo,
@@ -121,7 +121,7 @@ def _lifted(name: str, cells: dict, src: str | None = None) -> Operation:
     )
 
 
-def _lift_record(entry: LogEntry) -> Operation | None:
+def _lift_record(entry: LogRecord) -> Operation | None:
     """The abstract operation a stable log record denotes (None for
     checkpoint records, which are not operations)."""
     name = f"L{entry.lsn}"
@@ -207,7 +207,7 @@ def _stable_model_state(method) -> State:
 # Simulating the redo decision
 # ----------------------------------------------------------------------
 
-def _redo_lsns(method, entries: Sequence[LogEntry]) -> set[int]:
+def _redo_lsns(method, entries: Sequence[LogRecord]) -> set[int]:
     """The LSNs the method's recovery would replay, given the current
     stable state — mirroring each §6 recovery procedure exactly."""
     if isinstance(method, LogicalKV):
@@ -337,7 +337,7 @@ class AuditTracker:
         self._by_lsn: dict[int, Operation] = {}
         self._watermark = -1
 
-    def sync(self) -> list[LogEntry]:
+    def sync(self) -> list[LogRecord]:
         """Lift records that became stable since the last call; returns
         the full stable entry list for the redo simulation."""
         entries = self.method.machine.log.stable_entries()

@@ -26,7 +26,7 @@ from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
 from repro.logmgr import (
     CheckpointRecord,
-    LogEntry,
+    LogRecord,
     MultiPageRedo,
     PageAction,
     PhysicalRedo,
@@ -87,7 +87,7 @@ def _read_pages_of(actions: tuple[PageAction, ...], page_id: str) -> set[str]:
     return reads
 
 
-def lift_btree_log(entries: list[LogEntry]) -> tuple[list[Operation], dict]:
+def lift_btree_log(entries: list[LogRecord]) -> tuple[list[Operation], dict]:
     """Lift stable records to page-granular operations.
 
     Returns the operations plus a map lsn -> list of (operation, page_id)

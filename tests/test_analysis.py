@@ -2,7 +2,7 @@
 
 from repro.logmgr import (
     CheckpointRecord,
-    LogEntry,
+    LogRecord,
     MultiPageRedo,
     PageAction,
     PhysiologicalRedo,
@@ -12,11 +12,11 @@ from repro.methods.physiological import analysis_pass
 
 
 def phys(lsn, page):
-    return LogEntry(lsn, PhysiologicalRedo(page, PageAction("put", ("k", lsn))))
+    return LogRecord(lsn, PhysiologicalRedo(page, PageAction("put", ("k", lsn))))
 
 
 def ckpt(lsn, table: dict):
-    return LogEntry(
+    return LogRecord(
         lsn, CheckpointRecord(("physiological", tuple(sorted(table.items()))))
     )
 
@@ -62,7 +62,7 @@ class TestAnalysisPass:
         assert redo_start == 1
 
     def test_multipage_records_dirty_written_pages(self):
-        record = LogEntry(
+        record = LogRecord(
             0,
             MultiPageRedo(
                 ("src",), {"dst": (PageAction("copyfrom", ("src", "s", "d", 1)),)}

@@ -102,6 +102,7 @@ class TestColdRestartEquivalence:
         db.run(generate_kv_workload(23, MIXED))
         warm, cold = cold_restart_states(db, tmp_path, log_segment_size=32)
         assert warm == cold
+        db.close()
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_unsynced_crash_recovers_durable_prefix(self, tmp_path, method):
@@ -121,6 +122,7 @@ class TestColdRestartEquivalence:
         db.run(stream)
         db.crash_and_recover()
         assert db.verify_against(stream) == db.durable_count() > 0
+        db.close()
 
     def test_cold_start_verifies_against_oracle(self, tmp_path):
         stream = generate_kv_workload(31, MIXED)
@@ -134,6 +136,8 @@ class TestColdRestartEquivalence:
         assert cold.verify_against(stream) == len(
             [c for c in stream if c[0] != "get"]
         )
+        db.close()
+        cold.close()
 
     def test_durable_metrics_flow_through_report(self, tmp_path):
         db = KVDatabase(method="physiological", log_dir=tmp_path)
@@ -144,6 +148,7 @@ class TestColdRestartEquivalence:
         assert report["durable_bytes_written"] > 0
         in_memory = KVDatabase(method="physiological")
         assert "durable_fsyncs" not in in_memory.report()
+        db.close()
 
 
 class TestDisklessColdStart:
@@ -181,6 +186,7 @@ class TestDisklessColdStart:
         mutations = [c for c in stream if c[0] != "get"]
         assert cold.verify_against(stream) == len(mutations)
         cold.close()
+        db.close()
 
 
 class TestLogDirectoryGuards:
@@ -198,6 +204,7 @@ class TestLogDirectoryGuards:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         cold = KVDatabase.cold_start(tmp_path, method="physiological")
         assert cold.durable_count() == len([c for c in stream if c[0] != "get"])
+        cold.close()
 
     def test_trimmed_directory_is_refused_on_cold_start(self, tmp_path):
         """A sealed segment renamed ``.arch`` — what checkpoint
@@ -318,3 +325,4 @@ class TestProcessKill:
         db.run(rest)
         db.sync()
         assert db.verify_against(mutations[:durable] + rest) == len(mutations)
+        db.close()

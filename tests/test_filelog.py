@@ -63,6 +63,7 @@ class TestFileLogStore:
         path = tmp_path / segment_filename(0)
         assert path.exists()
         assert path.stat().st_size == FILE_HEADER_SIZE
+        store.close()
 
     def test_staged_frames_hit_disk_only_after_write(self, tmp_path):
         store = FileLogStore(tmp_path)
@@ -73,6 +74,7 @@ class TestFileLogStore:
         assert path.stat().st_size == FILE_HEADER_SIZE  # still staged
         store.write_up_to(0)
         assert path.stat().st_size == FILE_HEADER_SIZE + len(frame)
+        store.close()
 
     def test_sync_keeps_handle_open_while_frames_staged(self, tmp_path):
         """Regression: an append can stage into a segment and rotate
@@ -121,6 +123,7 @@ class TestFileLogStore:
         assert path.stat().st_size == FILE_HEADER_SIZE + len(frames[0])
         survivors = file_records(path)
         assert [r.lsn for r in survivors] == [0]
+        store.close()
 
     def test_crash_deletes_file_with_no_synced_records(self, tmp_path):
         store = FileLogStore(tmp_path)
@@ -140,6 +143,7 @@ class TestFileLogStore:
         reopened = FileLogStore.attach(tmp_path)
         assert reopened.segment_base_lsns() == [0]
         assert [r.lsn for r in reopened.scan_segment(0)] == [0]
+        reopened.close()
 
 
 class TestGroupCommit:
@@ -172,6 +176,7 @@ class TestGroupCommit:
         log.append(LogicalRedo(("b",)))
         log.flush()
         assert log.stable_lsn == 0
+        log.store.close()
 
     def test_partial_flush_across_a_rotation_writes_every_record(self, tmp_path):
         # A flush to LSN 1 syncs segment 0 while LSNs 2-3 are still
@@ -221,6 +226,7 @@ class TestEviction:
         log.flush()
         segments = log.segments()
         assert [s.evicted for s in segments] == [True, True, False]
+        log.store.close()
 
     def test_evicted_segments_restream_from_files(self, tmp_path):
         log = durable_log(tmp_path, segment_size=4)
@@ -231,6 +237,7 @@ class TestEviction:
             range(10)
         )
         assert log.entry(2).lsn == 2  # random access re-streams too
+        log.store.close()
 
     def test_evicted_accounting_matches_resident(self, tmp_path):
         log = durable_log(tmp_path, segment_size=4)
@@ -247,6 +254,7 @@ class TestEviction:
         assert log.stable_operation_count() == reference.stable_operation_count() == 10
         assert log.stable_bytes() == reference.stable_bytes()
         assert log.total_bytes() == reference.total_bytes()
+        log.store.close()
 
 
 class TestColdStart:
@@ -257,6 +265,7 @@ class TestColdStart:
         entry = log.append(LogicalRedo(("first",)))
         log.flush()
         assert log.stable_lsn == entry.lsn
+        log.store.close()
 
     def test_cold_start_recovers_synced_records(self, tmp_path):
         warm = durable_log(tmp_path, segment_size=4)
@@ -271,6 +280,7 @@ class TestColdStart:
         assert [r.payload.description[0] for r in cold.stable_records_from(0)] == list(
             range(9)
         )
+        cold.store.close()
 
     def test_cold_start_appends_continue_the_lsn_sequence(self, tmp_path):
         warm = durable_log(tmp_path)
@@ -282,6 +292,7 @@ class TestColdStart:
         assert entry.lsn == 1
         cold.flush()
         assert cold.stable_lsn == 1
+        cold.store.close()
 
     def test_torn_tail_is_truncated_on_open(self, tmp_path):
         warm = durable_log(tmp_path)
@@ -301,6 +312,7 @@ class TestColdStart:
         assert entry.lsn == 2
         cold.flush()
         assert cold.stable_lsn == 2
+        cold.store.close()
 
     def test_segments_after_a_tear_are_deleted(self, tmp_path):
         warm = durable_log(tmp_path, segment_size=2)
@@ -313,6 +325,7 @@ class TestColdStart:
         cold = LogManager.open(tmp_path, segment_size=2)
         assert cold.stable_lsn == 2  # lsn 3 torn; 4,5 beyond the hole
         assert not (tmp_path / segment_filename(4)).exists()
+        cold.store.close()
 
     def test_checkpoints_survive_cold_start(self, tmp_path):
         warm = durable_log(tmp_path)
@@ -322,6 +335,7 @@ class TestColdStart:
         warm.store.close()
         cold = LogManager.open(tmp_path)
         assert cold.last_stable_checkpoint_lsn == 1
+        cold.store.close()
 
     def test_archived_directory_is_refused(self, tmp_path):
         """A segment renamed ``.arch`` is what checkpoint truncation
@@ -365,6 +379,7 @@ class TestColdStart:
         paths = list(tmp_path.glob(f"*{SEGMENT_SUFFIX}"))
         assert len(paths) == 1
         assert [r.lsn for r in file_records(paths[0])] == [0]
+        log.store.close()
 
 
 class TestSegmentSeal:
@@ -406,6 +421,7 @@ class TestSegmentSeal:
         assert again == good
         assert [lsn for lsn, _ in good] == list(range(8))
         assert not self._sealed(tmp_path)
+        log.store.close()
 
     def test_stale_seal_is_ignored(self, tmp_path):
         # A seal for other bytes — the file grew or shrank since, or it
@@ -428,6 +444,7 @@ class TestSegmentSeal:
         sidecar.write_bytes(sidecar.read_bytes()[:10])
         assert [(r.lsn, r.payload) for r in log.store.scan_segment(0)] == good
         assert not self._sealed(tmp_path)
+        log.store.close()
 
     def test_attached_segment_seals_from_its_bytes(self, tmp_path):
         # An attached file has no running CRC: its seal is read back
@@ -459,6 +476,7 @@ class TestSegmentSeal:
         damaged[lo] ^= 0xFF
         path.write_bytes(bytes(damaged))
         assert [r.lsn for r in log.store.scan_segment(0)] == [0, 1, 2]
+        log.store.close()
 
 
 class TestScanSeek:
@@ -474,18 +492,21 @@ class TestScanSeek:
         records = list(log.store.scan_segment(0, start_lsn=3))
         assert [r.lsn for r in records] == [3, 4, 5, 6, 7]
         assert [r.payload for r in records] == [LogicalRedo((i,)) for i in range(3, 8)]
+        log.store.close()
 
     def test_scan_segment_seek_past_the_end_is_empty(self, tmp_path):
         log = self._filled_log(tmp_path)
         assert list(log.store.scan_segment(0, start_lsn=8)) == []
+        log.store.close()
 
     def test_records_from_mid_log_after_cold_start(self, tmp_path):
-        self._filled_log(tmp_path)
+        self._filled_log(tmp_path).store.close()
         log = LogManager.open(tmp_path, segment_size=8)
         records = list(log.records_from(5))
         assert [r.lsn for r in records] == list(range(5, 20))
         assert records[0].payload == LogicalRedo((5,))
         assert records[-1].payload == LogicalRedo((19,))
+        log.store.close()
 
     def test_seal_fallback_reports_the_same_tear_offset(self, tmp_path):
         # Whether the walk degrades from a broken seal or never had one,
@@ -503,6 +524,7 @@ class TestScanSeek:
         pages_path(path).unlink()
         _records, tear_without_seal, _ = log.store.load_segment(0)
         assert tear_with_seal == tear_without_seal == frame_start
+        log.store.close()
 
 
 class TestPreSealCompat:
@@ -525,6 +547,8 @@ class TestPreSealCompat:
         assert [r.lsn for r in records] == list(range(20))
         assert [r.payload for r in records] == [LogicalRedo((i,)) for i in range(20)]
         assert reopened.page_index().sidecars_used == 0
+        log.store.close()
+        reopened.store.close()
 
     def test_handwritten_v1_segment_file_streams(self, tmp_path):
         # A fixture file built from nothing but the v1 primitives —
@@ -790,3 +814,18 @@ class TestFailedRotation:
         assert scan_log_tail(tmp_path)["errors"]
         with pytest.raises(CodecError, match="shorter than its header"):
             durable_log(tmp_path, segment_size=4)
+
+    def test_postmortem_reports_a_segment_that_is_not_lsn_dense(self, tmp_path):
+        log = durable_log(tmp_path, segment_size=4)
+        for i in range(6):
+            log.append(LogicalRedo((i,)))
+        log.flush()
+        log.store.close()
+        # Segment 4's frames carry LSNs 4 and 5 under a header claiming 5.
+        path = tmp_path / segment_filename(4)
+        path.write_bytes(encode_file_header(5) + path.read_bytes()[FILE_HEADER_SIZE:])
+        report = scan_log_tail(tmp_path)
+        assert report["records"] == 4 and report["last_lsn"] == 3
+        assert report["torn_tails"] == []
+        [error] = report["errors"]
+        assert error.startswith(f"{path.name}: segment 5 holds LSN 4")

@@ -1,15 +1,14 @@
 """Tests for the crash flight recorder (repro.obs.flightrec).
 
 The ring's whole job is to survive a process that does not: the
-cross-process test at the bottom SIGKILLs a child mid-traffic and
-asserts the parent can reopen the ring and read the child's final
+cross-process tests at the bottom SIGKILL a child mid-traffic and
+assert the parent can reopen the ring and read the child's final
 records — the same contract ``repro postmortem`` relies on.
 """
 
-import json
+import errno
 import os
 import signal
-import struct
 import subprocess
 import sys
 import time
@@ -18,15 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.obs import (
-    FlightRecorder,
-    FlightRecorderError,
-    FlightRecorderSink,
-    RingBufferSink,
-    TeeSink,
-    Tracer,
-    flight_ring_path,
-)
+from repro.obs import FlightRecorder, FlightRecorderError, Tracer, flight_ring_path
 from repro.obs.flightrec import _HEADER, _SLOT_FRAME
 
 
@@ -34,7 +25,7 @@ class TestRingFile:
     def test_create_append_read_roundtrip(self, tmp_path):
         ring = FlightRecorder.create(str(tmp_path / "f.ring"), n_slots=16)
         for i in range(5):
-            ring.append({"seq": i, "type": "event", "name": "e", "fields": {"i": i}})
+            ring.emit({"seq": i, "type": "event", "name": "e", "fields": {"i": i}})
         records = ring.records()
         assert [r["fields"]["i"] for r in records] == [0, 1, 2, 3, 4]
         ring.close()
@@ -45,14 +36,14 @@ class TestRingFile:
         expected = _HEADER.size + 128 * 8
         assert path.stat().st_size == expected
         for i in range(100):
-            ring.append({"seq": i, "type": "event", "name": "e"})
+            ring.emit({"seq": i, "type": "event", "name": "e"})
         assert path.stat().st_size == expected  # a ring never grows
         ring.close()
 
     def test_wraparound_overwrites_oldest(self, tmp_path):
         ring = FlightRecorder.create(str(tmp_path / "f.ring"), n_slots=8)
         for i in range(8 + 5):
-            ring.append({"seq": i, "type": "event", "name": "e"})
+            ring.emit({"seq": i, "type": "event", "name": "e"})
         survivors = [r["seq"] for r in ring.records()]
         assert survivors == list(range(5, 13))
         ring.close()
@@ -61,11 +52,11 @@ class TestRingFile:
         path = str(tmp_path / "f.ring")
         first = FlightRecorder.create(path, n_slots=8)
         for i in range(3):
-            first.append({"seq": i, "type": "event", "name": "a"})
+            first.emit({"seq": i, "type": "event", "name": "a"})
         first.close()  # no fsync by design; same-OS reads see the writes
         second = FlightRecorder.open(path)
         assert second.next_seq == 3
-        second.append({"seq": 3, "type": "event", "name": "b"})
+        second.emit({"seq": 3, "type": "event", "name": "b"})
         names = [r["name"] for r in second.records()]
         assert names == ["a", "a", "a", "b"]
         second.close()
@@ -74,7 +65,7 @@ class TestRingFile:
         path = str(tmp_path / "f.ring")
         ring = FlightRecorder.create(path, slot_size=128, n_slots=8)
         for i in range(5):
-            ring.append({"seq": i, "type": "event", "name": "e"})
+            ring.emit({"seq": i, "type": "event", "name": "e"})
         ring.close()
         # Corrupt the middle slot's payload: its CRC now fails.
         offset = _HEADER.size + 2 * 128 + _SLOT_FRAME.size
@@ -89,7 +80,7 @@ class TestRingFile:
         ring = FlightRecorder.create(
             str(tmp_path / "f.ring"), slot_size=96, n_slots=4
         )
-        ring.append(
+        ring.emit(
             {
                 "seq": 0,
                 "type": "span_start",
@@ -111,7 +102,7 @@ class TestRingFile:
         path.write_bytes(b"not a flight ring at all")
         ring = FlightRecorder.attach(str(path), n_slots=8)
         assert ring.next_seq == 0
-        ring.append({"seq": 0, "type": "event", "name": "e"})
+        ring.emit({"seq": 0, "type": "event", "name": "e"})
         assert len(ring.records()) == 1
         ring.close()
 
@@ -135,19 +126,53 @@ class TestRingFile:
 
 
 class TestSinkIntegration:
-    def test_tracer_tees_into_the_ring(self, tmp_path):
+    def test_tracer_writes_into_the_ring(self, tmp_path):
         recorder = FlightRecorder.create(str(tmp_path / "f.ring"), n_slots=32)
-        memory = RingBufferSink()
-        tracer = Tracer(TeeSink(memory, FlightRecorderSink(recorder)))
+        tracer = Tracer(recorder)
         with tracer.span("recovery", method="physical"):
             tracer.event("recovery.record", lsn=1)
         tracer.close()
         reopened = FlightRecorder.open(str(tmp_path / "f.ring"))
         on_disk = reopened.records()
         reopened.close()
-        assert [r["seq"] for r in on_disk] == [r["seq"] for r in memory]
-        assert on_disk[0]["type"] == "span_start"
+        assert [r["seq"] for r in on_disk] == [0, 1, 2]
+        assert [r["type"] for r in on_disk] == ["span_start", "event", "span_end"]
         assert on_disk[0]["fields"]["method"] == "physical"
+
+    def test_failed_ring_write_never_takes_the_server_down(
+        self, tmp_path, monkeypatch
+    ):
+        """A ring whose every ``pwrite`` fails (EIO) costs its records,
+        never the server: the serve span (emitted in ``KVServer``'s
+        constructor) and each heartbeat are counted and dropped."""
+        from repro.engine import KVDatabase
+        from repro.obs import flightrec
+        from repro.server import KVClient, KVServer
+
+        def broken_pwrite(fd, data, offset):
+            raise OSError(errno.EIO, "injected I/O error")
+
+        recorder = FlightRecorder.create(str(tmp_path / "f.ring"), n_slots=32)
+        monkeypatch.setattr(flightrec.os, "pwrite", broken_pwrite)
+        db = KVDatabase(method="physiological", commit_pipeline=True)
+        server = KVServer(db, tracer=Tracer(recorder), heartbeat_interval=0.05)
+        server.serve_background()
+        try:
+            assert recorder.write_errors == 1  # the server.serve span
+            with KVClient(*server.address) as client:
+                for i in range(10):
+                    client.put(f"k{i}", i)
+                client.commit()
+                deadline = time.monotonic() + 5.0
+                while recorder.write_errors < 3 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert recorder.write_errors >= 3, "no heartbeat within 5s"
+                assert client.health()["stable_lsn"] >= 9
+                assert client.stats()["latency"]["put"]["count"] == 10
+            assert server._heartbeat_thread.is_alive()
+        finally:
+            server.close()
+            recorder.close()
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +181,10 @@ class TestSinkIntegration:
 
 CHILD_SOURCE = """\
 import sys
-from repro.obs import FlightRecorder, FlightRecorderSink, RingBufferSink, TeeSink, Tracer
+from repro.obs import FlightRecorder, Tracer
 
-ring_path = sys.argv[1]
-recorder = FlightRecorder.create(ring_path, n_slots=64)
-tracer = Tracer(TeeSink(RingBufferSink(), FlightRecorderSink(recorder)))
+recorder = FlightRecorder.create(sys.argv[1], n_slots=64)
+tracer = Tracer(recorder)
 span = tracer.span("child.run", pid=1)
 i = 0
 while True:
@@ -168,6 +192,23 @@ while True:
     i += 1
     print(i, flush=True)
 """
+
+SUICIDE_SOURCE = """\
+import os, signal, sys
+from repro.obs import FlightRecorder, Tracer
+
+tracer = Tracer(FlightRecorder.create(sys.argv[1], n_slots=256))
+for i in range(int(sys.argv[2])):
+    tracer.event("child.tick", i=i)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _child_env():
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
@@ -179,12 +220,9 @@ class TestProcessKill:
         script = tmp_path / "child.py"
         script.write_text(CHILD_SOURCE)
         ring_path = tmp_path / "FLIGHT.ring"
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, str(script), str(ring_path)],
-            env=env,
+            env=_child_env(),
             stdout=subprocess.PIPE,
             text=True,
         )
@@ -196,22 +234,6 @@ class TestProcessKill:
                 line = proc.stdout.readline()
                 assert line, "child exited early"
                 ticks = int(line)
-            # Ticks count *emits* (queue side); the write-behind drainer
-            # lands them on disk asynchronously.  Kill only once the ring
-            # file itself shows a full lap, or the timing is a coin flip
-            # under a loaded machine.
-            while time.monotonic() < deadline:
-                snap = FlightRecorder.open(str(ring_path))
-                on_disk = snap.records()
-                snap.close()
-                if (
-                    len(on_disk) >= 64
-                    and on_disk[-1].get("fields", {}).get("i", -1) >= 63
-                ):
-                    break
-                time.sleep(0.05)
-            else:
-                raise AssertionError("ring never fully lapped on disk")
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             proc.stdout.close()
@@ -227,12 +249,10 @@ class TestProcessKill:
         seqs = [r["seq"] for r in records]
         assert seqs == sorted(set(seqs))  # strictly increasing
         assert seqs[-1] - seqs[0] < 64 + 1  # one 64-slot window, <=1 gap
-        # The final record on disk is one the child actually emitted —
-        # near the end of its life, modulo the write-behind queue's
-        # bounded loss window.
+        # Every tick the child reported was written before it printed.
         last = records[-1]
         assert last["name"] == "child.tick"
-        assert last["fields"]["i"] >= 63  # the ring fully lapped at least once
+        assert last["fields"]["i"] >= ticks - 1
 
         from repro.obs import RecoveryTimeline
 
@@ -240,3 +260,22 @@ class TestProcessKill:
         # span_start was overwritten by the wrap; lenient mode still
         # renders the tail (every tick floats to the top level).
         assert timeline.records
+
+    def test_every_record_emitted_before_sigkill_is_on_disk(self, tmp_path):
+        """The ring write is synchronous: a child that SIGKILLs itself
+        straight after its last emit leaves every record in the ring."""
+        script = tmp_path / "child.py"
+        script.write_text(SUICIDE_SOURCE)
+        ring_path = tmp_path / "FLIGHT.ring"
+        n = 200
+        proc = subprocess.run(
+            [sys.executable, str(script), str(ring_path), str(n)],
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        survivor = FlightRecorder.open(str(ring_path))
+        records = survivor.records()
+        survivor.close()
+        assert [r["seq"] for r in records] == list(range(n))
+        assert [r["fields"]["i"] for r in records] == list(range(n))

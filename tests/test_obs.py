@@ -6,8 +6,6 @@ import pytest
 
 from repro.obs import (
     NULL_TRACER,
-    Counter,
-    Gauge,
     Histogram,
     JsonLinesSink,
     MetricsError,
@@ -23,48 +21,18 @@ from repro.obs.trace import NULL_SPAN, TraceError
 
 
 class TestMetricsRegistry:
-    def test_counter_get_or_create(self):
-        reg = MetricsRegistry()
-        c = reg.counter("log.forces")
-        c.inc()
-        c.inc(2)
-        assert reg.counter("log.forces") is c
-        assert reg.snapshot()["log.forces"] == 3
-
-    def test_counter_cannot_decrease(self):
-        reg = MetricsRegistry()
-        with pytest.raises(MetricsError):
-            reg.counter("a.b").inc(-1)
-
     def test_name_must_be_dotted(self):
         reg = MetricsRegistry()
         for bad in ("plain", "Caps.name", "a.", ".b", "a b.c"):
             with pytest.raises(MetricsError):
-                reg.counter(bad)
-
-    def test_type_clash_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x.y")
-        with pytest.raises(MetricsError):
-            reg.gauge("x.y")
-        with pytest.raises(MetricsError):
-            reg.histogram("x.y")
-
-    def test_gauge_set_and_computed(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("pool.dirty")
-        g.set(7)
-        assert reg.snapshot()["pool.dirty"] == 7
-        computed = reg.gauge("pool.cached", fn=lambda: 42)
-        assert computed.value == 42
-        with pytest.raises(MetricsError):
-            computed.set(1)
+                reg.histogram(bad)
 
     def test_histogram_summary(self):
         reg = MetricsRegistry()
         h = reg.histogram("redo.scan_len")
         for v in (5, 1, 3):
             h.observe(v)
+        assert reg.histogram("redo.scan_len") is h  # get-or-create
         snap = reg.snapshot()
         assert snap["redo.scan_len.count"] == 3
         assert snap["redo.scan_len.total"] == 9
@@ -87,26 +55,10 @@ class TestMetricsRegistry:
         """The fix for the historical report() hazard: a collision is an
         error, never a silent overwrite."""
         reg = MetricsRegistry()
-        reg.counter("method.operations")
-        reg.register_collector("method", lambda: {"operations": 9})
+        reg.histogram("method.operations")
+        reg.register_collector("method", lambda: {"operations.count": 9})
         with pytest.raises(MetricsError, match="collision"):
             reg.snapshot()
-
-    def test_delta(self):
-        reg = MetricsRegistry()
-        c = reg.counter("a.ops")
-        reg.register_collector("labels", lambda: {"name": "x"})
-        c.inc(5)
-        before = reg.snapshot()
-        c.inc(3)
-        d = reg.delta(before)
-        assert d["a.ops"] == 3
-        assert d["labels.name"] == "x"  # labels pass through
-
-    def test_as_dict_alias(self):
-        reg = MetricsRegistry()
-        reg.counter("a.b").inc()
-        assert reg.as_dict() == reg.snapshot()
 
 
 class TestTracer:
@@ -449,9 +401,8 @@ class TestEngineIntegration:
 
 class TestInstrumentCounters:
     def test_counter_classes_repr(self):
-        assert "log.forces" in repr(Counter("log.forces"))
-        assert "g.x" in repr(Gauge("g.x"))
         assert "h.y" in repr(Histogram("h.y"))
+        assert "histograms=0" in repr(MetricsRegistry())
 
 
 class TestHistogramQuantiles:
@@ -546,44 +497,6 @@ class TestRingBufferWraparound:
         assert sink.dropped == 39
         seqs = [r["seq"] for r in sink]
         assert seqs == sorted(seqs)
-
-
-class TestTeeSink:
-    def test_fans_every_record_to_all_sinks(self):
-        from repro.obs import TeeSink
-
-        a, b = RingBufferSink(), RingBufferSink()
-        tr = Tracer(TeeSink(a, b))
-        with tr.span("s"):
-            tr.event("e")
-        assert [r["seq"] for r in a] == [r["seq"] for r in b] == [0, 1, 2]
-
-    def test_iteration_delegates_to_first_iterable_sink(self):
-        from repro.obs import TeeSink
-
-        ring = RingBufferSink()
-
-        class WriteOnly:
-            def emit(self, record):
-                pass
-
-            def close(self):
-                pass
-
-        tee = TeeSink(WriteOnly(), ring)
-        Tracer(tee).event("only")
-        assert [r["name"] for r in tee] == ["only"]
-
-    def test_close_closes_every_sink(self, tmp_path):
-        from repro.obs import TeeSink
-
-        path = tmp_path / "tee.jsonl"
-        file_sink = JsonLinesSink(str(path))
-        tee = TeeSink(RingBufferSink(), file_sink)
-        tr = Tracer(tee)
-        tr.event("e")
-        tr.close()
-        assert load_trace(str(path))
 
 
 class TestLenientTimeline:
@@ -708,23 +621,6 @@ class TestThreadSafety:
         assert tracer.records_emitted == total
         seqs = sorted(r["seq"] for r in tracer.sink)
         assert seqs == list(range(total))  # dense: no gaps, no duplicates
-
-    def test_counter_increments_do_not_race(self):
-        import threading
-
-        counter = Counter("x.y")
-        n_threads, per_thread = 8, 2000
-
-        def bump():
-            for _ in range(per_thread):
-                counter.inc()
-
-        threads = [threading.Thread(target=bump) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == n_threads * per_thread
 
     def test_histogram_observations_do_not_race(self):
         import threading

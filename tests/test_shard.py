@@ -153,6 +153,8 @@ class TestEngineSpec:
         reopened = spec.cold_start(tmp_path)
         assert reopened.durable_count() == 10
         assert reopened.method.dump() == apply_to_oracle(put_stream(10))
+        db.close()
+        reopened.close()
 
 
 class TestQuiesce:
@@ -168,6 +170,8 @@ class TestQuiesce:
         disk = db.method.machine.disk
         cold = spec.cold_start(tmp_path, disk=disk, recover=False)
         assert cold.method.dump() == expected
+        db.close()
+        cold.close()
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_quiesce_appends_nothing(self, method):
@@ -430,18 +434,18 @@ class TestManifest:
 class TestMetricsMerge:
     def test_merge_namespaces_and_stays_live(self):
         parent, child = MetricsRegistry(), MetricsRegistry()
-        counter = child.counter("log.forces")
-        counter.inc()
+        stats = {"forces": 1}
+        child.register_collector("log", lambda: stats)
         parent.merge("shard00", child)
         assert parent.snapshot()["shard00.log.forces"] == 1
-        counter.inc(4)  # late-bound: the merge reads the child live
+        stats["forces"] = 5  # late-bound: the merge reads the child live
         assert parent.snapshot()["shard00.log.forces"] == 5
 
     def test_merge_two_children_cannot_collide(self):
         parent = MetricsRegistry()
         for index in range(2):
             child = MetricsRegistry()
-            child.counter("log.forces").inc(index + 1)
+            child.register_collector("log", lambda n=index + 1: {"forces": n})
             parent.merge(f"shard{index:02d}", child)
         snapshot = parent.snapshot()
         assert snapshot["shard00.log.forces"] == 1

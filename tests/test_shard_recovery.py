@@ -80,6 +80,7 @@ class TestWarmColdEquivalence:
         state_b = [canonical_state(s) for s in second.shards]
         assert state_a == state_b
         second.close()
+        sdb.close()
 
     def test_cold_report_accounts_replay_work(self, tmp_path):
         """Every mutation is replayed by exactly one shard; over many
@@ -207,6 +208,7 @@ class TestCrashDuringColdStart:
         time.sleep(0.01)
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
+        proc.stdout.close()
         assert proc.returncode == -signal.SIGKILL
 
         first = ShardedDatabase.cold_start(tmp_path)
@@ -298,6 +300,7 @@ class TestLazyRestartSharded:
         assert line and line[0] == "serving"
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=30)
+        proc.stdout.close()
         assert proc.returncode == -signal.SIGKILL
 
         eager = ShardedDatabase.cold_start(tmp_path)

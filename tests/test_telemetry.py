@@ -283,26 +283,16 @@ class TestPostmortemCli:
         """A deployment root + flight ring left behind by a 'crash':
         traffic traced into the ring, span never closed, no clean
         shutdown of the recorder (close flushes nothing anyway)."""
-        from repro.obs import (
-            FlightRecorder,
-            FlightRecorderSink,
-            RingBufferSink,
-            TeeSink,
-            Tracer,
-            flight_ring_path,
-        )
+        from repro.obs import FlightRecorder, Tracer, flight_ring_path
 
         root = tmp_path / "dep"
-        recorder_path = None
         sdb = ShardedDatabase.create(
             root=root,
             n_shards=2,
             spec=EngineSpec(method="physiological", commit_pipeline=True),
         )
         recorder_path = flight_ring_path(root)
-        recorder = FlightRecorder.create(recorder_path, n_slots=256)
-        flight_sink = FlightRecorderSink(recorder)
-        tracer = Tracer(TeeSink(RingBufferSink(), flight_sink))
+        tracer = Tracer(FlightRecorder.create(recorder_path, n_slots=256))
         span = tracer.span("server.serve", port=1234)
         for shard in sdb.shards:
             shard.tracer = tracer
@@ -311,9 +301,7 @@ class TestPostmortemCli:
         for i in range(30):
             sdb.execute(("put", f"key{i}", i))
         sdb.sync()
-        # simulate SIGKILL: no span.end(), no clean close of anything —
-        # but let the write-behind queue reach the disk deterministically
-        flight_sink.flush()
+        # simulate SIGKILL: no span.end(), no clean close of anything
         return root
 
     def test_postmortem_joins_ring_and_wal(self, tmp_path, capsys):

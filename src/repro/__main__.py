@@ -209,6 +209,7 @@ def cmd_demo(args) -> int:
                 f"`python -m repro logdump {log_dir}`"
             )
     finally:
+        db.close()
         if tracer is not None:
             tracer.close()
             print(f"trace written to {args.trace}")
@@ -533,11 +534,7 @@ def cmd_serve(args) -> int:
         from repro.engine import EngineSpec
         from repro.shard import ShardedDatabase, is_deployment_root
 
-        spec = EngineSpec(
-            method=args.method,
-            commit_pipeline=True,
-            fsync=not args.no_fsync,
-        )
+        spec = EngineSpec(method=args.method, fsync=not args.no_fsync)
         if args.log_dir and is_deployment_root(args.log_dir):
 
             def shard_ready(result: dict) -> None:
@@ -603,7 +600,6 @@ def cmd_serve(args) -> int:
         db = KVDatabase.cold_start(
             args.log_dir,
             method=args.method,
-            commit_pipeline=True,
             fsync=not args.no_fsync,
             lazy=args.lazy_restart,
         )
@@ -614,7 +610,7 @@ def cmd_serve(args) -> int:
                 flush=True,
             )
     else:
-        db = KVDatabase(method=args.method, commit_pipeline=True)
+        db = KVDatabase(method=args.method)
     server = KVServer(
         db,
         host=args.host,

@@ -2,9 +2,9 @@
 
 ``KVDatabase`` composes a recovery method with cadence policy:
 
-- ``commit_every``: force the log every N operations (N=1 is synchronous
-  commit; larger N batches N operations per force and widens the window
-  of operations a crash may lose);
+- ``commit_every``: commit every N operations of a session (N=1 is
+  synchronous commit; larger N batches N operations per force and widens
+  the window of operations a crash may lose);
 - ``checkpoint_every``: take a method checkpoint every N operations
   (None = never), trading normal-operation work against recovery work —
   the knob behind the checkpoint-frequency benchmark;
@@ -20,19 +20,20 @@ exactly the first ``durable_count()`` operations of the stream.
 
 **Concurrency contract.**  One ``KVDatabase`` serves many threads.
 Command execution is serialized under the engine's re-entrant mutex —
-applying a command is fast, in-memory work — but *commit waits are not*:
-with ``commit_pipeline=True`` a session commits outside the engine lock
-through the cross-session group commit
-(:class:`~repro.logmgr.pipeline.GroupCommitPipeline`): on its own thread
-it either leads a force of everything appended so far or follows the
-force in progress, so while one fsync is on the disk other sessions keep
-executing and their commits share the next one.  Each operation is
-announced to the pipeline while it applies, so a leader about to force
-waits for its records instead of sleeping on a timer.  The engine keeps
-no history of the commands it ran: the caller that issued a stream holds
-it and hands it to :meth:`verify_against`.  Per-client streams go
-through :class:`Session` (from :meth:`KVDatabase.session`), which
-carries its own commit cadence and last-LSN watermark.
+applying a command is fast, in-memory work — but *commit waits are not*.
+Every commit goes through the database's one cross-session group commit
+(:class:`~repro.logmgr.pipeline.GroupCommitPipeline`), outside the
+engine lock: on its own thread it either leads a force of everything
+appended so far or follows the force in progress, so while one fsync is
+on the disk other sessions keep executing and their commits share the
+next one.  Each operation is announced to the pipeline while it applies,
+so a leader about to force waits for its records instead of sleeping on
+a timer.  Commands run through a :class:`Session`, which carries a commit
+cadence and a last-LSN watermark: per-client streams through their own
+(:meth:`KVDatabase.session`), :meth:`KVDatabase.execute` through the
+database's default one.  The engine keeps no history of the commands it
+ran: the caller that issued a stream holds it and hands it to
+:meth:`verify_against`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Sequence
 
 from repro.logmgr.manager import DEFAULT_SEGMENT_SIZE, LogDirectoryError, LogManager
-from repro.logmgr.pipeline import GroupCommitPipeline, stable_through
+from repro.logmgr.pipeline import GroupCommitPipeline
 from repro.methods import METHODS, Machine, RecoveryMethodKV
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -80,7 +81,16 @@ class EngineSpec:
     method_options: dict | None = None
     log_segment_size: int | None = None
     fsync: bool = True
-    commit_pipeline: bool = False
+    # Every engine group-commits; the field stays until its last caller
+    # goes, and only its one surviving value is accepted.
+    commit_pipeline: bool = True
+
+    def __post_init__(self):
+        if self.commit_pipeline is not True:
+            raise ValueError(
+                f"EngineSpec field commit_pipeline={self.commit_pipeline!r} is "
+                f"no longer supported (only True remains)"
+            )
 
     def build(
         self,
@@ -191,21 +201,18 @@ class KVDatabase:
             machine, n_pages=spec.n_pages, **(spec.method_options or {})
         )
         self.method_name = method
+        self.pipeline = GroupCommitPipeline(self.method.machine.log)
         self.metrics = self._build_metrics()
-        self.commit_every = max(1, spec.commit_every)
         self.checkpoint_every = spec.checkpoint_every
         self._theory_tracker: Any = None
-        self._since_commit = 0
         self._since_checkpoint = 0
         # Serializes command application and all cadence bookkeeping;
-        # re-entrant because checkpoint/commit re-enter from execute().
+        # re-entrant, so a holder may still checkpoint or quiesce.
         self.mutex = threading.RLock()
         self._next_session_id = 0
-        self.pipeline: GroupCommitPipeline | None = (
-            GroupCommitPipeline(self.method.machine.log)
-            if spec.commit_pipeline
-            else None
-        )
+        # The session :meth:`execute` runs through: ``commit_every`` is its
+        # cadence.
+        self._session = self.session(spec.commit_every)
         # Lazy-restart state (set by _begin_lazy_restart): the method's
         # replay plan, the background drainer, and its stop flag.
         self._lazy_plan: Any = None
@@ -303,12 +310,7 @@ class KVDatabase:
                 else {}
             ),
         )
-        registry.register_collector(
-            "pipeline",
-            lambda m=self: (
-                m.pipeline.stats() if m.pipeline is not None else {}
-            ),
-        )
+        registry.register_collector("pipeline", self.pipeline.stats)
         return registry
 
     # ------------------------------------------------------------------
@@ -316,63 +318,50 @@ class KVDatabase:
     # ------------------------------------------------------------------
 
     def execute(self, command: KVOp) -> Any:
-        """Run one command, honoring the commit/checkpoint cadence.
+        """Run one command through the default session, honoring the
+        commit/checkpoint cadence."""
+        return self._execute(command, self._session)
 
-        Application and bookkeeping run under the engine mutex; when the
-        commit cadence fires on a pipelined database, the durability
-        *wait* happens after the lock is released, so other threads keep
-        executing while this one's force is on the disk.
-        """
-        return self._execute(command, self)
-
-    def _execute(self, command: KVOp, cadence: "KVDatabase | Session") -> Any:
-        """The one execute path, shared with :meth:`Session.execute`.  On
-        a pipelined database the operation is announced to the pipeline
-        from before it queues for the mutex until its records are
-        appended, so a leader about to force can wait for them."""
+    def _execute(self, command: KVOp, session: "Session") -> Any:
+        """The one execute path.  Application and bookkeeping run under
+        the engine mutex, announced to the pipeline from before the
+        operation queues for the mutex until its records are appended, so
+        a leader about to force can wait for them.  A due commit waits
+        after the mutex is released, so other threads keep executing while
+        this one's force is on the disk; a due checkpoint follows it, so
+        the commit's force is never folded into the checkpoint's."""
         pipeline = self.pipeline
-        if pipeline is not None:
-            pipeline.enter()
+        pipeline.enter()
         try:
             with self.mutex:
                 if self.tracer.enabled:
-                    extra = {} if cadence is self else {"session": cadence.session_id}
                     self.tracer.event(
-                        "engine.command", kind=command[0], key=command[1], **extra
+                        "engine.command",
+                        kind=command[0],
+                        key=command[1],
+                        session=session.session_id,
                     )
                 result = self.method.apply(command)
-                wait = self._after_apply(command, cadence)
+                if command[0] not in MUTATIONS:
+                    return result
+                session.last_lsn = self.method.machine.log.next_lsn - 1
+                session.ops += 1
+                session._since_commit += 1
+                commit_due = session._since_commit >= session.commit_every
+                self._since_checkpoint += 1
+                checkpoint_due = (
+                    self.checkpoint_every is not None
+                    and self._since_checkpoint >= self.checkpoint_every
+                )
+                if checkpoint_due:
+                    self._since_checkpoint = 0  # one thread takes it
         finally:
-            if pipeline is not None:
-                pipeline.leave()
-        if wait:
-            cadence.commit()
-        return result
-
-    def _after_apply(self, command: KVOp, cadence: "KVDatabase | Session") -> bool:
-        """Every applied mutation's bookkeeping, under the engine mutex,
-        for both ``execute`` paths: the commit cadence of ``cadence``
-        (this database or the issuing session), checkpoints,
-        the theory tracker.  A due commit forces here, ahead of any
-        checkpoint; on a pipelined database it returns True instead and
-        the caller commits once the mutex is released."""
-        if command[0] not in MUTATIONS:
-            return False
-        if cadence is not self:
-            cadence.last_lsn = self.method.machine.log.next_lsn - 1
-            cadence.ops += 1
-        cadence._since_commit += 1
-        self._since_checkpoint += 1
-        wait = cadence._since_commit >= cadence.commit_every
-        if wait and self.pipeline is None:
-            cadence.commit()
-            wait = False
-        if (
-            self.checkpoint_every is not None
-            and self._since_checkpoint >= self.checkpoint_every
-        ):
+            pipeline.leave()
+        if commit_due:
+            session.commit()
+        if checkpoint_due:
             self.checkpoint()
-        return wait
+        return result
 
     def run(self, stream: Sequence[KVOp]) -> None:
         """Execute every command of ``stream`` in order."""
@@ -383,8 +372,9 @@ class KVDatabase:
         """A per-client command stream over this shared database.
 
         ``commit_every`` is the session's own commit cadence (default:
-        the database's).  Sessions are cheap — a server creates one per
-        connection — and any number may execute concurrently.
+        the database's, :attr:`commit_every`).  Sessions are cheap — a
+        server creates one per connection — and any number may execute
+        concurrently.
         """
         with self.mutex:
             session_id = self._next_session_id
@@ -397,18 +387,17 @@ class KVDatabase:
             ),
         )
 
+    @property
+    def commit_every(self) -> int:
+        """The default session's commit cadence (``EngineSpec.commit_every``)."""
+        return self._session.commit_every
+
     def commit(self) -> None:
-        """Make everything issued so far durable; resets the
-        operation-batching counter.  With ``commit_pipeline=True`` the
-        request leads or follows a shared force and blocks until its
-        records are stable; otherwise it forces the log itself."""
-        with self.mutex:
-            self._since_commit = 0
-            if self.pipeline is None:
-                self.method.commit()
-                return
-            lsn = self.method.machine.log.next_lsn - 1
-        self.pipeline.commit(lsn)
+        """Make everything issued so far durable; resets the default
+        session's operation-batching counter.  The request leads or
+        follows a shared force and blocks until its records are stable."""
+        self._session._since_commit = 0
+        self.pipeline.commit()
 
     def sync(self) -> None:
         """Force the log directly: everything issued so far is durable
@@ -424,7 +413,7 @@ class KVDatabase:
         unlike :meth:`checkpoint`."""
         with self.mutex:
             self.drain_lazy()
-            self._since_commit = 0
+            self._session._since_commit = 0
             self.method.quiesce()
 
     def checkpoint(self) -> None:
@@ -664,11 +653,10 @@ class Session:
     A session owns nothing but cadence state: a commit counter and the
     LSN of its last mutation.  Application is serialized by the engine
     mutex; :meth:`commit` waits for durability of *this session's*
-    records — through the cross-session pipeline when the database has
-    one (leading or following a shared force: many sessions, one fsync),
-    otherwise by forcing the log itself (one fsync per commit).  Commands
-    reach the log in the engine mutex's acquisition order; ``last_lsn``
-    places this session's last mutation in that order.
+    records through the database's group commit, leading or following a
+    shared force outside the engine mutex (many sessions, one fsync).
+    Commands reach the log in the engine mutex's acquisition order;
+    ``last_lsn`` places this session's last mutation in that order.
     """
 
     def __init__(self, db: KVDatabase, session_id: int, commit_every: int = 1):
@@ -692,19 +680,11 @@ class Session:
     def commit(self) -> int:
         """Block until this session's records are stable; returns the
         stable LSN observed on return (>= this session's last LSN).
-        Raises ``RuntimeError`` if a crash dropped those records."""
+        Raises ``RuntimeError`` if a crash dropped those records, and
+        ``ValueError`` once the database is closed."""
         self._since_commit = 0
         self.commits += 1
-        db = self.db
-        log = db.method.machine.log
-        if self.last_lsn < 0:
-            return log.stable_lsn
-        if db.pipeline is not None:
-            return db.pipeline.commit(self.last_lsn)
-        # Per-session forcing: this session pays its own force and fsync.
-        with db.mutex:
-            db.method.commit()
-        return stable_through(log, self.last_lsn)
+        return self.db.pipeline.commit(self.last_lsn)
 
     def sync(self) -> int:
         """Force the log directly: everything appended so far — all

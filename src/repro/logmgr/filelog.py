@@ -363,7 +363,8 @@ class FileLogStore:
         # Staged blobs: (last_lsn, segment base, blob, record count).
         # A blob is one frame or a whole packed window of frames.
         self._staged: list[tuple[int, int, bytes, int]] = []
-        self._dir_dirty = False  # a file was created since the last sync
+        # A file was created, unlinked or cut short since the last sync.
+        self._dir_dirty = False
         # The first failed write or fsync; final until crash().
         self._failure: OSError | None = None
         # Non-active segments mapped by read_records_at, by base LSN.
@@ -398,6 +399,9 @@ class FileLogStore:
         to take appends again, which would leave it stale anyway — it
         gets a new one at its next rotation.  A newest file shorter than
         its header (:func:`header_torn`) is dropped with its sidecar.
+        Like the rest of a cold start's cleanup, the drop is made durable
+        by the new incarnation's first :meth:`sync`, before anything is
+        acknowledged.
         """
         store = cls(directory, fsync=fsync)
         paths = sorted(store.directory.glob(f"segment-*{SEGMENT_SUFFIX}"))
@@ -405,6 +409,7 @@ class FileLogStore:
             _drop_sidecar(paths[-1])
             paths.pop().unlink()
             store.torn_tails += 1
+            store._dir_dirty = True
         for index, path in enumerate(paths):
             size = path.stat().st_size
             with path.open("rb") as fh:
@@ -627,8 +632,9 @@ class FileLogStore:
 
     def sync(self) -> None:
         """The durability point: ``fsync`` every file with unsynced
-        bytes (and the directory when files were created), then close
-        sealed files that will never be written again.
+        bytes (and the directory when files were created, unlinked or
+        cut short), then close sealed files that will never be written
+        again.
 
         The syscalls run with the store lock *released*: only the
         dirty-set snapshot and the watermark updates are locked, so
@@ -745,6 +751,7 @@ class FileLogStore:
         handle.sealed = False
         handle.region_crc = None
         self.torn_tails += 1
+        self._dir_dirty = True
         self._reopen_active()
 
     def drop_segments_after(self, base_lsn: int) -> int:
@@ -759,6 +766,7 @@ class FileLogStore:
                 handle.fh.close()
             handle.path.unlink(missing_ok=True)
             _drop_sidecar(handle.path)
+            self._dir_dirty = True
         self._handles = keep
         self._reopen_active()
         return len(drop)

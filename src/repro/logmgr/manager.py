@@ -168,7 +168,7 @@ class LogManager:
         self._seal_watermark = -1
         self._checkpoint_lsns: list[int] = []
         self.forced_flushes = 0
-        self._closed = False
+        self.closed = False
         if store is not None and store.is_empty():
             store.begin_segment(0)
 
@@ -316,7 +316,7 @@ class LogManager:
         ``ValueError``.
         """
         with self._mutex:
-            if self._closed:
+            if self.closed:
                 raise ValueError("append to a closed log")
             tail = self._segments[-1]
             if len(tail) >= self.segment_size:
@@ -355,7 +355,7 @@ class LogManager:
         closed log raises ``ValueError``.
         """
         with self._mutex:
-            if self._closed:
+            if self.closed:
                 raise ValueError("flush of a closed log")
             target = (
                 self._next_lsn - 1
@@ -379,7 +379,7 @@ class LogManager:
             with self._mutex:
                 # close() may have run while this flush waited for the
                 # force lock: refuse before anything is cut or staged.
-                if self._closed:
+                if self.closed:
                     raise ValueError("flush of a closed log")
                 batch: list[tuple[int, LogRecord]] = []
                 if target > self._written_lsn and self._pending:
@@ -740,7 +740,7 @@ class LogManager:
         store's handles under the force lock as in :meth:`crash`: an
         in-flight force finishes first."""
         with self._force_lock, self._mutex:
-            self._closed = True
+            self.closed = True
             if self._store is not None:
                 self._store.close()
 

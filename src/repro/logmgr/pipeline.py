@@ -11,14 +11,17 @@ ride along and the batch size follows the disk's latency.
 
 The leader **gathers**: sessions bracket each apply with :meth:`enter` and
 :meth:`leave`, and a leader that finds some in flight waits for them,
-capped by a running estimate of one force, before it forces.
+capped by a running estimate of one force, before it forces.  The
+announcement takes no lock (``list.append``/``list.pop`` are atomic), and
+:meth:`leave` takes the mutex only to wake a leader that is gathering.
 
 A commit returns only once ``stable_lsn`` covers its LSN, else it raises
-``RuntimeError`` (:func:`stable_through`: a crash dropped the records).  A
-failed force raises on the leader's own thread; the file store's failure
-is sticky, so each follower that then leads fails at once.  Every commit
-is counted once: ``commits == fast_path + coalesced_total``, and
-``windows`` counts the leaders' forces.
+``RuntimeError`` (a crash dropped the records).  A closed log refuses
+every commit with ``ValueError``, fast path included.  A failed force
+raises on the leader's own thread; the file store's failure is sticky,
+so each follower that then leads fails at once.  Every commit is counted
+once: ``commits == fast_path + coalesced_total``, and ``windows`` counts
+the leaders' forces.
 """
 
 from __future__ import annotations
@@ -28,28 +31,17 @@ import time
 from typing import Any
 
 
-def stable_through(log, lsn: int) -> int:
-    """The stable LSN, which must cover ``lsn``: a commit never
-    acknowledges below its own records."""
-    stable = log.stable_lsn
-    if stable < lsn:
-        raise RuntimeError(
-            f"LSN {lsn} is not stable after a force (stable_lsn={stable}): "
-            f"a crash dropped it"
-        )
-    return stable
-
-
 class GroupCommitPipeline:
     """Leader/follower group commit over one log, run by the committers."""
 
     def __init__(self, log):
         self.log = log
         self._mutex = threading.Lock()
-        self._left = threading.Condition(self._mutex)  # in-flight count hit 0
+        self._left = threading.Condition(self._mutex)  # _in_flight emptied
         self._forced = threading.Condition(self._mutex)  # a force finished
         self._leading = False
-        self._in_flight = 0  # sessions between enter() and leave()
+        self._in_flight: list[None] = []  # one entry per enter() not yet left
+        self._gathering = False  # the leader waits on _left
         self._force_estimate = 0.0  # seconds; running mean of one force
         # Counters (read via stats(); mutated under the mutex).
         self.commits = 0
@@ -61,14 +53,15 @@ class GroupCommitPipeline:
     def enter(self) -> None:
         """Announce an operation about to append: a leader starting its
         force now waits (briefly) for it to :meth:`leave`."""
-        with self._mutex:
-            self._in_flight += 1
+        self._in_flight.append(None)
 
     def leave(self) -> None:
-        """The announced operation has appended its records."""
-        with self._mutex:
-            self._in_flight -= 1
-            if not self._in_flight:
+        """The announced operation has appended its records.  A leader
+        sets ``_gathering`` before it looks at ``_in_flight``, so either
+        it sees this pop or this sees the flag and wakes it."""
+        self._in_flight.pop()
+        if self._gathering:
+            with self._mutex:
                 self._left.notify()
 
     def commit(self, lsn: int | None = None) -> int:
@@ -76,6 +69,8 @@ class GroupCommitPipeline:
         appended so far); blocks until it is.  Returns the stable LSN,
         which is >= ``lsn``."""
         log = self.log
+        if log.closed:
+            raise ValueError("commit to a closed log")
         if lsn is None:
             lsn = log.next_lsn - 1
         with self._mutex:
@@ -91,6 +86,7 @@ class GroupCommitPipeline:
             self._leading = True
             self.windows += 1
             self.coalesced_total += 1
+            self._gathering = True
             if self._in_flight:
                 # Another session is mid-apply: its records can ride this
                 # force if it finishes within about one force.
@@ -98,6 +94,7 @@ class GroupCommitPipeline:
                 self._left.wait_for(
                     lambda: not self._in_flight, timeout=self._force_estimate
                 )
+            self._gathering = False
         started = time.perf_counter()
         try:
             log.flush()
@@ -110,7 +107,13 @@ class GroupCommitPipeline:
                     self._force_estimate = elapsed
                 else:
                     self._force_estimate += (elapsed - self._force_estimate) / 8
-        return stable_through(log, lsn)
+        stable = log.stable_lsn
+        if stable < lsn:  # never acknowledge below the commit's own records
+            raise RuntimeError(
+                f"LSN {lsn} is not stable after a force (stable_lsn={stable}): "
+                f"a crash dropped it"
+            )
+        return stable
 
     def stats(self) -> dict[str, Any]:
         """Pipeline counters (for the engine metrics registry)."""

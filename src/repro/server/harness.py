@@ -5,10 +5,9 @@ with its own disjoint keyspace (``c{i}:k{j}``) and its own commit
 cadence — thousands of them are multiplexed over a bounded worker-thread
 pool, the way a real server multiplexes connections over an event loop.
 This measures how commit throughput scales with client fan-in when every commit is a durability
-barrier.  Per-session forcing pays one log force per commit; with the
-cross-session pipeline, commits that arrive while a force is on the disk
-follow it or share the next one, so throughput rises with fan-in instead
-of flatlining at the disk's fsync rate.
+barrier.  Every engine group-commits: commits that arrive while a force
+is on the disk follow it or share the next one, so throughput rises with
+fan-in instead of flatlining at one fsync per commit.
 
 Disjoint keyspaces make the client-side oracle exact: after a crash,
 each client's recovered keys must form a prefix of that client's own

@@ -24,9 +24,9 @@ a malformed line gets an error reply rather than a dropped connection.
 through the session, whose contract (engine-mutex application, commit
 waits outside the lock) makes the handler safe without any locking of
 its own.  ``commit`` replies only after the session's last LSN is
-stable — under the pipeline, one leader's fsync covers every commit that
-follows it, so a thousand clients committing concurrently cost a handful
-of fsyncs.
+stable.  Every engine group-commits, so one leader's fsync covers every
+commit that follows it, and a thousand clients committing concurrently
+cost a handful of fsyncs.
 
 **Sharded deployments.**  The server is duck-typed over its database:
 anything with ``session()`` / ``report()`` / ``close()`` serves, and a

@@ -95,6 +95,7 @@ class TestLogdump:
             )
         )
         db.sync()
+        db.close()
         return db
 
     def test_demo_log_dir_writes_segments(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ sidecar per sealed segment, and the refusal of trimmed directories.
 
 import errno
 import os
+import stat
 import subprocess
 import sys
 import zlib
@@ -325,6 +326,40 @@ class TestColdStart:
         cold = LogManager.open(tmp_path, segment_size=2)
         assert cold.stable_lsn == 2  # lsn 3 torn; 4,5 beyond the hole
         assert not (tmp_path / segment_filename(4)).exists()
+        cold.store.close()
+
+    @pytest.mark.parametrize("cleanup", ["torn_tail", "short_header"])
+    def test_cold_start_cleanup_is_made_durable(self, tmp_path, monkeypatch, cleanup):
+        """The first sync after a cold start's cleanup fsyncs the
+        directory, before anything is acknowledged: an unlink or a
+        truncation the disk never saw would bring back a dead
+        incarnation's records after the tear."""
+        warm = durable_log(tmp_path, segment_size=2)
+        for i in range(5):
+            warm.append(LogicalRedo((i,)))
+        warm.flush()
+        warm.store.close()
+        if cleanup == "torn_tail":  # lsn 3 torn: cut segment 2, drop segment 4
+            middle = tmp_path / segment_filename(2)
+            middle.write_bytes(middle.read_bytes()[:-1])
+            dropped = segment_filename(4)
+        else:  # a kill mid-rotation left segment 6 without its header
+            dropped = segment_filename(6)
+            (tmp_path / dropped).write_bytes(b"RLOG")
+        cold = durable_log(tmp_path, segment_size=2)
+        assert cold.store.torn_tails == 1
+        assert not (tmp_path / dropped).exists()
+        real_fsync = os.fsync
+        directories = []
+
+        def fsync(fd):
+            directories.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        cold.append(LogicalRedo(("after",)))  # fills a segment; creates no file
+        cold.flush()
+        assert directories.count(True) == 1
         cold.store.close()
 
     def test_checkpoints_survive_cold_start(self, tmp_path):

@@ -271,6 +271,7 @@ class TestLazyMatchesEager:
         db.close()
         lazy = cold(tmp_path, method, disk=disk_a, lazy=True)
         lazy.crash()  # abandons the backlog, replays nothing more
+        lazy.method.machine.log.store.close()
         recovered = cold(
             tmp_path, method, disk=lazy.method.machine.disk
         )

@@ -295,6 +295,7 @@ class TestEngineIntegration:
                 built.execute(("put", f"tail{i}", i))
             built.commit()
             built.crash()
+            built.method.machine.log.store.close()
             sink = RingBufferSink()
             db = KVDatabase.cold_start(
                 tmp_path,

@@ -119,7 +119,7 @@ class TestExactCounters:
         stats = pipeline.stats()
         assert stats["commits"] == n_threads * 10
         assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
-        assert pipeline._in_flight == 0
+        assert not pipeline._in_flight  # every enter() was left
         log.store.close()
 
 
@@ -326,13 +326,10 @@ class TestLifecycle:
         stats = pipeline.stats()
         assert stats["coalesced_total"] + stats["fast_path"] == stats["commits"]
 
-    @pytest.mark.parametrize("commit_pipeline", [False, True])
-    def test_session_commit_after_crash_raises(self, tmp_path, commit_pipeline):
+    def test_session_commit_after_crash_raises(self, tmp_path):
         """Session.commit never returns a stable LSN below the session's
-        own records, on the direct path and the pipelined one."""
-        db = KVDatabase(
-            "physiological", log_dir=tmp_path, commit_pipeline=commit_pipeline
-        )
+        own records."""
+        db = KVDatabase("physiological", log_dir=tmp_path)
         session = db.session(commit_every=10)
         stream = [("put", "a", 1), ("put", "b", 2)]
         session.run(stream)
@@ -343,6 +340,17 @@ class TestLifecycle:
         db.recover()
         assert db.verify_against(stream) == 0
         db.close()
+
+    def test_closed_database_refuses_every_commit(self, tmp_path):
+        """After close, a commit with nothing to force — the pipeline's
+        fast path — raises like a flush of the closed log."""
+        db = KVDatabase("physiological", log_dir=tmp_path)
+        stable = db.session()
+        stable.execute(("put", "a", 1))  # commit_every=1: already stable
+        db.close()
+        for commit in (db.session().commit, stable.commit, db.commit):
+            with pytest.raises(ValueError, match="closed log"):
+                commit()
 
     def test_crash_aborts_and_recover_restarts_pipeline(self, tmp_path):
         db = KVDatabase(
@@ -360,6 +368,24 @@ class TestLifecycle:
         session2 = db.session()
         session2.execute(("put", "b", 9))
         assert session2.commit() >= session2.last_lsn
+        db.close()
+
+
+class TestCommitCadence:
+    @pytest.mark.parametrize(
+        "method, forces",
+        [("physiological", 254), ("physical", 256), ("logical", 256), ("generalized", 254)],
+    )
+    def test_due_commit_forces_ahead_of_due_checkpoint(self, tmp_path, method, forces):
+        """Where a commit and a checkpoint fall due on the same operation,
+        the commit forces first: the checkpoint's own force never stands
+        in for it, so the log's force count is the cadence's."""
+        db = KVDatabase(
+            method, log_dir=tmp_path, commit_every=32, checkpoint_every=2000, fsync=False
+        )
+        for i in range(8000):
+            db.execute(("put", f"k{i % 2000}", i))
+        assert db.method.machine.log.forced_flushes == forces
         db.close()
 
 

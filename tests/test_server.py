@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.engine import KVDatabase
+from repro.engine import EngineSpec, KVDatabase
 from repro.server import KVClient, KVServer, run_simulated_clients
 from repro.server.client import ServerError
 from repro.server.harness import client_key
@@ -145,18 +145,17 @@ class TestHarness:
         db.verify_against(session_log(db))
         db.close()
 
-    def test_harness_works_without_pipeline(self, tmp_path, session_log):
-        """The per-session-forcing path: each session forces the log
-        itself."""
-        db = KVDatabase(
-            method="physiological", log_dir=tmp_path, commit_pipeline=False
-        )
-        result = run_simulated_clients(
-            db, n_clients=10, ops_per_client=2, workers=4
-        )
-        assert result.commits == 10
-        assert db.durable_count() == 20
-        db.verify_against(session_log(db))
+    def test_commit_pipeline_false_is_refused(self, tmp_path):
+        """Every engine group-commits: the per-session-forcing path is
+        gone, and asking for it is refused by the field's name."""
+        with pytest.raises(ValueError, match="commit_pipeline=False"):
+            EngineSpec(commit_pipeline=False)
+        with pytest.raises(ValueError, match="commit_pipeline=False"):
+            KVDatabase(log_dir=tmp_path, commit_pipeline=False)
+        with pytest.raises(ValueError, match="commit_pipeline=False"):
+            EngineSpec.from_dict({**EngineSpec().as_dict(), "commit_pipeline": False})
+        assert not any(tmp_path.iterdir())  # refused before a file exists
+        db = EngineSpec(commit_pipeline=True).build(log_dir=tmp_path)
         db.close()
 
     def test_pipeline_coalesces_under_harness_load(self, tmp_path):

@@ -280,9 +280,10 @@ class TestColdStartProgress:
 
 class TestPostmortemCli:
     def _crashed_root(self, tmp_path):
-        """A deployment root + flight ring left behind by a 'crash':
+        """A deployment root + flight ring left behind by a crash:
         traffic traced into the ring, span never closed, no clean
-        shutdown of the recorder (close flushes nothing anyway)."""
+        shutdown of the recorder (close flushes nothing anyway); the
+        shards crash, and only their file handles are released."""
         from repro.obs import FlightRecorder, Tracer, flight_ring_path
 
         root = tmp_path / "dep"
@@ -301,7 +302,10 @@ class TestPostmortemCli:
         for i in range(30):
             sdb.execute(("put", f"key{i}", i))
         sdb.sync()
-        # simulate SIGKILL: no span.end(), no clean close of anything
+        # simulate SIGKILL: no span.end(), no clean close of the engines
+        sdb.crash()
+        for shard in sdb.shards:
+            shard.method.machine.log.store.close()
         return root
 
     def test_postmortem_joins_ring_and_wal(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Iterator
 
-from repro.core.exposed import ExposureMemo, exposed_variables
+from repro.core.exposed import ExposureMemo, _installed_set, exposed_variables
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
 
@@ -44,16 +44,20 @@ def explanation(
     :class:`~repro.core.exposed.ExposureMemo` over the same conflict
     graph) is moved to ``installed`` and answers the exposure side
     incrementally; without one it is the definitional
-    :func:`~repro.core.exposed.exposed_variables`.
+    :func:`~repro.core.exposed.exposed_variables`.  The determined value
+    of each exposed variable is read from its last installed writer
+    (:meth:`InstallationGraph.determined_values`), so the prefix is
+    tested once and no determined state is built.
     """
+    installed = _installed_set(installed)
     if not installation.is_prefix(installed):
         return False, set(), set()
-    determined = installation.determined_state(installed, initial)
     if memo is None:
         exposed = exposed_variables(installation.conflict, installed)
     else:
         memo.set_installed(installed)
         exposed = memo.exposed_variables()
+    determined = installation.determined_values(installed, exposed, initial)
     mismatched = {
         variable for variable in exposed if state[variable] != determined[variable]
     }
@@ -121,7 +125,7 @@ def is_applicable(
     predecessors = conflict.predecessors(operation)
     # The installation state graph carries the same per-node values and
     # the same total order among same-variable writers (ww edges survive
-    # §3.1 edge removal), so its memoized instance answers conflict-graph
+    # §3.1 edge removal), so its cached instance answers conflict-graph
     # determined-state queries too.
     state_graph = installation.state_graph(initial)
     reference = state_graph.determined_state(

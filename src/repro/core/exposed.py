@@ -40,7 +40,7 @@ precisely on the appends and installs that touch the variable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.conflict import ConflictGraph
 from repro.core.model import Operation
@@ -51,14 +51,6 @@ def _installed_set(installed: Iterable[Operation]) -> "set[Operation] | frozense
     if isinstance(installed, (set, frozenset)):
         return installed
     return set(installed)
-
-
-def _accessors_outside(
-    graph: ConflictGraph, installed: "set[Operation] | frozenset[Operation]", variable: str
-) -> Iterator[Operation]:
-    """Accessors of ``variable`` outside ``installed`` — served from the
-    variable index, lazily, with no list materialized per call."""
-    return graph.variable_index.accessors_outside(installed, variable)
 
 
 def is_exposed(
@@ -129,7 +121,9 @@ def strictly_exposed_variables(
     candidates = all_variables(graph) if variables is None else set(variables)
     result: set[str] = set()
     for variable in candidates:
-        outside = list(_accessors_outside(graph, installed_set, variable))
+        outside = [
+            op for op in graph.variable_index.accessors(variable) if op not in installed_set
+        ]
         if not outside:
             result.add(variable)
             continue
@@ -159,10 +153,7 @@ class ExposureMemo:
         graph.subscribe(self._on_append)
 
     def _on_append(self, operation: Operation, incoming: dict) -> None:
-        for variable in operation.read_set:
-            self._memo.pop(variable, None)
-        for variable in operation.write_set:
-            self._memo.pop(variable, None)
+        self._invalidate_for(operation)
 
     def _invalidate_for(self, operation: Operation) -> None:
         for variable in operation.read_set:

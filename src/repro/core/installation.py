@@ -20,9 +20,10 @@ definitions yield the same explainable states can be tested empirically
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from repro.core.conflict import RW, WR, WW, ConflictGraph
+from repro.core.expr import Value
 from repro.core.model import Operation, State
 from repro.core.state_graph import StateGraph
 from repro.graphs import Dag, all_prefixes
@@ -35,7 +36,8 @@ class InstallationGraph:
     appended to the conflict graph, its incoming edges (whose labels are
     final at that moment — conflict edges only ever point into the newest
     operation) are filtered on the fly, so the installation graph tracks
-    a growing conflict graph with no rebuild.
+    a growing conflict graph with no rebuild.  Its installation state
+    graphs (:meth:`state_graph`) grow on the same feed.
     """
 
     def __init__(self, conflict: ConflictGraph):
@@ -43,19 +45,34 @@ class InstallationGraph:
         self.dag = conflict.dag.filter_edges(
             lambda source, target, labels: labels != {WR}
         )
-        self._state_graph_cache: tuple[State, "StateGraph"] | None = None
+        # One (initial, running state, state graph) per initial state asked
+        # for; each graph shares ``self.dag`` and grows on every append.
+        self._state_graphs: list[tuple[State, State, StateGraph]] = []
         conflict.subscribe(self._on_append)
 
     def _on_append(self, operation: Operation, incoming: dict[str, set[str]]) -> None:
         """Apply one conflict-graph append: keep every new edge whose
-        label set is not exactly {wr} (§3.1)."""
+        label set is not exactly {wr} (§3.1), and label the new node in
+        every cached state graph."""
         self.dag.add_node(operation.name)
         for source, labels in incoming.items():
             if labels != {WR}:
                 self.dag.add_edge(
                     source, operation.name, labels=labels, check_acyclic=False
                 )
-        self._state_graph_cache = None
+        for _, running, graph in self._state_graphs:
+            self._label(graph, running, operation)
+
+    def _label(self, graph: StateGraph, running: State, operation: Operation) -> None:
+        """Evaluate ``operation`` once, against the state the operations
+        before it generated, and label its node with what it wrote."""
+        writes = operation.evaluate(running)
+        for variable, value in writes.items():
+            running.set(variable, value)
+        graph.add_node(
+            operation.name, (operation,), writes,
+            position=self.conflict.position(operation.name),
+        )
 
     # ------------------------------------------------------------------
     # Lookup / order
@@ -112,26 +129,39 @@ class InstallationGraph:
         """The installation state graph (conflict-state-graph values,
         installation edges).
 
-        Memoized per initial state: repeated invariant checks against the
-        same starting point (the audit loops) reuse one graph; any append
-        to the underlying conflict graph invalidates the memo.
+        Built once per initial state, then grown on each append, so the
+        audit loops evaluate every operation exactly once.  It reads
+        ``self.dag`` in place: treat it as read-only.
         """
-        cached = self._state_graph_cache
-        if cached is not None and cached[0] == initial:
-            return cached[1]
-        conflict_sg = StateGraph.conflict_state_graph(self.conflict, initial)
-        graph = StateGraph(self.dag.copy())
+        for cached, _, graph in self._state_graphs:
+            if cached == initial:
+                return graph
+        running = initial.copy()
+        graph = StateGraph(self.dag)
         for operation in self.operations:
-            graph.add_node(
-                operation.name,
-                conflict_sg.ops(operation.name),
-                conflict_sg.writes(operation.name),
-            )
-        graph.set_positions(
-            {op.name: index for index, op in enumerate(self.operations)}
-        )
-        self._state_graph_cache = (initial.copy(), graph)
+            self._label(graph, running, operation)
+        self._state_graphs.append((initial.copy(), running, graph))
         return graph
+
+    def determined_values(
+        self, installed: Collection[Operation], variables: Iterable[str], initial: State
+    ) -> dict[str, Value]:
+        """The state the prefix ``installed`` (a set; not checked) determines,
+        on ``variables`` only: each one's value from its newest installed
+        writer, else from ``initial``.  Same-variable writers are ordered
+        by ``ww`` edges in sequence order, so this is
+        :meth:`StateGraph.determined_state`'s rule."""
+        graph = self.state_graph(initial)
+        writers = self.conflict.variable_index.writers
+        values: dict[str, Value] = {}
+        for variable in variables:
+            for writer in reversed(writers(variable)):
+                if writer in installed:
+                    values[variable] = graph.written(writer.name, variable)
+                    break
+            else:
+                values[variable] = initial[variable]
+        return values
 
     def determined_state(
         self, prefix: Iterable[Operation], initial: State
@@ -142,10 +172,11 @@ class InstallationGraph:
         written by an operation in the prefix, and initial values
         elsewhere.  Raises ValueError if ``prefix`` is not a prefix.
         """
-        members = {op.name for op in prefix}
-        if not self.dag.is_prefix(members):
+        members = set(prefix)
+        if not self.is_prefix(members):
             raise ValueError("not a prefix of the installation graph")
-        return self.state_graph(initial).determined_state(initial, members)
+        written = {variable for op in members for variable in op.write_set}
+        return initial.updated(self.determined_values(members, written, initial))
 
     def __repr__(self) -> str:
         return (

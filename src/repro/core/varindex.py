@@ -22,7 +22,7 @@ minimal accessor whenever it writes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, KeysView, Sequence
+from typing import TYPE_CHECKING, KeysView, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.model import Operation
@@ -84,17 +84,6 @@ class VariableIndex:
     # ------------------------------------------------------------------
     # The exposure primitives
     # ------------------------------------------------------------------
-
-    def accessors_outside(
-        self, installed: "set[Operation] | frozenset[Operation]", variable: str
-    ) -> Iterator["Operation"]:
-        """Accessors of ``variable`` not in ``installed``, lazily, in log
-        order — no list is materialized."""
-        return (
-            operation
-            for operation in self._accessors.get(variable, _EMPTY)
-            if operation not in installed
-        )
 
     def first_accessor_outside(
         self, installed: "set[Operation] | frozenset[Operation]", variable: str

@@ -40,6 +40,7 @@ class GroupCommitPipeline:
         self._left = threading.Condition(self._mutex)  # _in_flight emptied
         self._forced = threading.Condition(self._mutex)  # a force finished
         self._leading = False
+        self._parked = 0  # followers waiting on _forced
         self._in_flight: list[None] = []  # one entry per enter() not yet left
         self._gathering = False  # the leader waits on _left
         self._force_estimate = 0.0  # seconds; running mean of one force
@@ -79,7 +80,9 @@ class GroupCommitPipeline:
                 self.fast_path += 1
                 return log.stable_lsn
             while self._leading:
+                self._parked += 1
                 self._forced.wait()
+                self._parked -= 1
                 if log.stable_lsn >= lsn:
                     self.coalesced_total += 1
                     return log.stable_lsn
@@ -102,7 +105,8 @@ class GroupCommitPipeline:
             elapsed = time.perf_counter() - started
             with self._mutex:
                 self._leading = False
-                self._forced.notify_all()
+                if self._parked:
+                    self._forced.notify_all()
                 if self.windows == 1:
                     self._force_estimate = elapsed
                 else:

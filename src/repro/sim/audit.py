@@ -232,10 +232,8 @@ def _redo_lsns(method, entries: Sequence[LogRecord]) -> set[int]:
             and (e.lsn >= start or not disk.has_page(e.payload.page_id))
         }
     if isinstance(method, (PhysiologicalKV, GeneralizedKV)):
-        disk = method.machine.disk
-
-        def page_lsn(page_id: str) -> int:
-            return disk.read_page(page_id).lsn if disk.has_page(page_id) else -1
+        # Each stored page's LSN, read once per instant (-1: not on disk).
+        page_lsns = {page.page_id: page.lsn for page in method.machine.disk.pages()}
 
         # The installed set is modeled by the pure page-LSN test: a
         # record's effect is on disk iff its page's stable LSN covers it.
@@ -251,11 +249,11 @@ def _redo_lsns(method, entries: Sequence[LogRecord]) -> set[int]:
         chosen = set()
         for entry in entries:
             if isinstance(entry.payload, PhysiologicalRedo):
-                if page_lsn(entry.payload.page_id) < entry.lsn:
+                if page_lsns.get(entry.payload.page_id, -1) < entry.lsn:
                     chosen.add(entry.lsn)
             elif isinstance(entry.payload, MultiPageRedo):
                 if any(
-                    page_lsn(page_id) < entry.lsn
+                    page_lsns.get(page_id, -1) < entry.lsn
                     for page_id in entry.payload.writes
                 ):
                     chosen.add(entry.lsn)
@@ -311,17 +309,16 @@ def _scheduler_cross_check(method) -> tuple[bool, str]:
 class AuditTracker:
     """Incremental audit state for one engine across many instants.
 
-    The audit loops re-evaluate the invariant after every command, but
-    between consecutive instants the stable log only *grows* — so the
-    tracker keeps an LSN watermark and lifts just the newly stable
-    records into an incrementally maintained conflict/installation graph
-    pair (Lemma 1 makes the left-to-right appends order-safe).  An
-    :class:`~repro.core.exposed.ExposureMemo` rides the same graph: the
-    installed set between instants changes only by the records the redo
-    decision flipped, and the memo invalidates exactly the variables
-    those records touch.  One audit therefore costs O(new records +
-    changed verdicts) instead of rebuilding both graphs from the whole
-    log.
+    Between instants the stable log only *grows*, so the tracker keeps an
+    LSN watermark and lifts just the newly stable records into a growing
+    conflict/installation graph pair (Lemma 1 makes left-to-right appends
+    order-safe).  Each lifted record is evaluated once, into the growing
+    installation state graph; an :class:`~repro.core.exposed.ExposureMemo`
+    re-decides only the variables of records whose redo verdict flipped;
+    and each exposed variable's determined value is read from its newest
+    installed writer.  Four steps stay O(stable records) per instant
+    (DESIGN §7 gives the slope): the stable-entry walk, the redo
+    simulation, the installed set and the prefix test.
 
     The tracker accepts any §6 method engine; :class:`KVDatabase` builds
     one per database on first use (``theory_tracker()``) and keeps it
@@ -355,7 +352,7 @@ class AuditTracker:
         """Evaluate the Recovery Invariant for the engine right now."""
         entries = self.sync()
         redo = _redo_lsns(self.method, entries)
-        installed = [op for lsn, op in self._by_lsn.items() if lsn not in redo]
+        installed = {op for lsn, op in self._by_lsn.items() if lsn not in redo}
         verdict = explanation(
             self.installation,
             installed,

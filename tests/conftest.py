@@ -103,3 +103,26 @@ def session_log(monkeypatch):
         ]
 
     return stream
+
+
+def scratch_determined_state(
+    operations: list[Operation], initial: State, names: set[str]
+) -> State | None:
+    """The state an installation-graph prefix determines, from scratch.
+
+    Builds a fresh conflict/installation graph pair from ``operations``,
+    relabels the installation dag with a fresh conflict state graph's
+    values and asks it for the prefix ``names``' determined state, with
+    no position hint (same-variable writers are ordered by path queries).
+    None if ``names`` is not an installation-graph prefix.
+    """
+    from repro.core.state_graph import StateGraph
+
+    fresh = InstallationGraph(ConflictGraph(operations))
+    if not fresh.dag.is_prefix(names):
+        return None
+    values = StateGraph.conflict_state_graph(fresh.conflict, initial)
+    graph = StateGraph(fresh.dag)
+    for op in fresh.operations:
+        graph.add_node(op.name, values.ops(op.name), values.writes(op.name))
+    return graph.determined_state(initial, names)

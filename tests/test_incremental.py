@@ -36,6 +36,7 @@ from repro.core.installation import InstallationGraph
 from repro.core.model import State
 from repro.graphs import Dag
 from repro.workloads.opgen import OpSequenceSpec, random_operations
+from tests.conftest import scratch_determined_state
 
 SPEC = OpSequenceSpec(n_operations=12, n_variables=4)
 DENSE = OpSequenceSpec(n_operations=10, n_variables=2, read_extra=0.8)
@@ -143,6 +144,42 @@ class TestIncrementalInstallationGraph:
         grown_prefixes = {frozenset(op.name for op in p) for p in incremental.prefixes()}
         batch_prefixes = {frozenset(op.name for op in p) for p in batch.prefixes()}
         assert grown_prefixes == batch_prefixes
+
+
+class TestGrowingStateGraph:
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_determined_states_track_appends_and_initials(self, seed):
+        """Ask for a state graph partway through, keep appending, switch
+        to a second initial state and back: after every step, random
+        installation-graph prefixes determine the same state as a
+        from-scratch build, through ``determined_state`` and through the
+        grown graph itself."""
+        rng = random.Random(seed)
+        ops = random_operations(seed, SPEC)
+        first, second = State(), State({"v0": 5, "v2": -3}, default=2)
+        conflict = ConflictGraph()
+        installation = InstallationGraph(conflict)
+        split = rng.randrange(len(ops))
+        conflict.extend(ops[:split])
+        installation.state_graph(first)
+        schedule = [first] * 4 + [second] * 4 + [first] * 4
+        for step, op in enumerate(ops[split:]):
+            conflict.append(op)
+            initial = schedule[step % len(schedule)]
+            graph = installation.state_graph(initial)
+            for _ in range(4):
+                nodes = installation.dag.nodes()
+                chosen = rng.sample(nodes, rng.randrange(len(nodes) + 1))
+                names = installation.dag.prefix_closure(chosen)
+                prefix = {conflict.operation(name) for name in names}
+                expected = scratch_determined_state(
+                    list(conflict.operations), initial, names
+                )
+                assert installation.determined_state(prefix, initial) == expected
+                assert graph.determined_state(initial, names) == expected
+        installation.state_graph(first).validate()
+        installation.state_graph(second).validate()
 
 
 class TestExposureMemo:

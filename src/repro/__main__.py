@@ -394,18 +394,6 @@ def _dump_page_index(paths, prefix: str = "") -> int | None:
                 f"{prefix}{page_id:<14} {len(chain):>7} "
                 f"{chain[0][2]:>10} {chain[-1][2]:>9}"
             )
-    components = index.components()
-    if components:
-        groups = sorted(
-            {members for members in components.values()},
-            key=lambda members: sorted(members),
-        )
-        for members in groups:
-            print(
-                f"{prefix}replay component: "
-                f"{{{','.join(sorted(members))}}} "
-                f"(multi-page records bind these pages)"
-            )
     sidecars = f"{verified} sidecar(s) verified against the frame walk"
     if stale:
         sidecars += f", {stale} stale"
@@ -437,7 +425,7 @@ def cmd_logdump(args) -> int:
 
     ``--pages`` renders the per-page redo index instead of the record
     stream: one line per page (chain length, first/last LSN), the
-    multi-page replay components, and a verification of each segment's
+    count of multi-page edges, and a verification of each segment's
     ``.pages`` sidecar against a full frame walk of the segment — a
     sidecar whose seal holds but whose index disagrees with the walk
     is corrupt and the exit status is 2.

@@ -171,8 +171,7 @@ class BufferPool:
         if self.page_fault is not None:
             # Lazy-restart hook: replay this page's log chain first, so
             # the lookup below sees the recovered image.  The handler's
-            # own page accesses re-enter here and fall through (their
-            # pages are popped before replay).
+            # own page accesses re-enter here and fall through.
             self.page_fault(page_id)
         frame = self._frames.get(page_id)
         if frame is not None:

@@ -508,7 +508,7 @@ class KVDatabase:
         while stop is not None and not stop.is_set():
             if not plan.step():
                 break
-            # Yield between groups: a foreground fault blocked on the
+            # Yield between steps: a foreground fault blocked on the
             # pool mutex takes it here instead of waiting out the drain.
             time.sleep(0)
         if plan.done and stop is not None and not stop.is_set():

@@ -635,7 +635,7 @@ class LogManager:
     def page_index(self, start_lsn: int = 0) -> PageRedoIndex:
         """The per-page redo index over the stable records at or above
         ``start_lsn``: every page's chain of ``(segment, offset, lsn)``
-        triples plus the multi-page replay components.
+        triples plus the multi-page edges a lazy plan's ancestry follows.
 
         Sealed segments answer from their ``.pages`` sidecar when one is
         present and fresh; unsealed tails, resident segments, and

@@ -38,17 +38,19 @@ of ``(pages, edges)``:
   analysis can fetch checkpoints by offset and logical recovery gets a
   single global chain.
 - ``edges``: ``[(lsn, read_page_ids, write_page_ids), ...]`` — one entry
-  per multi-page (§6.4) record.  Lazy recovery must replay a multi-page
-  record's readers and writers *together* (a later fault reading an
-  already-recovered page would see final state, not state-at-LSN), so
-  these edges feed a union-find that groups pages into replay components.
+  per multi-page (§6.4) record.  These are the only conflict edges
+  between chains: a faulted page's ancestry (the chain prefixes it
+  depends on, :mod:`repro.methods.lazy`) is worked out from them, so a
+  replayed read sees its page at the record's LSN, not its final state.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from repro.logmgr.codec import (
@@ -84,6 +86,9 @@ LOGICAL_PAGE = "@logical"
 
 _PAGES_HEADER = struct.Struct("<4sBQQIII")
 PAGES_HEADER_SIZE = _PAGES_HEADER.size
+
+# The LSN of a ``(segment_base, offset, lsn)`` chain entry.
+ENTRY_LSN = itemgetter(2)
 
 
 class SegmentPageIndex(NamedTuple):
@@ -282,40 +287,10 @@ def parse_page_index(blob: bytes | None) -> SegmentPageIndex | None:
     return SegmentPageIndex(base_lsn, region_len, pages, edges)
 
 
-class _UnionFind:
-    """Plain union-find over page ids (path compression, union by size)."""
-
-    def __init__(self):
-        self._parent: dict = {}
-        self._size: dict = {}
-
-    def find(self, item):
-        parent = self._parent
-        if item not in parent:
-            parent[item] = item
-            self._size[item] = 1
-            return item
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-
 class PageRedoIndex:
     """The per-page redo index over a whole log: every page's chain of
     ``(segment_base, offset, lsn)`` triples, in LSN order, plus the
-    multi-page replay components.
+    multi-page edges a faulted page's ancestry follows.
 
     Built segment by segment (oldest first) by
     :meth:`~repro.logmgr.manager.LogManager.page_index`, filtered to
@@ -382,58 +357,22 @@ class PageRedoIndex:
         """Indexed real data pages (pseudo-pages excluded), sorted."""
         return sorted(p for p in self._chains if not p.startswith("@"))
 
+    def cursor(self, page_id: str, start_lsn: int = 0) -> tuple[list, int]:
+        """The page's own chain (not a copy) and the position of its
+        first entry at or above ``start_lsn``, found by bisection."""
+        chain = self._chains.get(page_id, [])
+        return chain, bisect_left(chain, start_lsn, key=ENTRY_LSN)
+
     def chain(self, page_id: str, start_lsn: int = 0) -> list:
         """``[(segment_base, offset, lsn), ...]`` for one page, LSN
         ascending, filtered to ``lsn >= start_lsn``."""
-        chain = self._chains.get(page_id, [])
-        if start_lsn <= self.start_lsn:
-            return list(chain)
-        return [entry for entry in chain if entry[2] >= start_lsn]
-
-    def first_lsn(self, page_id: str, after_lsn: int = -1) -> int | None:
-        """The page's first indexed LSN strictly above ``after_lsn``."""
-        for _base, _offset, lsn in self._chains.get(page_id, ()):
-            if lsn > after_lsn:
-                return lsn
-        return None
-
-    def chain_length(self, page_id: str) -> int:
-        """Indexed entry count for one page (0 when unindexed)."""
-        return len(self._chains.get(page_id, ()))
+        chain, position = self.cursor(page_id, start_lsn)
+        return chain[position:]
 
     @property
     def edges(self) -> list:
         """The multi-page record edges: ``(lsn, reads, writes)``."""
         return self._edges
-
-    def components(self) -> dict:
-        """Page -> frozenset of pages that must replay together.
-
-        Union-find over every multi-page record's read∪write set: a
-        component is closed under both directions, so replaying its
-        members' merged chains in global LSN order satisfies Theorem 3's
-        conflict-order consistency (no record in the component reads or
-        writes a page outside it).  Pages touched by no multi-page
-        record form singleton components and are omitted — callers treat
-        a missing entry as ``{page_id}``.
-        """
-        if not self._edges:
-            return {}
-        uf = _UnionFind()
-        for _lsn, reads, writes in self._edges:
-            pages = list(reads) + list(writes)
-            anchor = pages[0]
-            for page_id in pages[1:]:
-                uf.union(anchor, page_id)
-        groups: dict = {}
-        for page_id in list(uf._parent):
-            groups.setdefault(uf.find(page_id), []).append(page_id)
-        result: dict = {}
-        for members in groups.values():
-            frozen = frozenset(members)
-            for page_id in members:
-                result[page_id] = frozen
-        return result
 
     def total_entries(self) -> int:
         """Chain entries across every indexed page."""

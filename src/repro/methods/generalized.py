@@ -86,8 +86,8 @@ class GeneralizedKV(PhysiologicalKV):
         re-arming its ordering against the pages it read; single-page
         records take the inherited path.
 
-        Lazy replay stays sound because the plan replays the pages a
-        multi-page record links as one LSN-ordered component (see
+        Lazy replay stays sound because a faulted page replays its
+        ancestry along the multi-page records' conflict edges (see
         :meth:`~repro.methods.physiological.PhysiologicalKV.begin_lazy_recovery`);
         a page-partitioned schedule that cut those conflict edges would
         not be conflict-order consistent, so Theorem 3 would not apply.

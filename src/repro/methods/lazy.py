@@ -16,13 +16,14 @@ keep the reordered schedule conflict-order consistent:
 - **LSN-test methods** replay each fetched record through the one
   ``redo_record`` (:mod:`repro.methods.redo`), so a record whose effect
   is already installed is bypassed as a sequential scan would.
-- **Multi-page records** (§6.4) read pages other records write — a
-  cross-chain conflict edge.  Chains connected by such edges are replayed
-  together, as one merged LSN-ordered unit (the union-find components the
-  index exposes), so a replayed read never observes a page that is
-  missing earlier replayed writes.  Pages outside every component carry
-  no cross-chain edges: their chains commute with everything else
-  (Corollary 5 applied to the page-partitioned conflict graph).
+- **Multi-page records** (§6.4) read pages other records write — the
+  only conflict edges between chains.  A touched page replays its
+  *ancestry*, merged in LSN order: its own chain, the prefix of every
+  chain its records read (wr) or share (ww), and every reader that must
+  replay before one of those prefixes moves past it (rw).  So a replayed
+  read sees its page at exactly the record's LSN, and the schedule stays
+  conflict-order consistent; everything outside the ancestry commutes
+  with it (Corollary 5 applied to the page-partitioned conflict graph).
 
 A page untouched by the backlog is *clean* by the analysis result —
 every record below its table entry is installed in the stable state —
@@ -42,11 +43,14 @@ Two plan shapes:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import groupby
+from math import inf
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.logmgr import PageRedoIndex
+from repro.logmgr.pageindex import ENTRY_LSN
 from repro.methods.redo import replay
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,27 +65,36 @@ def pagewise_plan(method: "RecoveryMethodKV", full_scan: bool):
     dirty page table and redo start: the last stable checkpoint's logged
     snapshot (none for physical's sharp checkpoint), extended with every
     page's first post-checkpoint LSN.  ``full_scan`` ignores the
-    checkpoint.  Corollary 4, page by page: a page the disk does not
-    hold witnesses no install, so its chain replays from its head
-    whatever a checkpoint says — a disk that a crashed diskless start
-    left half-written trusts no checkpoint it never saw.
+    checkpoint.  Corollary 4, page by page: a disk that a crashed
+    diskless start left behind trusts no checkpoint it never saw.  A
+    page it lacks replays from its chain's head.  Where multi-page
+    records split chains into ancestry prefixes, that start can also
+    have written a page replayed only part way, so there the stored
+    page's LSN bounds what is installed whatever the checkpoint says.
     """
     log, disk = method.machine.log, method.machine.disk
     checkpoint_lsn = -1 if full_scan else log.last_stable_checkpoint_lsn
-    table: dict[str, int] = {}
+    table: dict[str, int] = {}  # the checkpoint's dirty page table
     if checkpoint_lsn >= 0:
         table = dict(*log.entry(checkpoint_lsn).payload.data[1:])
     index = log.page_index()
+    # Without multi-page edges no replay writes a page part way, so a
+    # stored page holds everything the checkpoint claims for it.
+    whole_pages, cursors = not index.edges, {}
     for page_id in index.data_pages():
-        if not disk.has_page(page_id):
-            table[page_id] = index.first_lsn(page_id)
-        elif page_id not in table:
-            first = index.first_lsn(page_id, after_lsn=checkpoint_lsn)
-            if first is not None:
-                table[page_id] = first
-    redo_start = min(table.values(), default=checkpoint_lsn + 1)
-    plan = PagewiseLazyPlan(method, index, table)
-    return plan, {"redo_start": redo_start, "dirty_pages": len(table)}
+        installed = disk.page_lsn(page_id)
+        start = checkpoint_lsn + 1
+        if installed < checkpoint_lsn and (installed < 0 or not whole_pages):
+            start = installed + 1
+        chain, position = index.cursor(page_id, min(table.get(page_id, start), start))
+        if position < len(chain):
+            cursors[page_id] = chain, position
+    redo_start = min(
+        (chain[position][2] for chain, position in cursors.values()),
+        default=checkpoint_lsn + 1,
+    )
+    plan = PagewiseLazyPlan(method, index, cursors)
+    return plan, {"redo_start": redo_start, "dirty_pages": len(cursors)}
 
 
 def _segment_runs(entries):
@@ -93,13 +106,14 @@ def _segment_runs(entries):
 class PagewiseLazyPlan:
     """The pending-replay state of one page-granular restart.
 
-    ``table`` maps each unrecovered page to its replay-start LSN; the
-    plan retires pages by fetching their chains through
-    :meth:`~repro.logmgr.manager.LogManager.fetch_chain` and feeding the
-    records to :func:`~repro.methods.redo.replay` (the method's own
-    ``redo_record``, LSN test included).  The index's components group
-    pages whose chains are linked by multi-page conflict edges — a fault
-    on any member replays the whole group, merged in global LSN order.
+    ``cursors`` maps each pending page to its index chain and the
+    position its replay starts at.  A fault on a page replays its
+    *ancestry* (:meth:`_ancestry`): the smallest chain prefixes the page
+    depends on, merged in global LSN order, fetched through
+    :meth:`~repro.logmgr.manager.LogManager.fetch_chain` and fed to
+    :func:`~repro.methods.redo.replay` (the method's own
+    ``redo_record``, LSN test included).  A page stays faultable while
+    its chain or a record that reads it is pending.
 
     Every mutation runs under :attr:`lock` — the buffer pool's own
     mutex, because faults arrive from inside ``get_page`` already
@@ -112,17 +126,25 @@ class PagewiseLazyPlan:
         self,
         method: "RecoveryMethodKV",
         index: PageRedoIndex,
-        table: dict[str, int],
+        cursors: dict[str, tuple[list, int]],
     ):
         self.method = method
-        self.index = index
         self.lock = method.machine.pool.mutex
-        self._pending: dict[str, int] = dict(table)
+        # page -> (its index chain, the first position not yet replayed)
+        self._cursors = dict(cursors)
         # recLSN order for the background drain: oldest chains first, so
         # the truncation horizon advances as fast as the drain does.
-        self._order = sorted(table, key=lambda p: (table[p], p))
-        self._cursor = 0
-        self._components = index.components()
+        self._order = sorted(
+            cursors, key=lambda p: (cursors[p][0][cursors[p][1]][2], p)
+        )
+        self._next = 0
+        # The multi-page records by LSN, and each page's readers' LSNs.
+        self._edges = {lsn: (reads, writes) for lsn, reads, writes in index.edges}
+        self._readers: dict[str, list[int]] = {}
+        for lsn, reads, _writes in index.edges:
+            for page_id in reads:
+                self._readers.setdefault(page_id, []).append(lsn)
+        self._replaying = False
         self.pages_replayed = 0
         self.records_fetched = 0
         self.closed = False
@@ -133,50 +155,48 @@ class PagewiseLazyPlan:
     @property
     def done(self) -> bool:
         """No pages left (drained, or abandoned via :meth:`close`)."""
-        return self.closed or not self._pending
+        return self.closed or not self._cursors
 
     def backlog(self) -> int:
         """Pages still awaiting replay (0 once closed)."""
-        return 0 if self.closed else len(self._pending)
+        return 0 if self.closed else len(self._cursors)
 
     # -- replay entry points -------------------------------------------
 
     def fault(self, page_id: str) -> bool:
         """First-access replay, called by ``BufferPool.get_page`` under
-        the pool mutex (= :attr:`lock`).  Replays the page's conflict
-        group and reports whether anything was pending.  Re-entrant
-        faults from inside a replay (the replay's own page reads) find
-        their pages already popped and fall through.
+        the pool mutex (= :attr:`lock`).  Replays the page's ancestry and
+        reports whether anything was pending: its chain or a reader of it.
+        Faults that re-enter from inside a replay (its own page reads)
+        fall through: the ancestry being replayed holds what they need.
         """
-        if self.closed or page_id not in self._pending:
+        pending = page_id in self._cursors or page_id in self._readers
+        if self.closed or self._replaying or not pending:
             return False
-        self._replay_group(page_id)
+        self._replay_ancestry(page_id)
         self._finish_if_drained()
         return True
 
     def step(self) -> bool:
-        """Retire the next pending group in recLSN order; False when
-        nothing is left (the drainer thread's loop condition)."""
+        """Retire the next pending page in recLSN order, with its
+        ancestry; False when nothing is left (the drainer thread's loop
+        condition)."""
         with self.lock:
-            if self.closed:
+            if self.done:
+                self._finish_if_drained()
                 return False
-            while self._cursor < len(self._order):
-                page_id = self._order[self._cursor]
-                self._cursor += 1
-                if page_id in self._pending:
-                    self._replay_group(page_id)
-                    self._finish_if_drained()
-                    return True
+            self._replay_ancestry(self._next_pending())
             self._finish_if_drained()
-            return False
+            return True
 
     def drain(self, watch: Callable | None = None) -> None:
-        """Replay everything still pending, synchronously.  ``watch``
-        wraps each fetched segment run (eager recovery passes its
-        ``recovery.segment`` spans)."""
+        """Replay everything still pending, synchronously, in the same
+        recLSN order as :meth:`step`.  ``watch`` wraps each fetched
+        segment run (eager recovery passes its ``recovery.segment``
+        spans)."""
         with self.lock:
-            while not self.closed and self._pending:
-                self._replay_group(next(iter(self._pending)), watch)
+            while not self.done:
+                self._replay_ancestry(self._next_pending(), watch)
             self._finish_if_drained()
 
     def close(self) -> None:
@@ -189,27 +209,76 @@ class PagewiseLazyPlan:
 
     # -- internals ------------------------------------------------------
 
-    def _replay_group(self, page_id: str, watch: Callable | None = None) -> None:
-        members = self._components.get(page_id)
-        group = [m for m in members if m in self._pending] if members else [page_id]
+    def _next_pending(self) -> str:
+        while self._order[self._next] not in self._cursors:
+            self._next += 1
+        return self._order[self._next]
+
+    def _ancestry(self, page_id: str) -> dict[str, int]:
+        """Page -> the chain position a replay of ``page_id`` must reach:
+        the smallest per-page chain prefixes closed under the conflict
+        edges the multi-page records add.  For each multi-page record in
+        them, every page it reads is covered strictly below its LSN (wr),
+        every page it writes up to and including it (ww), and every
+        reader of a covered page that precedes a covered write of it is
+        pulled in too (rw), as is every reader of ``page_id``, which the
+        caller may write next.  Pages not pending are skipped.
+        """
+        cursors, edges, readers = self._cursors, self._edges, self._readers
+        reach: dict[str, int] = {}
+        work = [(page_id, inf)]  # (page, cover every entry with LSN < bound)
+        for lsn in readers.pop(page_id, ()):
+            work.extend((write, lsn + 1) for write in edges[lsn][1])
+        while work:
+            page, bound = work.pop()
+            cursor = cursors.get(page)
+            if cursor is None:
+                continue
+            chain, position = cursor
+            reached = reach.get(page, position)
+            stop = bisect_left(chain, bound, lo=reached, key=ENTRY_LSN)
+            if stop <= reached:
+                continue
+            reach[page] = stop
+            for _base, _offset, lsn in chain[reached:stop]:
+                edge = edges.get(lsn)
+                if edge is not None:
+                    work.extend((read, lsn) for read in edge[0])
+                    work.extend((write, lsn + 1) for write in edge[1])
+            lsns = readers.get(page)
+            if lsns:
+                after = chain[reached - 1][2] if reached else -1
+                first = bisect_right(lsns, after)
+                last = bisect_left(lsns, chain[stop - 1][2], lo=first)
+                for lsn in lsns[first:last]:
+                    work.extend((write, lsn + 1) for write in edges[lsn][1])
+        return reach
+
+    def _replay_ancestry(self, page_id: str, watch: Callable | None = None) -> None:
         merged: dict[int, tuple] = {}
-        for member in group:
-            # Popped before any replay, so the replay's own page reads
-            # fall through the fault hook.  A multi-page record sits in
-            # every written member's chain; keyed by LSN, it replays once.
-            for entry in self.index.chain(member, self._pending.pop(member)):
+        for page, stop in self._ancestry(page_id).items():
+            chain, position = self._cursors[page]
+            # A multi-page record sits in every written page's chain;
+            # keyed by LSN, it replays once, and every cursor moves past.
+            for entry in chain[position:stop]:
                 merged[entry[2]] = entry
-        # A group as large as the whole log (generalized's single
-        # component can be) still keeps one segment's records resident.
+            if stop == len(chain):
+                del self._cursors[page]
+                self.pages_replayed += 1
+            else:
+                self._cursors[page] = (chain, stop)
         fetch = self.method.machine.log.fetch_chain
-        for run in _segment_runs(merged[lsn] for lsn in sorted(merged)):
-            records = fetch(run)
-            replay(self.method, records if watch is None else watch(records))
-            self.records_fetched += len(records)
-        self.pages_replayed += len(group)
+        self._replaying = True
+        try:
+            for run in _segment_runs(merged[lsn] for lsn in sorted(merged)):
+                records = fetch(run)
+                replay(self.method, records if watch is None else watch(records))
+                self.records_fetched += len(records)
+        finally:
+            self._replaying = False
 
     def _finish_if_drained(self) -> None:
-        if not self._pending and not self.closed:
+        if not self._cursors and not self.closed:
             self.closed = True
             self._detach()
 

@@ -176,10 +176,10 @@ class PhysiologicalKV(RecoveryMethodKV):
         through :meth:`redo_record`; records below a page's recLSN are
         installed in the stable state, so never fetching them changes
         nothing.  Multi-page (§6.4) records link the chains of the
-        pages they read and write, so those pages replay together as
-        one component merged in LSN order: a replayed read sees the
-        source page with exactly its earlier replayed writes, Theorem
-        3's premise holds, and the drained state equals the sequential
-        scan's.
+        pages they read and write, so a faulted page replays its
+        ancestry — the chain prefixes it depends on — merged in LSN
+        order: a replayed read sees the source page with exactly its
+        earlier writes, Theorem 3's premise holds, and the drained state
+        equals the sequential scan's.
         """
         return begin_lazy(self, partial(pagewise_plan, self))

@@ -135,10 +135,10 @@ def recover_eager(method, full_scan: bool, plan_for: PlanFor) -> None:
     """Eager schedule: analysis, then the whole redo before returning.
     ``plan_for(full_scan)`` runs on a rebooted pool and returns the plan
     (None for a streamed suffix) and the analysis facts, ``redo_start``
-    among them.  A page-wise plan is drained one page's chain (or one
-    multi-page component) at a time; a ``None`` plan — logical
-    recovery's — streams the suffix from ``redo_start`` straight off the
-    segmented log."""
+    among them.  A page-wise plan is drained one page's ancestry (its
+    chain and the chain prefixes it depends on) at a time; a ``None``
+    plan — logical recovery's — streams the suffix from ``redo_start``
+    straight off the segmented log."""
     tracer, stats = method.tracer, method.stats
     full_scan = full_scan or _diskless(method)
     span = tracer.span("recovery", method=method.name, full_scan=full_scan)

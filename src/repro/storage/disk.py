@@ -86,6 +86,11 @@ class Disk:
         """Is there a stored image for ``page_id``?"""
         return page_id in self._pages
 
+    def page_lsn(self, page_id: str) -> int:
+        """The stored image's LSN tag; -1 when there is no image."""
+        page = self._pages.get(page_id)
+        return -1 if page is None else page.lsn
+
     def holds(self, page: Page) -> bool:
         """Is ``page``'s content (its LSN tag aside) what the disk stores
         for it?  Compared in place, without :meth:`read_page`'s copy."""

@@ -9,12 +9,16 @@ outstanding, backward compatibility with sidecar-less ("v1") segment
 directories, and the ``logdump --pages`` verification contract.
 """
 
+import random
+import re
 import shutil
 import struct
 import threading
 import time
 import zlib
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +34,7 @@ from repro.logmgr.pageindex import (
 )
 from repro.logmgr.records import LogRecord, PhysicalRedo
 from repro.methods.base import page_of
+from repro.methods.lazy import PagewiseLazyPlan
 from repro.methods.physiological import analysis_pass
 from repro.methods.redo import replay
 from repro.sim.crash import canonical_state
@@ -182,33 +187,101 @@ class TestPageRedoIndex:
         # The lsn-5 entry is below start_lsn and never enters the index.
         assert index.chain("data001") == [(0, 40, 12), (0, 60, 20)]
         assert index.chain("data001", start_lsn=15) == [(0, 60, 20)]
-        assert index.chain_length("data001") == 2
-        assert index.first_lsn("data001") == 12
-        assert index.first_lsn("data001", after_lsn=12) == 20
-        assert index.first_lsn("data001", after_lsn=20) is None
-        assert index.first_lsn("absent") is None
+        # A cursor is the index's own chain and the first position at or
+        # above an LSN: a plan's replay start, found without a copy.
+        chain, position = index.cursor("data001")
+        assert chain is index.cursor("data001", start_lsn=13)[0]
+        assert position == 0 and chain[position][2] == 12
+        assert index.cursor("data001", start_lsn=13)[1] == 1
+        assert index.cursor("data001", start_lsn=21)[1] == len(chain) == 2
+        assert index.cursor("absent") == ([], 0)
         assert index.edges == [(15, ("data001",), ("data002",))]
 
-    def test_components_are_closed_both_directions(self):
-        """Union-find over read∪write sets: a chain of multi-page records
-        merges transitively, untouched pages stay singleton (omitted)."""
+    @staticmethod
+    def _plan_over(chains, edges):
+        """A plan over a hand-built index whose every page is pending
+        from its head, and the LSNs each fault replays, in order."""
+        replayed = []
+        method = SimpleNamespace(
+            stats=SimpleNamespace(
+                records_scanned=0, records_replayed=0, records_skipped=0
+            ),
+            tracer=SimpleNamespace(enabled=False),
+            redo_record=lambda record: replayed.append(record.lsn)
+            or {"decision": "replayed"},
+            machine=SimpleNamespace(
+                pool=SimpleNamespace(mutex=threading.RLock(), page_fault=None),
+                log=SimpleNamespace(
+                    store=None,
+                    fetch_chain=lambda run: [SimpleNamespace(lsn=e[2]) for e in run],
+                ),
+            ),
+        )
         index = PageRedoIndex()
         index.add_segment(
             SegmentPageIndex(
                 base_lsn=0,
-                region_len=10,
-                pages={p: [0, 1] for p in "abcde"},
-                edges=[
-                    (1, ("a",), ("b",)),
-                    (2, ("c",), ("d",)),
-                    (3, ("b",), ("c",)),
-                ],
+                region_len=100,
+                pages={
+                    page: [field for lsn in lsns for field in (lsn, lsn)]
+                    for page, lsns in chains.items()
+                },
+                edges=edges,
             )
         )
-        components = index.components()
-        group = frozenset("abcd")
-        assert components == {p: group for p in "abcd"}
-        assert "e" not in components  # singleton: callers default to {e}
+        plan = PagewiseLazyPlan(method, index, {page: index.cursor(page) for page in chains})
+        return plan, replayed
+
+    def test_fault_replays_the_ancestry_prefix_of_each_chain(self):
+        """A fault pulls in the faulted page's whole chain, every record
+        that reads it, and, per multi-page record, just the chain
+        prefixes its conflict edges reach; the pages left partly
+        replayed finish on their own fault, and no record replays twice."""
+        cases = {
+            # wr: the copy at 4 reads a, so a replays strictly below 4.
+            "wr": (
+                {"a": [1, 3, 6], "b": [2, 4, 5]},
+                [(4, ("a",), ("b",))],
+                "b", [1, 2, 3, 4, 5], {"a": [6]},
+            ),
+            # ww: the record at 3 writes a and b, so b replays through 3.
+            "ww": (
+                {"a": [1, 3, 5], "b": [2, 3, 4]},
+                [(3, (), ("a", "b"))],
+                "a", [1, 2, 3, 5], {"b": [4]},
+            ),
+            # rw: c's copy at 5 covers a below 5; the copy at 3 reads a
+            # before a's write at 4, so it (and b's chain through it)
+            # replays before a moves past it.
+            "rw": (
+                {"a": [1, 4, 6], "b": [2, 3, 7], "c": [5]},
+                [(3, ("a",), ("b",)), (5, ("a",), ("c",))],
+                "c", [1, 2, 3, 4, 5], {"a": [6], "b": [7]},
+            ),
+            # The faulted page may be written next: the copy at 2 reads a
+            # after a's last write, and still replays before the caller
+            # gets a, whether a has a chain left or is clean.
+            "rw-root": (
+                {"a": [1], "b": [2, 4]},
+                [(2, ("a",), ("b",))],
+                "a", [1, 2], {"b": [4]},
+            ),
+            "rw-clean": (
+                {"b": [2, 4]},
+                [(2, ("a",), ("b",))],
+                "a", [2], {"b": [4]},
+            ),
+        }
+        for name, (chains, edges, fault, first, rest) in cases.items():
+            plan, replayed = self._plan_over(chains, edges)
+            assert plan.fault(fault)
+            assert replayed == first, name
+            assert plan.backlog() == len(rest), name
+            for page, lsns in rest.items():
+                replayed.clear()
+                assert plan.fault(page)
+                assert replayed == lsns, (name, page)
+            assert plan.done and not plan.fault(fault), name
 
     def test_sidecar_roundtrip_and_rejection(self):
         index = SegmentPageIndex(
@@ -330,6 +403,198 @@ class TestSameDecisions:
             KVDatabase(method=method, method_options={"parallel_recovery": True})
 
 
+class TestAncestryFaultOrders:
+    """Seeded generalized histories, copyadds included, restarted over
+    the pages their crash left: a lazy restart faulted by gets in a
+    random order and then drained must land byte for byte where the
+    eager and the warm restarts land, by the same redo decisions, and
+    where the LSN-ordered scan lands (the one schedule not drawn from
+    the ancestry)."""
+
+    KEYS = [f"k{i}" for i in range(24)]
+
+    @classmethod
+    def _history(cls, rng, n=160):
+        ops = []
+        for i in range(n):
+            key, roll = rng.choice(cls.KEYS), rng.random()
+            if roll < 0.3:
+                ops.append(("copyadd", key, (rng.choice(cls.KEYS), rng.randint(1, 9))))
+            elif roll < 0.5:
+                ops.append(("add", key, rng.randint(1, 9)))
+            elif roll < 0.55:
+                ops.append(("delete", key, None))
+            else:
+                ops.append(("put", key, i))
+        return ops
+
+    @staticmethod
+    def _decisions(sink):
+        from repro.obs.timeline import RecoveryTimeline
+
+        return Counter(
+            tuple(sorted((k, str(v)) for k, v in event["fields"].items()))
+            for event in RecoveryTimeline.from_sink(sink).events("recovery.record")
+        )
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_faults_then_drain_equal_eager_and_warm(self, seed, tmp_path):
+        from repro.obs.trace import RingBufferSink, Tracer
+
+        rng = random.Random(seed)
+        engine = dict(
+            method="generalized", n_pages=12, cache_capacity=rng.choice([3, 6, 12]),
+            checkpoint_every=rng.choice([None, 30, 70]), log_segment_size=32,
+            fsync=False,
+        )
+        warm_sink = RingBufferSink()
+        db = KVDatabase(log_dir=tmp_path, tracer=Tracer(warm_sink), **engine)
+        db.run(self._history(rng))
+        db.crash()
+        if seed % 3 == 0:  # nothing installed survives: replay it all
+            for page_id in db.method.machine.disk.page_ids():
+                db.method.machine.disk.drop_page(page_id)
+        disks = survivor(db), survivor(db), survivor(db)
+        warm_sink.records.clear()
+        db.recover()
+        states, decisions = [], [self._decisions(warm_sink)]
+        for disk, how in zip(disks, ("eager", "lazy", "scan")):
+            sink = RingBufferSink()
+            restarted = KVDatabase.cold_start(
+                tmp_path, disk=disk, recover=False, tracer=Tracer(sink), **engine
+            )
+            if how == "lazy":
+                plan = restarted.method.begin_lazy_recovery()
+                for key in rng.sample(self.KEYS, rng.randint(1, len(self.KEYS))):
+                    restarted.get(key)
+                plan.drain()
+            elif how == "eager":
+                restarted.method.recover()
+            else:
+                TestTheorem3._lsn_order_replay(
+                    restarted.method, full_scan=not disk.page_ids()
+                )
+            if how != "scan":  # the scan also tests pages below their recLSN
+                decisions.append(self._decisions(sink))
+            restarted.quiesce()
+            states.append(canonical_state(restarted))
+            restarted.close()
+        db.quiesce()
+        states.append(canonical_state(db))
+        db.close()
+        assert states[0] == states[1] == states[2] == states[3], seed
+        assert decisions[0] == decisions[1] == decisions[2], seed
+
+    @pytest.mark.parametrize("flushed", [False, True])
+    def test_a_write_waits_for_every_pending_reader(self, flushed, tmp_path):
+        """The copy at LSN 2 reads ``a`` after ``a``'s last write.  A
+        write to ``a`` before ``b`` is touched must not reach that copy:
+        ``a`` retired by its own fault (no page on disk), or clean from
+        the start (flushed and checkpointed before the copy)."""
+        engine = dict(method="generalized", n_pages=8, log_segment_size=32, fsync=False)
+        db = KVDatabase(log_dir=tmp_path, checkpoint_every=None, **engine)
+        assert db.method.page_of("a") != db.method.page_of("b")
+        db.run([("put", "a", 1)])
+        if flushed:
+            db.quiesce()
+            db.checkpoint()
+        db.run([("copyadd", "b", ("a", 1))])
+        db.crash()
+        restarted = KVDatabase.cold_start(
+            tmp_path, disk=survivor(db), recover=False, **engine
+        )
+        db.close()
+        plan = restarted.method.begin_lazy_recovery()
+        assert plan.backlog() == (1 if flushed else 2)
+        restarted.run([("put", "a", 99)])
+        assert (restarted.get("b"), restarted.get("a")) == (2, 99)
+        assert plan.done
+        restarted.close()
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_ops_mid_backlog_equal_eager_and_warm(self, seed, tmp_path):
+        """Writes and copies mixed into the lazy phase, before the
+        drain: every read, and the state after, must equal an eager and
+        a warm restart given the same operations."""
+        rng = random.Random(1000 + seed)
+        engine = dict(
+            method="generalized", n_pages=12, cache_capacity=rng.choice([3, 6, 12]),
+            checkpoint_every=rng.choice([None, 30, 70]), log_segment_size=32,
+            fsync=False,
+        )
+        db = KVDatabase(log_dir=tmp_path / "crashed", **engine)
+        db.run(self._history(rng))
+        db.crash()
+        if seed % 3 == 0:
+            for page_id in db.method.machine.disk.page_ids():
+                db.method.machine.disk.drop_page(page_id)
+        tail = [
+            ("get", key, None) if roll < 0.4 else op
+            for key, roll, op in (
+                (rng.choice(self.KEYS), rng.random(), op)
+                for op in self._history(rng, n=rng.randint(1, 40))
+            )
+        ]
+        results = []
+        for how in ("eager", "lazy", "warm"):
+            if how == "warm":
+                restarted = db
+                db.recover()
+            else:
+                shutil.copytree(tmp_path / "crashed", tmp_path / how)
+                restarted = KVDatabase.cold_start(
+                    tmp_path / how, disk=survivor(db), recover=False, **engine
+                )
+            if how == "lazy":
+                plan = restarted.method.begin_lazy_recovery()
+            elif how == "eager":
+                restarted.method.recover()
+            reads = []
+            for op in tail:
+                if op[0] == "get":
+                    reads.append(restarted.get(op[1]))
+                else:
+                    restarted.execute(op)
+            if how == "lazy":
+                plan.drain()
+            results.append((reads, restarted.method.dump()))
+            restarted.close()
+        assert results[0] == results[1] == results[2], seed
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_crash_mid_backlog_then_restart_equals_scan(self, seed, tmp_path):
+        """A lazy restart can evict a page it has replayed only part way
+        (a prefix some copy read).  Crash it mid-backlog: the next
+        restart, over that disk, must still land where the LSN-ordered
+        scan over the first crash's disk lands."""
+        rng = random.Random(seed)
+        engine = dict(
+            method="generalized", n_pages=12, cache_capacity=rng.choice([2, 3, 6]),
+            checkpoint_every=rng.choice([None, 30, 70]), log_segment_size=32,
+            fsync=False,
+        )
+        db = KVDatabase(log_dir=tmp_path, **engine)
+        db.run(self._history(rng))
+        db.crash()
+        if seed % 2 == 0:  # a diskless first restart
+            for page_id in db.method.machine.disk.page_ids():
+                db.method.machine.disk.drop_page(page_id)
+        disks = survivor(db), survivor(db)
+        db.close()
+        first = KVDatabase.cold_start(tmp_path, disk=disks[0], recover=False, **engine)
+        first.method.begin_lazy_recovery()
+        for key in rng.sample(self.KEYS, rng.randint(1, len(self.KEYS))):
+            first.get(key)
+        first.crash()
+        first.method.machine.log.store.close()
+        second = KVDatabase.cold_start(tmp_path, disk=first.method.machine.disk, **engine)
+        reference = KVDatabase.cold_start(tmp_path, disk=disks[1], recover=False, **engine)
+        TestTheorem3._lsn_order_replay(reference.method, full_scan=not disks[1].page_ids())
+        assert second.method.dump() == reference.method.dump(), seed
+        for db in (first, second, reference):
+            db.close()
+
+
 class TestTheorem3:
     """Eager recovery of the page-wise methods drains the per-page plan:
     it replays each page's chain (or each multi-page component) whole,
@@ -419,10 +684,11 @@ class TestTheorem3:
         crash then leaves a disk that holds some pages but witnessed no
         checkpoint: the next start must replay the chains of the pages
         it lacks from their heads, or their pre-checkpoint writes are
-        lost."""
+        lost.  Four frames leave some of the eight pages unwritten
+        whatever order the drain retires them in."""
         db = build_crashed(tmp_path, method, ckpt=10, ops=mixed_stream(method))
         db.close()
-        first = cold(tmp_path, method, ckpt=10, disk=Disk(), cache_capacity=2)
+        first = cold(tmp_path, method, ckpt=10, disk=Disk(), cache_capacity=4)
         expected = first.method.dump()
         assert first.method.theory_audit().holds
         disk = first.method.machine.disk
@@ -435,10 +701,10 @@ class TestTheorem3:
 
 
 class TestPageAtATimeRestart:
-    """Exact counts of a diskless eager cold start over 6 000 mutations
-    on 256 pages through 64 frames, with no checkpoint."""
+    """Exact counts of a diskless cold start over 6 000 mutations on 256
+    pages through 64 frames, with no checkpoint."""
 
-    @pytest.mark.parametrize("method", ["physiological", "generalized"])
+    @pytest.mark.parametrize("method", PAGE_METHODS)
     def test_each_page_written_once_and_each_segment_mapped_once(
         self, method, tmp_path, monkeypatch
     ):
@@ -451,7 +717,7 @@ class TestPageAtATimeRestart:
         db = KVDatabase(log_dir=tmp_path, commit_every=32, **engine)
         for i in range(6000):
             if method == "generalized" and i % 10 == 7:
-                # Cross-page copyadds tie every page into one component.
+                # Cross-page copyadds: 600 multi-page conflict edges.
                 db.execute(("copyadd", f"k{i * 7 % 2000}", (f"k{i % 2000}", 1)))
             else:
                 db.execute(("put", f"k{i * 7919 % 2000}", i))
@@ -480,12 +746,20 @@ class TestPageAtATimeRestart:
             restarted = KVDatabase.cold_start(tmp_path, recover=False, **engine)
             opens.clear()
             if lazy:
-                restarted.method.begin_lazy_recovery().drain()
+                plan = restarted.method.begin_lazy_recovery()
+                restarted.get("k5")
+                # The first fault fetches its page's ancestry, not the log.
+                assert plan.records_fetched < 6000 // 10, plan.records_fetched
+                plan.drain()
             else:
                 restarted.method.recover()
+                writes = restarted.method.machine.disk.page_writes
+                if method == "generalized":
+                    assert writes <= 480, writes
+                else:
+                    assert writes == 192, writes
+                    assert restarted.method.machine.pool.misses == 256
             assert restarted.method.stats.records_replayed == 6000
-            if method == "physiological" and not lazy:
-                assert restarted.method.machine.disk.page_writes <= 256
             assert len(opens) <= segment_files, (lazy, len(opens))
             restarted.crash()
             restarted.close()
@@ -663,7 +937,8 @@ class TestLogdumpPages:
         out = capsys.readouterr().out
         assert "sidecar(s) verified against the frame walk" in out
         assert "data000" in out
-        assert "replay component" in out  # copyadds bind pages
+        edges = re.search(r"(\d+) multi-page edge\(s\)", out)
+        assert edges and int(edges.group(1)) > 0  # the copyadds' edges
 
     def test_corrupt_sidecar_exits_two(self, tmp_path, capsys):
         """A sidecar that covers the segment's bytes but disagrees with

@@ -241,21 +241,19 @@ class BTree:
         """Upsert ``key`` with ``payload``, splitting overflowing nodes."""
         cell = encode_key(key)
         path = self._descend(cell)
-        leaf_id = path[-1]
-        entry = self.machine.log.append(
-            PhysiologicalRedo(leaf_id, PageAction("put", (cell, payload)))
-        )
-        self.pool.update(leaf_id, lambda p: p.put(cell, payload, lsn=entry.lsn))
+        self._log_action(path[-1], PageAction("put", (cell, payload)))
         self._split_along(path)
 
     def delete(self, key: int) -> None:
         """Remove ``key`` if present (leaves are never merged)."""
         cell = encode_key(key)
-        leaf_id = self._descend(cell)[-1]
-        entry = self.machine.log.append(
-            PhysiologicalRedo(leaf_id, PageAction("delete", (cell,)))
-        )
-        self.pool.update(leaf_id, lambda p: p.delete(cell, lsn=entry.lsn))
+        self._log_action(self._descend(cell)[-1], PageAction("delete", (cell,)))
+
+    def _log_action(self, page_id: str, action: PageAction) -> None:
+        """Log one single-page action, then apply it through the
+        interpreter redo runs."""
+        entry = self.machine.log.append(PhysiologicalRedo(page_id, action))
+        self.pool.update(page_id, partial(action.apply_to, lsn=entry.lsn), create=True)
 
     def commit(self) -> None:
         """Force the log: all inserts/deletes so far become durable."""
@@ -340,25 +338,12 @@ class BTree:
             lambda p: (p.cells.update(moved), p.stamp(image.lsn)),
             create=True,
         )
-        truncate = log.append(
-            PhysiologicalRedo(old_id, PageAction("truncate", (split_cell,)))
-        )
-        self.pool.update(
-            old_id,
-            lambda p: PageAction("truncate", (split_cell,)).apply_to(
-                p, lsn=truncate.lsn
-            ),
-        )
+        self._log_action(old_id, PageAction("truncate", (split_cell,)))
         for page_id, actions in self._parent_actions(
             old_id, new_id, split_cell, parent_id, new_root_id
         ).items():
             for action in actions:
-                entry = log.append(PhysiologicalRedo(page_id, action))
-                self.pool.update(
-                    page_id,
-                    lambda p, a=action, l=entry.lsn: a.apply_to(p, lsn=l),
-                    create=True,
-                )
+                self._log_action(page_id, action)
         # No ordering constraints: every record is self-contained.
 
     def _split_generalized(
@@ -391,15 +376,7 @@ class BTree:
                 # already-installed generation must not count.
                 self.pool.add_flush_constraint(new_id, old_id)
 
-        truncate = log.append(
-            PhysiologicalRedo(old_id, PageAction("truncate", (split_cell,)))
-        )
-        self.pool.update(
-            old_id,
-            lambda p: PageAction("truncate", (split_cell,)).apply_to(
-                p, lsn=truncate.lsn
-            ),
-        )
+        self._log_action(old_id, PageAction("truncate", (split_cell,)))
         if self.unsafe_split_flush:
             # Ablation hook: do exactly the wrong thing — put the
             # truncated old page on disk first, new page still volatile.

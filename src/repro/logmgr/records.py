@@ -10,15 +10,32 @@ the bytes the durable log writes.
 The action vocabulary for page-logical records is deliberately small —
 ``put``, ``delete``, ``add``, ``copycell``, ``copyfrom``,
 ``split-move``, ``truncate``, ``set-meta`` — matching exactly what the
-KV engines and the B-tree need.
+KV engines and the B-tree need.  This module is the one place that says
+what each kind means: ``PageAction.apply_to``, ``PhysicalRedo.apply_to``
+and ``LogicalRedo.apply_to`` are the interpreters normal operation and
+redo both run, and every payload's ``accesses()`` names the cells it
+reads and writes.  The audits lift records by running the same
+interpreters on scratch pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.storage.page import Page
+
+
+def _replace(page: Page, removed, added, lsn: int | None) -> None:
+    """Drop the ``removed`` cells of ``page``, then install the ``added``
+    (cell, value) pairs: the write of a truncate or a split-move."""
+    cells = page.cells
+    for cell in removed:
+        del cells[cell]
+    cells.update(added)
+    if lsn is not None:
+        page.stamp(lsn)
 
 
 @dataclass(frozen=True)
@@ -29,7 +46,8 @@ class PageAction:
 
     - ``"put"``: args = (cell, value) — upsert a cell.
     - ``"delete"``: args = (cell,) — remove a cell.
-    - ``"add"``: args = (cell, delta) — arithmetic update reading the cell.
+    - ``"add"``: args = (cell, delta) — cell <- (cell or 0) + delta, an
+      arithmetic update reading the cell (absent and None both count as 0).
     - ``"split-move"``: args = (source_page_id, split_key) — fill this page
       with every cell of the *source* page whose key is >= split_key
       (reads another page: only legal in multi-page records).
@@ -46,49 +64,63 @@ class PageAction:
     kind: str
     args: tuple = ()
 
-    def apply_to(self, page: Page, lsn: int | None = None, reader=None) -> None:
-        """Interpret this action against ``page``.
-
-        ``reader`` supplies other pages for ``split-move`` (a callable
-        page_id -> Page); single-page disciplines never pass one.
-        """
-        if self.kind in ("put", "set-meta"):
-            cell, value = self.args
-            page.put(cell, value, lsn)
-        elif self.kind == "delete":
-            (cell,) = self.args
-            page.delete(cell, lsn)
-        elif self.kind == "add":
-            cell, delta = self.args
-            page.put(cell, page.get(cell, 0) + delta, lsn)
-        elif self.kind == "truncate":
-            (split_key,) = self.args
-            for cell in [c for c in page.cells if c >= split_key]:
-                page.delete(cell)
-            if lsn is not None:
-                page.stamp(lsn)
-        elif self.kind == "copycell":
-            dst_cell, src_cell, delta = self.args
-            page.put(dst_cell, (page.get(src_cell) or 0) + delta, lsn)
-        elif self.kind == "copyfrom":
-            src_page_id, src_cell, dst_cell, delta = self.args
-            if reader is None:
-                raise ValueError("copyfrom needs a page reader (multi-page record)")
+    def prepare(self, page: Page, reader=None) -> Callable[[int | None], None]:
+        """Read what this action reads; return the write of its result,
+        called with the LSN to stamp (or None).  ``reader`` (page_id ->
+        Page) supplies the other page a ``copyfrom`` or ``split-move``
+        reads.  Operands that do not add raise ``TypeError`` here, before
+        any write: engines prepare, log, then write, so the log never
+        holds a record that replay cannot apply."""
+        kind, args = self.kind, self.args
+        if reader is None and kind in ("copyfrom", "split-move"):
+            raise ValueError(f"{kind} needs a page reader (multi-page record)")
+        if kind in ("put", "set-meta"):
+            cell, value = args
+            return partial(page.put, cell, value)
+        if kind == "delete":
+            return partial(page.delete, args[0])
+        if kind == "add":
+            cell, delta = args
+            return partial(page.put, cell, (page.get(cell) or 0) + delta)
+        if kind == "copycell":
+            dst_cell, src_cell, delta = args
+            return partial(page.put, dst_cell, (page.get(src_cell) or 0) + delta)
+        if kind == "copyfrom":
+            src_page_id, src_cell, dst_cell, delta = args
             source = reader(src_page_id)
-            page.put(dst_cell, (source.get(src_cell) or 0) + delta, lsn)
-        elif self.kind == "split-move":
-            source_page_id, split_key = self.args
-            if reader is None:
-                raise ValueError("split-move needs a page reader (multi-page record)")
+            return partial(page.put, dst_cell, (source.get(src_cell) or 0) + delta)
+        if kind == "truncate":
+            (split_key,) = args
+            doomed = [cell for cell in page.cells if cell >= split_key]
+            return partial(_replace, page, doomed, ())
+        if kind == "split-move":
+            source_page_id, split_key = args
             source = reader(source_page_id)
-            page.cells.clear()
-            for cell, value in source:
-                if cell >= split_key:
-                    page.cells[cell] = value
-            if lsn is not None:
-                page.stamp(lsn)
-        else:
-            raise ValueError(f"unknown page action kind {self.kind!r}")
+            moved = [(cell, value) for cell, value in source if cell >= split_key]
+            return partial(_replace, page, list(page.cells), moved)
+        raise ValueError(f"unknown page action kind {self.kind!r}")
+
+    def apply_to(self, page: Page, lsn: int | None = None, reader=None) -> None:
+        """Interpret this action against ``page``: :meth:`prepare`, then write."""
+        self.prepare(page, reader)(lsn)
+
+    def accesses(self, page_id: str) -> tuple[frozenset, frozenset]:
+        """The cells this action reads and writes on page ``page_id``, as
+        ``(page_id, cell)`` pairs; ``(page_id, None)`` stands for every
+        cell of a page.  A write is blind when its cell is not read."""
+        kind, args = self.kind, self.args
+        if kind in ("put", "set-meta", "delete"):
+            return frozenset(), frozenset({(page_id, args[0])})
+        if kind == "add":
+            return frozenset({(page_id, args[0])}), frozenset({(page_id, args[0])})
+        if kind == "copycell":
+            return frozenset({(page_id, args[1])}), frozenset({(page_id, args[0])})
+        if kind == "copyfrom":
+            return frozenset({(args[0], args[1])}), frozenset({(page_id, args[2])})
+        if kind in ("truncate", "split-move"):
+            source = args[0] if kind == "split-move" else page_id
+            return frozenset({(source, None)}), frozenset({(page_id, None)})
+        raise ValueError(f"unknown page action kind {self.kind!r}")
 
     def __str__(self) -> str:
         return f"{self.kind}{self.args}"
@@ -140,6 +172,12 @@ class PhysicalRedo:
             else:
                 cells[cell] = value
 
+    def accesses(self) -> tuple[frozenset, frozenset]:
+        """Blind writes only: the logged cells, or every cell of a
+        whole-page image (see :meth:`PageAction.accesses`)."""
+        cells = [None] if self.whole_page else self.cells
+        return frozenset(), frozenset((self.page_id, cell) for cell in cells)
+
 
 @dataclass(frozen=True)
 class PhysiologicalRedo:
@@ -148,16 +186,65 @@ class PhysiologicalRedo:
     page_id: str
     action: PageAction
 
+    def accesses(self) -> tuple[frozenset, frozenset]:
+        """The action's cells on this record's page."""
+        return self.action.accesses(self.page_id)
+
 
 @dataclass(frozen=True)
 class LogicalRedo:
     """§6.1: a database-level operation (may read and write any page).
 
-    ``description`` is engine-interpreted data, e.g. ``("kv-put", key,
-    value)``; the logical engine replays it through its normal code path.
+    ``description`` is ``(kind, key, value)`` over keys, not pages:
+    ``("kv-put", key, value)``, ``("kv-delete", key, None)``,
+    ``("kv-add", key, delta)`` or ``("kv-copyadd", key, (src, delta))``.
+    The engine places keys on pages, so the interpreter takes its page
+    accessors as callbacks; normal operation and replay both run it.
     """
 
     description: tuple
+
+    def prepare(
+        self,
+        page_for_update: Callable[[str], Page],
+        page_for_read: Callable[[str], Page | None],
+    ) -> Callable[[], None]:
+        """:meth:`PageAction.prepare` over keys: ``page_for_update(key)``
+        is the page ``key`` is written on, ``page_for_read(key)`` the
+        page it is read from (None when no page holds it yet)."""
+        kind, key, value = self.description
+        page = page_for_update(key)
+        if kind == "kv-put":
+            return partial(page.put, key, value)
+        if kind == "kv-delete":
+            return partial(page.delete, key)
+        if kind == "kv-add":
+            # The read happens at replay time too: a logical add record
+            # carries the delta, not the result.
+            return partial(page.put, key, (page.get(key) or 0) + value)
+        if kind == "kv-copyadd":
+            src, delta = value
+            source = page_for_read(src)
+            src_value = source.get(src) if source is not None else None
+            return partial(page.put, key, (src_value or 0) + delta)
+        raise ValueError(f"unknown logical operation {kind!r}")
+
+    def apply_to(self, page_for_update, page_for_read) -> None:
+        """Interpret this operation: :meth:`prepare`, then write."""
+        self.prepare(page_for_update, page_for_read)()
+
+    def accesses(self) -> tuple[frozenset, frozenset]:
+        """The keys read and written, as ``(None, key)`` cells: a
+        logical record names no page."""
+        kind, key, value = self.description
+        written = frozenset({(None, key)})
+        if kind in ("kv-put", "kv-delete"):
+            return frozenset(), written
+        if kind == "kv-add":
+            return written, written
+        if kind == "kv-copyadd":
+            return frozenset({(None, value[0])}), written
+        raise ValueError(f"unknown logical operation {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +259,20 @@ class MultiPageRedo:
 
     read_page_ids: tuple[str, ...]
     writes: dict = field(hash=False)  # page_id -> tuple[PageAction, ...]
+
+    def accesses(self) -> tuple[frozenset, frozenset]:
+        """Every written page's :func:`page_accesses`, united."""
+        return _united(page_accesses(*write) for write in self.writes.items())
+
+
+def page_accesses(page_id: str, actions) -> tuple[frozenset, frozenset]:
+    """The cells ``actions`` read and write, applied to page ``page_id``."""
+    return _united(action.accesses(page_id) for action in actions)
+
+
+def _united(accesses) -> tuple[frozenset, frozenset]:
+    reads, writes = zip(*accesses)
+    return frozenset().union(*reads), frozenset().union(*writes)
 
 
 @dataclass(frozen=True)

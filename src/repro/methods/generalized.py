@@ -23,10 +23,11 @@ page table) *is* :class:`~repro.methods.physiological.PhysiologicalKV` —
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.logmgr import LogRecord, MultiPageRedo, PageAction
 from repro.methods.physiological import PhysiologicalKV
 from repro.methods.redo import redo_multipage
-from repro.storage.page import Page
 
 
 class GeneralizedKV(PhysiologicalKV):
@@ -43,10 +44,6 @@ class GeneralizedKV(PhysiologicalKV):
     recover = PhysiologicalKV.recover
     begin_lazy_recovery = PhysiologicalKV.begin_lazy_recovery
 
-    def _read_page(self, page_id: str) -> Page:
-        """The ``reader`` a multi-page action sees other pages through."""
-        return self.machine.pool.get_page(page_id, create=True)
-
     # ------------------------------------------------------------------
     # The §6.4 operation: cross-page read-write
     # ------------------------------------------------------------------
@@ -54,7 +51,6 @@ class GeneralizedKV(PhysiologicalKV):
     def copyadd(self, dst: str, src: str, delta: int) -> None:
         dst_page = self.page_of(dst)
         src_page = self.page_of(src)
-        pool = self.machine.pool
         if dst_page == src_page:
             # Same page: an ordinary physiological record suffices.
             self._log_and_apply(
@@ -62,19 +58,16 @@ class GeneralizedKV(PhysiologicalKV):
             )
             return
         action = PageAction("copyfrom", (src_page, src, dst, delta))
-        entry = self.machine.log.append(
-            MultiPageRedo(read_page_ids=(src_page,), writes={dst_page: (action,)})
-        )
-        pool.update(
+        self._log_and_apply(
             dst_page,
-            lambda p: action.apply_to(p, lsn=entry.lsn, reader=self._read_page),
-            create=True,
+            action,
+            MultiPageRedo(read_page_ids=(src_page,), writes={dst_page: (action,)}),
+            reader=partial(self.machine.pool.get_page, create=True),
         )
         # Careful write ordering as the write graph's add-edge: the
         # destination page must be installed before the source page can
         # carry later updates to disk.
-        pool.add_flush_constraint(dst_page, src_page)
-        self.stats.operations += 1
+        self.machine.pool.add_flush_constraint(dst_page, src_page)
 
     # ------------------------------------------------------------------
     # Recovery: the multi-page branch of the redo test

@@ -64,78 +64,52 @@ class LogicalKV(RecoveryMethodKV):
         if plan is not None and not plan.done:
             plan.drain()
 
-    def _page_for_update(self, page_id: str) -> Page:
-        self._lazy_gate()
-        page = self._cache.get(page_id)
+    def _page_for_update(self, key: str) -> Page:
+        """The cached page ``key`` is written on, loaded on first use."""
+        page = self._page_for_read(key)
         if page is None:
-            if self.shadow.has_current(page_id):
-                page = self.shadow.read_current(page_id)
-            else:
-                page = Page(page_id)
-            self._cache[page_id] = page
-        return page
+            page = Page(self.page_of(key))
+        return self._cache.setdefault(page.page_id, page)
 
-    def _page_for_read(self, page_id: str) -> Page | None:
+    def _page_for_read(self, key: str) -> Page | None:
+        """The page ``key`` is read from (None if no page holds it)."""
         self._lazy_gate()
+        page_id = self.page_of(key)
         page = self._cache.get(page_id)
-        if page is not None:
-            return page
-        if self.shadow.has_current(page_id):
-            return self.shadow.read_current(page_id)
-        return None
+        if page is None and self.shadow.has_current(page_id):
+            page = self.shadow.read_current(page_id)
+        return page
 
     # ------------------------------------------------------------------
     # Normal operation
     # ------------------------------------------------------------------
 
-    def _apply_logical(self, description: tuple) -> None:
-        """The normal update path; recovery replays through this too."""
-        kind, key, value = description
-        page = self._page_for_update(self.page_of(key))
-        if kind == "kv-put":
-            page.put(key, value)
-        elif kind == "kv-delete":
-            page.delete(key)
-        elif kind == "kv-add":
-            # The read happens at replay time too: a logical add record
-            # carries the delta, not the result.
-            page.put(key, (page.get(key) or 0) + value)
-        elif kind == "kv-copyadd":
-            src, delta = value
-            src_page = self._page_for_read(self.page_of(src))
-            src_value = src_page.get(src) if src_page is not None else None
-            page.put(key, (src_value or 0) + delta)
-        else:
-            raise ValueError(f"unknown logical operation {kind!r}")
+    def _log_and_apply(self, description: tuple) -> None:
+        """The normal update path: the record's interpreter reads before
+        the append (a refused operand logs nothing), writes after it.
+        Recovery replays through the same interpreter."""
+        record = LogicalRedo(description)
+        write = record.prepare(self._page_for_update, self._page_for_read)
+        self.machine.log.append(record)
+        write()
+        self.stats.operations += 1
 
     def put(self, key: str, value: Any) -> None:
-        description = ("kv-put", key, value)
-        self.machine.log.append(LogicalRedo(description))
-        self._apply_logical(description)
-        self.stats.operations += 1
+        self._log_and_apply(("kv-put", key, value))
 
     def delete(self, key: str) -> None:
-        description = ("kv-delete", key, None)
-        self.machine.log.append(LogicalRedo(description))
-        self._apply_logical(description)
-        self.stats.operations += 1
+        self._log_and_apply(("kv-delete", key, None))
 
     def add(self, key: str, delta: int) -> None:
-        description = ("kv-add", key, delta)
-        self.machine.log.append(LogicalRedo(description))
-        self._apply_logical(description)
-        self.stats.operations += 1
+        self._log_and_apply(("kv-add", key, delta))
 
     def copyadd(self, dst: str, src: str, delta: int) -> None:
         """A truly logical cross-key operation: the record carries the
         source key and delta; replay performs the read."""
-        description = ("kv-copyadd", dst, (src, delta))
-        self.machine.log.append(LogicalRedo(description))
-        self._apply_logical(description)
-        self.stats.operations += 1
+        self._log_and_apply(("kv-copyadd", dst, (src, delta)))
 
     def get(self, key: str) -> Any:
-        page = self._page_for_read(self.page_of(key))
+        page = self._page_for_read(key)
         return None if page is None else page.get(key)
 
     # ------------------------------------------------------------------
@@ -210,7 +184,7 @@ class LogicalKV(RecoveryMethodKV):
         payload = record.payload
         if not isinstance(payload, LogicalRedo):
             return NOT_REDO
-        self._apply_logical(payload.description)
+        payload.apply_to(self._page_for_update, self._page_for_read)
         return {"decision": "replayed"}
 
     def begin_lazy_recovery(self):
@@ -263,7 +237,8 @@ class LogicalKV(RecoveryMethodKV):
         result: dict[str, Any] = {}
         page_ids = set(self.shadow.current_page_ids()) | set(self._cache)
         for page_id in sorted(page_ids):
-            page = self._page_for_read(page_id)
-            if page is not None:
-                result.update(page.cells)
+            page = self._cache.get(page_id)
+            if page is None:
+                page = self.shadow.read_current(page_id)
+            result.update(page.cells)
         return result

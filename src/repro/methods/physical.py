@@ -45,21 +45,29 @@ class PhysicalKV(RecoveryMethodKV):
     # Normal operation
     # ------------------------------------------------------------------
 
-    def put(self, key: str, value: Any) -> None:
-        page_id = self.page_of(key)
-        entry = self.machine.log.append(PhysicalRedo(page_id, {key: value}))
-        self.machine.pool.update(
-            page_id, lambda p: p.put(key, value, lsn=entry.lsn), create=True
-        )
+    def _log_and_install(self, page_id: str, key: str, value: Any) -> None:
+        """Log the blind write of ``value`` (or :data:`TOMBSTONE`) to
+        ``key`` on ``page_id``, then install it as redo does."""
+        record = PhysicalRedo(page_id, {key: value})
+        entry = self.machine.log.append(record)
+        self._install(record, entry.lsn)
         self.stats.operations += 1
 
+    def _install(self, record: PhysicalRedo, lsn: int) -> None:
+        """Install ``record``'s cells into its page and stamp ``lsn``
+        (a replay never lowers a later stamp)."""
+
+        def install(page: Page) -> None:
+            record.apply_to(page)
+            page.stamp(max(page.lsn, lsn))
+
+        self.machine.pool.update(record.page_id, install, create=True)
+
+    def put(self, key: str, value: Any) -> None:
+        self._log_and_install(self.page_of(key), key, value)
+
     def delete(self, key: str) -> None:
-        page_id = self.page_of(key)
-        entry = self.machine.log.append(PhysicalRedo(page_id, {key: TOMBSTONE}))
-        self.machine.pool.update(
-            page_id, lambda p: p.delete(key, lsn=entry.lsn), create=True
-        )
-        self.stats.operations += 1
+        self._log_and_install(self.page_of(key), key, TOMBSTONE)
 
     def add(self, key: str, delta: int) -> None:
         """Physical logging of a read-modify-write: the *result* is
@@ -68,24 +76,13 @@ class PhysicalKV(RecoveryMethodKV):
         in ``redo_set`` unexposed and replays unconditionally safe."""
         page_id = self.page_of(key)
         page = self.machine.pool.get_page(page_id, create=True)
-        result = (page.get(key) or 0) + delta
-        entry = self.machine.log.append(PhysicalRedo(page_id, {key: result}))
-        self.machine.pool.update(
-            page_id, lambda p: p.put(key, result, lsn=entry.lsn)
-        )
-        self.stats.operations += 1
+        self._log_and_install(page_id, key, (page.get(key) or 0) + delta)
 
     def copyadd(self, dst: str, src: str, delta: int) -> None:
         """Cross-key derivation, physically logged: the read of ``src``
         happens now; the log sees only the blind write of the result."""
         src_page = self.machine.pool.get_page(self.page_of(src), create=True)
-        result = (src_page.get(src) or 0) + delta
-        dst_page_id = self.page_of(dst)
-        entry = self.machine.log.append(PhysicalRedo(dst_page_id, {dst: result}))
-        self.machine.pool.update(
-            dst_page_id, lambda p: p.put(dst, result, lsn=entry.lsn), create=True
-        )
-        self.stats.operations += 1
+        self._log_and_install(self.page_of(dst), dst, (src_page.get(src) or 0) + delta)
 
     def get(self, key: str) -> Any:
         try:
@@ -115,12 +112,7 @@ class PhysicalKV(RecoveryMethodKV):
         payload = record.payload
         if not isinstance(payload, PhysicalRedo):
             return NOT_REDO
-
-        def install(page: Page) -> None:
-            payload.apply_to(page)
-            page.stamp(max(page.lsn, record.lsn))
-
-        self.machine.pool.update(payload.page_id, install, create=True)
+        self._install(payload, record.lsn)
         return {"decision": "replayed", "page": payload.page_id}
 
     def recover(self, full_scan: bool = False) -> None:

@@ -39,6 +39,7 @@ from repro.logmgr import (
 from repro.methods.base import Machine, RecoveryMethodKV
 from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager, redo_page
+from repro.storage.page import Page
 
 
 def analysis_pass(records: Iterable[LogRecord]) -> tuple[dict[str, int], int]:
@@ -104,11 +105,22 @@ class PhysiologicalKV(RecoveryMethodKV):
     # Normal operation
     # ------------------------------------------------------------------
 
-    def _log_and_apply(self, page_id: str, action: PageAction) -> None:
-        entry = self.machine.log.append(PhysiologicalRedo(page_id, action))
-        self.machine.pool.update(
-            page_id, lambda p: action.apply_to(p, lsn=entry.lsn), create=True
-        )
+    def _log_and_apply(
+        self, page_id: str, action: PageAction, record=None, reader=None
+    ) -> None:
+        """Log ``action`` on ``page_id`` as ``record`` (default: its
+        one-page record) and apply it.  It reads before the append,
+        inside the pool's update (the pool-then-log order of the WAL
+        gate), so a refused operand logs nothing."""
+        if record is None:
+            record = PhysiologicalRedo(page_id, action)
+        log = self.machine.log
+
+        def mutate(page: Page) -> None:
+            write = action.prepare(page, reader)
+            write(log.append(record).lsn)
+
+        self.machine.pool.update(page_id, mutate, create=True)
         self.stats.operations += 1
 
     def put(self, key: str, value: Any) -> None:

@@ -42,9 +42,9 @@ from repro.logmgr import (
     MultiPageRedo,
     PhysicalRedo,
     PhysiologicalRedo,
-    TOMBSTONE,
 )
 from repro.methods import GeneralizedKV, LogicalKV, PhysicalKV, PhysiologicalKV
+from repro.storage.page import Page
 from repro.workloads.kv import KVOp
 
 
@@ -105,83 +105,55 @@ class InstantAudit:
 # Lifting log records to abstract operations
 # ----------------------------------------------------------------------
 
-def _lifted(name: str, cells: dict, src: str | None = None) -> Operation:
-    """The two shapes a KV record lifts to: a blind write of ``cells``
-    (key -> value, None for a delete), or, given ``src``, the one-cell
-    ``{dst: delta}`` as ``dst <- (src or 0) + delta`` — an add when
-    ``src`` is ``dst``, a copy-add otherwise."""
-    if src is None:
-        return Operation(name, frozenset(), frozenset(cells), lambda reads: dict(cells))
-    ((dst, delta),) = cells.items()
-    return Operation(
-        name,
-        frozenset({src}),
-        frozenset({dst}),
-        lambda reads: {dst: (reads[src] or 0) + delta},
-    )
+_KV_PAYLOADS = (LogicalRedo, PhysicalRedo, PhysiologicalRedo, MultiPageRedo)
+
+
+def _redo_on(scratch: Page, payload) -> None:
+    """Run the interpreter redo runs for ``payload`` against ``scratch``,
+    one page standing for every page the record touches: a KV cell is
+    its key, unique across pages."""
+    if isinstance(payload, LogicalRedo):
+        payload.apply_to(lambda _key: scratch, lambda _key: scratch)
+    elif isinstance(payload, PhysicalRedo):
+        payload.apply_to(scratch)
+    elif isinstance(payload, PhysiologicalRedo):
+        payload.action.apply_to(scratch)
+    else:
+        for actions in payload.writes.values():
+            for action in actions:
+                action.apply_to(scratch, reader=lambda _page_id: scratch)
 
 
 def _lift_record(entry: LogRecord) -> Operation | None:
     """The abstract operation a stable log record denotes (None for
-    checkpoint records, which are not operations)."""
-    name = f"L{entry.lsn}"
+    checkpoint records, which are not operations): its keys read and
+    written, and a function that loads the read values into a scratch
+    page, runs redo's own interpreter and reads the written keys back
+    (an absent key, as a deleted or tombstoned one is, reads None)."""
     payload = entry.payload
-
     if isinstance(payload, CheckpointRecord):
         return None
+    if not isinstance(payload, _KV_PAYLOADS):
+        raise AuditError(f"unliftable record type {type(payload).__name__}")
+    try:
+        read_cells, write_cells = payload.accesses()
+    except ValueError as error:
+        raise AuditError(f"unliftable record {payload}: {error}") from None
+    if any(cell is None for _, cell in read_cells | write_cells):
+        raise AuditError(
+            f"unliftable record {payload}: whole-page images, truncate and "
+            "split-move mix per-key and per-page granularity (the B-tree's "
+            "records have their own lifter)"
+        )
+    reads = frozenset(cell for _, cell in read_cells)
+    writes = frozenset(cell for _, cell in write_cells)
 
-    if isinstance(payload, PhysicalRedo):
-        if payload.whole_page:
-            raise AuditError(
-                "whole-page physical images mix per-key and per-page "
-                "granularity (the B-tree's split images have their own lifter)"
-            )
-        return _lifted(name, {
-            cell: None if value is TOMBSTONE else value
-            for cell, value in payload.cells.items()
-        })
+    def compute(values: dict) -> dict:
+        scratch = Page("scratch", dict(values))
+        _redo_on(scratch, payload)
+        return {key: scratch.get(key) for key in writes}
 
-    if isinstance(payload, LogicalRedo):
-        kind, key, value = payload.description
-        if kind == "kv-put":
-            return _lifted(name, {key: value})
-        if kind == "kv-add":
-            return _lifted(name, {key: value}, src=key)
-        if kind == "kv-copyadd":
-            src, delta = value
-            return _lifted(name, {key: delta}, src=src)
-        if kind == "kv-delete":
-            return _lifted(name, {key: None})
-        raise AuditError(f"unknown logical record {kind!r}")
-
-    if isinstance(payload, MultiPageRedo):
-        actions = [action for group in payload.writes.values() for action in group]
-        if len(actions) != 1 or actions[0].kind != "copyfrom":
-            raise AuditError(
-                f"unliftable multi-page actions {[a.kind for a in actions]} "
-                "(KV audits cover one copyfrom per record; B-tree splits "
-                "work at page granularity)"
-            )
-        _, src, dst, delta = actions[0].args
-        return _lifted(name, {dst: delta}, src=src)
-
-    if isinstance(payload, PhysiologicalRedo):
-        action = payload.action
-        if action.kind == "copycell":
-            dst, src, delta = action.args
-            return _lifted(name, {dst: delta}, src=src)
-        if action.kind == "put":
-            key, value = action.args
-            return _lifted(name, {key: value})
-        if action.kind == "add":
-            key, delta = action.args
-            return _lifted(name, {key: delta}, src=key)
-        if action.kind == "delete":
-            (key,) = action.args
-            return _lifted(name, {key: None})
-        raise AuditError(f"unliftable page action {action.kind!r}")
-
-    raise AuditError(f"unliftable record type {type(payload).__name__}")
+    return Operation(f"L{entry.lsn}", reads, writes, compute)
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,21 @@ own granularity.  Each stable log record lifts to abstract operations:
   page's prior contents);
 - a whole-page physical image lifts to a blind page write;
 - a multi-page record lifts to **one operation per written page**, each
-  reading the record's read pages (plus its own page when its actions
-  need the prior contents).  This decomposition is legitimate precisely
+  reading the pages its own actions read (plus its own page unless a
+  split-move rewrites it whole).  This decomposition is legitimate precisely
   because a written page's actions never read the record's *other*
   written pages — the same fact that makes the engine's per-page LSN
   replay sound — and the audit turns that argument into a checked
   invariant: the per-page redo decisions must leave an installed set
   that is an installation-graph prefix explaining the stable disk.
+
+Each operation's function runs the interpreter redo runs, on scratch
+copies of the pages it reads.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.btree.tree import FIRST_PAGE, META_PAGE, TYPE_CELL, BTree
 from repro.core.conflict import ConflictGraph
@@ -28,63 +33,36 @@ from repro.logmgr import (
     CheckpointRecord,
     LogRecord,
     MultiPageRedo,
-    PageAction,
     PhysicalRedo,
     PhysiologicalRedo,
 )
+from repro.logmgr.records import page_accesses
+from repro.methods.redo import actions_on
 from repro.sim.audit import InstantAudit
+from repro.storage.page import Page
 
 
-def _interpret(
-    actions: tuple[PageAction, ...], reads: dict, page_id: str
-) -> dict | None:
-    """Apply page actions functionally: reads maps page ids to cell
-    dicts; returns the written page's new cell dict, or None when it is
-    empty (an empty page is an absent one, as in the stable state)."""
-    cells = dict(reads.get(page_id) or {})
-    for action in actions:
-        if action.kind in ("put", "set-meta"):
-            cell, value = action.args
-            cells[cell] = value
-        elif action.kind == "delete":
-            (cell,) = action.args
-            cells.pop(cell, None)
-        elif action.kind == "add":
-            cell, delta = action.args
-            cells[cell] = (cells.get(cell) or 0) + delta
-        elif action.kind == "truncate":
-            (split_key,) = action.args
-            cells = {c: v for c, v in cells.items() if c < split_key}
-        elif action.kind == "split-move":
-            source_page_id, split_key = action.args
-            source = reads.get(source_page_id) or {}
-            cells = {c: v for c, v in source.items() if c >= split_key}
-        else:
-            raise ValueError(f"unliftable B-tree action {action.kind!r}")
-    return cells or None
+def _page_op(name: str, page_id: str, accesses, mutate_for) -> Operation:
+    """One record's write to ``page_id`` as a page-granular operation.
 
-
-def _read_pages_of(actions: tuple[PageAction, ...], page_id: str) -> set[str]:
-    """The pages these actions actually read, derived per action.
-
-    Incremental actions (put/delete/add/truncate/set-meta) read the
-    written page's prior state; a leading split-move replaces the
-    contents wholesale (blind for the written page) and reads its source
-    page instead.  Deriving this per action — rather than handing every
-    written page the record's whole read set — keeps the lifted graph
-    free of spurious read-write edges.
+    It reads every page its cell ``accesses`` read, and its own page
+    unless it rewrites the whole page (a split-move, a whole-page
+    image).  Its function runs ``mutate_for(reader)``, the mutator redo
+    runs, on scratch copies of the pages it reads.  An empty page lifts
+    to None: it is an absent one, as in the stable state.
     """
-    reads: set[str] = set()
-    for action in actions:
-        if action.kind == "split-move":
-            reads.add(action.args[0])
-        elif action.kind == "copyfrom":
-            reads.add(action.args[0])
-    # The page's own prior state is read unless the first action is a
-    # wholesale replacement (split-move clears before filling).
-    if not (actions and actions[0].kind == "split-move"):
+    cell_reads, cell_writes = accesses
+    reads = {read_page for read_page, _ in cell_reads}
+    if (page_id, None) not in cell_writes:
         reads.add(page_id)
-    return reads
+
+    def compute(values: dict) -> dict:
+        scratch = {p: Page(p, dict(values[p] or {})) for p in reads}
+        page = scratch.get(page_id, Page(page_id))
+        mutate_for(scratch.__getitem__)(page)
+        return {page_id: dict(page.cells) or None}
+
+    return Operation(name, frozenset(reads), frozenset({page_id}), compute)
 
 
 def lift_btree_log(entries: list[LogRecord]) -> tuple[list[Operation], dict]:
@@ -97,40 +75,32 @@ def lift_btree_log(entries: list[LogRecord]) -> tuple[list[Operation], dict]:
     by_lsn: dict[int, list[tuple[Operation, str]]] = {}
     for entry in entries:
         payload = entry.payload
-        name = f"L{entry.lsn}"
         if isinstance(payload, CheckpointRecord):
             continue
         if isinstance(payload, PhysicalRedo):
-            cells, page_id = dict(payload.cells), payload.page_id
-            op = Operation(
-                name,
-                frozenset(),
-                frozenset({page_id}),
-                lambda reads, cells=cells, page_id=page_id: {
-                    page_id: dict(cells) or None
-                },
+            shares = {
+                payload.page_id: (
+                    payload.accesses(),
+                    lambda _reader, install=payload.apply_to: install,
+                )
+            }
+        elif isinstance(payload, (PhysiologicalRedo, MultiPageRedo)):
+            writes = (
+                payload.writes
+                if isinstance(payload, MultiPageRedo)
+                else {payload.page_id: (payload.action,)}
             )
-            operations.append(op)
-            by_lsn[entry.lsn] = [(op, page_id)]
-            continue
-        if isinstance(payload, PhysiologicalRedo):
-            writes = {payload.page_id: (payload.action,)}
-        elif isinstance(payload, MultiPageRedo):
-            writes = payload.writes
+            shares = {
+                page_id: (page_accesses(page_id, actions), partial(actions_on, actions, None))
+                for page_id, actions in writes.items()
+            }
         else:
             raise ValueError(f"unliftable record {type(payload).__name__}")
         group = by_lsn[entry.lsn] = []
-        for page_id, actions in writes.items():
-            op = Operation(
-                name if len(writes) == 1 else f"{name}.{page_id}",
-                frozenset(_read_pages_of(actions, page_id)),
-                frozenset({page_id}),
-                lambda reads, actions=actions, page_id=page_id: {
-                    page_id: _interpret(actions, reads, page_id)
-                },
-            )
-            operations.append(op)
-            group.append((op, page_id))
+        for page_id, share in shares.items():
+            name = f"L{entry.lsn}" if len(shares) == 1 else f"L{entry.lsn}.{page_id}"
+            group.append((_page_op(name, page_id, *share), page_id))
+            operations.append(group[-1][0])
     return operations, by_lsn
 
 

@@ -685,8 +685,15 @@ class TestTheorem3:
         checkpoint: the next start must replay the chains of the pages
         it lacks from their heads, or their pre-checkpoint writes are
         lost.  Four frames leave some of the eight pages unwritten
-        whatever order the drain retires them in."""
-        db = build_crashed(tmp_path, method, ckpt=10, ops=mixed_stream(method))
+        whatever order the drain retires them in.  The original run has
+        four frames too, so it flushes pages before its last checkpoint,
+        whose dirty page table then no longer reaches back to their
+        chains' heads: trusting the checkpoint for a page the disk lacks
+        loses writes for every method, not just physical's table-less
+        one."""
+        db = build_crashed(
+            tmp_path, method, ckpt=10, ops=mixed_stream(method), cache_capacity=4
+        )
         db.close()
         first = cold(tmp_path, method, ckpt=10, disk=Disk(), cache_capacity=4)
         expected = first.method.dump()

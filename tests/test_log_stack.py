@@ -155,25 +155,27 @@ class _AbortReplay(Exception):
 def _crash_midway_through_recovery(db: KVDatabase, after_applies: int) -> bool:
     """Run recover() but crash after ``after_applies`` replay
     applications.  Returns True if the injected crash fired."""
-    method = db.method
     calls = {"n": 0}
     if db.method_name == "logical":
-        original = method._apply_logical
+        # Logical replay runs each record's own interpreter.
+        from repro.logmgr import LogicalRedo
 
-        def wrapper(description):
+        original = LogicalRedo.apply_to
+
+        def wrapper(record, page_for_update, page_for_read):
             if calls["n"] >= after_applies:
                 raise _AbortReplay()
             calls["n"] += 1
-            return original(description)
+            return original(record, page_for_update, page_for_read)
 
-        method._apply_logical = wrapper
+        LogicalRedo.apply_to = wrapper
         try:
             db.recover()
             return False
         except _AbortReplay:
             return True
         finally:
-            method._apply_logical = original
+            LogicalRedo.apply_to = original
     # Page-based methods funnel every replay through pool.update; the
     # pool is rebuilt by reboot_pool inside recover(), so patch the class.
     from repro.cache.pool import BufferPool

@@ -305,3 +305,73 @@ class TestPhysiologicalSpecifics:
         ]
         if flushed_pages:
             assert flushed_pages[0] not in kv.dirty_table()
+
+
+# Each case: the commands run first, then the mutation that must be refused.
+_REFUSALS = {
+    "add-to-a-string": ([("put", "k", "abc")], ("add", "k", 1)),
+    "string-delta": ([], ("add", "k", "x")),
+    "none-delta": ([("put", "k", 1)], ("add", "k", None)),
+    "copy-a-string-same-page": ([("put", "s", "abc")], ("copyadd", "same", ("s", 1))),
+    "copy-a-string-other-page": ([("put", "s", "abc")], ("copyadd", "other", ("s", 1))),
+}
+
+
+def _copy_target(command, n_pages=8):
+    """Resolve ``same``/``other`` to a key on (or off) the page of ``s``."""
+    kind, key, value = command
+    if kind != "copyadd":
+        return command
+    want_same = key == "same"
+    for i in range(100):
+        candidate = f"k{i}"
+        if (page_of(candidate, n_pages) == page_of("s", n_pages)) == want_same:
+            return (kind, candidate, value)
+    raise AssertionError("no key found")
+
+
+class TestRefusedOperands:
+    """An add or copy-add whose operands do not add is refused with
+    ``TypeError`` before its record is appended, on every method: the
+    log never holds a record that replay cannot apply, so the directory
+    still cold-starts after it."""
+
+    @pytest.mark.parametrize(
+        "method,case",
+        [
+            (method, case)
+            for method in sorted(METHODS)
+            for case in sorted(_REFUSALS)
+            if not (method == "physiological" and case.startswith("copy"))
+        ],
+    )
+    def test_refused_before_the_append_and_the_log_recovers(
+        self, method, case, tmp_path
+    ):
+        setup, refused = _REFUSALS[case]
+        db = KVDatabase(method=method, log_dir=tmp_path, fsync=False)
+        db.run(setup)
+        log = db.method.machine.log
+        before = log.next_lsn
+        with pytest.raises(TypeError):
+            db.execute(_copy_target(refused))
+        assert log.next_lsn == before
+        db.execute(("put", "z", 1))  # writes after the refusal still go
+        db.commit()
+        expected = db.method.dump()
+        db.close()
+        reborn = KVDatabase.cold_start(tmp_path, method=method)
+        assert reborn.method.dump() == expected
+        reborn.close()
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_an_add_reads_none_as_zero(self, method):
+        """``None`` and an absent cell both count as 0, on every method
+        and in the oracle."""
+        stream = [("put", "k", None), ("add", "k", 1)]
+        db = KVDatabase(method=method)
+        db.run(stream)
+        db.commit()
+        assert db.get("k") == 1
+        db.crash_and_recover()
+        db.verify_against(stream)

@@ -71,6 +71,35 @@ class TestProtocol:
             reply = json.loads(sock.makefile("rb").readline())
         assert reply["ok"] is False
 
+    def test_an_add_that_does_not_add_is_refused_and_logs_nothing(self, tmp_path):
+        """A hostile client's add to a string gets ``ok: false``; its
+        record never reaches the log, so the directory restarts."""
+        wal = tmp_path / "wal"
+        db = KVDatabase(method="physiological", log_dir=wal)
+        server = KVServer(db)
+        server.serve_background()
+        try:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                replies = sock.makefile("rb")
+                for request in (
+                    {"op": "put", "key": "k", "value": "abc"},
+                    {"op": "add", "key": "k", "value": 1},
+                    {"op": "put", "key": "z", "value": 1},
+                    {"op": "commit"},
+                ):
+                    sock.sendall(json.dumps(request).encode() + b"\n")
+                    reply = json.loads(replies.readline())
+                    if request["op"] == "add":
+                        assert reply["ok"] is False
+                        assert "TypeError" in reply["error"]
+                    else:
+                        assert reply["ok"] is True
+        finally:
+            server.close()
+        reborn = KVDatabase.cold_start(wal, method="physiological")
+        assert reborn.method.dump() == {"k": "abc", "z": 1}
+        reborn.close()
+
     def test_stats_expose_sessions_and_pipeline(self, served_db):
         _, server = served_db
         with KVClient(*server.address) as client:

@@ -30,85 +30,11 @@ Quickstart::
 See ``examples/quickstart.py`` for the full tour.
 """
 
-from repro.core import (
-    Add,
-    ConflictGraph,
-    Const,
-    ExposureMemo,
-    Expr,
-    InstallationGraph,
-    InvariantReport,
-    Log,
-    LogRecord,
-    Operation,
-    RecoveryOutcome,
-    RedoDecision,
-    State,
-    StateGraph,
-    Var,
-    VariableIndex,
-    WriteGraph,
-    WriteGraphError,
-    WriteNode,
-    assign,
-    blind_write,
-    check_recovery_invariant,
-    explains,
-    exposed_variables,
-    find_explaining_prefixes,
-    increment,
-    installed_set,
-    is_applicable,
-    is_explainable,
-    is_exposed,
-    is_potentially_recoverable,
-    recover,
-    replay,
-    replay_order,
-    run_sequence,
-    state_sequence,
-    unexposed_variables,
-)
+from repro import core as _core
+
+# The theory core is re-exported whole: one list of public names.
+globals().update({name: getattr(_core, name) for name in _core.__all__})
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Add",
-    "ConflictGraph",
-    "Const",
-    "ExposureMemo",
-    "Expr",
-    "InstallationGraph",
-    "InvariantReport",
-    "Log",
-    "LogRecord",
-    "Operation",
-    "RecoveryOutcome",
-    "RedoDecision",
-    "State",
-    "StateGraph",
-    "Var",
-    "VariableIndex",
-    "WriteGraph",
-    "WriteGraphError",
-    "WriteNode",
-    "assign",
-    "blind_write",
-    "check_recovery_invariant",
-    "explains",
-    "exposed_variables",
-    "find_explaining_prefixes",
-    "increment",
-    "installed_set",
-    "is_applicable",
-    "is_explainable",
-    "is_exposed",
-    "is_potentially_recoverable",
-    "recover",
-    "replay",
-    "replay_order",
-    "run_sequence",
-    "state_sequence",
-    "unexposed_variables",
-    "__version__",
-]
+__all__ = [*_core.__all__, "__version__"]

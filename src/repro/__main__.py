@@ -585,12 +585,18 @@ def cmd_serve(args) -> int:
             flush=True,
         )
     elif args.log_dir:
-        db = KVDatabase.cold_start(
-            args.log_dir,
-            method=args.method,
-            fsync=not args.no_fsync,
-            lazy=args.lazy_restart,
-        )
+        try:
+            db = KVDatabase.cold_start(
+                args.log_dir,
+                method=args.method,
+                fsync=not args.no_fsync,
+                lazy=args.lazy_restart,
+            )
+        except ValueError as exc:  # a log another method wrote
+            if tracer is not None:
+                tracer.close()
+            print(f"serve cannot restart: {exc}", file=sys.stderr)
+            return 2
         if args.lazy_restart:
             print(
                 f"lazy restart: serving with {db.replay_backlog()} "

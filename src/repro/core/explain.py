@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Iterator
 
-from repro.core.exposed import ExposureMemo, _installed_set, exposed_variables
+from repro.core.exposed import ExposureMemo, exposed_variables
 from repro.core.installation import InstallationGraph
 from repro.core.model import Operation, State
 
 
 def explanation(
     installation: InstallationGraph,
-    installed: Collection[Operation],
+    installed: Collection[Operation] | None,
     state: State,
     initial: State,
     memo: ExposureMemo | None = None,
@@ -40,24 +40,27 @@ def explanation(
     the exposed variables whose value in ``state`` differs from the
     prefix-determined one.  The prefix explains ``state`` iff
     ``is_prefix`` and ``mismatched`` is empty; a non-prefix stops at the
-    prefix test, with both sets empty.  ``memo`` (an
-    :class:`~repro.core.exposed.ExposureMemo` over the same conflict
-    graph) is moved to ``installed`` and answers the exposure side
-    incrementally; without one it is the definitional
-    :func:`~repro.core.exposed.exposed_variables`.  The determined value
-    of each exposed variable is read from its last installed writer
-    (:meth:`InstallationGraph.determined_values`), so the prefix is
-    tested once and no determined state is built.
+    prefix test, with both sets empty.  Determined values are read from
+    each variable's last installed writer
+    (:meth:`InstallationGraph.determined_values`).
+
+    ``memo``, an :class:`~repro.core.exposed.ExposureMemo` built over
+    ``installation``, answers incrementally: moved to ``installed`` with
+    every variable re-checked, or with ``installed=None`` at its own
+    installed set, re-checking only the variables touched since.
     """
-    installed = _installed_set(installed)
+    if memo is not None:
+        if installed is not None:
+            memo.set_installed(installed)
+            memo.touch(installation.conflict.variable_index.variables())
+        return memo.explain(state, initial)
+    installed = set(installed)
     if not installation.is_prefix(installed):
         return False, set(), set()
-    if memo is None:
-        exposed = exposed_variables(installation.conflict, installed)
-    else:
-        memo.set_installed(installed)
-        exposed = memo.exposed_variables()
-    determined = installation.determined_values(installed, exposed, initial)
+    exposed = exposed_variables(installation.conflict, installed)
+    determined = installation.determined_values(
+        {operation.name for operation in installed}, exposed, initial
+    )
     mismatched = {
         variable for variable in exposed if state[variable] != determined[variable]
     }

@@ -43,14 +43,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.conflict import ConflictGraph
-from repro.core.model import Operation
-
-
-def _installed_set(installed: Iterable[Operation]) -> "set[Operation] | frozenset[Operation]":
-    """``installed`` as a set, without copying one that already is."""
-    if isinstance(installed, (set, frozenset)):
-        return installed
-    return set(installed)
+from repro.core.installation import InstallationGraph
+from repro.core.model import Operation, State
 
 
 def is_exposed(
@@ -58,12 +52,11 @@ def is_exposed(
 ) -> bool:
     """Is ``variable`` exposed by the installed set (§2.3 definition)?
 
-    ``installed`` may be any iterable; passing a ``set``/``frozenset``
-    avoids a copy.  Cost: O(accessors of ``variable`` outside I).
+    ``installed`` may be any iterable.  Cost: O(|I| + accessors of
+    ``variable``).
     """
-    installed_set = _installed_set(installed)
-    first = graph.variable_index.first_accessor_outside(installed_set, variable)
-    return first is None or first.reads(variable)
+    names = {operation.name for operation in installed}
+    return graph.variable_index.exposure(names, variable)[0]
 
 
 def is_unexposed(
@@ -84,15 +77,10 @@ def exposed_variables(
     variables: Iterable[str] | None = None,
 ) -> set[str]:
     """The subset of ``variables`` (default: all accessed) exposed by I."""
-    installed_set = _installed_set(installed)
+    names = {operation.name for operation in installed}
     index = graph.variable_index
     candidates = index.variables() if variables is None else variables
-    result: set[str] = set()
-    for variable in candidates:
-        first = index.first_accessor_outside(installed_set, variable)
-        if first is None or first.reads(variable):
-            result.add(variable)
-    return result
+    return {variable for variable in candidates if index.exposure(names, variable)[0]}
 
 
 def unexposed_variables(
@@ -101,9 +89,8 @@ def unexposed_variables(
     variables: Iterable[str] | None = None,
 ) -> set[str]:
     """Complement of :func:`exposed_variables` within the candidate set."""
-    installed_set = _installed_set(installed)
     candidates = all_variables(graph) if variables is None else set(variables)
-    return candidates - exposed_variables(graph, installed_set, candidates)
+    return candidates - exposed_variables(graph, installed, candidates)
 
 
 def strictly_exposed_variables(
@@ -117,12 +104,12 @@ def strictly_exposed_variables(
     accessors, take the conflict-graph-minimal ones, quantify over all —
     so it cross-checks the indexed fast path used everywhere else.
     """
-    installed_set = _installed_set(installed)
+    names = {operation.name for operation in installed}
     candidates = all_variables(graph) if variables is None else set(variables)
     result: set[str] = set()
     for variable in candidates:
         outside = [
-            op for op in graph.variable_index.accessors(variable) if op not in installed_set
+            op for op in graph.variable_index.accessors(variable) if op.name not in names
         ]
         if not outside:
             result.add(variable)
@@ -134,7 +121,10 @@ def strictly_exposed_variables(
 
 
 class ExposureMemo:
-    """Memoized exposure for a conflict graph and an evolving installed set.
+    """Memoized exposure for an installation graph and an evolving
+    installed set I, kept by operation name — the normal-operation
+    audits, where I moves a few operations at a time while the graph is
+    appended to.
 
     The memo maps variable -> exposure verdict and is invalidated exactly
     when the verdict could change: a graph append touching the variable
@@ -144,22 +134,34 @@ class ExposureMemo:
     never access the variable, appends elsewhere — leaves entries valid,
     so audit loops that re-check all variables after each step pay O(1)
     per untouched variable.
+
+    It is also :func:`~repro.core.explain.explanation`'s memo path
+    (:meth:`explain`): it counts the installation edges from an
+    uninstalled operation into an installed one (I is a prefix iff there
+    are none) and keeps the exposed and mismatched variables, re-deciding
+    only those marked since.
     """
 
-    def __init__(self, graph: ConflictGraph, installed: Iterable[Operation] = ()):
-        self.graph = graph
-        self._installed: set[Operation] = set(installed)
+    def __init__(self, installation: InstallationGraph, installed: Iterable[Operation] = ()):
+        self.installation = installation
+        self.graph = installation.conflict
+        self.installed_names: set[str] = set()  # I (read-only)
         self._memo: dict[str, bool] = {}
-        graph.subscribe(self._on_append)
+        self._first: dict[str, int] = {}  # variable -> its all-installed accessor head
+        self._crossing = 0  # installation edges uninstalled -> installed
+        self._dirty: set[str] = set()  # variables to re-decide in explain
+        self._exposed: set[str] = set()
+        self._mismatched: set[str] = set()
+        self.graph.subscribe(lambda operation, _incoming: self.touch(operation.variables()))
+        for operation in installed:
+            self.install(operation)
 
-    def _on_append(self, operation: Operation, incoming: dict) -> None:
-        self._invalidate_for(operation)
-
-    def _invalidate_for(self, operation: Operation) -> None:
-        for variable in operation.read_set:
+    def touch(self, variables: Iterable[str]) -> None:
+        """Mark ``variables`` for re-decision by the next :meth:`explain`
+        (callers name those whose value in the explained state changed)."""
+        for variable in variables:
             self._memo.pop(variable, None)
-        for variable in operation.write_set:
-            self._memo.pop(variable, None)
+            self._dirty.add(variable)
 
     # ------------------------------------------------------------------
     # Installed-set maintenance
@@ -168,45 +170,52 @@ class ExposureMemo:
     @property
     def installed(self) -> frozenset[Operation]:
         """The current installed set (snapshot)."""
-        return frozenset(self._installed)
+        return frozenset(map(self.graph.operation, self.installed_names))
 
     def install(self, operation: Operation) -> None:
         """Add ``operation`` to I, invalidating only its variables."""
-        if operation not in self._installed:
-            self._installed.add(operation)
-            self._invalidate_for(operation)
+        if operation.name not in self.installed_names:
+            self.installed_names.add(operation.name)
+            self._flipped(operation, 1)
 
     def uninstall(self, operation: Operation) -> None:
         """Remove ``operation`` from I, invalidating only its variables."""
-        if operation in self._installed:
-            self._installed.discard(operation)
-            self._invalidate_for(operation)
+        if operation.name in self.installed_names:
+            self.installed_names.discard(operation.name)
+            for variable in operation.variables():
+                self._first.pop(variable, None)
+            self._flipped(operation, -1)
+
+    def _flipped(self, operation: Operation, sign: int) -> None:
+        self.touch(operation.variables())
+        dag, installed, name = self.installation.dag, self.installed_names, operation.name
+        outside = sum(p not in installed for p in dag.direct_predecessors(name))
+        inside = sum(s in installed for s in dag.direct_successors(name))
+        self._crossing += sign * (outside - inside)
 
     def set_installed(self, operations: Iterable[Operation]) -> None:
         """Replace I wholesale; only the symmetric difference invalidates."""
-        new = set(operations)
-        for operation in self._installed ^ new:
-            self._invalidate_for(operation)
-        self._installed = new
+        new = {operation.name: operation for operation in operations}
+        for name in self.installed_names - new.keys():
+            self.uninstall(self.graph.operation(name))
+        for operation in new.values():
+            self.install(operation)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def is_exposed(self, variable: str) -> bool:
-        """Memoized :func:`is_exposed` for the current installed set."""
+        """Memoized :func:`is_exposed` for the current installed set; the
+        scan for the first accessor outside I resumes where the last one
+        stopped (an uninstall restarts it)."""
         verdict = self._memo.get(variable)
         if verdict is None:
-            first = self.graph.variable_index.first_accessor_outside(
-                self._installed, variable
+            verdict, self._first[variable] = self.graph.variable_index.exposure(
+                self.installed_names, variable, self._first.get(variable, 0)
             )
-            verdict = first is None or first.reads(variable)
             self._memo[variable] = verdict
         return verdict
-
-    def is_unexposed(self, variable: str) -> bool:
-        """Negation of :meth:`is_exposed`."""
-        return not self.is_exposed(variable)
 
     def exposed_variables(self, variables: Iterable[str] | None = None) -> set[str]:
         """Exposed subset of ``variables`` (default: all accessed)."""
@@ -224,8 +233,25 @@ class ExposureMemo:
         )
         return {variable for variable in candidates if not self.is_exposed(variable)}
 
+    def explain(self, state: State, initial: State) -> tuple[bool, set[str], set[str]]:
+        """``(is_prefix, exposed, mismatched)`` for I, as
+        :func:`~repro.core.explain.explanation` defines them, re-deciding
+        only the variables marked since the last prefix verdict: ``state``
+        may differ from the last call's only on variables given to
+        :meth:`touch`, and ``initial`` not at all."""
+        if self._crossing:
+            return False, set(), set()
+        dirty, self._dirty = self._dirty, set()
+        index = self.graph.variable_index
+        exposed = {v for v in dirty if v in index and self.is_exposed(v)}
+        determined = self.installation.determined_values(self.installed_names, exposed, initial)
+        self._exposed = (self._exposed - dirty) | exposed
+        self._mismatched -= dirty
+        self._mismatched.update(v for v in exposed if state[v] != determined[v])
+        return True, set(self._exposed), set(self._mismatched)
+
     def __repr__(self) -> str:
         return (
-            f"ExposureMemo(installed={len(self._installed)}, "
+            f"ExposureMemo(installed={len(self.installed_names)}, "
             f"memoized={len(self._memo)})"
         )

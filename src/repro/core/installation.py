@@ -144,19 +144,19 @@ class InstallationGraph:
         return graph
 
     def determined_values(
-        self, installed: Collection[Operation], variables: Iterable[str], initial: State
+        self, installed: Collection[str], variables: Iterable[str], initial: State
     ) -> dict[str, Value]:
-        """The state the prefix ``installed`` (a set; not checked) determines,
-        on ``variables`` only: each one's value from its newest installed
-        writer, else from ``initial``.  Same-variable writers are ordered
-        by ``ww`` edges in sequence order, so this is
+        """The state the prefix named by ``installed`` (operation names; not
+        checked) determines, on ``variables`` only: each one's value from its
+        newest installed writer, else from ``initial``.  Same-variable writers
+        are ordered by ``ww`` edges in sequence order, so this is
         :meth:`StateGraph.determined_state`'s rule."""
         graph = self.state_graph(initial)
         writers = self.conflict.variable_index.writers
         values: dict[str, Value] = {}
         for variable in variables:
             for writer in reversed(writers(variable)):
-                if writer in installed:
+                if writer.name in installed:
                     values[variable] = graph.written(writer.name, variable)
                     break
             else:
@@ -176,7 +176,8 @@ class InstallationGraph:
         if not self.is_prefix(members):
             raise ValueError("not a prefix of the installation graph")
         written = {variable for op in members for variable in op.write_set}
-        return initial.updated(self.determined_values(members, written, initial))
+        names = {op.name for op in members}
+        return initial.updated(self.determined_values(names, written, initial))
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ minimal accessor whenever it writes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, KeysView, Sequence
+from typing import TYPE_CHECKING, Container, KeysView, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.model import Operation
@@ -85,17 +85,20 @@ class VariableIndex:
     # The exposure primitives
     # ------------------------------------------------------------------
 
-    def first_accessor_outside(
-        self, installed: "set[Operation] | frozenset[Operation]", variable: str
-    ) -> "Operation | None":
-        """The log-order-first accessor of ``variable`` outside
-        ``installed`` (None if every accessor is installed).
+    def exposure(
+        self, installed: "Container[str]", variable: str, start: int = 0
+    ) -> tuple[bool, int]:
+        """Whether ``variable`` is exposed by the operations named in
+        ``installed``, and the log-order position of its first accessor
+        outside them (the accessor count if every one is inside).
 
-        This operation is always minimal among the outside accessors in
+        That accessor is always minimal among the outside accessors in
         conflict-graph order, and uniquely minimal when it writes (module
-        docstring) — which is why exposure needs nothing else.
+        docstring) — which is why exposure needs nothing else.  The scan
+        starts at ``start``: a caller whose installed set only grew since
+        it was handed a position may resume there.
         """
-        for operation in self._accessors.get(variable, _EMPTY):
-            if operation not in installed:
-                return operation
-        return None
+        accessors = self._accessors.get(variable, _EMPTY)
+        while start < len(accessors) and accessors[start].name in installed:
+            start += 1
+        return start == len(accessors) or accessors[start].reads(variable), start

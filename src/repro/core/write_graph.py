@@ -94,7 +94,7 @@ class WriteGraph:
         # State after every operation appended so far: the source of each
         # new node's write values (replacing a full state-graph rebuild).
         self._running = initial.copy()
-        self._memo = ExposureMemo(installation.conflict)
+        self._memo = ExposureMemo(installation)
         self._audit_cache: bool | None = None
 
         for operation in installation.operations:

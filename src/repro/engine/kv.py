@@ -251,16 +251,24 @@ class KVDatabase:
         each page's first access replays its own log chain through the
         buffer pool's fault hook, and a background thread drains the
         rest in recLSN order.  Once drained (``drain_lazy()`` forces
-        it), the state is byte-identical to an eager cold start.
+        it), the state is byte-identical to an eager cold start.  A log
+        another method wrote is refused with ``ValueError``.
         """
         spec = EngineSpec(method=method, **spec_fields)
         tracer = tracer if tracer is not None else NULL_TRACER
         machine = _machine(spec, log_dir, tracer, disk)
-        db = cls(tracer=tracer, machine=machine, **spec.as_dict())
-        if recover and lazy:
-            db._begin_lazy_restart()
-        elif recover:
-            db.recover()
+        try:
+            lsn = machine.log.first_operation_lsn()  # its tag names the writer
+            if lsn is not None and spec.method in METHODS:
+                METHODS[spec.method].refuse_unreplayed(machine.log.entry(lsn).payload_tag, log_dir)
+            db = cls(tracer=tracer, machine=machine, **spec.as_dict())
+            if recover and lazy:
+                db._begin_lazy_restart()
+            elif recover:
+                db.recover()
+        except BaseException:
+            machine.log.close()  # a refused directory keeps no handle open
+            raise
         return db
 
     def _build_metrics(self) -> MetricsRegistry:

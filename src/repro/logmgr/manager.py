@@ -612,6 +612,14 @@ class LogManager:
         """Stream the stable records with LSN >= ``lsn``."""
         return self.records_from(lsn, volatile=False)
 
+    def first_operation_lsn(self) -> int | None:
+        """The oldest stable non-checkpoint record's LSN (None if there is
+        none), read off the checkpoint LSNs."""
+        with self._mutex:
+            checkpoints = self._checkpoint_lsns
+            lsn = next((i for i, c in enumerate(checkpoints) if i != c), len(checkpoints))
+            return lsn if lsn <= self._stable_lsn else None
+
     def entries(self, volatile: bool = True) -> list[LogRecord]:
         """All records; with ``volatile=False`` only the stable prefix.
         Materializes a list — iterate :meth:`records_from` on hot paths

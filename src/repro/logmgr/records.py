@@ -21,19 +21,21 @@ interpreters on scratch pages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable
 
 from repro.storage.page import Page
 
 
-def _replace(page: Page, removed, added, lsn: int | None) -> None:
-    """Drop the ``removed`` cells of ``page``, then install the ``added``
-    (cell, value) pairs: the write of a truncate or a split-move."""
+def install(page: Page, write, lsn: int | None = None) -> None:
+    """Perform on ``page`` a write ``prepare`` returned — one ``(cell,
+    value)``, or a many-cell kind's list of them, written in order —
+    and stamp ``lsn`` (if not None).  :data:`TOMBSTONE` removes a cell."""
     cells = page.cells
-    for cell in removed:
-        del cells[cell]
-    cells.update(added)
+    for cell, value in (write,) if type(write) is tuple else write:
+        if value is TOMBSTONE:
+            cells.pop(cell, None)
+        else:
+            cells[cell] = value
     if lsn is not None:
         page.stamp(lsn)
 
@@ -64,45 +66,42 @@ class PageAction:
     kind: str
     args: tuple = ()
 
-    def prepare(self, page: Page, reader=None) -> Callable[[int | None], None]:
+    def prepare(self, page: Page, reader=None):
         """Read what this action reads; return the write of its result,
-        called with the LSN to stamp (or None).  ``reader`` (page_id ->
-        Page) supplies the other page a ``copyfrom`` or ``split-move``
-        reads.  Operands that do not add raise ``TypeError`` here, before
-        any write: engines prepare, log, then write, so the log never
-        holds a record that replay cannot apply."""
+        for :func:`install`.  ``reader`` (page_id -> Page) supplies the
+        other page a ``copyfrom`` or ``split-move`` reads.  Operands that
+        do not add raise ``TypeError`` here, before any write: engines
+        prepare, log, then write, so the log never holds a record that
+        replay cannot apply."""
         kind, args = self.kind, self.args
         if reader is None and kind in ("copyfrom", "split-move"):
             raise ValueError(f"{kind} needs a page reader (multi-page record)")
         if kind in ("put", "set-meta"):
-            cell, value = args
-            return partial(page.put, cell, value)
+            return args
         if kind == "delete":
-            return partial(page.delete, args[0])
+            return args[0], TOMBSTONE
         if kind == "add":
             cell, delta = args
-            return partial(page.put, cell, (page.get(cell) or 0) + delta)
+            return cell, (page.get(cell) or 0) + delta
         if kind == "copycell":
             dst_cell, src_cell, delta = args
-            return partial(page.put, dst_cell, (page.get(src_cell) or 0) + delta)
+            return dst_cell, (page.get(src_cell) or 0) + delta
         if kind == "copyfrom":
             src_page_id, src_cell, dst_cell, delta = args
-            source = reader(src_page_id)
-            return partial(page.put, dst_cell, (source.get(src_cell) or 0) + delta)
+            return dst_cell, (reader(src_page_id).get(src_cell) or 0) + delta
         if kind == "truncate":
             (split_key,) = args
-            doomed = [cell for cell in page.cells if cell >= split_key]
-            return partial(_replace, page, doomed, ())
+            return [(cell, TOMBSTONE) for cell in page.cells if cell >= split_key]
         if kind == "split-move":
             source_page_id, split_key = args
             source = reader(source_page_id)
             moved = [(cell, value) for cell, value in source if cell >= split_key]
-            return partial(_replace, page, list(page.cells), moved)
+            return [(cell, TOMBSTONE) for cell in page.cells] + moved
         raise ValueError(f"unknown page action kind {self.kind!r}")
 
     def apply_to(self, page: Page, lsn: int | None = None, reader=None) -> None:
-        """Interpret this action against ``page``: :meth:`prepare`, then write."""
-        self.prepare(page, reader)(lsn)
+        """Interpret this action on ``page``: :meth:`prepare`, then :func:`install`."""
+        install(page, self.prepare(page, reader), lsn)
 
     def accesses(self, page_id: str) -> tuple[frozenset, frozenset]:
         """The cells this action reads and writes on page ``page_id``, as
@@ -204,34 +203,30 @@ class LogicalRedo:
 
     description: tuple
 
-    def prepare(
-        self,
-        page_for_update: Callable[[str], Page],
-        page_for_read: Callable[[str], Page | None],
-    ) -> Callable[[], None]:
-        """:meth:`PageAction.prepare` over keys: ``page_for_update(key)``
-        is the page ``key`` is written on, ``page_for_read(key)`` the
-        page it is read from (None when no page holds it yet)."""
+    def prepare(self, page: Page, page_for_read: Callable[[str], Page | None]) -> tuple:
+        """:meth:`PageAction.prepare` over keys, ``page`` being the one
+        the key is written on and ``page_for_read(key)`` the one ``key``
+        is read from (None when no page holds it yet)."""
         kind, key, value = self.description
-        page = page_for_update(key)
         if kind == "kv-put":
-            return partial(page.put, key, value)
+            return key, value
         if kind == "kv-delete":
-            return partial(page.delete, key)
+            return key, TOMBSTONE
         if kind == "kv-add":
             # The read happens at replay time too: a logical add record
             # carries the delta, not the result.
-            return partial(page.put, key, (page.get(key) or 0) + value)
+            return key, (page.get(key) or 0) + value
         if kind == "kv-copyadd":
             src, delta = value
             source = page_for_read(src)
             src_value = source.get(src) if source is not None else None
-            return partial(page.put, key, (src_value or 0) + delta)
+            return key, (src_value or 0) + delta
         raise ValueError(f"unknown logical operation {kind!r}")
 
     def apply_to(self, page_for_update, page_for_read) -> None:
-        """Interpret this operation: :meth:`prepare`, then write."""
-        self.prepare(page_for_update, page_for_read)()
+        """Interpret this operation: :meth:`prepare`, then :func:`install`."""
+        page = page_for_update(self.description[1])
+        install(page, self.prepare(page, page_for_read))
 
     def accesses(self) -> tuple[frozenset, frozenset]:
         """The keys read and written, as ``(None, key)`` cells: a

@@ -100,11 +100,28 @@ class RecoveryMethodKV(ABC):
     """A recoverable key-value store driven by one recovery discipline."""
 
     name = "abstract"
+    # Wire tags (repro.logmgr.codec) of the record kinds recovery replays.
+    replays: frozenset[int] = frozenset()
 
     def __init__(self, machine: Machine | None = None, n_pages: int = 8):
         self.machine = machine if machine is not None else Machine()
         self.n_pages = n_pages
         self.stats = MethodStats()
+
+    @classmethod
+    def refuse_unreplayed(cls, tag: int, log_dir=None) -> None:
+        """Raise ``ValueError``, naming both methods, unless this method
+        replays the records of wire ``tag``: restarted from a log another
+        method wrote, its recovery would skip them and come up short."""
+        if tag in cls.replays:
+            return
+        from repro.methods import METHODS  # the registry imports this module
+
+        writers = " or ".join(name for name, kind in METHODS.items() if tag in kind.replays)
+        raise ValueError(
+            f"{log_dir or 'the log'} holds records the {writers} method wrote; "
+            f"it cannot restart under method={cls.name!r}"
+        )
 
     @property
     def tracer(self) -> Tracer:

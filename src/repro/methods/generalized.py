@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import partial
 
 from repro.logmgr import LogRecord, MultiPageRedo, PageAction
+from repro.logmgr.codec import PAYLOAD_MULTIPAGE
 from repro.methods.physiological import PhysiologicalKV
 from repro.methods.redo import redo_multipage
 
@@ -34,6 +35,7 @@ class GeneralizedKV(PhysiologicalKV):
     """Key-value store recovered by generalized LSN-based logging."""
 
     name = "generalized"
+    replays = PhysiologicalKV.replays | {PAYLOAD_MULTIPAGE}
 
     # Inherited unchanged.  Named in this class body because
     # bench/layers.py wraps ``vars(cls)[name]`` of every method class and

@@ -50,6 +50,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.logmgr import PageRedoIndex
+from repro.logmgr.codec import PAYLOAD_MULTIPAGE
 from repro.logmgr.pageindex import ENTRY_LSN
 from repro.methods.redo import replay
 
@@ -78,6 +79,8 @@ def pagewise_plan(method: "RecoveryMethodKV", full_scan: bool):
     if checkpoint_lsn >= 0:
         table = dict(*log.entry(checkpoint_lsn).payload.data[1:])
     index = log.page_index()
+    if index.edges:
+        method.refuse_unreplayed(PAYLOAD_MULTIPAGE)
     # Without multi-page edges no replay writes a page part way, so a
     # stored page holds everything the checkpoint claims for it.
     whole_pages, cursors = not index.edges, {}

@@ -28,6 +28,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.logmgr import LOGICAL_PAGE, CheckpointRecord, LogicalRedo, LogRecord
+from repro.logmgr.codec import PAYLOAD_LOGICAL
+from repro.logmgr.records import install
 from repro.methods.base import Machine, RecoveryMethodKV
 from repro.methods.lazy import SuffixLazyPlan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
@@ -38,6 +40,7 @@ class LogicalKV(RecoveryMethodKV):
     """Key-value store recovered by logical logging over a shadow store."""
 
     name = "logical"
+    replays = frozenset({PAYLOAD_LOGICAL})
 
     def __init__(self, machine: Machine | None = None, n_pages: int = 8):
         super().__init__(machine, n_pages)
@@ -89,9 +92,10 @@ class LogicalKV(RecoveryMethodKV):
         the append (a refused operand logs nothing), writes after it.
         Recovery replays through the same interpreter."""
         record = LogicalRedo(description)
-        write = record.prepare(self._page_for_update, self._page_for_read)
+        page = self._page_for_update(description[1])
+        write = record.prepare(page, self._page_for_read)
         self.machine.log.append(record)
-        write()
+        install(page, write)
         self.stats.operations += 1
 
     def put(self, key: str, value: Any) -> None:

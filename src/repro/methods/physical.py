@@ -30,6 +30,7 @@ from functools import partial
 from typing import Any
 
 from repro.logmgr import TOMBSTONE, CheckpointRecord, LogRecord, PhysicalRedo
+from repro.logmgr.codec import PAYLOAD_PHYSICAL
 from repro.methods.base import RecoveryMethodKV
 from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager
@@ -40,6 +41,7 @@ class PhysicalKV(RecoveryMethodKV):
     """Key-value store recovered by physical (location/value) logging."""
 
     name = "physical"
+    replays = frozenset({PAYLOAD_PHYSICAL})
 
     # ------------------------------------------------------------------
     # Normal operation

@@ -36,6 +36,8 @@ from repro.logmgr import (
     PageAction,
     PhysiologicalRedo,
 )
+from repro.logmgr.codec import PAYLOAD_PHYSIOLOGICAL
+from repro.logmgr.records import install
 from repro.methods.base import Machine, RecoveryMethodKV
 from repro.methods.lazy import pagewise_plan
 from repro.methods.redo import NOT_REDO, begin_lazy, recover_eager, redo_page
@@ -80,6 +82,7 @@ class PhysiologicalKV(RecoveryMethodKV):
     """Key-value store recovered by page-LSN physiological logging."""
 
     name = "physiological"
+    replays = frozenset({PAYLOAD_PHYSIOLOGICAL})
 
     def __init__(
         self,
@@ -118,7 +121,7 @@ class PhysiologicalKV(RecoveryMethodKV):
 
         def mutate(page: Page) -> None:
             write = action.prepare(page, reader)
-            write(log.append(record).lsn)
+            install(page, write, log.append(record).lsn)
 
         self.machine.pool.update(page_id, mutate, create=True)
         self.stats.operations += 1

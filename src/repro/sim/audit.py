@@ -26,8 +26,9 @@ a bug in any of them shows up as a flagged instant — this is the
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.conflict import ConflictGraph
 from repro.core.explain import explanation
@@ -43,7 +44,7 @@ from repro.logmgr import (
     PhysicalRedo,
     PhysiologicalRedo,
 )
-from repro.methods import GeneralizedKV, LogicalKV, PhysicalKV, PhysiologicalKV
+from repro.methods import LogicalKV, PhysicalKV, PhysiologicalKV
 from repro.storage.page import Page
 from repro.workloads.kv import KVOp
 
@@ -157,83 +158,6 @@ def _lift_record(entry: LogRecord) -> Operation | None:
 
 
 # ----------------------------------------------------------------------
-# Reconstructing the stable model state
-# ----------------------------------------------------------------------
-
-def _stable_model_state(method) -> State:
-    """The key-value state recovery would start from."""
-    state = State(default=None)
-    if isinstance(method, LogicalKV):
-        for page_id in method.shadow.current_page_ids():
-            for cell, value in method.shadow.read_current(page_id):
-                state.set(cell, value)
-        return state
-    for page in method.machine.disk.pages():
-        if page.page_id.startswith("data"):
-            for cell, value in page:
-                state.set(cell, value)
-    return state
-
-
-# ----------------------------------------------------------------------
-# Simulating the redo decision
-# ----------------------------------------------------------------------
-
-def _redo_lsns(method, entries: Sequence[LogRecord]) -> set[int]:
-    """The LSNs the method's recovery would replay, given the current
-    stable state — mirroring each §6 recovery procedure exactly."""
-    if isinstance(method, LogicalKV):
-        cut = method.shadow.checkpoint_lsn()
-        return {
-            e.lsn
-            for e in entries
-            if e.lsn > cut and not isinstance(e.payload, CheckpointRecord)
-        }
-    if isinstance(method, PhysicalKV):
-        start = 0
-        for entry in entries:
-            if isinstance(entry.payload, CheckpointRecord):
-                start = entry.lsn + 1
-        # A page the disk lacks witnesses no checkpoint: its whole chain
-        # is redone (the analysis of repro.methods.lazy.pagewise_plan).
-        disk = method.machine.disk
-        return {
-            e.lsn
-            for e in entries
-            if not isinstance(e.payload, CheckpointRecord)
-            and (e.lsn >= start or not disk.has_page(e.payload.page_id))
-        }
-    if isinstance(method, (PhysiologicalKV, GeneralizedKV)):
-        # Each stored page's LSN, read once per instant (-1: not on disk).
-        page_lsns = {page.page_id: page.lsn for page in method.machine.disk.pages()}
-
-        # The installed set is modeled by the pure page-LSN test: a
-        # record's effect is on disk iff its page's stable LSN covers it.
-        # The analysis pass's redo_start is deliberately NOT applied
-        # here: it is a *scan* optimization, sound because everything
-        # below it replays as a no-op or is already reflected — but
-        # flush elision can leave a net-identity window below redo_start
-        # whose records are individually unreflected (the disk keeps the
-        # pre-window image and LSN).  Treating those as installed would
-        # pick a witness prefix whose determined state disagrees with
-        # the disk mid-window; the page-LSN cut is the prefix whose
-        # determined state the disk actually holds.
-        chosen = set()
-        for entry in entries:
-            if isinstance(entry.payload, PhysiologicalRedo):
-                if page_lsns.get(entry.payload.page_id, -1) < entry.lsn:
-                    chosen.add(entry.lsn)
-            elif isinstance(entry.payload, MultiPageRedo):
-                if any(
-                    page_lsns.get(page_id, -1) < entry.lsn
-                    for page_id in entry.payload.writes
-                ):
-                    chosen.add(entry.lsn)
-        return chosen
-    raise AuditError(f"no redo model for {type(method).__name__}")
-
-
-# ----------------------------------------------------------------------
 # Cross-checking the buffer pool's install scheduler
 # ----------------------------------------------------------------------
 
@@ -248,9 +172,7 @@ def _scheduler_cross_check(method) -> tuple[bool, str]:
     analysis start past updates the page still carries).
     """
     pool = method.machine.pool
-    scheduler = getattr(pool, "scheduler", None)
-    if scheduler is None:
-        return True, ""
+    scheduler = pool.scheduler
     problems = scheduler.self_check()
     if problems:
         return False, f"scheduler self-check failed: {problems}"
@@ -278,19 +200,35 @@ def _scheduler_cross_check(method) -> tuple[bool, str]:
 # The audit itself
 # ----------------------------------------------------------------------
 
-class AuditTracker:
-    """Incremental audit state for one engine across many instants.
+_INITIAL = State(default=None)  # the state before any lifted record
 
-    Between instants the stable log only *grows*, so the tracker keeps an
-    LSN watermark and lifts just the newly stable records into a growing
-    conflict/installation graph pair (Lemma 1 makes left-to-right appends
-    order-safe).  Each lifted record is evaluated once, into the growing
-    installation state graph; an :class:`~repro.core.exposed.ExposureMemo`
-    re-decides only the variables of records whose redo verdict flipped;
-    and each exposed variable's determined value is read from its newest
-    installed writer.  Four steps stay O(stable records) per instant
-    (DESIGN §7 gives the slope): the stable-entry walk, the redo
-    simulation, the installed set and the prefix test.
+
+class AuditTracker:
+    """Incremental audit state for one engine across many instants; an
+    instant costs what changed since the last one (DESIGN §7).
+
+    The stable log only grows, so the records past an LSN watermark are
+    lifted into growing conflict/installation graphs (Lemma 1 makes
+    left-to-right appends order-safe), each evaluated once.  Redo runs on
+    per-page cursors: a chain's ascending LSNs and its bound — the stored
+    page's LSN (physiological, generalized), the last stable checkpoint
+    if the disk holds the page, else -1 (physical), or the shadow root's
+    checkpoint LSN for logical recovery's one chain.  A record at or
+    below the bounds of every page it writes is installed; when a bound
+    moves either way, bisection finds exactly the records that flip, and
+    they reach the :class:`~repro.core.exposed.ExposureMemo` as deltas.
+    The stable state is kept, not rebuilt: no stored image is modified in
+    place, so a page is read again exactly when its image changed.
+
+    The page-LSN bound deliberately ignores the analysis pass's
+    redo_start: it is a *scan* optimization, sound because everything
+    below it replays as a no-op or is already reflected — but flush
+    elision can leave a net-identity window below redo_start whose
+    records are individually unreflected (the disk keeps the pre-window
+    image and LSN).  Treating those as installed would pick a witness
+    prefix whose determined state disagrees with the disk mid-window; the
+    page-LSN cut is the prefix whose determined state the disk actually
+    holds.
 
     The tracker accepts any §6 method engine; :class:`KVDatabase` builds
     one per database on first use (``theory_tracker()``) and keeps it
@@ -299,46 +237,97 @@ class AuditTracker:
     """
 
     def __init__(self, method) -> None:
-        self.method = method
+        kinds = (LogicalKV, PhysicalKV, PhysiologicalKV)
+        self.method, self._kind = method, next((k for k in kinds if isinstance(method, k)), None)
+        if self._kind is None:
+            raise AuditError(f"no redo model for {type(method).__name__}")
         self.conflict = ConflictGraph()
         self.installation = InstallationGraph(self.conflict)
-        self.memo = ExposureMemo(self.conflict)
+        self.memo = ExposureMemo(self.installation)
         self._by_lsn: dict[int, Operation] = {}
-        self._watermark = -1
+        self._watermark = self._checkpoint = -1
+        self._chains: dict[str, list[int]] = {}  # page -> LSNs writing it
+        self._bounds: dict[str, int] = {}  # page -> the bound last applied
+        self._uncovered: dict[int, int] = {}  # LSN -> its pages not covering it
+        self._images: dict[str, Page] = {}  # stable page -> image last read
+        self._stable = State(default=None)
 
-    def sync(self) -> list[LogRecord]:
-        """Lift records that became stable since the last call; returns
-        the full stable entry list for the redo simulation."""
-        entries = self.method.machine.log.stable_entries()
-        for entry in entries:
-            if entry.lsn <= self._watermark:
+    def sync(self) -> int:
+        """Lift the records stable since the last call; returns how many."""
+        log = self.method.machine.log
+        if log.stable_lsn <= self._watermark:
+            return 0
+        read = 0
+        for entry in log.stable_records_from(self._watermark + 1):
+            self._watermark, read = entry.lsn, read + 1
+            operation = _lift_record(entry)
+            if operation is None:
+                self._checkpoint = entry.lsn
                 continue
-            lifted = _lift_record(entry)
-            if lifted is not None:
-                self.conflict.append(lifted)
-                self._by_lsn[entry.lsn] = lifted
-            self._watermark = entry.lsn
-        return entries
+            self.conflict.append(operation)
+            self._by_lsn[entry.lsn] = operation
+            uncovered = 0  # a new chain's bound is -1 until the next refresh
+            for key in self._chain_keys(entry.payload):
+                self._chains.setdefault(key, []).append(entry.lsn)
+                uncovered += entry.lsn > self._bounds.setdefault(key, -1)
+            self._uncovered[entry.lsn] = uncovered
+            if not uncovered:
+                self.memo.install(operation)
+        return read
+
+    def _chain_keys(self, payload) -> Iterable[str]:
+        """The pages whose bounds decide a record's redo: those it writes."""
+        if self._kind is LogicalKV:
+            return ("",)
+        return payload.writes if type(payload) is MultiPageRedo else (payload.page_id,)
+
+    def _stable_view(self) -> tuple[dict[str, Page], Callable[[str], int]]:
+        """The stored data pages by page id, uncopied, and the bound of
+        each chain in them: the highest LSN it covers."""
+        if self._kind is LogicalKV:
+            checkpoint, pages = self.method.shadow.stable_view()
+            return pages, lambda _key: checkpoint
+        images = self.method.machine.disk.images()
+        pages = {p: page for p, page in images.items() if p.startswith("data")}
+        if self._kind is PhysicalKV:
+            # A page the disk lacks witnesses no checkpoint: its whole
+            # chain is redone (the analysis of repro.methods.lazy).
+            return pages, lambda key: self._checkpoint if key in pages else -1
+        return pages, lambda key: pages[key].lsn if key in pages else -1
+
+    def _refresh(self) -> None:
+        """Re-read the stable pages whose image changed, then move each
+        chain's bound, flipping the records between old and new bound."""
+        current, bound = self._stable_view()
+        old, self._images = self._images, current
+        changed = [p for p in old.keys() | current.keys() if old.get(p) is not current.get(p)]
+        for pages, keep in ((old, False), (current, True)):
+            for page_id in changed:
+                if page_id in pages:
+                    for cell, value in pages[page_id].cells.items():
+                        self._stable.set(cell, value if keep else None)
+                    self.memo.touch(pages[page_id].cells)
+        for key, chain in self._chains.items():
+            low, high = self._bounds[key], bound(key)
+            if low == high:
+                continue
+            self._bounds[key], step = high, -1
+            if high < low:
+                low, high, step = high, low, 1
+            for lsn in chain[bisect_right(chain, low) : bisect_right(chain, high)]:
+                self._uncovered[lsn] += step
+                if self._uncovered[lsn] == (0 if step < 0 else 1):
+                    flip = self.memo.install if step < 0 else self.memo.uninstall
+                    flip(self._by_lsn[lsn])
 
     def audit(self, instant: int = -1) -> InstantAudit:
         """Evaluate the Recovery Invariant for the engine right now."""
-        entries = self.sync()
-        redo = _redo_lsns(self.method, entries)
-        installed = {op for lsn, op in self._by_lsn.items() if lsn not in redo}
-        verdict = explanation(
-            self.installation,
-            installed,
-            _stable_model_state(self.method),
-            State(default=None),
-            self.memo,
-        )
-        return InstantAudit.of(
-            instant,
-            len(self._by_lsn),
-            len(redo),
-            verdict,
-            _scheduler_cross_check(self.method),
-        )
+        self.sync()
+        self._refresh()
+        verdict = explanation(self.installation, None, self._stable, _INITIAL, self.memo)
+        lifted = len(self._by_lsn)
+        redo = lifted - len(self.memo.installed_names)
+        return InstantAudit.of(instant, lifted, redo, verdict, _scheduler_cross_check(self.method))
 
 
 def audit_instant(db: KVDatabase, instant: int = -1) -> InstantAudit:

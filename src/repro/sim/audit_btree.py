@@ -115,9 +115,6 @@ def audit_btree(tree: BTree) -> InstantAudit:
 
     disk = tree.machine.disk
 
-    def page_lsn(page_id: str) -> int:
-        return disk.read_page(page_id).lsn if disk.has_page(page_id) else -1
-
     redo_start = 0
     for entry in entries:
         if isinstance(entry.payload, CheckpointRecord):
@@ -127,7 +124,7 @@ def audit_btree(tree: BTree) -> InstantAudit:
         op
         for lsn, group in by_lsn.items()
         for op, page_id in group
-        if lsn < redo_start or page_lsn(page_id) >= lsn
+        if lsn < redo_start or disk.page_lsn(page_id) >= lsn
     ]
 
     # The initial state is the unlogged idempotent bootstrap (recovery
@@ -138,7 +135,7 @@ def audit_btree(tree: BTree) -> InstantAudit:
     initial.set(META_PAGE, {"root": FIRST_PAGE})
     initial.set(FIRST_PAGE, {TYPE_CELL: "leaf"})
     stable = initial.copy()
-    for page in disk.pages():
+    for page in disk.images().values():
         stable.set(page.page_id, dict(page.cells) or None)
 
     verdict = explanation(installation, installed, stable, initial)

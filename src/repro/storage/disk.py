@@ -15,7 +15,8 @@ log volume.
 
 from __future__ import annotations
 
-from typing import Iterator
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.storage.page import Page
 
@@ -97,14 +98,14 @@ class Disk:
         stored = self._pages.get(page.page_id)
         return stored is not None and stored.same_contents(page)
 
+    def images(self) -> Mapping[str, Page]:
+        """The stored images, uncopied and read-only: none is modified in
+        place, so an image's identity says whether its page was rewritten."""
+        return MappingProxyType(self._pages)
+
     def page_ids(self) -> list[str]:
         """Sorted ids of every stored page."""
         return sorted(self._pages)
-
-    def pages(self) -> Iterator[Page]:
-        """Snapshots of every stored page, in id order."""
-        for page_id in self.page_ids():
-            yield self._pages[page_id].copy()
 
     def drop_page(self, page_id: str) -> None:
         """Remove a page image (shadow-directory garbage collection)."""

@@ -62,14 +62,23 @@ class ShadowStore:
         """Does the stable directory hold a version of ``page_id``?"""
         return self.disk.has_page(self._qualify(self.current_directory(), page_id))
 
+    def stable_view(self) -> tuple[int, dict[str, Page]]:
+        """The stable state as the disk holds it, uncopied: the last
+        swing's checkpoint LSN and each current page's stored image by
+        logical page id (read-only: the disk never modifies a stored
+        image in place, so an image's identity says whether it changed)."""
+        images = self.disk.images()
+        root = images[ROOT_PAGE_ID]
+        prefix = self._qualify(root.get("current"), "")
+        return root.get("checkpoint_lsn"), {
+            page_id[len(prefix):]: image
+            for page_id, image in images.items()
+            if page_id.startswith(prefix)
+        }
+
     def current_page_ids(self) -> list[str]:
         """Sorted logical page ids present in the stable directory."""
-        prefix = self.current_directory() + ":"
-        return sorted(
-            page_id[len(prefix):]
-            for page_id in self.disk.page_ids()
-            if page_id.startswith(prefix)
-        )
+        return sorted(self.stable_view()[1])
 
     def stage_page(self, page: Page) -> None:
         """Write a page version into the staging area.  The stable state

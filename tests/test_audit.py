@@ -8,17 +8,22 @@ import repro.sim.audit as audit_module
 from repro.core.conflict import ConflictGraph
 from repro.core.explain import explanation
 from repro.core.exposed import exposed_variables
-from repro.core.model import Operation
-from repro.engine import KVDatabase
-from repro.logmgr import PhysicalRedo
+from repro.core.model import Operation, State
+from repro.engine import EngineSpec, KVDatabase
+from repro.logmgr import LogManager, PhysicalRedo
+from repro.shard import ShardedDatabase
 from repro.sim.audit import (
     AuditError,
     AuditTracker,
+    audit_deployment,
     audit_instant,
     audited_run,
     installation_graph_of,
 )
+from repro.storage import Disk, LostWriteFault, Page, TornWriteFault
+from repro.storage.shadow import ROOT_PAGE_ID
 from repro.workloads.kv import KVWorkloadSpec, generate_kv_workload
+from tests.audit_oracle import redo_lsns, stable_model_state, tracked_redo_lsns
 from tests.conftest import scratch_determined_state
 
 MIXED = KVWorkloadSpec(
@@ -304,43 +309,97 @@ def from_scratch_verdict(installation, installed, state, initial):
 
 @pytest.fixture
 def verdict_pairs(monkeypatch):
-    """Every verdict the tracker computes, paired with the same verdict
-    computed from scratch (:func:`from_scratch_verdict`)."""
+    """Every tracker audit's verdict, redo set and redo count, paired with
+    the same three computed from scratch: the definitional redo model and
+    stable state of :mod:`tests.audit_oracle`, and
+    :func:`from_scratch_verdict` over the not-redone records."""
     pairs = []
+    verdicts = []
+    audit = AuditTracker.audit
 
-    def both(installation, installed, state, initial, memo=None):
-        memoized = explanation(installation, installed, state, initial, memo)
-        pairs.append(
-            (memoized, from_scratch_verdict(installation, installed, state, initial))
+    def captured(*args):
+        verdicts.append(explanation(*args))
+        return verdicts[-1]
+
+    def checked(tracker, instant=-1):
+        result = audit(tracker, instant)
+        method = tracker.method
+        redo = redo_lsns(method, method.machine.log.stable_entries())
+        installed = {op for lsn, op in tracker._by_lsn.items() if lsn not in redo}
+        definitional = from_scratch_verdict(
+            tracker.installation, installed, stable_model_state(method),
+            State(default=None),
         )
-        return memoized
+        pairs.append((
+            (verdicts[-1], tracked_redo_lsns(tracker), result.redo_count),
+            (definitional, redo, len(redo)),
+        ))
+        return result
 
-    monkeypatch.setattr(audit_module, "explanation", both)
+    monkeypatch.setattr(audit_module, "explanation", captured)
+    monkeypatch.setattr(AuditTracker, "audit", checked)
     return pairs
 
 
-class TestSharedVerdict:
-    """The tracker's incremental graphs, memoized exposure and writer-index
-    values are an optimization of the §3.2 verdict, never a different one:
-    same prefix test, same exposed set, same mismatched set at every
-    instant as a from-scratch build."""
+METHODS = ["logical", "physical", "physiological", "generalized"]
 
-    @pytest.mark.parametrize(
-        "method", ["logical", "physical", "physiological", "generalized"]
+
+def _stream(method, seed=3):
+    """A mixed workload the method can run (physiological has no copyadd)."""
+    spec = MIXED if method != "physiological" else KVWorkloadSpec(
+        n_operations=40, n_keys=6, put_ratio=0.5, add_ratio=0.35,
+        delete_ratio=0.1,
     )
+    return generate_kv_workload(seed, spec)
+
+
+def _audited(db, commands):
+    """Run ``commands`` on ``db``, auditing through its own tracker
+    after each one."""
+    for command in commands:
+        db.execute(command)
+        db.theory_audit()
+
+
+def _lying_images(db, lsn):
+    """A made-up image of every data page the method can keep stable
+    (for logical, in the current shadow directory), each holding ``lsn``
+    for the workload's keys that live on it, tagged with LSN ``lsn``."""
+    method = db.method
+    keys = [f"k{i:04d}" for i in range(MIXED.n_keys)]
+    directory = ""
+    disk = method.machine.disk
+    if method.name == "logical":
+        disk = method.shadow.disk
+        directory = method.shadow.current_directory() + ":"
+    for index in range(method.n_pages):
+        page_id = f"data{index:03d}"
+        cells = {key: lsn for key in keys if method.page_of(key) == page_id}
+        disk.write_page(Page(directory + page_id, cells, lsn=lsn))
+
+
+def _assert_pairs_agree(pairs):
+    assert pairs
+    for memoized, definitional in pairs:
+        assert memoized == definitional
+
+
+class TestSharedVerdict:
+    """The tracker's incremental graphs, redo cursors, kept stable state,
+    memoized exposure and writer-index values are an optimization of the
+    §3.2 verdict, never a different one: same prefix test, same exposed
+    set, same mismatched set and same redo set at every instant as a
+    from-scratch build."""
+
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("seed", [3, 17])
     def test_memo_matches_definitional(self, verdict_pairs, method, seed):
-        spec = MIXED if method != "physiological" else KVWorkloadSpec(
-            n_operations=40, n_keys=6, put_ratio=0.5, add_ratio=0.35,
-            delete_ratio=0.1,
-        )
         db = KVDatabase(
             method=method, cache_capacity=3, commit_every=2, checkpoint_every=9
         )
-        audits = audited_run(db, generate_kv_workload(seed, spec))
+        audits = audited_run(db, _stream(method, seed))
         assert len(verdict_pairs) == len(audits)
-        for memoized, definitional in verdict_pairs:
-            assert memoized == definitional
+        _assert_pairs_agree(verdict_pairs)
 
     @pytest.mark.parametrize(
         "case",
@@ -348,7 +407,154 @@ class TestSharedVerdict:
     )
     def test_memo_matches_definitional_on_violations(self, verdict_pairs, case):
         getattr(TestAuditInstant(), case)()
-        assert verdict_pairs
-        assert any(not ok or bad for (ok, _, bad), _ in verdict_pairs)
-        for memoized, definitional in verdict_pairs:
-            assert memoized == definitional
+        assert any(not ok or bad for ((ok, _, bad), _, _), _ in verdict_pairs)
+        _assert_pairs_agree(verdict_pairs)
+
+
+class TestCursorsOnHostileHistories:
+    """The redo cursors and the kept stable state against the oracle
+    where the stable state moves in ways normal operation never moves
+    it: page LSNs going backward, a replaced disk, corrupted writes."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_media_failure_and_restore(self, verdict_pairs, method):
+        db = KVDatabase(method=method, cache_capacity=3, commit_every=2, checkpoint_every=9)
+        stream = _stream(method)
+        _audited(db, stream[:15])
+        db.commit()
+        db.method.machine.pool.flush_all()
+        backup = db.method.backup()
+        _audited(db, stream[15:30])
+        db.method.media_failure()  # a new, empty Disk object
+        db.theory_audit()
+        for page in backup.values():  # page LSNs go backward
+            db.method.machine.disk.write_page(page)
+        db.theory_audit()
+        db.method.recover(full_scan=True)
+        db.theory_audit()
+        _audited(db, stream[30:])
+        _assert_pairs_agree(verdict_pairs)
+
+    @pytest.mark.parametrize("method", ["physical", "physiological", "generalized"])
+    @pytest.mark.parametrize("fault", [TornWriteFault, LostWriteFault])
+    def test_torn_and_lost_writes(self, verdict_pairs, method, fault):
+        db = KVDatabase(method=method, cache_capacity=8, commit_every=1)
+        stream = _stream(method)
+        _audited(db, stream[:20])
+        pool = db.method.machine.pool
+        for page in list(pool):
+            db.method.machine.disk.arm_fault(fault(page.page_id))
+            pool.flush_page(page.page_id, force=True)
+            db.theory_audit()
+        _audited(db, stream[20:])
+        _assert_pairs_agree(verdict_pairs)
+
+    def test_lost_shadow_root_swing(self, verdict_pairs):
+        """Logical recovery's one atomic write is lost: the staged pages
+        land, the old directory is scrubbed, the root never swings."""
+        db = KVDatabase(method="logical", commit_every=1)
+        stream = _stream("logical")
+        _audited(db, stream[:10])
+        db.checkpoint()
+        _audited(db, stream[10:20])
+        db.method.shadow.disk.arm_fault(LostWriteFault(ROOT_PAGE_ID))
+        db.checkpoint()
+        assert not db.theory_audit().holds
+        _audited(db, stream[20:])
+        _assert_pairs_agree(verdict_pairs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lying_page_images(self, verdict_pairs, method):
+        """Pages written straight to disk with made-up contents and LSNs,
+        ahead of and behind the log."""
+        db = KVDatabase(method=method, commit_every=1, checkpoint_every=12)
+        stream = _stream(method)
+        _audited(db, stream[:20])
+        for lsn in (10_000, 3, -1):
+            _lying_images(db, lsn)
+            assert not db.theory_audit().holds
+        _audited(db, stream[20:])
+        _assert_pairs_agree(verdict_pairs)
+
+    def test_logical_shadow_swings(self, verdict_pairs):
+        db = KVDatabase(method="logical", cache_capacity=3, commit_every=2)
+        for index, command in enumerate(_stream("logical")):
+            db.execute(command)
+            db.theory_audit()
+            if index % 4 == 3:
+                db.checkpoint()
+                db.theory_audit()
+        _assert_pairs_agree(verdict_pairs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_crash_and_recover_with_the_tracker_kept(self, verdict_pairs, method):
+        db = KVDatabase(method=method, cache_capacity=3, commit_every=3, checkpoint_every=9)
+        stream = _stream(method)
+        tracker = db.theory_tracker()
+        for start in range(0, len(stream), 10):
+            _audited(db, stream[start : start + 10])
+            db.crash_and_recover()
+            db.theory_audit()
+        assert db.theory_tracker() is tracker
+        _assert_pairs_agree(verdict_pairs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_shard_deployment(self, verdict_pairs, method):
+        sdb = ShardedDatabase.create(
+            n_shards=2,
+            spec=EngineSpec(method=method, cache_capacity=3, commit_every=2,
+                            checkpoint_every=9),
+        )
+        shard_of = sdb.keymap.shard_of
+        stream = [  # copyadds whose keys colocate: no cross-shard operation
+            c for c in _stream(method)
+            if c[0] != "copyadd" or shard_of(c[1]) == shard_of(c[2][0])
+        ]
+        for command in stream:
+            sdb.execute(command)
+            assert audit_deployment(sdb).holds
+        assert len(verdict_pairs) == 2 * len(stream)
+        _assert_pairs_agree(verdict_pairs)
+        sdb.close()
+
+
+class TestAuditCostStructure:
+    """What an audit reads, counted rather than timed."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_quiet_audit_reads_no_record_and_copies_no_page(self, monkeypatch, method):
+        db = KVDatabase(method=method, cache_capacity=3, commit_every=2, checkpoint_every=9)
+        audited_run(db, _stream(method))
+        tracker = AuditTracker(db.method)
+        assert tracker.audit().holds
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a quiet audit must not read or copy this")
+
+        monkeypatch.setattr(LogManager, "records_from", refused)
+        monkeypatch.setattr(Disk, "read_page", refused)
+        monkeypatch.setattr(Page, "copy", refused)
+        assert tracker.audit().holds
+        assert tracker.sync() == 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_audit_lifts_exactly_the_new_stable_records(self, monkeypatch, method):
+        lifted = []
+        lift = audit_module._lift_record
+
+        def counted(entry):
+            lifted.append(entry.lsn)
+            return lift(entry)
+
+        monkeypatch.setattr(audit_module, "_lift_record", counted)
+        db = KVDatabase(method=method, commit_every=1000)
+        tracker = AuditTracker(db.method)
+        for k in (1, 4, 9):
+            lifted.clear()
+            for i in range(k):
+                db.execute(("put", f"k{i}", k))
+            tracker.audit()
+            assert lifted == []  # nothing stable yet
+            db.commit()
+            assert tracker.audit().holds
+            assert len(lifted) == len(set(lifted)) == k

@@ -80,6 +80,22 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--per-session-force" in capsys.readouterr().err
 
+    def test_serve_refuses_a_directory_another_method_wrote(self, tmp_path, capsys):
+        """One line and exit 2, as a used ``demo --log-dir`` gets — not a
+        traceback — before anything listens."""
+        from repro.engine import KVDatabase
+
+        db = KVDatabase(method="physiological", log_dir=tmp_path)
+        db.execute(("put", "k", 1))
+        db.sync()
+        db.close()
+        assert main(["serve", "physical", "--log-dir", str(tmp_path), "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "listening" not in captured.out
+        err = captured.err.strip()
+        assert "\n" not in err
+        assert "physiological" in err and "'physical'" in err
+
 
 class TestLogdump:
     """The ``logdump`` command over real segment files."""

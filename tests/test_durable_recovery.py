@@ -224,6 +224,64 @@ class TestLogDirectoryGuards:
             KVDatabase.cold_start(tmp_path, method="logical", log_segment_size=8)
 
 
+METHOD_NAMES = ("physical", "logical", "physiological", "generalized")
+
+
+def _written_by(method, log_dir, checkpoint_first=False):
+    """A closed log directory ``method`` wrote: a put first (so the oldest
+    record is a one-page one for the page-LSN methods), then adds and —
+    where the method has them — cross-page copyadds."""
+    db = KVDatabase(method=method, log_dir=log_dir)
+    if checkpoint_first:
+        db.checkpoint()
+    stream = [("put", "k0", 1)] + [
+        ("add", f"k{i % 5}", i) for i in range(1, 12)
+    ]
+    if method != "physiological":
+        stream += [("copyadd", f"k{i}", (f"k{i + 1}", i)) for i in range(4)]
+    db.run(stream)
+    db.sync()
+    db.close()
+    return stream
+
+
+class TestColdStartMethodGuard:
+    """A cold start under the wrong method used to restart silently empty
+    (or short): each method's recovery skips the record kinds it does
+    not write.  The oldest operation record's wire tag names the writer;
+    the analysis refuses a physiological restart of multi-page records."""
+
+    @pytest.mark.parametrize("written", METHOD_NAMES)
+    @pytest.mark.parametrize("asked", METHOD_NAMES)
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_every_mismatched_pair(self, tmp_path, written, asked, lazy):
+        stream = _written_by(written, tmp_path)
+        if written == asked or (written, asked) == ("physiological", "generalized"):
+            # A generalized engine replays physiological records exactly.
+            cold = KVDatabase.cold_start(tmp_path, method=asked, lazy=lazy)
+            cold.drain_lazy()
+            assert cold.verify_against(stream) == len(stream)
+            cold.close()
+            return
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError) as refused:
+            KVDatabase.cold_start(tmp_path, method=asked, lazy=lazy)
+        assert written in str(refused.value) and asked in str(refused.value)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_oldest_checkpoint_is_skipped(self, tmp_path):
+        _written_by("physical", tmp_path, checkpoint_first=True)
+        with pytest.raises(ValueError, match="physical"):
+            KVDatabase.cold_start(tmp_path, method="logical", recover=False)
+
+    @pytest.mark.parametrize("asked", METHOD_NAMES)
+    def test_an_empty_directory_accepts_any_method(self, tmp_path, asked):
+        cold = KVDatabase.cold_start(tmp_path / "fresh", method=asked)
+        cold.execute(("put", "k", 1))
+        cold.sync()
+        assert cold.verify_against([("put", "k", 1)]) == 1
+        cold.close()
+
 # ----------------------------------------------------------------------
 # The real thing: kill -9 a child process, recover from its files.
 # ----------------------------------------------------------------------

@@ -192,7 +192,7 @@ class TestExposureMemo:
         rng = random.Random(seed)
         pool = random_operations(seed, OpSequenceSpec(n_operations=16, n_variables=4))
         graph = ConflictGraph()
-        memo = ExposureMemo(graph)
+        memo = ExposureMemo(InstallationGraph(graph))
         appended = []
         next_op = 0
         for _ in range(40):
@@ -224,7 +224,7 @@ class TestExposureMemo:
         touches the variable."""
         ops = random_operations(seed, SPEC)
         graph = ConflictGraph(ops[: len(ops) // 2])
-        memo = ExposureMemo(graph)
+        memo = ExposureMemo(InstallationGraph(graph))
         memo.exposed_variables()  # populate the memo
         for op in ops[len(ops) // 2 :]:
             graph.append(op)

@@ -56,7 +56,7 @@ class TestWarmColdEquivalence:
         sdb.run(mixed_stream(30))
         sdb.crash()
         survivors = [
-            [page for page in shard.method.machine.disk.pages()]
+            list(shard.method.machine.disk.snapshot().values())
             for shard in sdb.shards
         ]
         from repro.storage import Disk

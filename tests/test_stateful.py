@@ -68,7 +68,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.pool.crash()
         # Volatile view degrades to whatever the disk holds.
         self.volatile = {
-            page.page_id: dict(page.cells) for page in self.disk.pages()
+            page.page_id: dict(page.cells) for page in self.disk.snapshot().values()
         }
 
     @invariant()
